@@ -475,6 +475,14 @@ def forward(template, params):
     return mesh
 
 
+def forward_batch(template, frames):
+    """Posed vertices of every flat parameter record in ``frames`` (N, 75), (N, V, 3)."""
+    vertices = np.empty((len(frames), template.num_vertices, 3))
+    for i, f in enumerate(frames):
+        vertices[i] = forward(template, BodyParams.from_flat(f)).vertices
+    return vertices
+
+
 def forward_with_cache(template, params):
     tpl = template
     w_local = joint_rotations(tpl, params.p, params.h)

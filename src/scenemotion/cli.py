@@ -116,7 +116,10 @@ def _load_config(args):
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise UserError(f"config file not found: {args.config}")
-        cfg = RunConfig.load_file(args.config)
+        try:
+            cfg = RunConfig.load_file(args.config)
+        except ValueError as e:
+            raise UserError(f"{args.config}: {e}") from None
     try:
         cfg.apply_overrides(getattr(args, "overrides", []))
     except ValueError as e:

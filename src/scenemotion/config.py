@@ -1,8 +1,9 @@
 """Run configuration: every knob with a default, JSON file + override support.
 
 Defaults are the project's reference settings: k = 61 at 30 fps, the
-training recipe (learning rates, batch sizes, epochs, loss weights) and the
-two-stage refinement weights. The smoke profile shrinks everything for tests.
+training recipe (learning rates, batch sizes, epochs, CVAE loss weights) and
+the refinement length and step size. The smoke profile shrinks everything for
+tests.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class RunConfig:
     pose_lr: float = 1e-3
     pose_batch: int = 16
     pose_epochs: int = 20
-    lambda_t: float = 1.0
-    lambda_r: float = 1.0
-    lambda_p: float = 1.0
-    lambda_h: float = 0.1
 
     # scene field
     sdf_cell: float = 0.05
@@ -52,9 +49,7 @@ class RunConfig:
     sdf_node_budget: int = 64_000_000
     contact_sigma: float = 0.2
 
-    # refinement (two stages; weights are foot/col/cont/smooth)
-    refine_weights_stage1: tuple = (0.0, 1.0, 1.0, 0.25)
-    refine_weights_stage2: tuple = (1.0, 1.0, 1.0, 0.25)
+    # refinement (RefinementSchedule.two_stage fixes the stage weights)
     refine_iters: int = 200
     refine_lr: float = 1e-2
 
@@ -80,8 +75,6 @@ class RunConfig:
     def to_dict(self):
         d = asdict(self)
         d["point_hidden"] = list(self.point_hidden)
-        d["refine_weights_stage1"] = list(self.refine_weights_stage1)
-        d["refine_weights_stage2"] = list(self.refine_weights_stage2)
         return d
 
     @staticmethod
@@ -93,7 +86,7 @@ class RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             current = getattr(cfg, key)
             if isinstance(current, tuple):
-                value = tuple(value)
+                value = _as_tuple(key, value)
             setattr(cfg, key, value)
         return cfg
 
@@ -117,7 +110,7 @@ class RunConfig:
                 value = raw
             current = getattr(self, key)
             if isinstance(current, tuple):
-                value = tuple(value)
+                value = _as_tuple(key, value)
             elif isinstance(current, int) and not isinstance(value, bool):
                 value = int(value)
             elif isinstance(current, float):
@@ -128,3 +121,9 @@ class RunConfig:
     def hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _as_tuple(key, value):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config key {key!r} takes a list, got {value!r}")
+    return tuple(value)

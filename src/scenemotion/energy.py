@@ -47,17 +47,10 @@ class FootSegmentation:
         return out
 
 
-def sole_centroids(template, frames):
-    """Per-frame (left, right) sole-centroid tracks, each (T, 3)."""
-    left_ids = template.sole_vertex_ids("left")
-    right_ids = template.sole_vertex_ids("right")
-    T = len(frames)
-    left = np.empty((T, 3))
-    right = np.empty((T, 3))
-    for i in range(T):
-        mesh = body.forward(template, body.BodyParams.from_flat(frames[i]))
-        left[i] = mesh.vertices[left_ids].mean(axis=0)
-        right[i] = mesh.vertices[right_ids].mean(axis=0)
+def sole_centroids(template, vertices):
+    """Per-frame (left, right) sole-centroid tracks of posed vertices (T, V, 3), each (T, 3)."""
+    left = vertices[:, template.sole_vertex_ids("left")].mean(axis=1)
+    right = vertices[:, template.sole_vertex_ids("right")].mean(axis=1)
     return left, right
 
 
@@ -69,15 +62,14 @@ def segment_stable_foot(template, frames, move_threshold=STANCE_MOVE_THRESHOLD,
     where both soles move more than ``move_threshold`` have no stance. Runs
     shorter than ``hysteresis`` frames are absorbed to prevent label chatter.
     """
-    if len(frames) < 2:
-        raise ValueError(f"need at least 2 frames to segment, got {len(frames)}")
-    left, right = sole_centroids(template, frames)
+    left, right = sole_centroids(template, body.forward_batch(template, frames))
     return segment_from_centroids(left, right, move_threshold, hysteresis)
 
 
 def segment_from_centroids(left, right, move_threshold=STANCE_MOVE_THRESHOLD,
                            hysteresis=STANCE_HYSTERESIS):
-    T = len(left)
+    if len(left) < 2:
+        raise ValueError(f"need at least 2 frames to segment, got {len(left)}")
     dl = np.linalg.norm(np.diff(left, axis=0), axis=1)
     dr = np.linalg.norm(np.diff(right, axis=0), axis=1)
     raw = np.where((dl > move_threshold) & (dr > move_threshold), "none",
@@ -126,17 +118,18 @@ def segment_from_centroids(left, right, move_threshold=STANCE_MOVE_THRESHOLD,
 
 # -- energy terms --------------------------------------------------------------
 #
-# Each *_with_grad returns (value, per-frame vertex cotangents added in place).
+# Each _*_term takes posed vertices (T, V, 3) and returns the term's value;
+# with want_grad it adds scale * dTerm/dvertices into g_vertices in place.
 # Gradients treat nearest-neighbor correspondences and segment means as
-# constants, matching one optimizer inner step.
+# constants, matching one optimizer inner step. The e_* functions are the
+# value-only forms.
 
 def e_foot(template, frames, segmentation):
-    value, _ = _foot_term(template, frames, segmentation, want_grad=False)
-    return value
+    return _foot_term(template, body.forward_batch(template, frames), segmentation,
+                      want_grad=False)
 
 
-def _foot_term(template, frames, segmentation, want_grad, g_vertices=None, vertices=None,
-               scale=1.0):
+def _foot_term(template, vertices, segmentation, want_grad, g_vertices=None, scale=1.0):
     left_ids = template.sole_vertex_ids("left")
     right_ids = template.sole_vertex_ids("right")
     total = 0.0
@@ -144,27 +137,19 @@ def _foot_term(template, frames, segmentation, want_grad, g_vertices=None, verti
         if seg.side == "none":
             continue
         ids = left_ids if seg.side == "left" else right_ids
-        for i in range(seg.start, min(seg.end, len(frames))):
-            if vertices is not None:
-                verts = vertices[i]
-            else:
-                verts = body.forward(template, body.BodyParams.from_flat(frames[i])).vertices
-            c = verts[ids].mean(axis=0)
+        for i in range(seg.start, min(seg.end, len(vertices))):
+            c = vertices[i][ids].mean(axis=0)
             diff = c - seg.mean
             n = np.linalg.norm(diff)
             total += n
             if want_grad and n > 0.0:
                 g_vertices[i][ids] += scale * diff / (n * len(ids))
-    return total, g_vertices
+    return total
 
 
 def e_col(vertices, grid):
     """Mean |negative SDF| per frame, summed over frames; vertices (T, V, 3)."""
-    total = 0.0
-    for verts in vertices:
-        vals, _ = sample_sdf_batch(grid, verts)
-        total += np.abs(np.minimum(vals, 0.0)).sum() / len(verts)
-    return total
+    return _col_term(vertices, grid, want_grad=False)
 
 
 def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
@@ -175,40 +160,40 @@ def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
         total += -vals[neg].sum() / len(verts)
         if want_grad and neg.any():
             g_vertices[i][neg] += scale * (-grads[neg]) / len(verts)
-    return total, g_vertices
+    return total
 
 
 def e_cont(vertices, contact_ids, index, sigma=CONTACT_SIGMA):
     """Sum of robustified nearest-scene distances of the contact vertices."""
-    total = 0.0
-    for verts in vertices:
-        _, d = index.nearest(verts[contact_ids])
-        total += geman_mcclure(d, sigma).sum()
-    return total
+    return _cont_term(vertices, contact_ids, index, sigma, want_grad=False)
 
 
-def _cont_term(vertices, contact_ids, index, sigma, want_grad, g_vertices=None, scale=1.0):
+def _cont_term(vertices, contact_ids, index, sigma, want_grad, g_vertices=None, scale=1.0,
+               correspondences=None):
+    """``correspondences`` (T, C) optionally pins each contact vertex to a cloud
+    point index; otherwise every frame makes exact nearest-point queries."""
     total = 0.0
     for i, verts in enumerate(vertices):
         cv = verts[contact_ids]
-        nn_idx, d = index.nearest(cv)
+        if correspondences is None:
+            nn_idx, d = index.nearest(cv)
+        else:
+            nn_idx = correspondences[i]
+            d = np.linalg.norm(cv - index.points[nn_idx], axis=1)
         total += geman_mcclure(d, sigma).sum()
         if want_grad:
             pos = d > 0.0
             if pos.any():
                 pull = geman_mcclure_deriv(d[pos], sigma) / d[pos]
                 g_vertices[i][contact_ids[pos]] += scale * pull[:, None] * (cv[pos] - index.points[nn_idx[pos]])
-    return total, g_vertices
+    return total
 
 
 def e_smooth(vertices):
     """Sum over consecutive frames of the Frobenius norm of the vertex delta."""
     if len(vertices) < 2:
         raise ValueError("need at least 2 frames for the smoothness term")
-    total = 0.0
-    for i in range(len(vertices) - 1):
-        total += np.linalg.norm(vertices[i] - vertices[i + 1])
-    return total
+    return _smooth_term(vertices, want_grad=False)
 
 
 def _smooth_term(vertices, want_grad, g_vertices=None, scale=1.0):
@@ -221,7 +206,7 @@ def _smooth_term(vertices, want_grad, g_vertices=None, scale=1.0):
             g = scale * diff / n
             g_vertices[i] += g
             g_vertices[i + 1] -= g
-    return total, g_vertices
+    return total
 
 
 @dataclass
@@ -259,16 +244,32 @@ class EnergyReport:
                 "weights": list(self.weights.as_tuple())}
 
 
+def scene_energy(template, vertices, scene_field, weights, segmentation, sigma=CONTACT_SIGMA,
+                 correspondences=None, want_grad=False):
+    """Weighted four-term energy of posed vertices (T, V, 3).
+
+    Returns the EnergyReport and, with ``want_grad``, dTotal/dvertices
+    (T, V, 3), else None; a zero-weight term adds no gradient.
+    ``correspondences`` pins the contact targets (see ``_cont_term``).
+    """
+    g = np.zeros(vertices.shape) if want_grad else None
+    foot = _foot_term(template, vertices, segmentation, want_grad and weights.foot != 0.0,
+                      g, scale=weights.foot)
+    col = _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0,
+                    g, scale=weights.col)
+    cont = _cont_term(vertices, template.contact_vertex_ids(), scene_field.index, sigma,
+                      want_grad and weights.cont != 0.0, g, scale=weights.cont,
+                      correspondences=correspondences)
+    smooth = _smooth_term(vertices, want_grad and weights.smooth != 0.0, g,
+                          scale=weights.smooth)
+    return EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights), g
+
+
 def total_energy(template, seq, scene_field, weights, segmentation=None, sigma=CONTACT_SIGMA):
     """Evaluate all four terms; segmentation is recomputed unless supplied."""
     frames = seq.frames if hasattr(seq, "frames") else np.asarray(seq)
-    vertices = np.stack([
-        body.forward(template, body.BodyParams.from_flat(f)).vertices for f in frames
-    ])
+    vertices = body.forward_batch(template, frames)
     if segmentation is None:
-        segmentation = segment_stable_foot(template, frames)
-    foot, _ = _foot_term(template, frames, segmentation, want_grad=False, vertices=vertices)
-    col = e_col(vertices, scene_field.grid)
-    cont = e_cont(vertices, template.contact_vertex_ids(), scene_field.index, sigma)
-    smooth = e_smooth(vertices) if len(frames) >= 2 else 0.0
-    return EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights)
+        segmentation = segment_from_centroids(*sole_centroids(template, vertices))
+    report, _ = scene_energy(template, vertices, scene_field, weights, segmentation, sigma)
+    return report

@@ -13,6 +13,10 @@ class MeshFormatError(SceneMotionError, ValueError):
     """A scene file could not be parsed; message carries line/offset info."""
 
 
+class SequenceFormatError(SceneMotionError, ValueError):
+    """A sequence file has an unsupported version or inconsistent contents."""
+
+
 class EmptySceneError(SceneMotionError, ValueError):
     """Loaded or constructed scene contains no usable geometry."""
 

@@ -86,8 +86,7 @@ def neighbour_v2v(clip, template):
 def non_collision_score(seq, template, grid):
     """Mean over frames of the fraction of vertices with SDF >= 0, x100."""
     fracs = []
-    for i in range(len(seq)):
-        verts = body.forward(template, seq.params(i)).vertices
+    for verts in seq.meshes(template):
         vals, _ = sample_sdf_batch(grid, verts)
         fracs.append((vals >= 0.0).mean())
     return 100.0 * float(np.mean(fracs))
@@ -97,8 +96,7 @@ def contact_score(seq, template, grid, threshold=CONTACT_SDF_THRESHOLD):
     """Percentage of frames with at least one vertex strictly below the
     contact threshold of the signed distance."""
     hits = 0
-    for i in range(len(seq)):
-        verts = body.forward(template, seq.params(i)).vertices
+    for verts in seq.meshes(template):
         vals, _ = sample_sdf_batch(grid, verts)
         if (vals < threshold).any():
             hits += 1

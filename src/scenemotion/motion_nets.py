@@ -287,17 +287,6 @@ def train_pose_net(model, route_model, clips, clouds, epochs=20, batch_size=16, 
     return curve
 
 
-def train_motion_nets(route_model, pose_model, clips, clouds, route_epochs=20,
-                      pose_epochs=20, route_batch=32, pose_batch=16, lr=1e-3, seed=0,
-                      log=None):
-    """The two-phase schedule; RouteNet weights are bit-frozen during phase 2."""
-    route_curve = train_route_net(route_model, clips, clouds, epochs=route_epochs,
-                                  batch_size=route_batch, lr=lr, seed=seed, log=log)
-    pose_curve = train_pose_net(pose_model, route_model, clips, clouds, epochs=pose_epochs,
-                                batch_size=pose_batch, lr=lr, seed=seed + 1, log=log)
-    return {"route": route_curve, "pose": pose_curve}
-
-
 def synthesize_clip(route_model, pose_model, start, end, cloud_points, k):
     """Assemble a (k+1)-frame clip; frames 0 and k are the inputs verbatim."""
     if np.any(start.beta != end.beta):

@@ -1,11 +1,11 @@
-from .adam import AdamState, adam_step
+from .adam import AdamState
 from .layers import MLP, Linear, ResidualBlock, leaky_relu, leaky_relu_backward
 from .lstm import BiLSTM, LSTMCell
 from .params import Module, Param, check_finite_grads, load_weights, save_weights, uniform_init
 from .pointnet import FEATURE_DIM, PointEncoder
 
 __all__ = [
-    "AdamState", "adam_step", "MLP", "Linear", "ResidualBlock", "leaky_relu",
+    "AdamState", "MLP", "Linear", "ResidualBlock", "leaky_relu",
     "leaky_relu_backward", "BiLSTM", "LSTMCell", "Module", "Param",
     "check_finite_grads", "load_weights", "save_weights", "uniform_init",
     "FEATURE_DIM", "PointEncoder",

@@ -40,9 +40,3 @@ class AdamState:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def adam_step(state, lr):
-    """Functional alias: advances ``state`` and its attached params in place."""
-    state.step(lr)
-    return state

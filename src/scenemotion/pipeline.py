@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import body
+from .cvae import fit_latent
+from .energy import EnergyWeights, total_energy
 from .errors import SceneMotionError
+from .motion_nets import synthesize_clip
+from .refine import refine
+from .rotation import rot6d_to_matrix
+from .sequence import MotionSequence
 
 
 class PipelineStageError(SceneMotionError):
@@ -24,12 +30,6 @@ def _stage(name):
         yield
     except Exception as e:
         raise PipelineStageError(f"stage {name!r}: {e}") from e
-from .cvae import fit_latent
-from .energy import EnergyWeights, total_energy
-from .motion_nets import synthesize_clip
-from .refine import RefinementSchedule, refine
-from .rotation import rot6d_to_matrix
-from .sequence import MotionSequence
 
 
 @dataclass
@@ -136,10 +136,6 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
     return PlanResult(sequence=result.sequence, pre_refine=pre, goal_bodies=bodies,
                       energy_history=result.history, pre_report=pre_report,
                       post_report=post_report)
-
-
-def default_schedule(iters=200, lr=1e-2):
-    return RefinementSchedule.two_stage(iters=iters, lr=lr)
 
 
 def cvae_interpolation_baseline(cvae_model, start, end, cloud_points, steps,

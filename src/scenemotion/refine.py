@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import body
-from .energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, _col_term, _cont_term,
-                     _foot_term, _smooth_term, geman_mcclure, geman_mcclure_deriv,
-                     segment_stable_foot)
+from .energy import CONTACT_SIGMA, EnergyWeights, _cont_term, scene_energy, segment_stable_foot
 from .errors import InvalidRotationError, NumericError
 from .nn.adam import AdamState
 from .nn.params import Param
@@ -106,24 +104,12 @@ def energy_and_gradients(template, frames, scene_field, weights, segmentation,
     """
     T = len(frames)
     caches = [None] * T
-    V = template.num_vertices
-    vertices = np.empty((T, V, 3))
+    vertices = np.empty((T, template.num_vertices, 3))
     for i in range(T):
         mesh, caches[i] = body.forward_with_cache(template, body.BodyParams.from_flat(frames[i]))
         vertices[i] = mesh.vertices
-
-    g_vertices = np.zeros((T, V, 3)) if want_grad else None
-    foot, _ = _foot_term(template, frames, segmentation, want_grad and weights.foot != 0.0,
-                         g_vertices, vertices, scale=weights.foot)
-    col, _ = _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0,
-                       g_vertices, scale=weights.col)
-    contact_ids = template.contact_vertex_ids()
-    cont = _contact_value_grad(vertices, contact_ids, scene_field, sigma,
-                               want_grad and weights.cont != 0.0, g_vertices,
-                               scale=weights.cont, frozen_nn=frozen_nn)
-    smooth, _ = _smooth_term(vertices, want_grad and weights.smooth != 0.0,
-                             g_vertices, scale=weights.smooth)
-    report = EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights)
+    report, g_vertices = scene_energy(template, vertices, scene_field, weights, segmentation,
+                                      sigma, correspondences=frozen_nn, want_grad=want_grad)
     if not want_grad:
         return report, None
     g_x = np.empty((T, _VAR_DIM))
@@ -133,35 +119,18 @@ def energy_and_gradients(template, frames, scene_field, weights, segmentation,
     return report, g_x
 
 
-def _contact_value_grad(vertices, contact_ids, scene_field, sigma, want_grad,
-                        g_vertices, scale, frozen_nn):
-    if frozen_nn is None:
-        total, _ = _cont_term(vertices, contact_ids, scene_field.index, sigma,
-                              want_grad, g_vertices, scale)
-        return total
-    total = 0.0
-    pts = scene_field.index.points
-    for i, verts in enumerate(vertices):
-        cv = verts[contact_ids]
-        target = pts[frozen_nn[i]]
-        diff = cv - target
-        d = np.linalg.norm(diff, axis=1)
-        total += geman_mcclure(d, sigma).sum()
-        if want_grad:
-            pos = d > 0.0
-            pull = geman_mcclure_deriv(d[pos], sigma) / d[pos]
-            g_vertices[i][contact_ids[pos]] += scale * pull[:, None] * diff[pos]
-    return total
+# The benchmark's tracer (perfbench/tracing.py) looks the contact term up
+# under this name.
+_contact_value_grad = _cont_term
 
 
 def contact_correspondences(template, frames, scene_field):
     """Exact nearest-cloud index of every contact vertex per frame, (T, C)."""
     contact_ids = template.contact_vertex_ids()
+    vertices = body.forward_batch(template, frames)
     out = np.empty((len(frames), len(contact_ids)), dtype=np.int64)
-    for i, f in enumerate(frames):
-        mesh = body.forward(template, body.BodyParams.from_flat(f))
-        idx, _ = scene_field.index.nearest(mesh.vertices[contact_ids])
-        out[i] = idx
+    for i, verts in enumerate(vertices):
+        out[i], _ = scene_field.index.nearest(verts[contact_ids])
     return out
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import body
+from .errors import SequenceFormatError
 
 SEQUENCE_VERSION = 1
 FRAME_DTYPE = "<f8"
@@ -67,7 +68,7 @@ class MotionSequence:
 
     def meshes(self, template):
         """Posed vertices for every frame, (T, V, 3)."""
-        return np.stack([body.forward(template, self.params(i)).vertices for i in range(len(self))])
+        return body.forward_batch(template, self.frames)
 
 
 def save_sequence(dirpath, seq, extra=None):
@@ -95,11 +96,14 @@ def load_sequence(dirpath):
     with open(os.path.join(dirpath, "sequence.json")) as f:
         index = json.load(f)
     if index.get("version") != SEQUENCE_VERSION:
-        raise ValueError(f"{dirpath}: unsupported sequence version {index.get('version')}")
+        raise SequenceFormatError(f"{dirpath}: unsupported sequence version {index.get('version')}")
     raw = np.fromfile(os.path.join(dirpath, index["frames_file"]), dtype=index["dtype"])
-    frames = raw.reshape(index["num_frames"], index["param_dim"]).astype(np.float64)
-    return MotionSequence(frames=frames, fps=index["fps"],
-                          chunk_boundaries=list(index.get("chunk_boundaries", [])))
+    try:
+        frames = raw.reshape(index["num_frames"], index["param_dim"]).astype(np.float64)
+        return MotionSequence(frames=frames, fps=index["fps"],
+                              chunk_boundaries=list(index.get("chunk_boundaries", [])))
+    except ValueError as e:
+        raise SequenceFormatError(f"{dirpath}: {e}") from None
 
 
 def export_meshes(dirpath, seq, template, every=1):

@@ -6,6 +6,7 @@ import pytest
 
 from scenemotion import body
 from scenemotion.cli import main
+from scenemotion.config import RunConfig
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.sequence import MotionSequence, load_sequence, save_sequence
 
@@ -114,6 +115,28 @@ def test_bad_override_is_user_error(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "x"), "--set", "nonsense=1"]) == 1
 
 
+@pytest.mark.parametrize("key", ["lambda_t", "lambda_r", "lambda_p", "lambda_h",
+                                 "refine_weights_stage1", "refine_weights_stage2"])
+def test_unread_config_knobs_are_rejected(key):
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict({key: 1.0})
+
+
+@pytest.mark.parametrize("record, message", [({"lambda_t": 1.0}, "unknown config key 'lambda_t'"),
+                                             ({"point_hidden": 5}, "takes a list")])
+def test_bad_config_file_is_user_error(tmp_path, capsys, record, message):
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(record))
+    assert main(["gen-data", "--out", str(tmp_path / "x"), "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_scalar_override_of_tuple_knob_is_user_error(tmp_path):
+    assert main(["gen-data", "--out", str(tmp_path / "x"), "--set", "point_hidden=5"]) == 1
+
+
 def test_sequence_round_trip(tmp_path):
     seq = standing_sequence(6)
     seq.chunk_boundaries = [0, 5]
@@ -131,3 +154,18 @@ def test_sequence_rejects_out_of_range_boundaries(tmp_path, boundaries):
     save_sequence(tmp_path / "seq", seq)
     with pytest.raises(ValueError, match="chunk boundaries"):
         load_sequence(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("key, value", [("chunk_boundaries", [0, 9]), ("version", 99)])
+def test_refine_bad_sequence_file_is_user_error(tmp_path, capsys, key, value):
+    save_sequence(tmp_path / "seq", standing_sequence(4))
+    index_path = tmp_path / "seq" / "sequence.json"
+    index = json.loads(index_path.read_text())
+    index[key] = value
+    index_path.write_text(json.dumps(index))
+    code = main(["refine", "--scene", write_floor_scene(tmp_path / "scene.obj"),
+                 "--seq", str(tmp_path / "seq"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -122,7 +122,7 @@ def test_e_foot_two_frame_hand_case():
     seg = FootSegmentation(segments=[FootSegment(0, 2, "left", np.array([0.05, 0.0, 0.0]))])
     verts = np.zeros((2, 1, 3))
     verts[1, 0, 0] = 0.1
-    total, _ = _foot_term(_T(), np.zeros((2, 75)), seg, want_grad=False, vertices=verts)
+    total = _foot_term(_T(), verts, seg, want_grad=False)
     assert total == pytest.approx(0.1, abs=1e-9)
 
 

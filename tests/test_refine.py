@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scenemotion import body
-from scenemotion.energy import EnergyWeights, segment_stable_foot
+from scenemotion.energy import EnergyWeights, segment_stable_foot, total_energy
 from scenemotion.refine import (RefinementSchedule, RefineStage, contact_correspondences,
                                 energy_and_gradients, frames_to_vars, refine, vars_to_frames)
 from scenemotion.sequence import MotionSequence
@@ -142,3 +142,60 @@ def test_refine_is_deterministic(template, slab_field):
     a = refine(template, seq, slab_field, sched).sequence.frames
     b = refine(template, seq, slab_field, sched).sequence.frames
     assert np.array_equal(a, b)
+
+
+# -- shared energy kernel ------------------------------------------------------------
+
+def sinking_frames(rng, n=6):
+    """A slow shuffle low enough that the body penetrates the slab, with a stance
+    foot, so all four terms are non-zero."""
+    frames = np.zeros((n, body.PARAM_DIM))
+    for i in range(n):
+        frames[i] = body.BodyParams(
+            t=np.array([0.01 * i, 0.0, 0.85]),
+            r=np.array([1.0, 0, 0, 0, 1, 0]) + rng.standard_normal(6) * 0.01,
+            beta=np.zeros(10),
+            p=rng.standard_normal(32) * 0.02,
+            h=rng.standard_normal(24) * 0.2).flat()
+    return frames
+
+
+def test_total_energy_matches_refine_report_term_by_term(template, slab_field):
+    frames = sinking_frames(np.random.default_rng(0))
+    weights = EnergyWeights(1.0, 1.0, 1.0, 0.25)
+    report = total_energy(template, MotionSequence(frames=frames), slab_field, weights)
+    seg = segment_stable_foot(template, frames)
+    ref, g = energy_and_gradients(template, frames, slab_field, weights, seg, want_grad=False)
+    assert g is None
+    assert min(report.foot, report.col, report.cont, report.smooth) > 0.0
+    for term in ("foot", "col", "cont", "smooth", "total"):
+        assert getattr(report, term) == getattr(ref, term), term
+
+
+def test_frozen_correspondences_match_fresh_queries(template, slab_field):
+    frames = sinking_frames(np.random.default_rng(1))
+    seg = segment_stable_foot(template, frames)
+    weights = EnergyWeights(1.0, 1.0, 1.0, 0.25)
+    frozen = contact_correspondences(template, frames, slab_field)
+    fresh, g_fresh = energy_and_gradients(template, frames, slab_field, weights, seg)
+    pinned, g_pinned = energy_and_gradients(template, frames, slab_field, weights, seg,
+                                            frozen_nn=frozen)
+    assert fresh.cont > 0.0
+    for term in ("foot", "col", "cont", "smooth", "total"):
+        assert getattr(pinned, term) == pytest.approx(getattr(fresh, term), rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(g_pinned, g_fresh, rtol=0.0,
+                               atol=1e-12 * np.abs(g_fresh).max())
+
+
+def test_total_energy_poses_each_frame_once(template, slab_field, monkeypatch):
+    frames = sinking_frames(np.random.default_rng(2))
+    calls = []
+    original = body.forward_with_cache
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(body, "forward_with_cache", counting)
+    total_energy(template, MotionSequence(frames=frames), slab_field, EnergyWeights())
+    assert len(calls) == len(frames)
