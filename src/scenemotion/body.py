@@ -460,12 +460,29 @@ DESIGNED_AXIS_INDEX = {name_axis: i for i, name_axis in enumerate(_DESIGNED_POSE
 
 
 # -- forward kinematics / skinning -------------------------------------------
+#
+# One kernel poses N frames at once, in the structure of SMPL's batched
+# lbs(): Rodrigues and the 6D conversion over all (frame, joint) rows, FK
+# and reverse FK once per joint over all frames, and skinning as one
+# skin_weights @ (B, J, 12) matmul over per-joint affine maps
+# [Rw - I | dw - (Rw - I) J] in blocks of FRAME_BLOCK frames. Both parts of
+# the map vanish identically at rest, so the rest template is reproduced
+# bit-for-bit (no a + (b - a) rounding).
+
+FRAME_BLOCK = 32  # frames skinned together; bounds the (B, V, 12) transients
+
 
 def joint_rotations(template, p, h):
-    """Per-joint local axis-angle vectors, (J, 3); pelvis row stays zero."""
-    w = np.zeros((NUM_JOINTS, 3))
-    w[1:NUM_BODY_JOINTS] = (template.pose_map @ p).reshape(-1, 3)
-    w[NUM_BODY_JOINTS:] = (template.hand_map @ h).reshape(-1, 3)
+    """Per-joint local axis-angle vectors (..., J, 3) of latents p (..., 32), h (..., 24).
+
+    The pelvis row stays zero.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    lead = p.shape[:-1]
+    w = np.zeros(lead + (NUM_JOINTS, 3))
+    w[..., 1:NUM_BODY_JOINTS, :] = (p @ template.pose_map.T).reshape(lead + (-1, 3))
+    w[..., NUM_BODY_JOINTS:, :] = (h @ template.hand_map.T).reshape(lead + (-1, 3))
     return w
 
 
@@ -475,113 +492,148 @@ def forward(template, params):
     return mesh
 
 
-def forward_batch(template, frames):
-    """Posed vertices of every flat parameter record in ``frames`` (N, 75), (N, V, 3)."""
-    vertices = np.empty((len(frames), template.num_vertices, 3))
-    for i, f in enumerate(frames):
-        vertices[i] = forward(template, BodyParams.from_flat(f)).vertices
-    return vertices
-
-
 def forward_with_cache(template, params):
-    tpl = template
-    w_local = joint_rotations(tpl, params.p, params.h)
-    R_glob, glob_cache = rotation.rot6d_to_matrix_with_cache(params.r)
-
-    v_rest = tpl.rest_vertices + tpl.shape_basis @ params.beta
-    J = NUM_JOINTS
-    R_loc = np.empty((J, 3, 3))
-    loc_caches = [None] * J
-    R_loc[0] = np.eye(3)
-    for j in range(1, J):
-        R_loc[j], loc_caches[j] = rotation.axis_angle_to_matrix_with_cache(w_local[j])
-
-    # FK in displacement form: dw[j] = posed joint - rest joint. Both dw and
-    # the skinning correction vanish identically at rest, so the rest template
-    # is reproduced bit-for-bit (no a + (b - a) rounding).
-    Rw = np.empty((J, 3, 3))
-    dw = np.zeros((J, 3))
-    Rw[0] = R_loc[0]
-    eye = np.eye(3)
-    for j in range(1, J):
-        par = tpl.parents[j]
-        Rw[j] = Rw[par] @ R_loc[j]
-        dw[j] = dw[par] + (Rw[par] - eye) @ (tpl.joints[j] - tpl.joints[par])
-
-    v_skin = v_rest.copy()
-    for j in range(J):
-        wj = tpl.skin_weights[:, j]
-        nz = wj != 0.0
-        if not nz.any():
-            continue
-        local = v_rest[nz] - tpl.joints[j]
-        corr = local @ Rw[j].T + dw[j] - local
-        v_skin[nz] += wj[nz, None] * corr
-
-    tw = tpl.joints + dw
-    vertices = v_skin @ R_glob.T + params.t
-    joints = tw @ R_glob.T + params.t
-    mesh = BodyMesh(vertices=vertices, joints=joints, faces=tpl.faces)
-    cache = (tpl, params, v_rest, v_skin, w_local, R_loc, loc_caches, Rw, tw, R_glob, glob_cache)
-    return mesh, cache
+    """One-frame view of :func:`forward_batch_with_cache`."""
+    mesh, cache = forward_batch_with_cache(template, params.flat()[None])
+    return BodyMesh(vertices=mesh.vertices[0], joints=mesh.joints[0], faces=mesh.faces), cache
 
 
-def pullback(cache, g_vertices, g_joints=None):
-    """Reverse-mode map from mesh cotangents to parameter gradients.
+def pullback(cache, g_vertices):
+    """One-frame view of :func:`pullback_batch`.
 
     Args:
         cache: second return of :func:`forward_with_cache`.
         g_vertices: (V, 3) dL/dvertices.
-        g_joints: optional (J, 3) dL/djoints.
 
     Returns:
         dict with keys t, r, beta, p, h holding the parameter gradients.
     """
-    tpl, params, v_rest, v_skin, w_local, R_loc, loc_caches, Rw, tw, R_glob, glob_cache = cache
+    g = pullback_batch(cache, np.asarray(g_vertices, dtype=np.float64)[None], shape=True)[0]
+    return {"t": g[0:3], "r": g[3:9], "beta": g[9:19], "p": g[19:51], "h": g[51:75]}
+
+
+def forward_batch(template, frames):
+    """Pose every flat parameter record in ``frames`` (N, 75).
+
+    Returns a BodyMesh with vertices (N, V, 3) and joints (N, J, 3).
+    """
+    return _pose(template, frames, keep_cache=False)[0]
+
+
+def forward_batch_with_cache(template, frames):
+    """:func:`forward_batch` plus the cache that :func:`pullback_batch` reads."""
+    return _pose(template, frames, keep_cache=True)
+
+
+def _pose(tpl, frames, keep_cache):
+    frames = np.asarray(frames, dtype=np.float64).reshape(-1, PARAM_DIM)
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("body parameters contain non-finite values")
+    N, J, V = len(frames), NUM_JOINTS, tpl.num_vertices
+    t, beta = frames[:, 0:3], frames[:, 9:19]
+    R_glob, glob_cache = rotation.rot6d_to_matrix_with_cache(frames[:, 3:9])
+    R_loc, loc_cache = rotation.axis_angle_to_matrix_with_cache(
+        joint_rotations(tpl, frames[:, 19:51], frames[:, 51:75]))
+
+    # FK in displacement form: dw[:, j] = posed joint - rest joint
+    eye = np.eye(3)
+    Rw = np.empty((N, J, 3, 3))
+    dw = np.zeros((N, J, 3))
+    Rw[:, 0] = R_loc[:, 0]
+    for j in range(1, J):
+        par = tpl.parents[j]
+        Rw[:, j] = Rw[:, par] @ R_loc[:, j]
+        dw[:, j] = dw[:, par] + (Rw[:, par] - eye) @ (tpl.joints[j] - tpl.joints[par])
+    M = Rw - eye
+    affine = np.concatenate([M, (dw - (M @ tpl.joints[:, :, None])[..., 0])[..., None]], axis=-1)
+
+    vertices = np.empty((N, V, 3))
+    v_rest = np.empty((N, V, 3)) if keep_cache else None
+    v_skin = np.empty((N, V, 3)) if keep_cache else None
+    R_glob_T = R_glob.transpose(0, 2, 1)
+    for lo in range(0, N, FRAME_BLOCK):
+        b = slice(lo, lo + FRAME_BLOCK)
+        rest = _rest_vertices(tpl, beta[b])
+        blend = _blend(tpl, affine[b])
+        skinned = rest + np.einsum("bvik,bvk->bvi", blend[..., :3], rest) + blend[..., 3]
+        vertices[b] = skinned @ R_glob_T[b] + t[b, None]
+        if keep_cache:
+            v_rest[b], v_skin[b] = rest, skinned
+
+    joints = (tpl.joints + dw) @ R_glob_T + t[:, None]
+    mesh = BodyMesh(vertices=vertices, joints=joints, faces=tpl.faces)
+    if not keep_cache:
+        return mesh, None
+    return mesh, (tpl, v_rest, v_skin, affine, R_loc, loc_cache, Rw, R_glob, glob_cache)
+
+
+def _rest_vertices(tpl, beta):
+    """Shaped rest vertices (B, V, 3) of shape vectors beta (B, 10)."""
+    offsets = beta @ tpl.shape_basis.reshape(-1, SHAPE_DIM).T
+    return tpl.rest_vertices + offsets.reshape(len(beta), -1, 3)
+
+
+def _blend(tpl, affine):
+    """Per-vertex blended affine maps (B, V, 3, 4) of per-joint maps (B, J, 3, 4)."""
+    B = len(affine)
+    return (tpl.skin_weights @ affine.reshape(B, NUM_JOINTS, 12)).reshape(B, -1, 3, 4)
+
+
+def pullback_batch(cache, g_vertices, shape=False):
+    """Reverse-mode map from vertex cotangents to parameter gradients.
+
+    Args:
+        cache: second return of :func:`forward_batch_with_cache`.
+        g_vertices: (N, V, 3) dL/dvertices.
+        shape: also return dL/dbeta, which costs a fifth of the pullback.
+
+    Returns:
+        (N, 65) dL/d(t, r, p, h), refinement's variable layout; with ``shape``,
+        (N, 75) in the flat t, r, beta, p, h record layout.
+    """
+    tpl, v_rest, v_skin, affine, R_loc, loc_cache, Rw, R_glob, glob_cache = cache
     gv = np.asarray(g_vertices, dtype=np.float64)
-    J = NUM_JOINTS
+    N, J = len(gv), NUM_JOINTS
+    out = np.zeros((N, PARAM_DIM))
+    out[:, 0:3] = gv.sum(axis=1)
+    out[:, 3:9] = rotation.rot6d_matrix_pullback(glob_cache, gv.transpose(0, 2, 1) @ v_skin)
 
-    g_t = gv.sum(axis=0)
-    g_Rg = gv.T @ v_skin
-    g_vskin = gv @ R_glob
-    g_tw = np.zeros((J, 3))
-    if g_joints is not None:
-        gj = np.asarray(g_joints, dtype=np.float64)
-        g_t = g_t + gj.sum(axis=0)
-        g_Rg = g_Rg + gj.T @ tw
-        g_tw += gj @ R_glob
+    # skinning adjoint, one block at a time: per-joint map cotangents
+    # [g_M | g_c] and, for beta, the shaped-rest cotangent
+    g_affine = np.empty((N, J, 3, 4))
+    basis = tpl.shape_basis.reshape(-1, SHAPE_DIM)
+    W_T = tpl.skin_weights.T
+    for lo in range(0, N, FRAME_BLOCK):
+        b = slice(lo, lo + FRAME_BLOCK)
+        g_skin = gv[b] @ R_glob[b]
+        rest = v_rest[b]
+        B, V = rest.shape[:2]
+        outer = np.empty((B, V, 3, 4))
+        np.einsum("bvi,bvk->bvik", g_skin, rest, out=outer[..., :3])
+        outer[..., 3] = g_skin
+        g_affine[b] = (W_T @ outer.reshape(B, V, 12)).reshape(B, J, 3, 4)
+        if shape:
+            blend = _blend(tpl, affine[b])
+            g_rest = g_skin + np.einsum("bvik,bvi->bvk", blend[..., :3], g_skin)
+            out[b, 9:19] = g_rest.reshape(B, -1) @ basis
 
-    g_vrest = g_vskin.copy()
-    g_Rw = np.zeros((J, 3, 3))
-    for j in range(J):
-        wj = tpl.skin_weights[:, j]
-        nz = wj != 0.0
-        if not nz.any():
-            continue
-        gw = g_vskin[nz] * wj[nz, None]
-        local = v_rest[nz] - tpl.joints[j]
-        g_Rw[j] += gw.T @ local
-        g_tw[j] += gw.sum(axis=0)
-        g_vrest[nz] += gw @ Rw[j] - gw
+    # c = dw - M J and M = Rw - I
+    g_dw = g_affine[..., 3].copy()
+    g_Rw = g_affine[..., :3] - g_dw[..., :, None] * tpl.joints[None, :, None, :]
 
     # reverse FK: children before parents
-    g_Rloc = np.zeros((J, 3, 3))
+    g_Rloc = np.zeros((N, J, 3, 3))
     for j in range(J - 1, 0, -1):
         par = tpl.parents[j]
-        g_Rloc[j] = Rw[par].T @ g_Rw[j]
-        g_Rw[par] += g_Rw[j] @ R_loc[j].T
-        g_tw[par] += g_tw[j]
-        g_Rw[par] += np.outer(g_tw[j], tpl.joints[j] - tpl.joints[par])
+        g_Rloc[:, j] = Rw[:, par].transpose(0, 2, 1) @ g_Rw[:, j]
+        g_Rw[:, par] += (g_Rw[:, j] @ R_loc[:, j].transpose(0, 2, 1)
+                         + g_dw[:, j, :, None] * (tpl.joints[j] - tpl.joints[par]))
+        g_dw[:, par] += g_dw[:, j]
 
-    g_w = np.zeros((J, 3))
-    for j in range(1, J):
-        g_w[j] = rotation.axis_angle_pullback(loc_caches[j], g_Rloc[j])
-
-    g_p = tpl.pose_map.T @ g_w[1:NUM_BODY_JOINTS].ravel()
-    g_h = tpl.hand_map.T @ g_w[NUM_BODY_JOINTS:].ravel()
-    g_beta = np.tensordot(tpl.shape_basis, g_vrest, axes=([0, 1], [0, 1]))
-    g_r = rotation.rot6d_matrix_pullback(glob_cache, g_Rg)
-    return {"t": g_t, "r": g_r, "beta": g_beta, "p": g_p, "h": g_h}
+    g_w = rotation.axis_angle_pullback(loc_cache, g_Rloc)
+    out[:, 19:51] = g_w[:, 1:NUM_BODY_JOINTS].reshape(N, -1) @ tpl.pose_map
+    out[:, 51:75] = g_w[:, NUM_BODY_JOINTS:].reshape(N, -1) @ tpl.hand_map
+    return out if shape else np.concatenate([out[:, 0:9], out[:, 19:75]], axis=1)
 
 
 _template_cache = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass
@@ -80,14 +80,8 @@ class RunConfig:
     @staticmethod
     def from_dict(d):
         cfg = RunConfig()
-        valid = {f.name for f in fields(RunConfig)}
         for key, value in d.items():
-            if key not in valid:
-                raise ValueError(f"unknown config key {key!r}")
-            current = getattr(cfg, key)
-            if isinstance(current, tuple):
-                value = _as_tuple(key, value)
-            setattr(cfg, key, value)
+            cfg._set(key, value)
         return cfg
 
     @staticmethod
@@ -97,33 +91,43 @@ class RunConfig:
 
     def apply_overrides(self, pairs):
         """Apply ``key=value`` strings; values parse as JSON, else raw strings."""
-        valid = {f.name for f in fields(RunConfig)}
         for pair in pairs:
             if "=" not in pair:
                 raise ValueError(f"override must look like key=value, got {pair!r}")
             key, raw = pair.split("=", 1)
-            if key not in valid:
-                raise ValueError(f"unknown config key {key!r}")
             try:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw
-            current = getattr(self, key)
-            if isinstance(current, tuple):
-                value = _as_tuple(key, value)
-            elif isinstance(current, int) and not isinstance(value, bool):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-            setattr(self, key, value)
+            self._set(key, value)
         return self
+
+    def _set(self, key, value):
+        if key not in _DEFAULTS:
+            raise ValueError(f"unknown config key {key!r}")
+        setattr(self, key, _coerce(key, value, _DEFAULTS[key]))
 
     def hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _as_tuple(key, value):
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"config key {key!r} takes a list, got {value!r}")
-    return tuple(value)
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def _coerce(key, value, default):
+    """``value`` as the type of the knob's ``default``; ValueError if it is not one.
+
+    A bool is not a number here; an int is a valid float.
+    """
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key!r} takes a list, got {value!r}")
+        return tuple(_coerce(key, v, default[0]) for v in value)
+    if not isinstance(value, bool):
+        if isinstance(default, int) and isinstance(value, int):
+            return value
+        if isinstance(default, float) and isinstance(value, (int, float)):
+            return float(value)
+    kind = "an int" if isinstance(default, int) else "a number"
+    raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")

@@ -248,13 +248,10 @@ class CVAETrainer:
         e_col_val = 0.0
         e_cont_val = 0.0
         if self.w_col != 0.0 or self.w_cont != 0.0:
-            for i, sid in enumerate(scene_ids):
-                col_i, cont_i, g_p, g_h = self._body_energies(ph[i], t[i], r[i], beta[i],
-                                                              self.scene_fields[sid])
-                e_col_val += col_i / n
-                e_cont_val += cont_i / n
-                g_ph[i, :body.POSE_DIM] += (self.w_col * g_p[0] + self.w_cont * g_p[1]) / n
-                g_ph[i, body.POSE_DIM:] += (self.w_col * g_h[0] + self.w_cont * g_h[1]) / n
+            decoded = x.copy()
+            decoded[:, 19:] = ph
+            e_col_val, e_cont_val, g_body = self._body_energies(decoded, scene_ids)
+            g_ph += g_body
 
         total = (recon.mean() + w_kl * kl.mean() + self.w_col * e_col_val
                  + self.w_cont * e_cont_val)
@@ -294,28 +291,28 @@ class CVAETrainer:
                 log(f"cvae epoch {epoch + 1}/{epochs}: loss {curve[-1]:.4f}")
         return curve
 
-    def _body_energies(self, ph, t, r, beta, scene_field):
-        """Collision/contact of one decoded body plus gradients w.r.t. (p, h)."""
-        params = body.BodyParams(t=t, r=r, beta=beta,
-                                 p=ph[:body.POSE_DIM], h=ph[body.POSE_DIM:])
-        mesh, cache = body.forward_with_cache(self.template, params)
-        V = len(mesh.vertices)
-        g_col = np.zeros((V, 3))
-        g_cont = np.zeros((V, 3))
+    def _body_energies(self, frames, scene_ids):
+        """Batch-mean collision and contact of decoded bodies (n, 75), plus the
+        gradient of w_col * collision + w_cont * contact w.r.t. their (p, h)."""
+        n = len(frames)
+        mesh, cache = body.forward_batch_with_cache(self.template, frames)
+        V = mesh.vertices.shape[1]
+        g = np.zeros(mesh.vertices.shape)
+        col = cont = 0.0
+        for i, sid in enumerate(scene_ids):
+            scene_field = self.scene_fields[sid]
+            verts = mesh.vertices[i]
+            vals, grads = sample_sdf_batch(scene_field.grid, verts)
+            neg = vals < 0.0
+            col += float(-vals[neg].sum() / V) / n
+            g[i][neg] = (-self.w_col / (V * n)) * grads[neg]
 
-        vals, grads = sample_sdf_batch(scene_field.grid, mesh.vertices)
-        neg = vals < 0.0
-        col = float(-vals[neg].sum() / V)
-        g_col[neg] = -grads[neg] / V
-
-        cv = mesh.vertices[self.contact_ids]
-        nn_idx, d = scene_field.index.nearest(cv)
-        cont = float(geman_mcclure(d).sum())
-        pos = d > 0.0
-        pull = np.zeros_like(d)
-        pull[pos] = geman_mcclure_deriv(d[pos]) / d[pos]
-        g_cont[self.contact_ids] = pull[:, None] * (cv - scene_field.index.points[nn_idx])
-
-        pg_col = body.pullback(cache, g_col)
-        pg_cont = body.pullback(cache, g_cont)
-        return col, cont, (pg_col["p"], pg_cont["p"]), (pg_col["h"], pg_cont["h"])
+            cv = verts[self.contact_ids]
+            nn_idx, d = scene_field.index.nearest(cv)
+            cont += float(geman_mcclure(d).sum()) / n
+            pos = d > 0.0
+            pull = np.zeros_like(d)
+            pull[pos] = geman_mcclure_deriv(d[pos]) / d[pos]
+            g[i][self.contact_ids] += (self.w_cont / n) * pull[:, None] * (
+                cv - scene_field.index.points[nn_idx])
+        return col, cont, body.pullback_batch(cache, g)[:, 9:]

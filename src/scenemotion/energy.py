@@ -62,7 +62,7 @@ def segment_stable_foot(template, frames, move_threshold=STANCE_MOVE_THRESHOLD,
     where both soles move more than ``move_threshold`` have no stance. Runs
     shorter than ``hysteresis`` frames are absorbed to prevent label chatter.
     """
-    left, right = sole_centroids(template, body.forward_batch(template, frames))
+    left, right = sole_centroids(template, body.forward_batch(template, frames).vertices)
     return segment_from_centroids(left, right, move_threshold, hysteresis)
 
 
@@ -125,7 +125,7 @@ def segment_from_centroids(left, right, move_threshold=STANCE_MOVE_THRESHOLD,
 # value-only forms.
 
 def e_foot(template, frames, segmentation):
-    return _foot_term(template, body.forward_batch(template, frames), segmentation,
+    return _foot_term(template, body.forward_batch(template, frames).vertices, segmentation,
                       want_grad=False)
 
 
@@ -268,7 +268,7 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, sigma=C
 def total_energy(template, seq, scene_field, weights, segmentation=None, sigma=CONTACT_SIGMA):
     """Evaluate all four terms; segmentation is recomputed unless supplied."""
     frames = seq.frames if hasattr(seq, "frames") else np.asarray(seq)
-    vertices = body.forward_batch(template, frames)
+    vertices = body.forward_batch(template, frames).vertices
     if segmentation is None:
         segmentation = segment_from_centroids(*sole_centroids(template, vertices))
     report, _ = scene_energy(template, vertices, scene_field, weights, segmentation, sigma)

@@ -60,12 +60,9 @@ def mpvpe(pred, gt, template):
 def _mean_position_error(pred, gt, template, attr):
     if len(pred) != len(gt):
         raise ValueError(f"sequence length mismatch: {len(pred)} vs {len(gt)}")
-    total = 0.0
-    for i in range(len(pred)):
-        a = getattr(body.forward(template, pred.params(i)), attr)
-        b = getattr(body.forward(template, gt.params(i)), attr)
-        total += np.linalg.norm(a - b, axis=1).mean()
-    return total / len(pred)
+    a = getattr(body.forward_batch(template, pred.frames), attr)
+    b = getattr(body.forward_batch(template, gt.frames), attr)
+    return float(np.linalg.norm(a - b, axis=2).mean())
 
 
 def neighbour_v2v(clip, template):
@@ -74,12 +71,8 @@ def neighbour_v2v(clip, template):
     if len(clip) < 3:
         raise ValueError(f"clip too short for neighbour v2v: {len(clip)} frames")
     k = len(clip) - 1
-    pairs = [(1, 0), (k - 1, k)]
-    vals = []
-    for a, b in pairs:
-        va = body.forward(template, clip.params(a)).vertices
-        vb = body.forward(template, clip.params(b)).vertices
-        vals.append(np.linalg.norm(va - vb, axis=1).mean())
+    v = body.forward_batch(template, clip.frames[[1, 0, k - 1, k]]).vertices
+    vals = np.linalg.norm(v[0::2] - v[1::2], axis=2).mean(axis=1)
     return 100.0 * float(np.mean(vals))
 
 

@@ -12,7 +12,7 @@ correspondences are refreshed every iteration and frozen within it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from .sequence import MotionSequence
 
 DEFAULT_STAGE_ITERS = 200
 DEFAULT_STAGE_LR = 1e-2
-
-# variable layout per frame: t(3) + r(6) + p(32) + h(24)
-_VAR_DIM = 65
 
 
 @dataclass
@@ -89,11 +86,6 @@ def vars_to_frames(x, betas):
     return np.concatenate([x[:, 0:9], betas, x[:, 9:65]], axis=1)
 
 
-def split_param_grads(grads):
-    """Pack a per-frame pullback dict into the flat variable layout."""
-    return np.concatenate([grads["t"], grads["r"], grads["p"], grads["h"]])
-
-
 def energy_and_gradients(template, frames, scene_field, weights, segmentation,
                          sigma=CONTACT_SIGMA, frozen_nn=None, want_grad=True):
     """Weighted energy report plus dTotal/d(t,r,p,h) per frame.
@@ -102,21 +94,16 @@ def energy_and_gradients(template, frames, scene_field, weights, segmentation,
     array of cloud indices); otherwise fresh exact queries are used and the
     gradient is taken with those correspondences held fixed.
     """
-    T = len(frames)
-    caches = [None] * T
-    vertices = np.empty((T, template.num_vertices, 3))
-    for i in range(T):
-        mesh, caches[i] = body.forward_with_cache(template, body.BodyParams.from_flat(frames[i]))
-        vertices[i] = mesh.vertices
-    report, g_vertices = scene_energy(template, vertices, scene_field, weights, segmentation,
-                                      sigma, correspondences=frozen_nn, want_grad=want_grad)
+    if want_grad:
+        mesh, cache = body.forward_batch_with_cache(template, frames)
+    else:
+        mesh = body.forward_batch(template, frames)
+    report, g_vertices = scene_energy(template, mesh.vertices, scene_field, weights,
+                                      segmentation, sigma, correspondences=frozen_nn,
+                                      want_grad=want_grad)
     if not want_grad:
         return report, None
-    g_x = np.empty((T, _VAR_DIM))
-    for i in range(T):
-        grads = body.pullback(caches[i], g_vertices[i])
-        g_x[i] = split_param_grads(grads)
-    return report, g_x
+    return report, body.pullback_batch(cache, g_vertices)
 
 
 # The benchmark's tracer (perfbench/tracing.py) looks the contact term up
@@ -127,7 +114,7 @@ _contact_value_grad = _cont_term
 def contact_correspondences(template, frames, scene_field):
     """Exact nearest-cloud index of every contact vertex per frame, (T, C)."""
     contact_ids = template.contact_vertex_ids()
-    vertices = body.forward_batch(template, frames)
+    vertices = body.forward_batch(template, frames).vertices
     out = np.empty((len(frames), len(contact_ids)), dtype=np.int64)
     for i, verts in enumerate(vertices):
         out[i], _ = scene_field.index.nearest(verts[contact_ids])

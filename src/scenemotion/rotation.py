@@ -10,85 +10,75 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidRotationError
+from .errors import InvalidRotationError, NumericError
 
 _DEGENERATE_NORM = 1e-8
 IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 def rot6d_to_matrix(r):
-    """Convert a 6-vector to a rotation matrix via Gram-Schmidt.
+    """Convert 6-vectors (..., 6) to rotation matrices (..., 3, 3) via Gram-Schmidt.
 
     The two embedded 3-vectors become the first two matrix columns after
     orthonormalization; the third column is their cross product.
 
     Raises:
-        InvalidRotationError: if either embedded vector is (near) zero or
-            the two are (near) parallel.
+        InvalidRotationError: if, in any row, either embedded vector is
+            (near) zero or the two are (near) parallel.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (6,):
-        raise ValueError(f"expected 6-vector, got shape {r.shape}")
-    a1, a2 = r[:3], r[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 < _DEGENERATE_NORM:
-        raise InvalidRotationError("first 6D column is numerically zero")
-    b1 = a1 / n1
-    u2 = a2 - (b1 @ a2) * b1
-    n2 = np.linalg.norm(u2)
-    if n2 < _DEGENERATE_NORM:
-        raise InvalidRotationError("6D columns are parallel or second is zero")
-    b2 = u2 / n2
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=1)
+    return rot6d_to_matrix_with_cache(r)[0]
 
 
 def rot6d_to_matrix_with_cache(r):
     """Like :func:`rot6d_to_matrix` but also returns the pullback cache."""
     r = np.asarray(r, dtype=np.float64)
-    a1, a2 = r[:3], r[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 < _DEGENERATE_NORM:
+    if r.shape[-1:] != (6,):
+        raise ValueError(f"expected 6-vectors, got shape {r.shape}")
+    a1, a2 = r[..., :3], r[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    if np.any(n1 < _DEGENERATE_NORM):
         raise InvalidRotationError("first 6D column is numerically zero")
     b1 = a1 / n1
-    d = b1 @ a2
+    d = _dot(b1, a2)
     u2 = a2 - d * b1
-    n2 = np.linalg.norm(u2)
-    if n2 < _DEGENERATE_NORM:
+    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    if np.any(n2 < _DEGENERATE_NORM):
         raise InvalidRotationError("6D columns are parallel or second is zero")
     b2 = u2 / n2
     b3 = np.cross(b1, b2)
-    R = np.stack([b1, b2, b3], axis=1)
+    R = np.stack([b1, b2, b3], axis=-1)
     return R, (a2, b1, b2, b3, d, n1, n2)
 
 
 def rot6d_matrix_pullback(cache, g_matrix):
-    """Backpropagate a cotangent on the rotation matrix to the 6-vector.
+    """Backpropagate cotangents on the rotation matrices to the 6-vectors.
 
     Args:
         cache: second return value of :func:`rot6d_to_matrix_with_cache`.
-        g_matrix: (3,3) array, dL/dR.
+        g_matrix: (..., 3, 3) array, dL/dR.
 
     Returns:
-        (6,) array, dL/dr.
+        (..., 6) array, dL/dr.
     """
     a2, b1, b2, b3, d, n1, n2 = cache
     g = np.asarray(g_matrix, dtype=np.float64)
-    g_b1 = g[:, 0].copy()
-    g_b2 = g[:, 1].copy()
-    g_b3 = g[:, 2]
+    g_b3 = g[..., 2]
     # b3 = b1 x b2
-    g_b1 += np.cross(b2, g_b3)
-    g_b2 += np.cross(g_b3, b1)
+    g_b1 = g[..., 0] + np.cross(b2, g_b3)
+    g_b2 = g[..., 1] + np.cross(g_b3, b1)
     # b2 = u2 / |u2|
-    g_u2 = (g_b2 - (b2 @ g_b2) * b2) / n2
+    g_u2 = (g_b2 - _dot(b2, g_b2) * b2) / n2
     # u2 = a2 - (b1.a2) b1
-    g_d = -(b1 @ g_u2)
+    g_d = -_dot(b1, g_u2)
     g_a2 = g_u2 + g_d * b1
     g_b1 += -d * g_u2 + g_d * a2
     # b1 = a1 / |a1|
-    g_a1 = (g_b1 - (b1 @ g_b1) * b1) / n1
-    return np.concatenate([g_a1, g_a2])
+    g_a1 = (g_b1 - _dot(b1, g_b1) * b1) / n1
+    return np.concatenate([g_a1, g_a2], axis=-1)
+
+
+def _dot(x, y):
+    return np.sum(x * y, axis=-1, keepdims=True)
 
 
 def matrix_to_rot6d(R, tol=1e-4):
@@ -108,76 +98,76 @@ def matrix_to_rot6d(R, tol=1e-4):
 
 
 def axis_angle_to_matrix(w):
-    """Rodrigues formula, stable near the zero rotation."""
-    w = np.asarray(w, dtype=np.float64)
-    with np.errstate(over="ignore"):  # overflow is caught as a NumericError below
-        theta2 = w @ w
-    K = skew(w)
-    a, b = _rodrigues_coeffs(theta2)
-    return np.eye(3) + a * K + b * (K @ K)
+    """Rodrigues formula over axis-angle vectors (..., 3), stable near the zero rotation.
+
+    Raises:
+        NumericError: if any row overflows.
+    """
+    return axis_angle_to_matrix_with_cache(w)[0]
 
 
 def axis_angle_to_matrix_with_cache(w):
     w = np.asarray(w, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        theta2 = w @ w
-    K = skew(w)
+    with np.errstate(over="ignore"):  # overflow is caught as a NumericError below
+        theta2 = np.sum(w * w, axis=-1)
     a, b = _rodrigues_coeffs(theta2)
-    R = np.eye(3) + a * K + b * (K @ K)
-    return R, (w, K, theta2, a, b)
+    K = skew(w)
+    KK = K @ K
+    R = np.eye(3) + a[..., None, None] * K + b[..., None, None] * KK
+    return R, (w, K, KK, theta2, a, b)
 
 
 def axis_angle_pullback(cache, g_matrix):
-    """dL/dw for R = exp(skew(w)) given dL/dR."""
-    w, K, theta2, a, b = cache
+    """dL/dw (..., 3) for R = exp(skew(w)) given dL/dR (..., 3, 3)."""
+    w, K, KK, theta2, a, b = cache
     g = np.asarray(g_matrix, dtype=np.float64)
     da_dt_over_t, db_dt_over_t = _rodrigues_coeff_derivs(theta2)
-    g_w = a * unskew(g) - b * (unskew(g @ K) + unskew(K @ g))
+    g_w = a[..., None] * unskew(g) - b[..., None] * unskew(g @ K + K @ g)
     # chain through the scalar coefficients; *_over_t absorbs the 1/theta
     # from d(theta)/dw = w/theta so the formula stays finite at theta=0
-    gK = float(np.tensordot(g, K))
-    gK2 = float(np.tensordot(g, K @ K))
-    g_w += (da_dt_over_t * gK + db_dt_over_t * gK2) * w
+    gK = np.sum(g * K, axis=(-2, -1))
+    gK2 = np.sum(g * KK, axis=(-2, -1))
+    g_w += (da_dt_over_t * gK + db_dt_over_t * gK2)[..., None] * w
     return g_w
 
 
 def skew(v):
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    """Cross-product matrices (..., 3, 3) of vectors (..., 3)."""
+    v = np.asarray(v, dtype=np.float64)
+    K = np.zeros(v.shape + (3,))
+    K[..., 0, 1], K[..., 0, 2] = -v[..., 2], v[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = v[..., 2], -v[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -v[..., 1], v[..., 0]
+    return K
 
 
 def unskew(m):
     """Adjoint of :func:`skew`: <M, skew(v)> = unskew(M) . v."""
-    return np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    return np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                     m[..., 1, 0] - m[..., 0, 1]], axis=-1)
 
 
 def _rodrigues_coeffs(theta2):
     # a = sin(t)/t, b = (1-cos(t))/t^2 with Taylor fallback for small t
-    if not np.isfinite(theta2):
-        from .errors import NumericError
+    if not np.all(np.isfinite(theta2)):
         raise NumericError("axis-angle rotation overflowed")
-    if theta2 < 1e-12:
-        a = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
-        b = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
-    else:
-        t = np.sqrt(theta2)
-        a = np.sin(t) / t
-        b = (1.0 - np.cos(t)) / theta2
+    small = theta2 < 1e-12
+    t2 = np.where(small, 1.0, theta2)
+    t = np.sqrt(t2)
+    a = np.where(small, 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0, np.sin(t) / t)
+    b = np.where(small, 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0, (1.0 - np.cos(t)) / t2)
     return a, b
 
 
 def _rodrigues_coeff_derivs(theta2):
     # returns a'(t)/t and b'(t)/t, both finite at t=0
-    if theta2 < 1e-8:
-        da = -1.0 / 3.0 + theta2 / 30.0
-        db = -1.0 / 12.0 + theta2 / 180.0
-    else:
-        t = np.sqrt(theta2)
-        da = (t * np.cos(t) - np.sin(t)) / (theta2 * t)
-        db = (t * np.sin(t) - 2.0 * (1.0 - np.cos(t))) / (theta2 * theta2)
+    small = theta2 < 1e-8
+    t2 = np.where(small, 1.0, theta2)
+    t = np.sqrt(t2)
+    da = np.where(small, -1.0 / 3.0 + theta2 / 30.0,
+                  (t * np.cos(t) - np.sin(t)) / (t2 * t))
+    db = np.where(small, -1.0 / 12.0 + theta2 / 180.0,
+                  (t * np.sin(t) - 2.0 * (1.0 - np.cos(t))) / (t2 * t2))
     return da, db
 
 

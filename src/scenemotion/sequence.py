@@ -52,9 +52,6 @@ class MotionSequence:
     def hands(self):
         return self.frames[:, 51:75]
 
-    def params(self, i):
-        return body.BodyParams.from_flat(self.frames[i])
-
     def shares_beta(self, atol=0.0):
         return np.abs(self.betas - self.betas[0]).max(initial=0.0) <= atol
 
@@ -68,7 +65,7 @@ class MotionSequence:
 
     def meshes(self, template):
         """Posed vertices for every frame, (T, V, 3)."""
-        return body.forward_batch(template, self.frames)
+        return body.forward_batch(template, self.frames).vertices
 
 
 def save_sequence(dirpath, seq, extra=None):
@@ -111,10 +108,10 @@ def export_meshes(dirpath, seq, template, every=1):
     from .scene import save_obj
     os.makedirs(dirpath, exist_ok=True)
     written = []
-    for i in range(0, len(seq), every):
-        mesh = body.forward(template, seq.params(i))
+    mesh = body.forward_batch(template, seq.frames[::every])
+    for i, vertices in zip(range(0, len(seq), every), mesh.vertices):
         path = os.path.join(dirpath, f"frame_{i:05d}.obj")
-        save_obj(path, mesh.vertices, mesh.faces)
+        save_obj(path, vertices, mesh.faces)
         written.append(path)
     with open(os.path.join(dirpath, "frames_index.json"), "w") as f:
         json.dump({"fps": seq.fps, "files": [os.path.basename(p) for p in written]}, f, indent=2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scenemotion import body
+from scenemotion.errors import InvalidRotationError, NumericError
 from scenemotion.rotation import axis_angle_to_matrix, rot6d_to_matrix
 
 
@@ -132,6 +133,69 @@ def test_pullback_matches_fd_on_every_block(template):
         numeric = (scalar(body.BodyParams(**vp)) - scalar(body.BodyParams(**vm))) / (2 * h)
         analytic = float(grads[name] @ direction)
         assert abs(analytic - numeric) / max(abs(numeric), 1e-8) < 1e-3, name
+
+
+def random_frames(rng, n):
+    frames = np.empty((n, body.PARAM_DIM))
+    frames[:, 0:3] = rng.standard_normal((n, 3)) * 0.2
+    frames[:, 3:9] = rng.standard_normal((n, 6))
+    frames[:, 9:19] = rng.standard_normal((n, 10)) * 0.3
+    frames[:, 19:51] = rng.standard_normal((n, 32)) * 0.4
+    frames[:, 51:75] = rng.standard_normal((n, 24)) * 0.4
+    return frames
+
+
+def test_blocked_batch_matches_frames_posed_one_at_a_time(template):
+    rng = np.random.default_rng(6)
+    frames = random_frames(rng, 2 * body.FRAME_BLOCK + 3)
+    mesh, cache = body.forward_batch_with_cache(template, frames)
+    cot = rng.standard_normal(mesh.vertices.shape)
+    grads = body.pullback_batch(cache, cot, shape=True)
+    plain = body.forward_batch(template, frames)
+    assert np.array_equal(plain.vertices, mesh.vertices)
+    assert np.array_equal(plain.joints, mesh.joints)
+    for i, frame in enumerate(frames):
+        one, one_cache = body.forward_with_cache(template, body.BodyParams.from_flat(frame))
+        g = body.pullback(one_cache, cot[i])
+        g = np.concatenate([g[name] for name in ("t", "r", "beta", "p", "h")])
+        np.testing.assert_allclose(mesh.vertices[i], one.vertices, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mesh.joints[i], one.joints, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[i], g, rtol=0, atol=1e-12 * np.abs(g).max())
+
+
+def test_pullback_batch_matches_fd_on_every_block(template):
+    rng = np.random.default_rng(7)
+    frames = random_frames(rng, 5)
+    mesh, cache = body.forward_batch_with_cache(template, frames)
+    cot = rng.standard_normal(mesh.vertices.shape)
+    grads = body.pullback_batch(cache, cot, shape=True)
+    without_shape = body.pullback_batch(cache, cot)
+    assert np.array_equal(without_shape, np.delete(grads, np.s_[9:19], axis=1))
+
+    def scalar(fr):
+        return float((body.forward_batch(template, fr).vertices * cot).sum())
+
+    h = 1e-4
+    for name, cols in (("t", slice(0, 3)), ("r", slice(3, 9)), ("beta", slice(9, 19)),
+                       ("p", slice(19, 51)), ("h", slice(51, 75))):
+        direction = np.zeros_like(frames)
+        direction[:, cols] = rng.standard_normal(direction[:, cols].shape)
+        direction /= np.linalg.norm(direction)
+        numeric = (scalar(frames + h * direction) - scalar(frames - h * direction)) / (2 * h)
+        analytic = float((grads * direction).sum())
+        assert abs(analytic - numeric) / max(abs(numeric), abs(analytic), 1e-8) < 1e-3, name
+
+
+def test_batch_rejects_one_bad_row(template):
+    frames = random_frames(np.random.default_rng(8), 5)
+    degenerate = frames.copy()
+    degenerate[3, 3:9] = [1.0, 0, 0, 2.0, 0, 0]  # parallel 6D columns
+    with pytest.raises(InvalidRotationError):
+        body.forward_batch(template, degenerate)
+    overflowing = frames.copy()
+    overflowing[2, 19:51] = 1e200
+    with pytest.raises(NumericError):
+        body.forward_batch_with_cache(template, overflowing)
 
 
 def test_bodyparams_flat_round_trip_order():

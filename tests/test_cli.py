@@ -133,6 +133,30 @@ def test_bad_config_file_is_user_error(tmp_path, capsys, record, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("pair", ["k=[1]", "k=abc", "k=true", "k=1.5", "refine_lr=fast",
+                                  "point_hidden=[32,\"a\"]"])
+def test_mistyped_override_is_user_error(tmp_path, capsys, pair):
+    assert main(["gen-data", "--out", str(tmp_path / "x"), "--set", pair]) == 1
+    err = capsys.readouterr().err
+    assert f"config key '{pair.split('=')[0]}' takes" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", [{"k": "abc"}, {"k": True}, {"cloud_points": 2.5},
+                                    {"refine_lr": False}, {"point_hidden": [64, None]}])
+def test_config_values_are_type_checked(record):
+    with pytest.raises(ValueError, match="takes"):
+        RunConfig.from_dict(record)
+
+
+def test_config_int_value_for_float_knob_becomes_float():
+    cfg = RunConfig.from_dict({"refine_lr": 1, "point_hidden": [16, 32]})
+    assert cfg.refine_lr == 1.0 and isinstance(cfg.refine_lr, float)
+    assert cfg.point_hidden == (16, 32)
+    assert RunConfig().apply_overrides(["refine_lr=2", "k=9"]).to_dict() == \
+        RunConfig.from_dict({"refine_lr": 2.0, "k": 9}).to_dict()
+
+
 def test_scalar_override_of_tuple_knob_is_user_error(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "x"), "--set", "point_hidden=5"]) == 1
 

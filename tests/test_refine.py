@@ -189,13 +189,14 @@ def test_frozen_correspondences_match_fresh_queries(template, slab_field):
 
 def test_total_energy_poses_each_frame_once(template, slab_field, monkeypatch):
     frames = sinking_frames(np.random.default_rng(2))
-    calls = []
-    original = body.forward_with_cache
+    posed = []
+    for name in ("forward_batch", "forward_batch_with_cache"):
+        original = getattr(body, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counting(template, frames, original=original):
+            posed.append(len(frames))
+            return original(template, frames)
 
-    monkeypatch.setattr(body, "forward_with_cache", counting)
+        monkeypatch.setattr(body, name, counting)
     total_energy(template, MotionSequence(frames=frames), slab_field, EnergyWeights())
-    assert len(calls) == len(frames)
+    assert sum(posed) == len(frames)
