@@ -551,9 +551,10 @@ def _pose(tpl, frames, keep_cache):
     v_rest = np.empty((N, V, 3)) if keep_cache else None
     v_skin = np.empty((N, V, 3)) if keep_cache else None
     R_glob_T = R_glob.transpose(0, 2, 1)
+    basis_T = tpl.shape_basis.reshape(-1, SHAPE_DIM).T
     for lo in range(0, N, FRAME_BLOCK):
         b = slice(lo, lo + FRAME_BLOCK)
-        rest = _rest_vertices(tpl, beta[b])
+        rest = tpl.rest_vertices + (beta[b] @ basis_T).reshape(-1, V, 3)
         blend = _blend(tpl, affine[b])
         skinned = rest + np.einsum("bvik,bvk->bvi", blend[..., :3], rest) + blend[..., 3]
         vertices[b] = skinned @ R_glob_T[b] + t[b, None]
@@ -565,12 +566,6 @@ def _pose(tpl, frames, keep_cache):
     if not keep_cache:
         return mesh, None
     return mesh, (tpl, v_rest, v_skin, affine, R_loc, loc_cache, Rw, R_glob, glob_cache)
-
-
-def _rest_vertices(tpl, beta):
-    """Shaped rest vertices (B, V, 3) of shape vectors beta (B, 10)."""
-    offsets = beta @ tpl.shape_basis.reshape(-1, SHAPE_DIM).T
-    return tpl.rest_vertices + offsets.reshape(len(beta), -1, 3)
 
 
 def _blend(tpl, affine):

@@ -117,3 +117,26 @@ def test_heading_rotation_is_about_z():
     r = rotation.heading_to_rot6d(0.5)
     R = rotation.rot6d_to_matrix(r)
     np.testing.assert_allclose(R @ np.array([0, 0, 1.0]), [0, 0, 1.0], atol=1e-12)
+
+
+def test_batched_rows_match_single_vector_calls():
+    rng = np.random.default_rng(4)
+    r = rng.standard_normal((4, 5, 6))
+    w = rng.standard_normal((4, 5, 3))
+    w[0, 0] = 0.0
+    w[1, 2] *= 1e-5
+    G = rng.standard_normal((4, 5, 3, 3))
+    R6, c6 = rotation.rot6d_to_matrix_with_cache(r)
+    Ra, ca = rotation.axis_angle_to_matrix_with_cache(w)
+    g6 = rotation.rot6d_matrix_pullback(c6, G)
+    ga = rotation.axis_angle_pullback(ca, G)
+    assert R6.shape == Ra.shape == G.shape and g6.shape == r.shape and ga.shape == w.shape
+    for i, j in np.ndindex(4, 5):
+        R, cache = rotation.rot6d_to_matrix_with_cache(r[i, j])
+        np.testing.assert_allclose(R6[i, j], R, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(g6[i, j], rotation.rot6d_matrix_pullback(cache, G[i, j]),
+                                   rtol=1e-13, atol=1e-15)
+        R, cache = rotation.axis_angle_to_matrix_with_cache(w[i, j])
+        np.testing.assert_allclose(Ra[i, j], R, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ga[i, j], rotation.axis_angle_pullback(cache, G[i, j]),
+                                   rtol=1e-13, atol=1e-15)
