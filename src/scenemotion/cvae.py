@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import body
-from .energy import geman_mcclure, geman_mcclure_deriv
+from .energy import _frame_order_sum, geman_mcclure, geman_mcclure_deriv
 from .nn.adam import AdamState
 from .nn.layers import Linear, ResidualBlock, leaky_relu, leaky_relu_backward
 from .nn.params import Module
@@ -293,26 +293,33 @@ class CVAETrainer:
 
     def _body_energies(self, frames, scene_ids):
         """Batch-mean collision and contact of decoded bodies (n, 75), plus the
-        gradient of w_col * collision + w_cont * contact w.r.t. their (p, h)."""
+        gradient of w_col * collision + w_cont * contact w.r.t. their (p, h).
+
+        Each scene in the batch is sampled and queried once for all its bodies."""
         n = len(frames)
         mesh, cache = body.forward_batch_with_cache(self.template, frames)
-        V = mesh.vertices.shape[1]
-        g = np.zeros(mesh.vertices.shape)
-        col = cont = 0.0
-        for i, sid in enumerate(scene_ids):
+        verts = mesh.vertices
+        V = verts.shape[1]
+        g = np.zeros(verts.shape)
+        col = np.empty(n)
+        cont = np.empty(n)
+        for sid in dict.fromkeys(scene_ids):
+            rows = np.array([i for i, s in enumerate(scene_ids) if s == sid])
             scene_field = self.scene_fields[sid]
-            verts = mesh.vertices[i]
-            vals, grads = sample_sdf_batch(scene_field.grid, verts)
+            vals, grads = sample_sdf_batch(scene_field.grid, verts[rows].reshape(-1, 3))
             neg = vals < 0.0
-            col += float(-vals[neg].sum() / V) / n
-            g[i][neg] = (-self.w_col / (V * n)) * grads[neg]
+            col[rows] = -np.where(neg, vals, 0.0).reshape(len(rows), V).sum(axis=1) / V
+            g[rows] = np.where(neg[:, None], (-self.w_col / (V * n)) * grads,
+                               0.0).reshape(len(rows), V, 3)
 
-            cv = verts[self.contact_ids]
-            nn_idx, d = scene_field.index.nearest(cv)
-            cont += float(geman_mcclure(d).sum()) / n
+            cv = verts[rows][:, self.contact_ids]
+            nn_idx, d = scene_field.index.nearest(cv.reshape(-1, 3))
+            d = d.reshape(cv.shape[:2])
+            cont[rows] = geman_mcclure(d).sum(axis=1)
             pos = d > 0.0
             pull = np.zeros_like(d)
             pull[pos] = geman_mcclure_deriv(d[pos]) / d[pos]
-            g[i][self.contact_ids] += (self.w_cont / n) * pull[:, None] * (
-                cv - scene_field.index.points[nn_idx])
-        return col, cont, body.pullback_batch(cache, g)[:, 9:]
+            g[rows[:, None], self.contact_ids] += (self.w_cont / n) * pull[..., None] * (
+                cv - scene_field.index.points[nn_idx].reshape(cv.shape))
+        return (_frame_order_sum(col / n), _frame_order_sum(cont / n),
+                body.pullback_batch(cache, g)[:, 9:])

@@ -153,14 +153,20 @@ def e_col(vertices, grid):
 
 
 def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
-    total = 0.0
-    for i, verts in enumerate(vertices):
-        vals, grads = sample_sdf_batch(grid, verts)
+    """The SDF is sampled once per block of ``body.FRAME_BLOCK`` frames, which
+    bounds the sampler's per-point transients on long sequences."""
+    T, V = vertices.shape[:2]
+    per_frame = np.empty(T)
+    for lo in range(0, T, body.FRAME_BLOCK):
+        block = vertices[lo:lo + body.FRAME_BLOCK]
+        vals, grads = sample_sdf_batch(grid, block.reshape(-1, 3))
         neg = vals < 0.0
-        total += -vals[neg].sum() / len(verts)
+        per_frame[lo:lo + len(block)] = (
+            -np.where(neg, vals, 0.0).reshape(len(block), V).sum(axis=1) / V)
         if want_grad and neg.any():
-            g_vertices[i][neg] += scale * (-grads[neg]) / len(verts)
-    return total
+            g_vertices[lo:lo + len(block)][neg.reshape(len(block), V)] += (
+                scale * (-grads[neg]) / V)
+    return _frame_order_sum(per_frame)
 
 
 def e_cont(vertices, contact_ids, index, sigma=CONTACT_SIGMA):
@@ -171,22 +177,28 @@ def e_cont(vertices, contact_ids, index, sigma=CONTACT_SIGMA):
 def _cont_term(vertices, contact_ids, index, sigma, want_grad, g_vertices=None, scale=1.0,
                correspondences=None):
     """``correspondences`` (T, C) optionally pins each contact vertex to a cloud
-    point index; otherwise every frame makes exact nearest-point queries."""
-    total = 0.0
-    for i, verts in enumerate(vertices):
-        cv = verts[contact_ids]
-        if correspondences is None:
-            nn_idx, d = index.nearest(cv)
-        else:
-            nn_idx = correspondences[i]
-            d = np.linalg.norm(cv - index.points[nn_idx], axis=1)
-        total += geman_mcclure(d, sigma).sum()
-        if want_grad:
-            pos = d > 0.0
-            if pos.any():
-                pull = geman_mcclure_deriv(d[pos], sigma) / d[pos]
-                g_vertices[i][contact_ids[pos]] += scale * pull[:, None] * (cv[pos] - index.points[nn_idx[pos]])
+    point index; otherwise one exact nearest-point query covers every frame."""
+    cv = vertices[:, contact_ids]
+    if correspondences is None:
+        nn_idx, d = index.nearest(cv.reshape(-1, 3))
+        nn_idx, d = nn_idx.reshape(cv.shape[:2]), d.reshape(cv.shape[:2])
+    else:
+        nn_idx = np.asarray(correspondences)
+        d = np.linalg.norm(cv - index.points[nn_idx], axis=2)
+    total = _frame_order_sum(geman_mcclure(d, sigma).sum(axis=1))
+    if want_grad:
+        pos = d > 0.0
+        if pos.any():
+            frame, col = np.nonzero(pos)
+            pull = geman_mcclure_deriv(d[pos], sigma) / d[pos]
+            g_vertices[frame, contact_ids[col]] += (
+                scale * pull[:, None] * (cv[pos] - index.points[nn_idx[pos]]))
     return total
+
+
+def _frame_order_sum(per_frame):
+    """Add per-frame values left to right onto 0.0, as a running total does."""
+    return float(np.cumsum(np.concatenate([[0.0], per_frame]))[-1])
 
 
 def e_smooth(vertices):

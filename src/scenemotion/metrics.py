@@ -78,22 +78,27 @@ def neighbour_v2v(clip, template):
 
 def non_collision_score(seq, template, grid):
     """Mean over frames of the fraction of vertices with SDF >= 0, x100."""
-    fracs = []
-    for verts in seq.meshes(template):
-        vals, _ = sample_sdf_batch(grid, verts)
-        fracs.append((vals >= 0.0).mean())
+    fracs = np.concatenate([(vals >= 0.0).mean(axis=1)
+                            for vals in _frame_block_sdf(seq, template, grid)])
     return 100.0 * float(np.mean(fracs))
 
 
 def contact_score(seq, template, grid, threshold=CONTACT_SDF_THRESHOLD):
     """Percentage of frames with at least one vertex strictly below the
     contact threshold of the signed distance."""
-    hits = 0
-    for verts in seq.meshes(template):
-        vals, _ = sample_sdf_batch(grid, verts)
-        if (vals < threshold).any():
-            hits += 1
+    hits = sum(int((vals < threshold).any(axis=1).sum())
+               for vals in _frame_block_sdf(seq, template, grid))
     return 100.0 * hits / len(seq)
+
+
+def _frame_block_sdf(seq, template, grid):
+    """SDF values of the posed vertices, one (B, V) array per block of
+    ``body.FRAME_BLOCK`` frames."""
+    vertices = seq.meshes(template)
+    for lo in range(0, len(vertices), body.FRAME_BLOCK):
+        block = vertices[lo:lo + body.FRAME_BLOCK]
+        vals, _ = sample_sdf_batch(grid, block.reshape(-1, 3))
+        yield vals.reshape(block.shape[:2])
 
 
 def evaluate(pred, gt, template, grid=None):

@@ -114,11 +114,9 @@ _contact_value_grad = _cont_term
 def contact_correspondences(template, frames, scene_field):
     """Exact nearest-cloud index of every contact vertex per frame, (T, C)."""
     contact_ids = template.contact_vertex_ids()
-    vertices = body.forward_batch(template, frames).vertices
-    out = np.empty((len(frames), len(contact_ids)), dtype=np.int64)
-    for i, verts in enumerate(vertices):
-        out[i], _ = scene_field.index.nearest(verts[contact_ids])
-    return out
+    cv = body.forward_batch(template, frames).vertices[:, contact_ids]
+    nn_idx, _ = scene_field.index.nearest(cv.reshape(-1, 3))
+    return nn_idx.reshape(cv.shape[:2])
 
 
 def refine(template, seq, scene_field, schedule, sigma=CONTACT_SIGMA):

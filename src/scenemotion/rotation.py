@@ -24,7 +24,7 @@ def rot6d_to_matrix(r):
 
     Raises:
         InvalidRotationError: if, in any row, either embedded vector is
-            (near) zero or the two are (near) parallel.
+            (near) zero or its norm overflows, or the two are (near) parallel.
     """
     return rot6d_to_matrix_with_cache(r)[0]
 
@@ -35,13 +35,18 @@ def rot6d_to_matrix_with_cache(r):
     if r.shape[-1:] != (6,):
         raise ValueError(f"expected 6-vectors, got shape {r.shape}")
     a1, a2 = r[..., :3], r[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    if np.any(n1 < _DEGENERATE_NORM):
-        raise InvalidRotationError("first 6D column is numerically zero")
-    b1 = a1 / n1
-    d = _dot(b1, a2)
-    u2 = a2 - d * b1
-    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness checks
+        n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+        if not np.all(np.isfinite(n1)):
+            raise InvalidRotationError("first 6D column has a non-finite norm")
+        if np.any(n1 < _DEGENERATE_NORM):
+            raise InvalidRotationError("first 6D column is numerically zero")
+        b1 = a1 / n1
+        d = _dot(b1, a2)
+        u2 = a2 - d * b1
+        n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(n2)):
+        raise InvalidRotationError("second 6D column has a non-finite norm")
     if np.any(n2 < _DEGENERATE_NORM):
         raise InvalidRotationError("6D columns are parallel or second is zero")
     b2 = u2 / n2

@@ -219,17 +219,20 @@ def sample_sdf_batch(grid, points):
     idx = np.minimum(local.astype(np.int64), dims - 2)
     frac = local - idx
 
-    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
     fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
-    V = grid.values
-    c000 = V[i, j, k]
-    c100 = V[i + 1, j, k]
-    c010 = V[i, j + 1, k]
-    c110 = V[i + 1, j + 1, k]
-    c001 = V[i, j, k + 1]
-    c101 = V[i + 1, j, k + 1]
-    c011 = V[i, j + 1, k + 1]
-    c111 = V[i + 1, j + 1, k + 1]
+    # the eight cell corners, read from the flattened grid at offsets of one base index
+    flat = grid.values.ravel()
+    sj = dims[2]
+    si = dims[1] * sj
+    base = (idx[:, 0] * dims[1] + idx[:, 1]) * sj + idx[:, 2]
+    c000 = flat.take(base)
+    c100 = flat.take(base + si)
+    c010 = flat.take(base + sj)
+    c110 = flat.take(base + (si + sj))
+    c001 = flat.take(base + 1)
+    c101 = flat.take(base + (si + 1))
+    c011 = flat.take(base + (sj + 1))
+    c111 = flat.take(base + (si + sj + 1))
 
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
     value = (c000 * gx * gy * gz + c100 * fx * gy * gz + c010 * gx * fy * gz +

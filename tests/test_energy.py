@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenemotion import body
-from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, e_col, e_cont,
-                                e_foot, e_smooth, geman_mcclure, segment_from_centroids,
-                                segment_stable_foot, total_energy)
+from scenemotion import body, energy
+from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, _col_term,
+                                _cont_term, e_col, e_cont, e_foot, e_smooth, geman_mcclure,
+                                segment_from_centroids, segment_stable_foot, total_energy)
 from scenemotion.scene import VertexIndex
 from scenemotion.sequence import MotionSequence
 
@@ -225,3 +225,90 @@ def test_energy_report_totals():
     rep = EnergyReport(foot=1.0, col=2.0, cont=3.0, smooth=4.0,
                        weights=EnergyWeights(1.0, 1.0, 1.0, 0.25))
     assert rep.total == pytest.approx(1 + 2 + 3 + 1.0, abs=1e-12)
+
+
+# -- scene terms over frame blocks ---------------------------------------------------
+
+def _sinking_vertices(template, n=2 * body.FRAME_BLOCK + 3):
+    """A slow shuffle low enough that the body penetrates the slab, over more
+    frames than two blocks."""
+    rng = np.random.default_rng(12)
+    frames = np.zeros((n, body.PARAM_DIM))
+    for i in range(n):
+        frames[i] = body.BodyParams(
+            t=np.array([0.02 * i - 0.6, 0.01 * i, 0.8 + 0.1 * rng.random()]),
+            r=np.array([1.0, 0, 0, 0, 1, 0]) + rng.standard_normal(6) * 0.02,
+            beta=np.zeros(10), p=rng.standard_normal(32) * 0.05,
+            h=rng.standard_normal(24) * 0.2).flat()
+    return MotionSequence(frames=frames).meshes(template)
+
+
+def _one_frame_at_a_time(term, vertices):
+    """Reference: the term on each frame alone, values added in frame order."""
+    total = 0.0
+    g = np.zeros(vertices.shape)
+    for i in range(len(vertices)):
+        total += term(vertices[i:i + 1], g[i:i + 1], i)
+    return total, g
+
+
+def test_col_term_equals_its_one_frame_evaluations(template, slab_field):
+    verts = _sinking_vertices(template)
+    grid = slab_field.grid
+    want, g_want = _one_frame_at_a_time(
+        lambda v, g, i: _col_term(v, grid, True, g, scale=0.7), verts)
+    g = np.zeros(verts.shape)
+    got = _col_term(verts, grid, True, g, scale=0.7)
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert e_col(verts, grid) == got
+    assert np.array_equal(g, g_want)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_cont_term_equals_its_one_frame_evaluations(template, slab_field, frozen):
+    verts = _sinking_vertices(template)
+    ids = template.contact_vertex_ids()
+    index = slab_field.index
+    corr = None
+    if frozen:  # correspondences of other vertices, so they differ from fresh queries
+        corr = np.stack([index.nearest(v[ids] + 0.05)[0] for v in verts])
+
+    def frame(v, g, i):
+        return _cont_term(v, ids, index, CONTACT_SIGMA, True, g, scale=1.3,
+                          correspondences=None if corr is None else corr[i:i + 1])
+
+    want, g_want = _one_frame_at_a_time(frame, verts)
+    g = np.zeros(verts.shape)
+    got = _cont_term(verts, ids, index, CONTACT_SIGMA, True, g, scale=1.3,
+                     correspondences=corr)
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.array_equal(g, g_want)
+    if not frozen:
+        assert e_cont(verts, ids, index) == got
+
+
+def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatch):
+    verts = _sinking_vertices(template)
+    T, V = verts.shape[:2]
+    sampled, queried = [], []
+    sample = energy.sample_sdf_batch
+    nearest = VertexIndex.nearest
+
+    def counting_sample(grid, points):
+        sampled.append(len(points))
+        return sample(grid, points)
+
+    def counting_nearest(self, query):
+        queried.append(len(query))
+        return nearest(self, query)
+
+    monkeypatch.setattr(energy, "sample_sdf_batch", counting_sample)
+    monkeypatch.setattr(VertexIndex, "nearest", counting_nearest)
+    ids = template.contact_vertex_ids()
+    _col_term(verts, slab_field.grid, True, np.zeros(verts.shape))
+    _cont_term(verts, ids, slab_field.index, CONTACT_SIGMA, True, np.zeros(verts.shape))
+    assert len(sampled) == -(-T // body.FRAME_BLOCK) == 3
+    assert sum(sampled) == T * V
+    assert queried == [T * len(ids)]

@@ -140,3 +140,24 @@ def test_batched_rows_match_single_vector_calls():
         np.testing.assert_allclose(Ra[i, j], R, rtol=0, atol=1e-15)
         np.testing.assert_allclose(ga[i, j], rotation.axis_angle_pullback(cache, G[i, j]),
                                    rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([1e200, 0, 0, 0, 1.0, 0]),     # first column's norm overflows
+    np.array([1.0, 0, 0, 0, 1e200, 0]),     # second column's norm overflows
+    np.array([np.nan, 0, 0, 0, 1.0, 0]),
+])
+def test_non_finite_column_norm_rejected(bad):
+    with np.errstate(all="raise"):  # rejected without a floating-point warning
+        with pytest.raises(InvalidRotationError):
+            rotation.rot6d_to_matrix(bad)
+
+
+def test_one_overflowing_row_rejects_the_batch():
+    r = np.tile(rotation.IDENTITY_6D, (3, 4, 1))
+    r[2, 1] = [1e200, 0, 0, 0, 1.0, 0]
+    with pytest.raises(InvalidRotationError):
+        rotation.rot6d_to_matrix(r)
+    r[2, 1] = [1.0, 0, 0, 0, 1e200, 0]
+    with pytest.raises(InvalidRotationError):
+        rotation.rot6d_to_matrix(r)

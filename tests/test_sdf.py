@@ -196,3 +196,49 @@ def test_batch_matches_scalar():
         v1, g1 = sample_sdf(grid, p)
         assert v == v1
         assert np.array_equal(g, g1)
+
+
+def _trilinear_oracle(grid, p):
+    """Direct 3-D-indexed trilinear value and gradient at one point, plus the
+    distance to the grid box and a unit gradient on every axis it exits."""
+    lo, hi = grid.origin, grid.upper
+    q = np.clip(p, lo, hi)
+    local = (q - lo) / grid.cell
+    ijk = np.minimum(np.floor(local).astype(int), np.array(grid.dims) - 2)
+    f = local - ijk
+    value, grad = 0.0, np.zeros(3)
+    for corner in np.ndindex(2, 2, 2):
+        node = grid.values[tuple(ijk + corner)]
+        w = [f[a] if corner[a] else 1.0 - f[a] for a in range(3)]
+        dw = [1.0 if corner[a] else -1.0 for a in range(3)]
+        value += node * w[0] * w[1] * w[2]
+        grad += node * np.array([dw[0] * w[1] * w[2], w[0] * dw[1] * w[2],
+                                 w[0] * w[1] * dw[2]]) / grid.cell
+    delta = p - q
+    dist = np.linalg.norm(delta)
+    if dist > 0.0:
+        value += dist
+        grad = np.where(delta != 0.0, delta / dist, grad)
+    return value, grad
+
+
+def test_batch_matches_3d_indexed_trilinear_inside_and_past_each_face():
+    # an uneven random grid, so a mixed-up axis or stride shows
+    rng = np.random.default_rng(11)
+    grid = SdfGrid(origin=np.array([-0.3, 0.2, -1.1]), cell=0.25,
+                   values=rng.standard_normal((5, 7, 4)))
+    lo, hi = grid.origin, grid.upper
+    inside = rng.uniform(lo, hi, size=(60, 3))
+    pts = [inside, np.array([lo, hi])]  # the two corner nodes
+    for axis in range(3):
+        for side, bound in ((-1.0, lo), (1.0, hi)):
+            past = rng.uniform(lo, hi, size=(10, 3))
+            past[:, axis] = bound[axis] + side * rng.uniform(0.01, 2.0, size=10)
+            pts.append(past)
+    pts.append(hi + rng.uniform(0.1, 1.0, size=(5, 3)))  # past three faces at once
+    pts = np.concatenate(pts)
+    vals, grads = sample_sdf_batch(grid, pts)
+    for p, v, g in zip(pts, vals, grads):
+        v1, g1 = _trilinear_oracle(grid, p)
+        assert v == pytest.approx(v1, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(g, g1, rtol=1e-12, atol=1e-12)
