@@ -159,7 +159,8 @@ def _scene_field(path, cfg):
     from .scene import load_scene
     mesh = load_scene(_require(path, "scene mesh"))
     return SceneField.build(mesh, cloud_points=cfg.cloud_points, cloud_seed=cfg.seed,
-                            cell=cfg.sdf_cell, padding=cfg.sdf_padding)
+                            cell=cfg.sdf_cell, padding=cfg.sdf_padding,
+                            node_budget=cfg.sdf_node_budget)
 
 
 # -- command implementations -----------------------------------------------------
@@ -200,6 +201,7 @@ def cmd_train_cvae(args, cfg, log):
     dataset = _load_dataset(args.dataset)
     fields = dataset_scene_fields(dataset, cloud_points=cfg.cloud_points,
                                   cell=cfg.sdf_cell, padding=cfg.sdf_padding,
+                                  node_budget=cfg.sdf_node_budget,
                                   sdf_dir=os.path.join(args.dataset, "sdf"), log=log)
     vecs, scene_ids = dataset_bodies(dataset, stride=cfg.body_stride)
     model = GoalCVAE(np.random.default_rng(cfg.seed), hidden=cfg.hidden,

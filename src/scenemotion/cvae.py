@@ -15,6 +15,7 @@ from .nn.adam import AdamState
 from .nn.layers import Linear, ResidualBlock, leaky_relu, leaky_relu_backward
 from .nn.params import Module
 from .nn.pointnet import FEATURE_DIM, PointEncoder
+from .rotation import rot6d_to_matrix
 from .sdf import sample_sdf_batch
 
 LATENT_DIM = 32
@@ -142,19 +143,31 @@ class GoalCVAE(Module):
 
     # -- inference ----------------------------------------------------------------
 
-    def decode_params(self, z, beta, t, r, cloud_points):
-        cond = self.condition(beta, t, r, cloud_points)
-        ph, _ = self.decode(z, cond)
-        return body.BodyParams(t=t, r=r, beta=beta,
-                               p=ph[0, :body.POSE_DIM], h=ph[0, body.POSE_DIM:])
+    def sample_goal_bodies(self, beta, ts, rs, cloud_points, seeds):
+        """One goal body per row of ``ts`` (G, 3) and ``rs`` (G, 6), all decoded
+        in one batch. Goal g draws z ~ N(0, I) from ``default_rng(seeds[g])``;
+        (beta, t, r) pass through verbatim.
+
+        The cloud is encoded once. Raises InvalidRotationError naming the first
+        degenerate row of ``rs``.
+        """
+        beta = np.asarray(beta, dtype=np.float64)
+        ts = np.asarray(ts, dtype=np.float64).reshape(-1, 3)
+        rs = np.asarray(rs, dtype=np.float64).reshape(-1, 6)
+        rot6d_to_matrix(rs)
+        feat = self.scene_feature(cloud_points)[0]
+        cond = self.condition_from_feature(
+            feat, np.broadcast_to(beta, (len(ts), body.SHAPE_DIM)), ts, rs)[0]
+        z = np.stack([np.random.default_rng(seed).standard_normal(LATENT_DIM)
+                      for seed in seeds])
+        ph = self.decode(z, cond)[0]
+        return [body.BodyParams(t=t, r=r, beta=beta, p=row[:body.POSE_DIM],
+                                h=row[body.POSE_DIM:])
+                for t, r, row in zip(ts, rs, ph)]
 
     def sample_goal_body(self, beta, t, r, cloud_points, seed=0):
         """Draw z ~ N(0, I) and decode; (beta, t, r) pass through verbatim."""
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(LATENT_DIM)
-        return self.decode_params(z, np.asarray(beta, dtype=np.float64),
-                                  np.asarray(t, dtype=np.float64),
-                                  np.asarray(r, dtype=np.float64), cloud_points)
+        return self.sample_goal_bodies(beta, [t], [r], cloud_points, [seed])[0]
 
 
 def fit_latent(model, cond, target_ph, steps=500, lr=1e-2, seed=0):

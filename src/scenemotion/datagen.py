@@ -17,6 +17,7 @@ import numpy as np
 from . import body
 from .rotation import heading_to_rot6d
 from .scene import make_mesh
+from .sdf import DEFAULT_NODE_BUDGET, load_sdf
 from .sequence import MotionSequence
 
 FLOOR_MARGIN = 0.05
@@ -368,10 +369,9 @@ def load_dataset(dataset_dir):
 
 
 def dataset_scene_fields(dataset, cloud_points=1024, cell=0.05, padding=0.5,
-                         sdf_dir=None, log=None):
+                         node_budget=DEFAULT_NODE_BUDGET, sdf_dir=None, log=None):
     """One SceneField per dataset scene, using cached SDF grids when present."""
     from .field import SceneField
-    from .sdf import load_sdf
     fields = {}
     for sid, rec in dataset["scenes"].items():
         grid = None
@@ -383,7 +383,7 @@ def dataset_scene_fields(dataset, cloud_points=1024, cell=0.05, padding=0.5,
             log(f"building SDF for scene {sid}")
         fields[sid] = SceneField.build(rec["mesh"], cloud_points=cloud_points,
                                        cloud_seed=rec["seed"], cell=cell,
-                                       padding=padding, grid=grid)
+                                       padding=padding, grid=grid, node_budget=node_budget)
     return fields
 
 

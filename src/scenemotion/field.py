@@ -17,9 +17,10 @@ class SceneField:
 
     @staticmethod
     def build(mesh, cloud_points=2048, cloud_seed=0, cell=sdf_mod.DEFAULT_CELL,
-              padding=sdf_mod.DEFAULT_PADDING, grid=None):
+              padding=sdf_mod.DEFAULT_PADDING, grid=None,
+              node_budget=sdf_mod.DEFAULT_NODE_BUDGET):
         cloud = scene_mod.sample_point_cloud(mesh, cloud_points, seed=cloud_seed)
         if grid is None:
-            grid = sdf_mod.build_sdf(mesh, cell=cell, padding=padding)
+            grid = sdf_mod.build_sdf(mesh, cell=cell, padding=padding, node_budget=node_budget)
         return SceneField(mesh=mesh, cloud=cloud, grid=grid,
                           index=scene_mod.VertexIndex(cloud.points))

@@ -49,19 +49,23 @@ def reconstruction_errors(pred, gt):
 
 def mpjpe(pred, gt, template):
     """Mean per-joint position error in millimeters."""
-    return _mean_position_error(pred, gt, template, attr="joints") * 1000.0
+    a, b = _pose_pair(pred, gt, template)
+    return _mean_distance(a.joints, b.joints) * 1000.0
 
 
 def mpvpe(pred, gt, template):
     """Mean per-vertex position error in millimeters."""
-    return _mean_position_error(pred, gt, template, attr="vertices") * 1000.0
+    a, b = _pose_pair(pred, gt, template)
+    return _mean_distance(a.vertices, b.vertices) * 1000.0
 
 
-def _mean_position_error(pred, gt, template, attr):
+def _pose_pair(pred, gt, template):
     if len(pred) != len(gt):
         raise ValueError(f"sequence length mismatch: {len(pred)} vs {len(gt)}")
-    a = getattr(body.forward_batch(template, pred.frames), attr)
-    b = getattr(body.forward_batch(template, gt.frames), attr)
+    return body.forward_batch(template, pred.frames), body.forward_batch(template, gt.frames)
+
+
+def _mean_distance(a, b):
     return float(np.linalg.norm(a - b, axis=2).mean())
 
 
@@ -70,51 +74,67 @@ def neighbour_v2v(clip, template):
     (frame 1, frame 0) and (frame k-1, frame k), x100."""
     if len(clip) < 3:
         raise ValueError(f"clip too short for neighbour v2v: {len(clip)} frames")
+    return _neighbour_v2v(body.forward_batch(template, clip.frames[_ends(clip)]).vertices)
+
+
+def _ends(clip):
     k = len(clip) - 1
-    v = body.forward_batch(template, clip.frames[[1, 0, k - 1, k]]).vertices
+    return [1, 0, k - 1, k]
+
+
+def _neighbour_v2v(v):
+    """``v``: posed vertices of frames (1, 0, k-1, k)."""
     vals = np.linalg.norm(v[0::2] - v[1::2], axis=2).mean(axis=1)
     return 100.0 * float(np.mean(vals))
 
 
 def non_collision_score(seq, template, grid):
     """Mean over frames of the fraction of vertices with SDF >= 0, x100."""
-    fracs = np.concatenate([(vals >= 0.0).mean(axis=1)
-                            for vals in _frame_block_sdf(seq, template, grid)])
-    return 100.0 * float(np.mean(fracs))
+    return _non_collision_pct(_sdf_values(seq.meshes(template), grid))
 
 
 def contact_score(seq, template, grid, threshold=CONTACT_SDF_THRESHOLD):
     """Percentage of frames with at least one vertex strictly below the
     contact threshold of the signed distance."""
-    hits = sum(int((vals < threshold).any(axis=1).sum())
-               for vals in _frame_block_sdf(seq, template, grid))
-    return 100.0 * hits / len(seq)
+    return _contact_pct(_sdf_values(seq.meshes(template), grid), threshold)
 
 
-def _frame_block_sdf(seq, template, grid):
-    """SDF values of the posed vertices, one (B, V) array per block of
+def _non_collision_pct(vals):
+    return 100.0 * float(np.mean((vals >= 0.0).mean(axis=1)))
+
+
+def _contact_pct(vals, threshold):
+    return 100.0 * int((vals < threshold).any(axis=1).sum()) / len(vals)
+
+
+def _sdf_values(vertices, grid):
+    """SDF values (T, V) of posed vertices (T, V, 3), sampled in blocks of
     ``body.FRAME_BLOCK`` frames."""
-    vertices = seq.meshes(template)
+    vals = np.empty(vertices.shape[:2])
     for lo in range(0, len(vertices), body.FRAME_BLOCK):
         block = vertices[lo:lo + body.FRAME_BLOCK]
-        vals, _ = sample_sdf_batch(grid, block.reshape(-1, 3))
-        yield vals.reshape(block.shape[:2])
+        vals[lo:lo + len(block)] = sample_sdf_batch(grid, block.reshape(-1, 3))[0].reshape(
+            block.shape[:2])
+    return vals
 
 
 def evaluate(pred, gt, template, grid=None):
-    """Full MetricReport; environment scores need an SDF grid."""
+    """Full MetricReport; environment scores need an SDF grid. Each sequence
+    is posed once and the SDF is sampled once."""
     tr, orient, pose = reconstruction_errors(pred, gt)
+    a, b = _pose_pair(pred, gt, template)
     report = MetricReport(
         transl_l1_x100=float(tr),
         orient_l1_x100=float(orient),
         pose_l1_x100=float(pose),
-        mpjpe_mm=float(mpjpe(pred, gt, template)),
-        mpvpe_mm=float(mpvpe(pred, gt, template)),
-        neighbour_v2v=float(neighbour_v2v(pred, template)) if len(pred) >= 3 else 0.0,
+        mpjpe_mm=_mean_distance(a.joints, b.joints) * 1000.0,
+        mpvpe_mm=_mean_distance(a.vertices, b.vertices) * 1000.0,
+        neighbour_v2v=_neighbour_v2v(a.vertices[_ends(pred)]) if len(pred) >= 3 else 0.0,
     )
     if grid is not None:
-        report.non_collision_pct = float(non_collision_score(pred, template, grid))
-        report.contact_pct = float(contact_score(pred, template, grid))
+        vals = _sdf_values(a.vertices, grid)
+        report.non_collision_pct = _non_collision_pct(vals)
+        report.contact_pct = _contact_pct(vals, CONTACT_SDF_THRESHOLD)
     return report
 
 

@@ -19,6 +19,7 @@ from .nn.layers import Linear, leaky_relu, leaky_relu_backward
 from .nn.lstm import BiLSTM
 from .nn.params import Module
 from .nn.pointnet import FEATURE_DIM, PointEncoder
+from .rotation import rot6d_to_matrix
 from .sequence import MotionSequence
 
 ROUTE_DIM = 9                      # t(3) + r(6)
@@ -86,6 +87,13 @@ class _SeqNet(Module):
         g_xs = self.lstm.backward(lstm_cache, g_y)
         return g_xs, g_feats
 
+    def _forward_in_scene(self, xs, cloud_points):
+        """(N, k-1, out_dim) for step inputs ``xs`` (N, k+1, step_dim) in one
+        scene: one point-encoder pass and one batched pass. The caches are
+        dropped at once, so inference holds no activations."""
+        feat = self.point_enc.forward(cloud_points)[0]
+        return self.forward_batch(xs, np.broadcast_to(feat, (len(xs), FEATURE_DIM)))[0]
+
     def encode_scenes(self, scene_ids, clouds):
         """One point-encoder pass per distinct scene; returns (feats, caches)."""
         unique = sorted(set(scene_ids))
@@ -119,15 +127,16 @@ class RouteNet(_SeqNet):
         return xs
 
     def forward(self, t0, r0, tk, rk, cloud_points, k):
-        """Route steps 1..k-1 for one endpoint pair, (k-1, 9)."""
-        from .rotation import rot6d_to_matrix
-        rot6d_to_matrix(np.asarray(r0, dtype=np.float64))
-        rot6d_to_matrix(np.asarray(rk, dtype=np.float64))
-        start = np.concatenate([t0, r0])
-        end = np.concatenate([tk, rk])
-        feat, _ = self.point_enc.forward(cloud_points)
-        out, _ = self.forward_batch(self.step_inputs(start, end, k), feat[None, :])
-        return out[0]
+        """Route steps 1..k-1 between endpoints: (k-1, 9) for one pair of 1-D
+        endpoints, (N, k-1, 9) for N pairs stacked on a leading axis."""
+        r0 = np.asarray(r0, dtype=np.float64)
+        rk = np.asarray(rk, dtype=np.float64)
+        rot6d_to_matrix(r0)
+        rot6d_to_matrix(rk)
+        start = np.concatenate([t0, r0], axis=-1)
+        end = np.concatenate([tk, rk], axis=-1)
+        out = self._forward_in_scene(self.step_inputs(start, end, k), cloud_points)
+        return out if start.ndim > 1 else out[0]
 
 
 class PoseNet(_SeqNet):
@@ -155,15 +164,17 @@ class PoseNet(_SeqNet):
         return xs
 
     def forward(self, p0, h0, pk, hk, route, cloud_points, k):
-        """Pose steps 1..k-1 for one clip, (k-1, 56)."""
+        """Pose steps 1..k-1 along a route: (k-1, 56) for one clip of 1-D
+        endpoints and a (k-1, 9) route, (N, k-1, 56) for N clips stacked on a
+        leading axis with routes (N, k-1, 9)."""
+        start = np.concatenate([p0, h0], axis=-1)
+        end = np.concatenate([pk, hk], axis=-1)
         route = np.asarray(route, dtype=np.float64)
-        if route.shape != (k - 1, ROUTE_DIM):
-            raise ValueError(f"expected route shape {(k - 1, ROUTE_DIM)}, got {route.shape}")
-        start = np.concatenate([p0, h0])
-        end = np.concatenate([pk, hk])
-        feat, _ = self.point_enc.forward(cloud_points)
-        out, _ = self.forward_batch(self.step_inputs(start, end, route, k), feat[None, :])
-        return out[0]
+        expected = start.shape[:-1] + (k - 1, ROUTE_DIM)
+        if route.shape != expected:
+            raise ValueError(f"expected route shape {expected}, got {route.shape}")
+        out = self._forward_in_scene(self.step_inputs(start, end, route, k), cloud_points)
+        return out if start.ndim > 1 else out[0]
 
 
 # -- losses ---------------------------------------------------------------------
@@ -287,17 +298,26 @@ def train_pose_net(model, route_model, clips, clouds, epochs=20, batch_size=16, 
     return curve
 
 
-def synthesize_clip(route_model, pose_model, start, end, cloud_points, k):
-    """Assemble a (k+1)-frame clip; frames 0 and k are the inputs verbatim."""
-    if np.any(start.beta != end.beta):
-        raise ValueError("start and end bodies must share the shape vector")
-    route = route_model.forward(start.t, start.r, end.t, end.r, cloud_points, k)
-    poses = pose_model.forward(start.p, start.h, end.p, end.h, route, cloud_points, k)
-    frames = np.empty((k + 1, body.PARAM_DIM))
-    frames[0] = start.flat()
-    frames[k] = end.flat()
-    for i in range(1, k):
-        frames[i, 0:9] = route[i - 1]
-        frames[i, 9:19] = start.beta
-        frames[i, 19:75] = poses[i - 1]
-    return MotionSequence(frames=frames, chunk_boundaries=[0, k])
+def synthesize_clip(route_model, pose_model, bodies, cloud_points, k):
+    """Fill the G-1 gaps of a chain of G >= 2 goal bodies with k-frame clips.
+
+    Returns (G-1)*k + 1 frames: body g is frame g*k verbatim and those frames
+    are the chunk boundaries. All bodies must share the shape vector. Every
+    gap goes through one RouteNet and one PoseNet pass together.
+    """
+    goals = np.stack([b.flat() for b in bodies])
+    if len(goals) < 2:
+        raise ValueError(f"need a chain of at least two bodies, got {len(goals)}")
+    if np.any(goals[:, 9:19] != goals[0, 9:19]):
+        raise ValueError("all bodies of a chain must share the shape vector")
+    a, b = goals[:-1], goals[1:]
+    route = route_model.forward(a[:, 0:3], a[:, 3:9], b[:, 0:3], b[:, 3:9], cloud_points, k)
+    poses = pose_model.forward(a[:, 19:51], a[:, 51:75], b[:, 19:51], b[:, 51:75], route,
+                               cloud_points, k)
+    clips = np.empty((len(a), k, body.PARAM_DIM))
+    clips[:, 0] = a
+    clips[:, 1:, 0:9] = route
+    clips[:, 1:, 9:19] = goals[0, 9:19]
+    clips[:, 1:, 19:75] = poses
+    frames = np.concatenate([clips.reshape(-1, body.PARAM_DIM), goals[-1:]])
+    return MotionSequence(frames=frames, chunk_boundaries=list(range(0, len(frames), k)))

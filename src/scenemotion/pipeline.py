@@ -1,6 +1,6 @@
-"""Two-level long-term synthesis: sample a body at every goal, synthesize
-short clips between consecutive goals, concatenate on shared boundary bodies,
-then refine the whole sequence against the scene."""
+"""Two-level long-term synthesis: sample a body at every goal, fill every gap
+between consecutive goals with a short clip that starts and ends on the shared
+goal bodies, then refine the whole sequence against the scene."""
 
 from __future__ import annotations
 
@@ -101,28 +101,20 @@ class PlanResult:
 
 def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_field,
                    k, schedule=None, sigma=0.2):
-    """Goal bodies -> short clips -> concatenation -> whole-sequence refinement.
+    """Goal bodies -> short clips -> whole-sequence refinement.
 
-    Boundary bodies are shared between consecutive clips, so the raw
-    concatenation is exactly continuous at every seam. Passing
-    ``schedule=None`` skips refinement.
+    Each generative model runs once per plan: the CVAE decodes every goal in
+    one batch, and RouteNet and PoseNet each fill all gaps in one pass.
+    Consecutive clips share their boundary body, so the raw sequence is
+    exactly continuous at every seam. Passing ``schedule=None`` skips
+    refinement.
     """
     cloud = scene_field.cloud.points
     with _stage("goal-body sampling"):
-        bodies = [
-            cvae_model.sample_goal_body(spec.beta, spec.translations[g], spec.rotations[g],
-                                        cloud, seed=spec.seeds[g])
-            for g in range(len(spec))
-        ]
-    frames = [bodies[0].flat()[None, :]]
-    boundaries = [0]
-    for g in range(len(spec) - 1):
-        with _stage(f"clip synthesis {g}->{g + 1}"):
-            clip = synthesize_clip(route_model, pose_model, bodies[g], bodies[g + 1], cloud, k)
-        frames.append(clip.frames[1:])
-        boundaries.append(boundaries[-1] + k)
-    pre = MotionSequence(frames=np.concatenate(frames, axis=0),
-                         chunk_boundaries=boundaries)
+        bodies = cvae_model.sample_goal_bodies(spec.beta, spec.translations, spec.rotations,
+                                               cloud, spec.seeds)
+    with _stage("clip synthesis"):
+        pre = synthesize_clip(route_model, pose_model, bodies, cloud, k)
 
     report_weights = EnergyWeights(foot=1.0, col=1.0, cont=1.0, smooth=0.25)
     pre_report = total_energy(template, pre, scene_field, report_weights, sigma=sigma)

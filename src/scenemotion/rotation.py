@@ -25,6 +25,7 @@ def rot6d_to_matrix(r):
     Raises:
         InvalidRotationError: if, in any row, either embedded vector is
             (near) zero or its norm overflows, or the two are (near) parallel.
+            For a batch, the message names the first bad row.
     """
     return rot6d_to_matrix_with_cache(r)[0]
 
@@ -37,22 +38,28 @@ def rot6d_to_matrix_with_cache(r):
     a1, a2 = r[..., :3], r[..., 3:]
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness checks
         n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-        if not np.all(np.isfinite(n1)):
-            raise InvalidRotationError("first 6D column has a non-finite norm")
-        if np.any(n1 < _DEGENERATE_NORM):
-            raise InvalidRotationError("first 6D column is numerically zero")
+        _reject(~np.isfinite(n1), "first 6D column has a non-finite norm")
+        _reject(n1 < _DEGENERATE_NORM, "first 6D column is numerically zero")
         b1 = a1 / n1
         d = _dot(b1, a2)
         u2 = a2 - d * b1
         n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(n2)):
-        raise InvalidRotationError("second 6D column has a non-finite norm")
-    if np.any(n2 < _DEGENERATE_NORM):
-        raise InvalidRotationError("6D columns are parallel or second is zero")
+    _reject(~np.isfinite(n2), "second 6D column has a non-finite norm")
+    _reject(n2 < _DEGENERATE_NORM, "6D columns are parallel or second is zero")
     b2 = u2 / n2
     b3 = np.cross(b1, b2)
     R = np.stack([b1, b2, b3], axis=-1)
     return R, (a2, b1, b2, b3, d, n1, n2)
+
+
+def _reject(bad, message):
+    """Raise InvalidRotationError if any row of ``bad`` (..., 1) is set; for a
+    batch, the message names the first such row."""
+    if np.any(bad):
+        if bad.ndim > 1:
+            row = tuple(int(i) for i in np.argwhere(bad[..., 0])[0])
+            message = f"row {row[0] if len(row) == 1 else row}: {message}"
+        raise InvalidRotationError(message)
 
 
 def rot6d_matrix_pullback(cache, g_matrix):

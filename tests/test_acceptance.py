@@ -382,8 +382,8 @@ def test_c07_pipeline_laws(template):
     result = plan_long_term(cvae, route, pose, template, spec3, field, k=15, schedule=None)
     bodies = result.goal_bodies
     cloud = field.cloud.points
-    clip_a = synthesize_clip(route, pose, bodies[0], bodies[1], cloud, 15)
-    clip_b = synthesize_clip(route, pose, bodies[1], bodies[2], cloud, 15)
+    clip_a = synthesize_clip(route, pose, [bodies[0], bodies[1]], cloud, 15)
+    clip_b = synthesize_clip(route, pose, [bodies[1], bodies[2]], cloud, 15)
     va = body.forward(template, body.BodyParams.from_flat(clip_a.frames[-1])).vertices
     vb = body.forward(template, body.BodyParams.from_flat(clip_b.frames[0])).vertices
     seam_v2v = float(np.linalg.norm(va - vb, axis=1).mean())

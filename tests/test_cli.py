@@ -26,6 +26,15 @@ def write_floor_scene(path):
     return str(path)
 
 
+def write_goals(path):
+    path.write_text(json.dumps({
+        "beta": [0.0] * 10,
+        "goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0))},
+                  {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}],
+    }))
+    return str(path)
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     assert "error" in capsys.readouterr().err
@@ -61,19 +70,34 @@ def test_evaluate_length_mismatch_is_user_error(tmp_path):
 
 def test_synthesize_missing_weights_exits_1(tmp_path, capsys):
     scene = write_floor_scene(tmp_path / "scene.obj")
-    goals = tmp_path / "goals.json"
-    goals.write_text(json.dumps({
-        "beta": [0.0] * 10,
-        "goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0))},
-                  {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}],
-    }))
-    code = main(["synthesize", "--scene", scene, "--goals", str(goals),
+    code = main(["synthesize", "--scene", scene, "--goals", write_goals(tmp_path / "goals.json"),
                  "--cvae", str(tmp_path / "missing.cvae"),
                  "--route", str(tmp_path / "missing.route"),
                  "--pose", str(tmp_path / "missing.pose"),
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "missing" in capsys.readouterr().err
+
+
+def test_synthesize_honours_sdf_node_budget(tmp_path, capsys):
+    from scenemotion.cvae import GoalCVAE
+    from scenemotion.motion_nets import PoseNet, RouteNet
+    from scenemotion.persist import save_model
+    rng = np.random.default_rng(0)
+    paths = {}
+    for kind, model in (("cvae", GoalCVAE(rng, hidden=8, cond_dim=8, point_hidden=(4, 4))),
+                        ("route", RouteNet(rng, hidden=4, fc_width=8, point_hidden=(4, 4))),
+                        ("pose", PoseNet(rng, hidden=4, fc_width=8, point_hidden=(4, 4)))):
+        paths[kind] = str(tmp_path / f"model.{kind}")
+        save_model(paths[kind], model, kind)
+    code = main(["synthesize", "--scene", write_floor_scene(tmp_path / "scene.obj"),
+                 "--goals", write_goals(tmp_path / "goals.json"), "--cvae", paths["cvae"],
+                 "--route", paths["route"], "--pose", paths["pose"], "--out", str(tmp_path / "out"),
+                 "--set", "sdf_node_budget=100"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "exceeds budget 100" in err
+    assert "Traceback" not in err
 
 
 def test_export_mesh(tmp_path):

@@ -7,6 +7,7 @@ from scenemotion import body
 from scenemotion.cvae import (CVAETrainer, GoalCVAE, fit_latent, kl_grads, kl_loss)
 from scenemotion.field import SceneField
 from scenemotion.nn.gradcheck import check_param_grads_directional
+from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import PointCloud, VertexIndex
 from scenemotion.sdf import SdfGrid
 
@@ -122,6 +123,24 @@ def test_sampled_bodies_satisfy_invariants():
     cloud = rng.standard_normal((30, 3))
     params = model.sample_goal_body(np.zeros(10), [0, 0, 0.9], [1, 0, 0, 0, 1, 0], cloud, seed=1)
     assert np.all(np.isfinite(params.flat()))
+
+
+def test_goal_bodies_batch_matches_one_goal_at_a_time():
+    model = tiny_model()
+    rng = np.random.default_rng(6)
+    cloud = rng.standard_normal((30, 3))
+    beta = rng.standard_normal(10) * 0.1
+    ts = rng.uniform(-2.0, 2.0, (5, 3))
+    rs = np.stack([heading_to_rot6d(a) for a in rng.uniform(0.0, 2.0 * np.pi, 5)])
+    seeds = [11, 3, 11, 7, 2**31 - 1]
+    bodies = model.sample_goal_bodies(beta, ts, rs, cloud, seeds)
+    assert len(bodies) == 5
+    for g, b in enumerate(bodies):
+        one = model.sample_goal_body(beta, ts[g], rs[g], cloud, seed=seeds[g])
+        np.testing.assert_allclose(b.flat(), one.flat(), rtol=0, atol=1e-12)
+        assert np.array_equal(b.t, ts[g])
+        assert np.array_equal(b.r, rs[g])
+        assert np.array_equal(b.beta, beta)
 
 
 # -- training step ----------------------------------------------------------------

@@ -172,3 +172,35 @@ def test_evaluate_and_csv(template):
     lines = csv.strip().splitlines()
     assert lines[0].startswith("method,transl,orientation,pose,MPJPE,MPVPE")
     assert lines[1].startswith("ours,")
+
+
+def _random_sequence(rng, n):
+    frames = np.zeros((n, 75))
+    frames[:, 0:3] = rng.uniform(-1.0, 1.0, (n, 3)) * [1.0, 1.0, 0.2] + [0.0, 0.0, 0.8]
+    frames[:, 3:9] = IDENTITY_R + 0.2 * rng.standard_normal((n, 6))
+    frames[:, 19:] = 0.3 * rng.standard_normal((n, 56))
+    return MotionSequence(frames=frames)
+
+
+def test_evaluate_poses_each_sequence_once(template, monkeypatch):
+    rng = np.random.default_rng(12)
+    n = 2 * body.FRAME_BLOCK + 3
+    pred, gt = _random_sequence(rng, n), _random_sequence(rng, n)
+    posed = []
+    forward_batch = body.forward_batch
+
+    def counting(tpl, frames):
+        posed.append(len(frames))
+        return forward_batch(tpl, frames)
+
+    monkeypatch.setattr(body, "forward_batch", counting)
+    report = evaluate(pred, gt, template, grid=plane_grid())
+    assert sum(posed) == len(pred) + len(gt)
+    monkeypatch.undo()
+    # the same values as the metric functions called one at a time
+    assert report.mpjpe_mm == mpjpe(pred, gt, template)
+    assert report.mpvpe_mm == mpvpe(pred, gt, template)
+    assert report.neighbour_v2v == neighbour_v2v(pred, template)
+    assert report.non_collision_pct == non_collision_score(pred, template, plane_grid())
+    assert report.contact_pct == contact_score(pred, template, plane_grid())
+    assert 0.0 < report.non_collision_pct < 100.0 and 0.0 < report.contact_pct < 100.0

@@ -8,6 +8,7 @@ from scenemotion.errors import InvalidRotationError
 from scenemotion.motion_nets import (PoseNet, RouteNet, pose_loss, route_loss,
                                      synthesize_clip)
 from scenemotion.nn.gradcheck import check_param_grads_directional
+from scenemotion.rotation import heading_to_rot6d
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
@@ -153,13 +154,13 @@ def test_synthesize_clip_contracts(template):
                             p=rng.standard_normal(32) * 0.1, h=np.zeros(24))
     end = body.BodyParams(t=np.array([1.0, 0.5, 0.0]), r=IDENTITY_R, beta=beta,
                           p=rng.standard_normal(32) * 0.1, h=np.zeros(24))
-    clip = synthesize_clip(route, pose, start, end, cloud, k=12)
+    clip = synthesize_clip(route, pose, [start, end], cloud, k=12)
     assert len(clip) == 13
     assert np.array_equal(clip.frames[0], start.flat())
     assert np.array_equal(clip.frames[12], end.flat())
     assert clip.shares_beta()
     # bit determinism with frozen weights
-    clip2 = synthesize_clip(route, pose, start, end, cloud, k=12)
+    clip2 = synthesize_clip(route, pose, [start, end], cloud, k=12)
     assert np.array_equal(clip.frames, clip2.frames)
 
 
@@ -171,7 +172,45 @@ def test_synthesize_clip_rejects_beta_mismatch(template):
     end = body.BodyParams(t=np.ones(3), r=IDENTITY_R, beta=np.ones(10),
                           p=np.zeros(32), h=np.zeros(24))
     with pytest.raises(ValueError):
-        synthesize_clip(route, pose, start, end, cloud, k=8)
+        synthesize_clip(route, pose, [start, end], cloud, k=8)
+
+
+def test_batched_forwards_check_every_row():
+    rng = np.random.default_rng(12)
+    route, pose = small_route(), small_pose()
+    cloud = rng.standard_normal((10, 3))
+    r0 = np.tile(IDENTITY_R, (4, 1))
+    r0[2] = 0.0
+    with pytest.raises(InvalidRotationError, match="^row 2: "):
+        route.forward(np.zeros((4, 3)), r0, np.ones((4, 3)), np.tile(IDENTITY_R, (4, 1)),
+                      cloud, k=8)
+    assert pose.forward(np.zeros((3, 32)), np.zeros((3, 24)), np.zeros((3, 32)),
+                        np.zeros((3, 24)), np.zeros((3, 9, 9)), cloud, k=10).shape == (3, 9, 56)
+    with pytest.raises(ValueError, match="route shape"):
+        pose.forward(np.zeros((3, 32)), np.zeros((3, 24)), np.zeros((3, 32)),
+                     np.zeros((3, 24)), np.zeros((2, 9, 9)), cloud, k=10)
+
+
+def test_chain_matches_its_two_body_clips():
+    rng = np.random.default_rng(13)
+    route, pose = small_route(), small_pose()
+    cloud = rng.standard_normal((20, 3))
+    beta = rng.standard_normal(10) * 0.1
+    bodies = [body.BodyParams(t=np.array([0.8 * g, 0.3 * g, 0.0]), r=heading_to_rot6d(0.4 * g),
+                              beta=beta, p=rng.standard_normal(32) * 0.1,
+                              h=rng.standard_normal(24) * 0.1) for g in range(4)]
+    k = 9
+    chain = synthesize_clip(route, pose, bodies, cloud, k)
+    assert len(chain) == 3 * k + 1
+    assert chain.chunk_boundaries == [0, k, 2 * k, 3 * k]
+    for g, b in enumerate(bodies):
+        assert np.array_equal(chain.frames[g * k], b.flat())
+    for g in range(3):
+        clip = synthesize_clip(route, pose, bodies[g:g + 2], cloud, k)
+        np.testing.assert_allclose(chain.frames[g * k:(g + 1) * k + 1], clip.frames,
+                                   rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="at least two"):
+        synthesize_clip(route, pose, bodies[:1], cloud, k)
 
 
 def test_dataset_clips_respect_displacement_filter(dataset):
@@ -219,7 +258,7 @@ def test_neighbour_v2v_decreases_with_training(trained_stack, dataset, template)
         for clip in dataset["clips"][:5]:
             start = body.BodyParams.from_flat(clip["frames"][0])
             end = body.BodyParams.from_flat(clip["frames"][k])
-            syn = synthesize_clip(route, pose, start, end, clouds[clip["scene"]], k)
+            syn = synthesize_clip(route, pose, [start, end], clouds[clip["scene"]], k)
             vals.append(neighbour_v2v(syn, template))
         return float(np.mean(vals))
 

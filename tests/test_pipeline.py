@@ -128,6 +128,36 @@ def test_stage_failures_carry_stage_tag(random_models, small_field, template):
         plan_long_term(cvae, route, pose, template, spec, small_field, k=15, schedule=None)
 
 
+def test_degenerate_goal_rotation_names_its_row(random_models, small_field, template):
+    from scenemotion.pipeline import PipelineStageError
+    cvae, route, pose = random_models
+    spec = goals(4)
+    spec.rotations[2] = 0.0
+    with pytest.raises(PipelineStageError,
+                       match="^stage 'goal-body sampling': row 2: first 6D column"):
+        plan_long_term(cvae, route, pose, template, spec, small_field, k=15, schedule=None)
+
+
+def test_plan_runs_each_network_once(random_models, small_field, template, monkeypatch):
+    from scenemotion.nn.lstm import BiLSTM
+    from scenemotion.nn.pointnet import PointEncoder
+    calls = {}
+
+    def count(cls, name):
+        forward = cls.forward
+
+        def counted(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return forward(self, *args)
+        monkeypatch.setattr(cls, "forward", counted)
+
+    count(PointEncoder, "point encoder")
+    count(BiLSTM, "bilstm")
+    cvae, route, pose = random_models
+    plan_long_term(cvae, route, pose, template, goals(5), small_field, k=15, schedule=None)
+    assert calls == {"point encoder": 3, "bilstm": 2}
+
+
 def test_validate_spec_diagnostics(small_field):
     ts = np.array([[50.0, 0, 0.9], [0.0, 0, 0.9], [0.0, 0, 0.9]])
     rs = np.stack([IDENTITY_R, np.zeros(6), IDENTITY_R])

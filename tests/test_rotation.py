@@ -161,3 +161,23 @@ def test_one_overflowing_row_rejects_the_batch():
     r[2, 1] = [1.0, 0, 0, 0, 1e200, 0]
     with pytest.raises(InvalidRotationError):
         rotation.rot6d_to_matrix(r)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros(6), "first 6D column is numerically zero"),
+    (np.array([np.nan, 0, 0, 0, 1.0, 0]), "first 6D column has a non-finite norm"),
+    (np.array([1.0, 0, 0, 2.0, 0, 0]), "6D columns are parallel or second is zero"),
+])
+def test_batch_errors_name_the_first_bad_row(bad, message):
+    with pytest.raises(InvalidRotationError) as single:
+        rotation.rot6d_to_matrix(bad)
+    assert str(single.value) == message
+    r = np.tile(rotation.IDENTITY_6D, (5, 1))
+    r[[2, 4]] = bad
+    with pytest.raises(InvalidRotationError) as batch:
+        rotation.rot6d_to_matrix(r)
+    assert str(batch.value) == f"row 2: {message}"
+    stacked = np.tile(rotation.IDENTITY_6D, (3, 4, 1))
+    stacked[1, 3] = bad
+    with pytest.raises(InvalidRotationError, match=r"^row \(1, 3\): "):
+        rotation.rot6d_to_matrix(stacked)
