@@ -188,7 +188,7 @@ def cmd_build_sdf(args, cfg, log):
         grid = build_sdf(rec["mesh"], cell=cfg.sdf_cell, padding=cfg.sdf_padding,
                          node_budget=cfg.sdf_node_budget)
         path = os.path.join(sdf_dir, f"scene_{sid:03d}.sdf")
-        save_sdf(path, grid)
+        save_sdf(path, grid, rec["mesh"], cfg.sdf_padding)
         outputs.append(path)
         log(f"scene {sid}: SDF {grid.dims} nodes -> {path}")
     _write_log(sdf_dir, "build-sdf", cfg, {"outputs": outputs})
@@ -307,10 +307,10 @@ def cmd_baseline_interp(args, cfg, log):
     spec = GoalSpec.from_json(_require(args.goals, "goal spec"))
     field = _scene_field(args.scene, cfg)
     cloud = field.cloud.points
-    start = cvae_model.sample_goal_body(spec.beta, spec.translations[0], spec.rotations[0],
-                                        cloud, seed=spec.seeds[0])
-    end = cvae_model.sample_goal_body(spec.beta, spec.translations[-1], spec.rotations[-1],
-                                      cloud, seed=spec.seeds[-1])
+    ends = [0, -1]
+    start, end = cvae_model.sample_goal_bodies(spec.beta, spec.translations[ends],
+                                               spec.rotations[ends], cloud,
+                                               [spec.seeds[i] for i in ends])
     steps = args.steps or (cfg.k + 1)
     seq = cvae_interpolation_baseline(cvae_model, start, end, cloud, steps)
     save_sequence(args.out, seq)

@@ -68,12 +68,6 @@ class GoalCVAE(Module):
         pre, cache = self.fuse.forward(x)
         return leaky_relu(pre), (cache, pre)
 
-    def condition(self, beta, t, r, cloud_points):
-        """F_hs for a single goal; deterministic in all inputs."""
-        feat, _ = self.scene_feature(cloud_points)
-        cond, _ = self.condition_from_feature(feat, beta, t, r)
-        return cond[0]
-
     def condition_backward(self, cache, g_cond):
         fuse_cache, pre = cache
         g_pre = leaky_relu_backward(pre, g_cond)

@@ -17,7 +17,7 @@ import numpy as np
 from . import body
 from .rotation import heading_to_rot6d
 from .scene import make_mesh
-from .sdf import DEFAULT_NODE_BUDGET, load_sdf
+from .sdf import DEFAULT_NODE_BUDGET, cache_mismatch, load_sdf
 from .sequence import MotionSequence
 
 FLOOR_MARGIN = 0.05
@@ -370,17 +370,24 @@ def load_dataset(dataset_dir):
 
 def dataset_scene_fields(dataset, cloud_points=1024, cell=0.05, padding=0.5,
                          node_budget=DEFAULT_NODE_BUDGET, sdf_dir=None, log=None):
-    """One SceneField per dataset scene, using cached SDF grids when present."""
+    """One SceneField per dataset scene. A cached SDF grid is used when it was
+    built from the scene's mesh at ``cell`` and ``padding``; otherwise the grid
+    is rebuilt and ``log`` told why."""
     from .field import SceneField
     fields = {}
     for sid, rec in dataset["scenes"].items():
         grid = None
+        why = "no cache"
         if sdf_dir:
             cache = os.path.join(sdf_dir, f"scene_{sid:03d}.sdf")
             if os.path.exists(cache):
-                grid = load_sdf(cache)
+                grid, header = load_sdf(cache)
+                why = cache_mismatch(header, rec["mesh"], cell, padding)
+                if why:
+                    grid = None
+                    why = f"{cache} {why}"
         if grid is None and log:
-            log(f"building SDF for scene {sid}")
+            log(f"building SDF for scene {sid} ({why})")
         fields[sid] = SceneField.build(rec["mesh"], cloud_points=cloud_points,
                                        cloud_seed=rec["seed"], cell=cell,
                                        padding=padding, grid=grid, node_budget=node_budget)

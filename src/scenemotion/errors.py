@@ -17,6 +17,10 @@ class SequenceFormatError(SceneMotionError, ValueError):
     """A sequence file has an unsupported version or inconsistent contents."""
 
 
+class SdfCacheError(SceneMotionError, ValueError):
+    """An SDF cache file is not one, has an unsupported version or is truncated."""
+
+
 class EmptySceneError(SceneMotionError, ValueError):
     """Loaded or constructed scene contains no usable geometry."""
 

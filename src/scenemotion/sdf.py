@@ -3,24 +3,46 @@
 Grid nodes hold the minimum point-triangle distance to the scene mesh,
 signed negative where a majority of three axis-parallel ray-parity tests
 report inside. Open meshes therefore read as outside by default.
+
+The build is exact, node for node, and avoids most node-triangle pairs:
+
+- Distance. The nodes are split into bricks of ``BRICK``^3. For a brick with
+  centre ``b`` and half-diagonal ``rho``, every node ``p`` lies within ``rho``
+  of ``b``, so ``d(p, t) >= d(b, t) - rho`` and ``min_t d(p, t) <= min_t
+  d(b, t) + rho``. A triangle with ``d(b, t) - rho`` above that bound cannot
+  be the nearest to any node of the brick and is skipped there. ``rho`` is
+  inflated slightly so rounding never drops the nearest triangle. The kept
+  pairs run through the same per-point arithmetic, and the minimum does not
+  depend on which other triangles took part.
+- Sign. Along a ray parallel to an axis, whether a node's projection falls
+  inside a triangle depends only on the node's column, not on its depth. The
+  projected-inside test runs once per column and triangle, and the crossing
+  depth only on the nodes of the columns it passes.
+
+Both passes hold at most ``_CHUNK_NODES`` node coordinates at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, SdfCacheError
 
 DEFAULT_CELL = 0.05      # m
 DEFAULT_PADDING = 0.5    # m
 DEFAULT_NODE_BUDGET = 64_000_000
+BRICK = 4                # nodes per brick edge in the distance pass
+
+_CHUNK_NODES = 262_144   # node coordinates held at once
+_PAIR_BUDGET = 1 << 22   # brick-triangle distances held at once
 
 _MAGIC = b"SMSF"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 @dataclass
@@ -73,31 +95,50 @@ def build_sdf(mesh, cell=DEFAULT_CELL, padding=DEFAULT_PADDING, node_budget=DEFA
     if n_nodes > node_budget:
         raise ResourceLimitError(f"SDF grid of {n_nodes} nodes exceeds budget {node_budget}")
 
-    xs = origin[0] + np.arange(dims[0]) * cell
-    ys = origin[1] + np.arange(dims[1]) * cell
-    zs = origin[2] + np.arange(dims[2]) * cell
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    nodes = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-
-    values = np.empty(n_nodes)
-    chunk = 262_144
+    axes = [origin[a] + np.arange(dims[a] + BRICK - 1) * cell for a in range(3)]
     tri = mesh.vertices[mesh.faces]
-    for start in range(0, n_nodes, chunk):
-        pts = nodes[start:start + chunk]
-        dist = unsigned_distance(pts, tri)
-        inside = inside_mask(pts, tri)
-        values[start:start + len(pts)] = np.where(inside, -dist, dist)
-    return SdfGrid(origin=origin, cell=float(cell), values=values.reshape(tuple(dims)))
+    values = unsigned_distance(axes, tuple(dims), tri)
+    np.negative(values, out=values, where=inside_mask([ax[:n] for ax, n in zip(axes, dims)], tri))
+    return SdfGrid(origin=origin, cell=float(cell), values=values)
 
 
-def unsigned_distance(points, triangles):
-    """Min distance from each point to any triangle; (N,) for (N,3) points."""
-    points = np.asarray(points, dtype=np.float64)
-    best = np.full(len(points), np.inf)
-    for a, b, c in triangles:
-        d2 = _point_triangle_dist2(points, a, b, c)
-        np.minimum(best, d2, out=best)
-    return np.sqrt(best)
+def unsigned_distance(axes, dims, triangles):
+    """Min distance from every grid node to any triangle, as a ``dims`` array.
+
+    ``axes`` are the node coordinates per axis, running at least ``BRICK - 1``
+    nodes past ``dims`` so the bricks at the far faces are whole; the extra
+    nodes are evaluated and dropped.
+    """
+    if not len(triangles):
+        return np.full(dims, np.inf)
+    nb = [-(-n // BRICK) for n in dims]
+    brick_axes = [ax[:k * BRICK].reshape(k, BRICK) for ax, k in zip(axes, nb)]
+    padded = np.empty([k * BRICK for k in nb])
+    bricks = padded.reshape(nb[0], BRICK, nb[1], BRICK, nb[2], BRICK)
+    rho = 0.5 * np.sqrt(3.0) * (brick_axes[0][0, -1] - brick_axes[0][0, 0])
+    scale = max(np.abs(triangles).max(), *(np.abs(b).max() for b in brick_axes))
+    reach = 2.0 * rho * (1.0 + 1e-6) + 1e-12 * scale
+    n_bricks = int(np.prod(nb))
+    per_chunk = max(1, min(_CHUNK_NODES // BRICK**3, _PAIR_BUDGET // len(triangles)))
+    for start in range(0, n_bricks, per_chunk):
+        ids = np.unravel_index(np.arange(start, min(start + per_chunk, n_bricks)), nb)
+        coords = [ax[i] for ax, i in zip(brick_axes, ids)]      # (m, BRICK) per axis
+        centres = np.stack([0.5 * (c[:, 0] + c[:, -1]) for c in coords], axis=1)
+        near = np.sqrt(np.stack([_point_triangle_dist2(centres, a, b, c) for a, b, c in triangles]))
+        candidate = near <= near.min(axis=0) + reach                # (faces, m)
+        m = len(centres)
+        nodes = np.empty((m, BRICK, BRICK, BRICK, 3))
+        nodes[..., 0] = coords[0][:, :, None, None]
+        nodes[..., 1] = coords[1][:, None, :, None]
+        nodes[..., 2] = coords[2][:, None, None, :]
+        nodes = nodes.reshape(m, BRICK**3, 3)
+        best = np.full((m, BRICK**3), np.inf)
+        for t in np.flatnonzero(candidate.any(axis=1)):
+            sel = np.flatnonzero(candidate[t])
+            d2 = _point_triangle_dist2(nodes[sel].reshape(-1, 3), *triangles[t])
+            best[sel] = np.minimum(best[sel], d2.reshape(len(sel), -1))
+        bricks[ids[0], :, ids[1], :, ids[2], :] = np.sqrt(best).reshape(m, BRICK, BRICK, BRICK)
+    return np.ascontiguousarray(padded[:dims[0], :dims[1], :dims[2]])
 
 
 def _point_triangle_dist2(p, a, b, c):
@@ -118,65 +159,74 @@ def _point_triangle_dist2(p, a, b, c):
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
+    # each point takes the first Voronoi region that claims it; a region's
+    # closest point is computed only on the points it takes
     closest = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
+    todo = np.ones(len(p), dtype=bool)
 
-    def assign(mask, value):
-        m = mask & ~done
-        if m.any():
-            closest[m] = value[m] if value.ndim == 2 else value
-            done[m] = True
+    def take(mask):
+        m = np.flatnonzero(mask & todo)
+        todo[m] = False
+        return m
 
-    assign((d1 <= 0) & (d2 <= 0), np.broadcast_to(a, p.shape))
-    assign((d3 >= 0) & (d4 <= d3), np.broadcast_to(b, p.shape))
+    closest[take((d1 <= 0) & (d2 <= 0))] = a
+    closest[take((d3 >= 0) & (d4 <= d3))] = b
     with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
-    assign((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + np.clip(v_ab, 0, 1)[:, None] * ab)
-    assign((d6 >= 0) & (d5 <= d6), np.broadcast_to(c, p.shape))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
-    assign((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + np.clip(w_ac, 0, 1)[:, None] * ac)
-    e1 = d4 - d3
-    e2 = d5 - d6
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_bc = np.where((e1 + e2) != 0, e1 / (e1 + e2), 0.0)
-    assign((va <= 0) & (e1 >= 0) & (e2 >= 0), b + np.clip(w_bc, 0, 1)[:, None] * (c - b))
-    if not done.all():
-        denom = va + vb + vc
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(denom != 0, vb / denom, 1.0 / 3.0)
-            w = np.where(denom != 0, vc / denom, 1.0 / 3.0)
-        face = a + v[:, None] * ab + w[:, None] * ac
-        closest[~done] = face[~done]
+        m = take((vc <= 0) & (d1 >= 0) & (d3 <= 0))
+        x, y = d1[m], d3[m]
+        closest[m] = a + np.clip(np.where(x != y, x / (x - y), 0.0), 0, 1)[:, None] * ab
+        closest[take((d6 >= 0) & (d5 <= d6))] = c
+        m = take((vb <= 0) & (d2 >= 0) & (d6 <= 0))
+        x, y = d2[m], d6[m]
+        closest[m] = a + np.clip(np.where(x != y, x / (x - y), 0.0), 0, 1)[:, None] * ac
+        e1 = d4 - d3
+        e2 = d5 - d6
+        m = take((va <= 0) & (e1 >= 0) & (e2 >= 0))
+        x, y = e1[m], e2[m]
+        closest[m] = b + np.clip(np.where((x + y) != 0, x / (x + y), 0.0), 0, 1)[:, None] * (c - b)
+        m = np.flatnonzero(todo)
+        denom = va[m] + vb[m] + vc[m]
+        v = np.where(denom != 0, vb[m] / denom, 1.0 / 3.0)
+        w = np.where(denom != 0, vc[m] / denom, 1.0 / 3.0)
+        closest[m] = a + v[:, None] * ab + w[:, None] * ac
     diff = p - closest
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def inside_mask(points, triangles):
-    """Majority vote of +x/+y/+z ray-crossing parity tests."""
-    points = np.asarray(points, dtype=np.float64)
-    votes = np.zeros(len(points), dtype=np.int32)
+def inside_mask(axes, triangles):
+    """Majority vote of +x/+y/+z ray-crossing parity tests over the grid
+    whose node coordinates per axis are ``axes``."""
+    votes = np.zeros(tuple(len(ax) for ax in axes), dtype=np.int8)
     for axis in range(3):
-        votes += _ray_parity(points, triangles, axis)
+        votes += _ray_parity(axes, triangles, axis)
     return votes >= 2
 
 
-def _ray_parity(points, triangles, axis):
+def _ray_parity(axes, triangles, axis):
     # Queries exactly on a projected edge are resolved by symbolically
     # perturbing the query by (eps^2, eps) in the projection plane, so a
     # shared edge or vertex is claimed by exactly one triangle and grid
     # nodes aligned with the geometry are never double counted.
     u, w = (axis + 1) % 3, (axis + 2) % 3
-    crossings = np.zeros(len(points), dtype=np.int64)
+    qu, qw = (q.ravel() for q in np.meshgrid(axes[u], axes[w], indexing="ij"))
+    depth = axes[axis]
+    parity = np.zeros((len(qu), len(depth)), dtype=bool)   # one row per column
+    step = max(1, _CHUNK_NODES // len(depth))
     for a, b, c in triangles:
         n = np.cross(b - a, c - a)
         if abs(n[axis]) < 1e-12:
             continue  # ray parallel to the triangle plane
-        s = (n @ a - points @ n) / n[axis]
-        inside = _projected_inside(points[:, u], points[:, w],
-                                   (a[u], a[w]), (b[u], b[w]), (c[u], c[w]))
-        crossings += inside & (s > 0)
-    return (crossings & 1).astype(np.int32)
+        cols = np.flatnonzero(_projected_inside(qu, qw, (a[u], a[w]), (b[u], b[w]), (c[u], c[w])))
+        for start in range(0, len(cols), step):
+            sel = cols[start:start + step]
+            pts = np.empty((len(sel), len(depth), 3))
+            pts[..., u] = qu[sel, None]
+            pts[..., w] = qw[sel, None]
+            pts[..., axis] = depth
+            s = (n @ a - pts.reshape(-1, 3) @ n) / n[axis]
+            parity[sel] ^= (s > 0).reshape(len(sel), -1)
+    shape = (len(axes[u]), len(axes[w]), len(depth))
+    return parity.reshape(shape).transpose(np.argsort((u, w, axis)))
 
 
 def _projected_inside(qu, qw, a2, b2, c2):
@@ -259,12 +309,22 @@ def sample_sdf_batch(grid, points):
 
 # -- disk cache ----------------------------------------------------------------
 
-def save_sdf(path, grid):
-    """Header JSON + raw little-endian float32 node values."""
+def mesh_sha256(mesh):
+    """Hex sha256 of the mesh's vertex (<f8) and face (<i8) bytes."""
+    h = hashlib.sha256(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(mesh.faces, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def save_sdf(path, grid, mesh, padding):
+    """Header JSON + raw little-endian float64 node values. The header records
+    what the grid was built from: ``mesh`` (as its sha256), cell and padding."""
     header = {
         "version": _CACHE_VERSION,
         "origin": [float(x) for x in grid.origin],
         "cell": float(grid.cell),
+        "padding": float(padding),
+        "mesh_sha256": mesh_sha256(mesh),
         "dims": [int(d) for d in grid.dims],
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -272,19 +332,39 @@ def save_sdf(path, grid):
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        f.write(np.ascontiguousarray(grid.values, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
 
 
 def load_sdf(path):
+    """Read a cache written by :func:`save_sdf`; returns (grid, header)."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not an SDF cache file")
-        hlen, = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
+            raise SdfCacheError(f"{path}: not an SDF cache file (bad magic)")
+        try:
+            hlen, = struct.unpack("<I", f.read(4))
+            header = json.loads(f.read(hlen).decode())
+        except (struct.error, ValueError) as e:
+            raise SdfCacheError(f"{path}: unreadable SDF cache header ({e})") from None
         if header.get("version") != _CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported SDF cache version")
+            raise SdfCacheError(f"{path}: SDF cache version {header.get('version')!r}, "
+                                f"expected {_CACHE_VERSION}; rebuild it with build-sdf")
         dims = header["dims"]
-        count = dims[0] * dims[1] * dims[2]
-        values = np.frombuffer(f.read(count * 4), dtype="<f4").astype(np.float64)
-    return SdfGrid(origin=np.array(header["origin"]), cell=header["cell"],
+        size = 8 * dims[0] * dims[1] * dims[2]
+        body = f.read(size)
+    if len(body) != size:
+        raise SdfCacheError(f"{path}: truncated SDF cache ({len(body)} of {size} value bytes)")
+    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    grid = SdfGrid(origin=np.array(header["origin"]), cell=header["cell"],
                    values=values.reshape(dims))
+    return grid, header
+
+
+def cache_mismatch(header, mesh, cell, padding):
+    """Why a cache with ``header`` does not stand for ``build_sdf(mesh, cell,
+    padding)``, or None when it does."""
+    for key, want in (("cell", float(cell)), ("padding", float(padding))):
+        if header[key] != want:
+            return f"built at {key} {header[key]}, requested {want}"
+    if header["mesh_sha256"] != mesh_sha256(mesh):
+        return "built from a different mesh"
+    return None

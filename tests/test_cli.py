@@ -217,3 +217,44 @@ def test_refine_bad_sequence_file_is_user_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_baseline_interp_encodes_the_cloud_twice(tmp_path, monkeypatch):
+    # one pass samples both endpoint bodies, one fits their latents
+    from scenemotion.cvae import GoalCVAE
+    from scenemotion.nn.pointnet import PointEncoder
+    from scenemotion.persist import save_model
+    cvae_path = str(tmp_path / "model.cvae")
+    save_model(cvae_path, GoalCVAE(np.random.default_rng(0), hidden=8, cond_dim=8,
+                                   point_hidden=(4, 4)), "cvae")
+    forward = PointEncoder.forward
+    calls = []
+
+    def counted(self, points):
+        calls.append(len(points))
+        return forward(self, points)
+
+    monkeypatch.setattr(PointEncoder, "forward", counted)
+    code = main(["baseline-interp", "--scene", write_floor_scene(tmp_path / "scene.obj"),
+                 "--goals", write_goals(tmp_path / "goals.json"), "--cvae", cvae_path,
+                 "--steps", "3", "--out", str(tmp_path / "base"),
+                 "--set", "sdf_cell=0.3", "--set", "cloud_points=64"])
+    assert code == 0
+    assert calls == [64, 64]
+    assert len(load_sequence(tmp_path / "base").frames) == 3
+
+
+def test_train_cvae_on_truncated_sdf_cache_is_user_error(tmp_path, capsys):
+    from scenemotion.datagen import build_dataset
+    data = tmp_path / "data"
+    build_dataset(str(data), body.default_template(), n_scenes=1, clips_per_scene=2, k=15,
+                  master_seed=1)
+    assert main(["build-sdf", "--dataset", str(data), "--set", "sdf_cell=0.3"]) == 0
+    cache = data / "sdf" / "scene_000.sdf"
+    cache.write_bytes(cache.read_bytes()[:-8])
+    code = main(["train-cvae", "--dataset", str(data), "--out", str(tmp_path / "w.cvae"),
+                 "--set", "sdf_cell=0.3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "truncated SDF cache" in err
+    assert "Traceback" not in err

@@ -75,14 +75,20 @@ def test_kl_grads_closed_form():
 
 # -- condition / encode / decode ------------------------------------------------
 
+def condition(model, beta, t, r, cloud):
+    """F_hs for a single goal: the scene feature fused with (beta, t, r)."""
+    feat, _ = model.scene_feature(cloud)
+    return model.condition_from_feature(feat, beta, t, r)[0][0]
+
+
 def test_condition_deterministic_and_permutation_invariant():
     model = tiny_model()
     rng = np.random.default_rng(2)
     cloud = rng.standard_normal((50, 3))
     beta, t, r = np.zeros(10), np.array([1.0, 2.0, 0.9]), np.array([1.0, 0, 0, 0, 1, 0])
-    a = model.condition(beta, t, r, cloud)
-    b = model.condition(beta, t, r, cloud)
-    c = model.condition(beta, t, r, cloud[rng.permutation(50)])
+    a = condition(model, beta, t, r, cloud)
+    b = condition(model, beta, t, r, cloud)
+    c = condition(model, beta, t, r, cloud[rng.permutation(50)])
     assert np.array_equal(a, b)
     assert np.array_equal(a, c)
 
@@ -281,8 +287,8 @@ def test_trained_condition_is_sensitive_to_goal_location(trained_stack):
     cloud = trained_stack["fields"][0].cloud.points
     beta = np.zeros(10)
     r = np.array([1.0, 0, 0, 0, 1, 0])
-    a = cvae.condition(beta, np.array([0.0, 0.0, 0.9]), r, cloud)
-    b = cvae.condition(beta, np.array([1.0, 0.5, 0.9]), r, cloud)
+    a = condition(cvae, beta, np.array([0.0, 0.0, 0.9]), r, cloud)
+    b = condition(cvae, beta, np.array([1.0, 0.5, 0.9]), r, cloud)
     assert not np.array_equal(a, b)
     assert np.abs(a - b).max() > 1e-8
 
@@ -293,7 +299,7 @@ def test_trained_decoder_diversity(trained_stack):
     beta = np.zeros(10)
     t = np.array([0.2, 0.1, 0.93])
     r = np.array([1.0, 0, 0, 0, 1, 0])
-    cond = cvae.condition(beta, t, r, cloud)
+    cond = condition(cvae, beta, t, r, cloud)
     rng = np.random.default_rng(13)
     ph1, _ = cvae.decode(rng.standard_normal(32), cond)
     ph2, _ = cvae.decode(rng.standard_normal(32), cond)

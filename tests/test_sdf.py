@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from scenemotion.datagen import box_mesh_arrays
-from scenemotion.errors import ResourceLimitError
+from scenemotion.datagen import box_mesh_arrays, dataset_scene_fields
+from scenemotion.errors import ResourceLimitError, SceneMotionError, SdfCacheError
 from scenemotion.scene import make_mesh
-from scenemotion.sdf import SdfGrid, build_sdf, load_sdf, sample_sdf, sample_sdf_batch, save_sdf
+from scenemotion.sdf import (BRICK, SdfGrid, _point_triangle_dist2, _projected_inside, build_sdf,
+                             load_sdf, sample_sdf, sample_sdf_batch, save_sdf, unsigned_distance)
 
 
 def unit_cube():
@@ -101,6 +102,107 @@ def test_grid_matches_bruteforce_oracle_on_random_boxes():
         assert abs(oracle_signed_distance(p, tris) - grid.values[i, j, k]) < 1e-6
 
 
+def _floor_and_box():
+    fv, ff = box_mesh_arrays([0.0, 0.0, -0.05], [3.0, 3.0, 0.1])
+    bv, bf = box_mesh_arrays([0.4, -0.3, 0.3], [0.3, 0.5, 0.6])
+    return make_mesh(np.vstack([fv, bv]), np.vstack([ff, np.asarray(bf) + len(fv)]))
+
+
+def _single_triangle():
+    return make_mesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.2]]),
+                     np.array([[0, 1, 2]]))
+
+
+def _inside_unit_cube(p):
+    return bool(np.all(np.abs(p) < 0.5))
+
+
+# Every node against the oracle: (i) nodes on the cube's faces, edges and
+# corners, (ii) huge floor triangles next to a small box, on a grid whose dims
+# are no multiple of the brick edge (iv), (iii) nodes 3 m and more from the
+# surface, and an open mesh, which reads as outside everywhere. The oracle's
+# ray test has no tie-break, so where nodes lie on the cube's edges the sign
+# comes from the cube itself and the distance from the oracle. The grid must
+# also equal, bit for bit, the one every node-triangle pair gives.
+@pytest.mark.parametrize("make, cell, padding, inside", [
+    (unit_cube, 0.25, 1.0, _inside_unit_cube),
+    (_floor_and_box, 0.3, 0.4, None),
+    (unit_cube, 0.5, 3.0, _inside_unit_cube),
+    (_single_triangle, 0.2, 0.3, None),
+], ids=["cube-on-nodes", "floor-and-box", "far-padding", "open-triangle"])
+def test_every_node_matches_oracle(make, cell, padding, inside):
+    mesh = make()
+    grid = build_sdf(mesh, cell=cell, padding=padding)
+    tris = mesh.vertices[mesh.faces]
+    xs, ys, zs = grid.node_positions()
+    for i, j, k in np.ndindex(grid.dims):
+        p = np.array([xs[i], ys[j], zs[k]])
+        if inside is None:
+            expect = oracle_signed_distance(p, tris)
+        else:
+            expect = min(_oracle_point_tri(p, a, b, c) for a, b, c in tris)
+            expect = -expect if inside(p) else expect
+        assert abs(grid.values[i, j, k] - expect) < 1e-12, (i, j, k)
+    assert np.array_equal(grid.values, _every_pair_sdf(grid, tris))
+
+
+def _every_pair_sdf(grid, tris):
+    """The grid from every node-triangle pair through the module's own
+    per-point kernels: what the bricks and columns must reproduce bit for bit."""
+    nodes = np.stack(np.meshgrid(*grid.node_positions(), indexing="ij"), axis=-1).reshape(-1, 3)
+    dist = np.sqrt(np.min([_point_triangle_dist2(nodes, a, b, c) for a, b, c in tris], axis=0))
+    votes = np.zeros(len(nodes), dtype=int)
+    for axis in range(3):
+        u, w = (axis + 1) % 3, (axis + 2) % 3
+        crossings = np.zeros(len(nodes), dtype=int)
+        for a, b, c in tris:
+            n = np.cross(b - a, c - a)
+            if abs(n[axis]) < 1e-12:
+                continue
+            s = (n @ a - nodes @ n) / n[axis]
+            crossings += _projected_inside(nodes[:, u], nodes[:, w], (a[u], a[w]),
+                                           (b[u], b[w]), (c[u], c[w])) & (s > 0)
+        votes += crossings & 1
+    return np.where(votes >= 2, -dist, dist).reshape(grid.dims)
+
+
+def test_culled_build_cases_cover_their_geometry():
+    on_nodes = build_sdf(unit_cube(), cell=0.25, padding=1.0)
+    assert np.sum(on_nodes.values == 0.0) == 98     # every surface node of the 5^3 lattice
+    assert build_sdf(unit_cube(), cell=0.5, padding=3.0).values.max() > 5.0
+    assert all(d % BRICK for d in build_sdf(_floor_and_box(), cell=0.3, padding=0.4).dims)
+    assert build_sdf(_single_triangle(), cell=0.2, padding=0.3).values.min() >= 0.0
+
+
+def _plane_triangle(point, normal, size=20.0):
+    """A large triangle through ``point`` perpendicular to ``normal``."""
+    e1 = np.cross(normal, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    return np.array([point + size * e1, point + size * (-0.5 * e1 + 0.9 * e2),
+                     point + size * (-0.5 * e1 - 0.9 * e2)])
+
+
+def test_brick_bound_keeps_a_triangle_nearest_by_a_hair():
+    # One brick with centre c and half-diagonal rho. Triangle A lies 1 m past c
+    # along the diagonal; B lies 1 m + 2 rho - eps before it, so from c it
+    # looks farther by almost 2 rho, yet it is nearest to the corner node
+    # at c - rho n by eps. A bound tighter than 2 rho drops it.
+    cell, eps = 0.1, 1e-3
+    axes = [np.arange(2 * BRICK - 1) * cell for _ in range(3)]
+    centre = np.full(3, 0.5 * (BRICK - 1) * cell)
+    rho = np.sqrt(3.0) * 0.5 * (BRICK - 1) * cell
+    n = np.ones(3) / np.sqrt(3.0)
+    tris = np.array([_plane_triangle(centre + 1.0 * n, n),
+                     _plane_triangle(centre - (1.0 + 2.0 * rho - eps) * n, n)])
+    dist = unsigned_distance(axes, (BRICK,) * 3, tris)
+    for ijk in np.ndindex(dist.shape):
+        p = np.array([axes[a][i] for a, i in enumerate(ijk)])
+        expect = min(_oracle_point_tri(p, a, b, c) for a, b, c in tris)
+        assert abs(dist[ijk] - expect) < 1e-12, ijk
+    assert dist[0, 0, 0] == pytest.approx(1.0 + rho - eps, abs=1e-9)
+
+
 def test_node_exact_sampling():
     grid = build_sdf(unit_cube(), cell=0.25, padding=0.75)
     xs, ys, zs = grid.node_positions()
@@ -178,13 +280,72 @@ def test_node_budget_enforced():
 def test_cache_round_trip(tmp_path):
     grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
     path = tmp_path / "cube.sdf"
-    save_sdf(path, grid)
-    loaded = load_sdf(path)
+    save_sdf(path, grid, unit_cube(), 0.5)
+    loaded, header = load_sdf(path)
     assert loaded.dims == grid.dims
     assert loaded.cell == grid.cell
+    assert header["padding"] == 0.5
     np.testing.assert_allclose(loaded.origin, grid.origin)
-    # cache stores float32 values
-    np.testing.assert_allclose(loaded.values, grid.values, atol=1e-6)
+    # cache stores float64 values: a cached grid is the fresh one, bit for bit
+    assert np.array_equal(loaded.values, grid.values)
+
+
+def _cube_dataset(mesh):
+    return {"scenes": {0: {"mesh": mesh, "seed": 0}}}
+
+
+def test_matching_cache_is_used(tmp_path):
+    grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
+    save_sdf(tmp_path / "scene_000.sdf", grid, unit_cube(), 0.5)
+    logs = []
+    fields = dataset_scene_fields(_cube_dataset(unit_cube()), cloud_points=16, cell=0.25,
+                                  padding=0.5, sdf_dir=str(tmp_path), log=logs.append)
+    assert logs == []
+    assert np.array_equal(fields[0].grid.values, grid.values)
+
+
+@pytest.mark.parametrize("cell, padding, shift, reason", [
+    (0.2, 0.5, 0.0, "cell"),
+    (0.25, 0.75, 0.0, "padding"),
+    (0.25, 0.5, 0.1, "different mesh"),
+], ids=["cell", "padding", "mesh"])
+def test_stale_cache_is_rebuilt(tmp_path, cell, padding, shift, reason):
+    save_sdf(tmp_path / "scene_000.sdf", build_sdf(unit_cube(), cell=0.25, padding=0.5),
+             unit_cube(), 0.5)
+    mesh = make_mesh(unit_cube().vertices + shift, unit_cube().faces)
+    logs = []
+    fields = dataset_scene_fields(_cube_dataset(mesh), cloud_points=16, cell=cell,
+                                  padding=padding, sdf_dir=str(tmp_path), log=logs.append)
+    assert len(logs) == 1 and reason in logs[0]
+    fresh = build_sdf(mesh, cell=cell, padding=padding)
+    assert np.array_equal(fields[0].grid.values, fresh.values)
+
+
+def _version1_cache(path, grid):
+    """The float32 layout written before the header recorded padding and mesh."""
+    import json
+    import struct
+    blob = json.dumps({"version": 1, "origin": grid.origin.tolist(), "cell": grid.cell,
+                       "dims": list(grid.dims)}).encode()
+    path.write_bytes(b"SMSF" + struct.pack("<I", len(blob)) + blob
+                     + grid.values.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("damage", ["magic", "version", "truncated"])
+def test_malformed_cache_is_a_typed_error(tmp_path, damage):
+    grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
+    path = tmp_path / "cube.sdf"
+    save_sdf(path, grid, unit_cube(), 0.5)
+    data = path.read_bytes()
+    if damage == "magic":
+        path.write_bytes(b"XXXX" + data[4:])
+    elif damage == "version":
+        _version1_cache(path, grid)
+    else:
+        path.write_bytes(data[:-8])
+    with pytest.raises(SdfCacheError, match=damage) as err:
+        load_sdf(path)
+    assert isinstance(err.value, SceneMotionError)
 
 
 def test_batch_matches_scalar():
