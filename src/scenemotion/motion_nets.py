@@ -4,8 +4,8 @@ orientations, PoseNet predicts the body/hand pose along the predicted route.
 Both share the same skeleton: a bi-directional LSTM over a (k+1)-step input
 sequence whose first/last steps carry the endpoint descriptors and whose
 intermediate steps carry only a normalized clock, followed by two FC head
-layers applied per step with the scene point feature concatenated in. The
-two networks use separate point encoders.
+layers applied per step on the LSTM feature and the clip's scene point
+feature. The two networks use separate point encoders.
 """
 
 from __future__ import annotations
@@ -32,23 +32,42 @@ MIN_CLIP_DISPLACEMENT = 0.5        # m between clip endpoints
 
 
 class _SeqHead(Module):
-    """Two FC layers applied per step on [lstm feature, scene feature]."""
+    """Two FC layers applied per step on [lstm feature, scene feature].
 
-    def __init__(self, in_dim, fc_width, out_dim, rng, name):
-        self.fc1 = Linear(in_dim, fc_width, rng, name=f"{name}.fc1")
+    The scene feature is the same at every step of a clip, so fc1's scene
+    columns are applied once per clip and broadcast over the steps. fc1.W
+    keeps its (fc_width, lstm_dim + scene_dim) shape.
+    """
+
+    def __init__(self, lstm_dim, scene_dim, fc_width, out_dim, rng, name):
+        self.lstm_dim = lstm_dim
+        self.fc1 = Linear(lstm_dim + scene_dim, fc_width, rng, name=f"{name}.fc1")
         self.fc2 = Linear(fc_width, out_dim, rng, name=f"{name}.fc2")
 
-    def forward(self, x):
-        h_pre, c1 = self.fc1.forward(x)
-        h = leaky_relu(h_pre)
-        y, c2 = self.fc2.forward(h)
-        return y, (c1, h_pre, c2)
+    def forward(self, y, feats):
+        """y: (S, N, lstm_dim) step-major features; feats: (N, scene_dim)
+        -> (S, N, out_dim)."""
+        S, N, L = y.shape
+        W = self.fc1.W.value
+        y = y.reshape(S * N, L)
+        h_pre = (y @ W[:, :L].T).reshape(S, N, -1)
+        h_pre += feats @ W[:, L:].T + self.fc1.b.value
+        out, c2 = self.fc2.forward(leaky_relu(h_pre))
+        return out, (y, feats, h_pre, c2)
 
     def backward(self, cache, gy):
-        c1, h_pre, c2 = cache
-        g_h = self.fc2.backward(c2, gy)
-        g_pre = leaky_relu_backward(h_pre, g_h)
-        return self.fc1.backward(c1, g_pre)
+        """gy: (S, N, out_dim) -> (g_y (S, N, lstm_dim), g_feats (N, scene_dim))."""
+        y, feats, h_pre, c2 = cache
+        S, N, F = h_pre.shape
+        L = self.lstm_dim
+        W, gW = self.fc1.W.value, self.fc1.W.grad
+        g_pre = leaky_relu_backward(h_pre, self.fc2.backward(c2, gy))
+        g_clip = g_pre.sum(axis=0)
+        g_pre = g_pre.reshape(S * N, F)
+        gW[:, :L] += g_pre.T @ y
+        gW[:, L:] += g_clip.T @ feats
+        self.fc1.b.grad += g_clip.sum(axis=0)
+        return (g_pre @ W[:, :L]).reshape(S, N, L), g_clip @ W[:, L:]
 
 
 class _SeqNet(Module):
@@ -62,29 +81,24 @@ class _SeqNet(Module):
         self.fc_width = fc_width
         self.point_enc = PointEncoder(rng, hidden=point_hidden, name=f"{name}.point")
         self.lstm = BiLSTM(self.step_dim, hidden, rng, name=f"{name}.lstm")
-        self.head = _SeqHead(2 * hidden + FEATURE_DIM, fc_width, self.out_dim, rng,
+        self.head = _SeqHead(2 * hidden, FEATURE_DIM, fc_width, self.out_dim, rng,
                              name=f"{name}.head")
 
     def forward_batch(self, xs, feats):
         """xs: (N, k+1, step_dim); feats: (N, 256) -> (N, k-1, out_dim)."""
-        N, steps, _ = xs.shape
-        k = steps - 1
+        k = xs.shape[1] - 1
         y, lstm_cache = self.lstm.forward(xs)
-        inner = y[:, 1:k, :]
-        feat_b = np.broadcast_to(feats[:, None, :], (N, k - 1, FEATURE_DIM))
-        cat = np.concatenate([inner, feat_b], axis=2).reshape(N * (k - 1), -1)
-        out, head_cache = self.head.forward(cat)
-        out = out.reshape(N, k - 1, self.out_dim)
-        return out, (lstm_cache, head_cache, N, k)
+        # the BiLSTM output is a view of a step-major array: its inner steps are contiguous
+        out, head_cache = self.head.forward(y.transpose(1, 0, 2)[1:k], feats)
+        return np.ascontiguousarray(out.transpose(1, 0, 2)), (lstm_cache, head_cache)
 
     def backward_batch(self, cache, g_out):
-        lstm_cache, head_cache, N, k = cache
-        g_cat = self.head.backward(head_cache, g_out.reshape(N * (k - 1), self.out_dim))
-        g_cat = g_cat.reshape(N, k - 1, -1)
-        g_y = np.zeros((N, k + 1, 2 * self.hidden))
-        g_y[:, 1:k, :] = g_cat[:, :, :2 * self.hidden]
-        g_feats = g_cat[:, :, 2 * self.hidden:].sum(axis=1)
-        g_xs = self.lstm.backward(lstm_cache, g_y)
+        lstm_cache, head_cache = cache
+        N, steps, _ = g_out.shape
+        g_inner, g_feats = self.head.backward(head_cache, g_out.transpose(1, 0, 2))
+        g_y = np.zeros((steps + 2, N, 2 * self.hidden))
+        g_y[1:steps + 1] = g_inner
+        g_xs = self.lstm.backward(lstm_cache, g_y.transpose(1, 0, 2))
         return g_xs, g_feats
 
     def _forward_in_scene(self, xs, cloud_points):
@@ -253,35 +267,44 @@ def train_route_net(model, clips, clouds, epochs=20, batch_size=32, lr=1e-3, see
     return curve
 
 
+def _frozen_routes(route_model, clips, clouds, k, batch_size):
+    """RouteNet's (k-1, 9) route for every clip, run in clip-order chunks of
+    ``batch_size`` clips; no activations are kept."""
+    routes = np.empty((len(clips), k - 1, ROUTE_DIM))
+    for lo in range(0, len(clips), batch_size):
+        chunk = clips[lo:lo + batch_size]
+        starts = np.stack([c["frames"][0, 0:9] for c in chunk])
+        ends = np.stack([c["frames"][k, 0:9] for c in chunk])
+        feats, _ = route_model.encode_scenes([c["scene"] for c in chunk], clouds)
+        routes[lo:lo + len(chunk)] = route_model.forward_batch(
+            route_model.step_inputs(starts, ends, k), feats)[0]
+    return routes
+
+
 def train_pose_net(model, route_model, clips, clouds, epochs=20, batch_size=16, lr=1e-3,
                    seed=0, log=None):
-    """Phase 2: PoseNet on RouteNet's predicted routes; RouteNet is frozen."""
+    """Phase 2: PoseNet on RouteNet's predicted routes; RouteNet is frozen, so
+    every clip's route is computed once per call."""
     if not clips:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
     adam = AdamState(model.params())
     k = len(clips[0]["frames"]) - 1
+    all_routes = _frozen_routes(route_model, clips, clouds, k, batch_size)
     curve = []
     for epoch in range(epochs):
         order = rng.permutation(len(clips))
         losses = []
         for lo in range(0, len(order), batch_size):
-            batch = [clips[i] for i in order[lo:lo + batch_size]]
+            idx = order[lo:lo + batch_size]
+            batch = [clips[i] for i in idx]
             n = len(batch)
             sids = [c["scene"] for c in batch]
-
-            # frozen forward pass through RouteNet (no gradients kept)
-            starts = np.stack([c["frames"][0, 0:9] for c in batch])
-            ends = np.stack([c["frames"][k, 0:9] for c in batch])
-            rfeats, _ = route_model.encode_scenes(sids, clouds)
-            routes, _ = route_model.forward_batch(route_model.step_inputs(starts, ends, k), rfeats)
-            route_model.zero_grad()
-
             start_ph = np.stack([c["frames"][0, 19:75] for c in batch])
             end_ph = np.stack([c["frames"][k, 19:75] for c in batch])
             gt = np.stack([c["frames"][1:k, 19:75] for c in batch])
             feats, feat_caches = model.encode_scenes(sids, clouds)
-            xs = model.step_inputs(start_ph, end_ph, routes, k)
+            xs = model.step_inputs(start_ph, end_ph, all_routes[idx], k)
             out, cache = model.forward_batch(xs, feats)
             loss = sum(pose_loss(out[i], gt[i]) for i in range(n)) / n
             if not np.isfinite(loss):

@@ -15,11 +15,18 @@ LEAKY_SLOPE = 0.01
 
 
 def leaky_relu(x):
-    return np.where(x >= 0.0, x, LEAKY_SLOPE * x)
+    # with a slope below 1, max(x, slope * x) is x for x >= 0 and slope * x below
+    y = LEAKY_SLOPE * x
+    np.maximum(x, y, out=y)
+    return y
 
 
 def leaky_relu_backward(x, gy):
-    return np.where(x >= 0.0, gy, LEAKY_SLOPE * gy)
+    # each slope is exactly 1 or LEAKY_SLOPE, since (1 - s) + s == 1 in float64
+    g = (x >= 0.0) * (1.0 - LEAKY_SLOPE)
+    g += LEAKY_SLOPE
+    g *= gy
+    return g
 
 
 class Linear(Module):
@@ -35,7 +42,9 @@ class Linear(Module):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"{self.W.name}: expected input width {self.in_dim}, got {x.shape[-1]}")
-        return x @ self.W.value.T + self.b.value, x
+        y = x @ self.W.value.T
+        y += self.b.value
+        return y, x
 
     def backward(self, cache, gy):
         x = cache

@@ -1,23 +1,27 @@
-"""Bi-directional LSTM with hand-written backpropagation through time."""
+"""Bi-directional LSTM with hand-written backpropagation through time.
+
+Each direction follows the usual recipe for fast recurrent networks
+(Appleyard, Kočiský & Blunsom, arXiv:1604.01946): the input projection of
+every step is one GEMM before the time loop; the loop does only the
+recurrent GEMM and in-place elementwise work on buffers allocated once per
+call; the weight gradients are one GEMM each after the loop. Inside a cell
+arrays are time-major, so the rows of one step are contiguous.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import StateError
 from .params import Module, Param, uniform_init
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 class LSTMCell(Module):
-    """Single-direction LSTM; gate order in the stacked weights is i, f, g, o."""
+    """Single-direction LSTM; gate order in the stacked weights is i, f, g, o.
+
+    The i, f and o gates use sigmoid(z) = (1 + tanh(z / 2)) / 2, so all four
+    gates of a step are one tanh pass and no exponential can overflow.
+    """
 
     def __init__(self, in_dim, hidden, rng, name="lstm"):
         self.in_dim = in_dim
@@ -29,56 +33,89 @@ class LSTMCell(Module):
         self.b = Param(f"{name}.b", b)
 
     def forward(self, xs):
-        """xs: (N, T, D) -> h: (N, T, H) with zero initial state."""
+        """xs: (N, T, D) -> h: (N, T, H) with zero initial state.
+
+        h is a view of the time-major state array the cache holds."""
         N, T, D = xs.shape
         H = self.hidden
-        h = np.zeros((N, H))
-        c = np.zeros((N, H))
-        hs = np.empty((N, T, H))
-        steps = []
+        x = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(T * N, D)
+        gates = x @ self.Wx.value.T
+        gates += self.b.value
+        gates = gates.reshape(T, N, 4 * H)
+        # the tanh argument is z / 2 on the sigmoid gates, then (1 + tanh) / 2
+        half = np.full(4 * H, 0.5)
+        half[2 * H:3 * H] = 1.0
+        shift = 1.0 - half
+        c = np.zeros((T + 1, N, H))    # c[t + 1]: cell state after step t
+        h = np.zeros((T + 1, N, H))    # h[t + 1]: hidden state after step t
+        tc = np.empty((T, N, H))       # tanh(c[t + 1])
+        rec = np.empty((N, 4 * H))
+        ig = np.empty((N, H))
+        WhT = self.Wh.value.T
         for t in range(T):
-            x = xs[:, t, :]
-            z = x @ self.Wx.value.T + h @ self.Wh.value.T + self.b.value
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H:2 * H])
-            g = np.tanh(z[:, 2 * H:3 * H])
-            o = _sigmoid(z[:, 3 * H:])
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
-            h_new = o * tc
-            steps.append((x, h, c, i, f, g, o, tc))
-            h, c = h_new, c_new
-            hs[:, t, :] = h
-        return hs, steps
+            a = gates[t]
+            if t:
+                np.matmul(h[t], WhT, out=rec)
+                a += rec
+            a *= half
+            np.tanh(a, out=a)
+            a *= half
+            a += shift
+            i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            np.multiply(f, c[t], out=c[t + 1])
+            np.multiply(i, g, out=ig)
+            c[t + 1] += ig
+            np.tanh(c[t + 1], out=tc[t])
+            np.multiply(o, tc[t], out=h[t + 1])
+        cache = {"x": x, "gates": gates, "c": c, "tc": tc, "h": h}
+        return h[1:].transpose(1, 0, 2), cache
 
     def backward(self, cache, ghs):
-        """ghs: (N, T, H) cotangent on every step's hidden output."""
-        steps = cache
-        N, T, H = ghs.shape
-        gh = np.zeros((N, H))
+        """ghs: (N, T, H) cotangent on every step's hidden output -> (N, T, D).
+
+        Consumes the cache: each step's gate cotangents are written over its
+        gate activations, so a second backward on the same cache raises."""
+        gates = cache.pop("gates", None)
+        if gates is None:
+            raise StateError("LSTM cache was already consumed by a backward pass")
+        x, c, tc, h = cache["x"], cache["c"], cache["tc"], cache["h"]
+        T, N, H4 = gates.shape
+        H = H4 // 4
+        Wh = self.Wh.value
+        g_col = np.zeros(H4)
+        g_col[2 * H:3 * H] = 1.0
+        gh = np.empty((N, H))
         gc = np.zeros((N, H))
-        gxs = np.empty((N, T, self.in_dim))
+        u = np.empty((N, H))
+        up = np.empty((N, H4))   # cotangent on each gate's activation
+        d = np.empty((N, H4))    # the activation's derivative: (1 - a)(a + [gate is g])
         for t in range(T - 1, -1, -1):
-            x, h_prev, c_prev, i, f, g, o, tc = steps[t]
-            gh = gh + ghs[:, t, :]
-            gc = gc + gh * o * (1.0 - tc * tc)
-            go = gh * tc
-            gi = gc * g
-            gg = gc * i
-            gf = gc * c_prev
-            gc = gc * f
-            gz = np.concatenate([
-                gi * i * (1.0 - i),
-                gf * f * (1.0 - f),
-                gg * (1.0 - g * g),
-                go * o * (1.0 - o),
-            ], axis=1)
-            self.Wx.grad += gz.T @ x
-            self.Wh.grad += gz.T @ h_prev
-            self.b.grad += gz.sum(axis=0)
-            gxs[:, t, :] = gz @ self.Wx.value
-            gh = gz @ self.Wh.value
-        return gxs
+            a = gates[t]
+            i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            if t + 1 < T:
+                np.matmul(gates[t + 1], Wh, out=gh)
+                gh += ghs[:, t]
+            else:
+                gh[...] = ghs[:, t]
+            np.multiply(gh, tc[t], out=up[:, 3 * H:])
+            np.multiply(tc[t], tc[t], out=u)
+            np.subtract(1.0, u, out=u)
+            u *= o
+            u *= gh
+            gc += u
+            np.multiply(gc, g, out=up[:, :H])
+            np.multiply(gc, c[t], out=up[:, H:2 * H])
+            np.multiply(gc, i, out=up[:, 2 * H:3 * H])
+            gc *= f
+            np.subtract(1.0, a, out=d)
+            a += g_col
+            a *= d
+            a *= up
+        gz = gates.reshape(T * N, H4)
+        self.Wx.grad += gz.T @ x
+        self.Wh.grad += gz[N:].T @ h[1:T].reshape((T - 1) * N, H)  # h = 0 before step 0
+        self.b.grad += gz.sum(axis=0)
+        return (gz @ self.Wx.value).reshape(T, N, -1).transpose(1, 0, 2)
 
 
 class BiLSTM(Module):
@@ -90,15 +127,20 @@ class BiLSTM(Module):
         self.bwd = LSTMCell(in_dim, hidden, rng, name=f"{name}.bwd")
 
     def forward(self, xs):
-        """xs: (N, T, D) -> (N, T, 2H); T must be at least 3 (endpoints + 1)."""
+        """xs: (N, T, D) -> (N, T, 2H), a view of a time-major array; T must
+        be at least 3 (endpoints + 1)."""
         if xs.ndim != 3:
             raise ValueError(f"expected (N, T, D) input, got shape {xs.shape}")
         if xs.shape[1] < 3:
             raise ValueError(f"sequence too short for a bi-directional pass: T={xs.shape[1]}")
+        N, T, _ = xs.shape
+        H = self.hidden
         hf, cf = self.fwd.forward(xs)
         hb_rev, cb = self.bwd.forward(xs[:, ::-1, :])
-        hb = hb_rev[:, ::-1, :]
-        return np.concatenate([hf, hb], axis=2), (cf, cb)
+        y = np.empty((T, N, 2 * H))
+        y[:, :, :H] = hf.transpose(1, 0, 2)
+        y[:, :, H:] = hb_rev.transpose(1, 0, 2)[::-1]
+        return y.transpose(1, 0, 2), (cf, cb)
 
     def backward(self, cache, gy):
         cf, cb = cache

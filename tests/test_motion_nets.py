@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 
 from scenemotion import body
 from scenemotion.errors import InvalidRotationError
-from scenemotion.motion_nets import (PoseNet, RouteNet, pose_loss, route_loss,
-                                     synthesize_clip)
+from scenemotion.motion_nets import (PoseNet, RouteNet, pose_loss, pose_loss_grad, route_loss,
+                                     synthesize_clip, train_pose_net)
+from scenemotion.nn.adam import AdamState
+from scenemotion.nn.layers import leaky_relu, leaky_relu_backward
 from scenemotion.nn.gradcheck import check_param_grads_directional
 from scenemotion.rotation import heading_to_rot6d
+from test_nn import oracle_bilstm, rel_err
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
@@ -143,6 +148,106 @@ def test_seqnet_gradients_match_fd():
 
     worst = check_param_grads_directional(loss, model.params(), n_cases=12, h=1e-5, tol=1e-3)
     assert worst < 1e-3
+
+
+def oracle_seqnet(model, xs, feats, g_out):
+    """forward_batch + backward_batch through the per-step BiLSTM and a head
+    that runs fc1 as one Linear on concatenated [lstm, scene] rows.
+
+    Returns (out, g_xs, g_feats, {param name: grad}) for the LSTM and head."""
+    N, T, _ = xs.shape
+    k = T - 1
+    fc1, fc2 = copy.deepcopy(model.head.fc1), copy.deepcopy(model.head.fc2)
+    fc1.zero_grad()
+    fc2.zero_grad()
+    y = oracle_bilstm(model.lstm, xs, np.zeros((N, T, 2 * model.hidden)))[0]
+    feat_b = np.broadcast_to(feats[:, None, :], (N, k - 1, feats.shape[1]))
+    cat = np.concatenate([y[:, 1:k], feat_b], axis=2).reshape(N * (k - 1), -1)
+    h_pre, c1 = fc1.forward(cat)
+    out, c2 = fc2.forward(leaky_relu(h_pre))
+    g_pre = leaky_relu_backward(h_pre, fc2.backward(c2, g_out.reshape(len(cat), -1)))
+    g_cat = fc1.backward(c1, g_pre).reshape(N, k - 1, -1)
+    g_y = np.zeros_like(y)
+    g_y[:, 1:k] = g_cat[:, :, :2 * model.hidden]
+    _, g_xs, grads = oracle_bilstm(model.lstm, xs, g_y)
+    grads.update({p.name: p.grad for p in fc1.params() + fc2.params()})
+    return (out.reshape(N, k - 1, -1), g_xs, g_cat[:, :, 2 * model.hidden:].sum(axis=1),
+            grads)
+
+
+@pytest.mark.parametrize("make", [small_route, small_pose], ids=["route", "pose"])
+def test_seqnet_matches_concatenated_head_oracle(make):
+    rng = np.random.default_rng(14)
+    model = make()
+    xs = rng.standard_normal((3, 9, model.step_dim))
+    feats = rng.standard_normal((3, 256))
+    g_out = rng.standard_normal((3, 7, model.out_dim))
+    model.zero_grad()
+    out, cache = model.forward_batch(xs, feats)
+    g_xs, g_feats = model.backward_batch(cache, g_out)
+    out_ref, g_xs_ref, g_feats_ref, grads_ref = oracle_seqnet(model, xs, feats, g_out)
+    assert rel_err(out, out_ref) < 1e-12
+    assert rel_err(g_xs, g_xs_ref) < 1e-12
+    assert rel_err(g_feats, g_feats_ref) < 1e-12
+    for p in model.lstm.params() + model.head.params():
+        assert rel_err(p.grad, grads_ref[p.name]) < 1e-12, p.name
+
+
+def _random_clips(rng, n, k, scenes):
+    return [{"scene": int(rng.integers(scenes)),
+             "frames": rng.standard_normal((k + 1, body.PARAM_DIM)) * 0.3} for _ in range(n)]
+
+
+def oracle_train_pose_net(model, route_model, clips, clouds, epochs, batch_size, lr, seed):
+    """train_pose_net with the frozen RouteNet run on every batch of every epoch."""
+    rng = np.random.default_rng(seed)
+    adam = AdamState(model.params())
+    k = len(clips[0]["frames"]) - 1
+    curve = []
+    for _ in range(epochs):
+        order = rng.permutation(len(clips))
+        losses = []
+        for lo in range(0, len(order), batch_size):
+            batch = [clips[i] for i in order[lo:lo + batch_size]]
+            n = len(batch)
+            sids = [c["scene"] for c in batch]
+            starts = np.stack([c["frames"][0, 0:9] for c in batch])
+            ends = np.stack([c["frames"][k, 0:9] for c in batch])
+            rfeats, _ = route_model.encode_scenes(sids, clouds)
+            routes = route_model.forward_batch(route_model.step_inputs(starts, ends, k),
+                                               rfeats)[0]
+            gt = np.stack([c["frames"][1:k, 19:75] for c in batch])
+            feats, feat_caches = model.encode_scenes(sids, clouds)
+            xs = model.step_inputs(np.stack([c["frames"][0, 19:75] for c in batch]),
+                                   np.stack([c["frames"][k, 19:75] for c in batch]), routes, k)
+            out, cache = model.forward_batch(xs, feats)
+            losses.append(sum(pose_loss(out[i], gt[i]) for i in range(n)) / n)
+            model.zero_grad()
+            _, g_feats = model.backward_batch(cache, pose_loss_grad(out, gt) / n)
+            model.backward_scenes(sids, feat_caches, g_feats)
+            adam.step(lr)
+        curve.append(float(np.mean(losses)))
+    return curve
+
+
+def test_pose_training_runs_the_frozen_route_net_once_per_clip_chunk(monkeypatch):
+    rng = np.random.default_rng(15)
+    k, n, batch = 8, 5, 2
+    clips = _random_clips(rng, n, k, scenes=2)
+    clouds = {s: rng.standard_normal((12, 3)) for s in range(2)}
+    route = small_route()
+    oracle_pose, pose = small_pose(), small_pose()
+    expect = oracle_train_pose_net(oracle_pose, route, clips, clouds, epochs=3,
+                                   batch_size=batch, lr=1e-3, seed=4)
+    passes = []
+    forward = route.lstm.forward
+    monkeypatch.setattr(route.lstm, "forward", lambda xs: passes.append(len(xs)) or forward(xs))
+    curve = train_pose_net(pose, route, clips, clouds, epochs=3, batch_size=batch, lr=1e-3,
+                           seed=4)
+    assert passes == [2, 2, 1]       # ceil(5 / 2) chunks in clip order, for all 3 epochs
+    assert rel_err(np.array(curve), np.array(expect)) < 1e-12
+    for p, q in zip(pose.params(), oracle_pose.params()):
+        assert rel_err(p.value, q.value) < 1e-12, p.name
 
 
 def test_synthesize_clip_contracts(template):

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from scenemotion.errors import NumericError
+from scenemotion.errors import NumericError, StateError
 from scenemotion.nn import (AdamState, BiLSTM, Linear, MLP, Param, PointEncoder,
-                            ResidualBlock, load_weights, save_weights)
+                            ResidualBlock, leaky_relu, leaky_relu_backward, load_weights,
+                            save_weights)
 from scenemotion.nn.gradcheck import check_param_grads
+from scenemotion.nn.layers import LEAKY_SLOPE
 
 
 def test_linear_identity_and_bias():
@@ -110,6 +114,117 @@ def test_bilstm_gradcheck():
         return float((y * w).sum())
 
     assert check_param_grads(loss, lstm.params(), h=1e-5, tol=1e-3) < 1e-3
+
+
+# -- per-step LSTM oracle ------------------------------------------------------
+
+def oracle_sigmoid(x):
+    """The two-branch logistic, which never takes exp of a positive number."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def oracle_lstm_cell(cell, xs, ghs):
+    """One direction, one step at a time: forward, then backpropagation
+    through time. Returns (h (N, T, H), g_xs, {param name: grad})."""
+    Wx, Wh, b = cell.Wx.value, cell.Wh.value, cell.b.value
+    N, T, _ = xs.shape
+    H = cell.hidden
+    h, c = np.zeros((N, H)), np.zeros((N, H))
+    hs = np.empty((N, T, H))
+    steps = []
+    for t in range(T):
+        z = xs[:, t] @ Wx.T + h @ Wh.T + b
+        i, f, o = (oracle_sigmoid(z[:, s]) for s in (slice(0, H), slice(H, 2 * H),
+                                                     slice(3 * H, None)))
+        g = np.tanh(z[:, 2 * H:3 * H])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        steps.append((xs[:, t], h, c, i, f, g, o, tc))
+        h, c = o * tc, c_new
+        hs[:, t] = h
+    gWx, gWh, gb = np.zeros_like(Wx), np.zeros_like(Wh), np.zeros_like(b)
+    gxs = np.empty_like(xs)
+    gh, gc = np.zeros((N, H)), np.zeros((N, H))
+    for t in range(T - 1, -1, -1):
+        x, h_prev, c_prev, i, f, g, o, tc = steps[t]
+        gh = gh + ghs[:, t]
+        gc = gc + gh * o * (1.0 - tc * tc)
+        gz = np.concatenate([gc * g * i * (1.0 - i), gc * c_prev * f * (1.0 - f),
+                             gc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=1)
+        gc = gc * f
+        gWx += gz.T @ x
+        gWh += gz.T @ h_prev
+        gb += gz.sum(axis=0)
+        gxs[:, t] = gz @ Wx
+        gh = gz @ Wh
+    return hs, gxs, {cell.Wx.name: gWx, cell.Wh.name: gWh, cell.b.name: gb}
+
+
+def oracle_bilstm(lstm, xs, gy):
+    """(y, g_xs, {param name: grad}) of a BiLSTM from two per-step cells."""
+    H = lstm.hidden
+    hf, gxf, grads = oracle_lstm_cell(lstm.fwd, xs, gy[:, :, :H])
+    hb, gxb, grads_b = oracle_lstm_cell(lstm.bwd, xs[:, ::-1], gy[:, ::-1, H:])
+    grads.update(grads_b)
+    return np.concatenate([hf, hb[:, ::-1]], axis=2), gxf + gxb[:, ::-1], grads
+
+
+def rel_err(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("N, T", [(1, 3), (1, 7), (3, 3), (3, 7)])
+@pytest.mark.parametrize("saturate", [False, True], ids=["plain", "saturated"])
+def test_bilstm_matches_per_step_oracle(N, T, saturate):
+    rng = np.random.default_rng(10 * N + T)
+    lstm = BiLSTM(4, 5, rng)
+    xs = rng.standard_normal((N, T, 4))
+    if saturate:  # every other step drives its gates far past |z| = 50
+        xs[:, ::2] *= 400.0
+        z = xs[:, ::2].reshape(-1, 4) @ lstm.fwd.Wx.value.T + lstm.fwd.b.value
+        assert z.max() >= 50.0 and z.min() <= -50.0
+    gy = rng.standard_normal((N, T, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, cache = lstm.forward(xs)
+        gx = lstm.backward(cache, gy)
+        y_ref, gx_ref, grads_ref = oracle_bilstm(lstm, xs, gy)
+    assert rel_err(y, y_ref) < 1e-12
+    assert rel_err(gx, gx_ref) < 1e-12
+    for p in lstm.params():
+        assert rel_err(p.grad, grads_ref[p.name]) < 1e-12, p.name
+
+
+def test_lstm_backward_consumes_its_cache():
+    rng = np.random.default_rng(11)
+    lstm = BiLSTM(3, 4, rng)
+    xs = rng.standard_normal((2, 5, 3))
+    gy = rng.standard_normal((2, 5, 8))
+    y, cache = lstm.forward(xs)
+    lstm.backward(cache, gy)
+    with pytest.raises(StateError):
+        lstm.backward(cache, gy)
+    h, cell_cache = lstm.fwd.forward(xs)
+    lstm.fwd.backward(cell_cache, gy[:, :, :4])
+    with pytest.raises(StateError):
+        lstm.fwd.backward(cell_cache, gy[:, :, :4])
+
+
+def test_leaky_relu_is_bit_equal_to_the_select_form():
+    rng = np.random.default_rng(12)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    wide = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 300, 4000)
+    x = np.concatenate([np.repeat(special, len(special)), wide, rng.standard_normal(4000)])
+    gy = np.concatenate([np.tile(special, len(special)), rng.standard_normal(4000),
+                         wide[::-1]])
+    assert leaky_relu(x).tobytes() == np.where(x >= 0.0, x, LEAKY_SLOPE * x).tobytes()
+    assert (leaky_relu_backward(x, gy).tobytes()
+            == np.where(x >= 0.0, gy, LEAKY_SLOPE * gy).tobytes())
 
 
 def test_point_encoder_invariances_and_gradcheck():

@@ -15,6 +15,12 @@ def unit_cube():
 
 # independent scalar oracle: exhaustive point-triangle distance + parity sign
 
+# Each parity ray runs along an axis from p moved by (eps^2, eps) in the other
+# two coordinates (axis + 1, axis + 2) mod 3. That moves it off every edge a
+# node can lie on, so a ray through an edge two triangles share counts once.
+RAY_EPS = 1e-6
+
+
 def oracle_signed_distance(p, tris):
     best = np.inf
     for a, b, c in tris:
@@ -24,14 +30,17 @@ def oracle_signed_distance(p, tris):
         cnt = 0
         d = np.zeros(3)
         d[axis] = 1.0
+        q = p.astype(np.float64)
+        q[(axis + 1) % 3] += RAY_EPS**2
+        q[(axis + 2) % 3] += RAY_EPS
         for a, b, c in tris:
             n = np.cross(b - a, c - a)
             if abs(n[axis]) < 1e-12:
                 continue
-            s = (n @ a - n @ p) / n[axis]
+            s = (n @ a - n @ q) / n[axis]
             if s <= 0:
                 continue
-            x = p + s * d
+            x = q + s * d
             v0, v1, v2 = b - a, c - a, x - a
             d00, d01, d11 = v0 @ v0, v0 @ v1, v1 @ v1
             d20, d21 = v2 @ v0, v2 @ v1
@@ -113,37 +122,38 @@ def _single_triangle():
                      np.array([[0, 1, 2]]))
 
 
-def _inside_unit_cube(p):
-    return bool(np.all(np.abs(p) < 0.5))
-
-
 # Every node against the oracle: (i) nodes on the cube's faces, edges and
-# corners, (ii) huge floor triangles next to a small box, on a grid whose dims
-# are no multiple of the brick edge (iv), (iii) nodes 3 m and more from the
-# surface, and an open mesh, which reads as outside everywhere. The oracle's
-# ray test has no tie-break, so where nodes lie on the cube's edges the sign
-# comes from the cube itself and the distance from the oracle. The grid must
-# also equal, bit for bit, the one every node-triangle pair gives.
-@pytest.mark.parametrize("make, cell, padding, inside", [
-    (unit_cube, 0.25, 1.0, _inside_unit_cube),
-    (_floor_and_box, 0.3, 0.4, None),
-    (unit_cube, 0.5, 3.0, _inside_unit_cube),
-    (_single_triangle, 0.2, 0.3, None),
+# corners, whose rays run through edges two triangles share, (ii) huge floor
+# triangles next to a small box, on a grid whose dims are no multiple of the
+# brick edge (iv), (iii) nodes 3 m and more from the surface, and an open
+# mesh, which reads as outside everywhere. The grid must also equal, bit for
+# bit, the one every node-triangle pair gives.
+@pytest.mark.parametrize("make, cell, padding", [
+    (unit_cube, 0.25, 1.0),
+    (_floor_and_box, 0.3, 0.4),
+    (unit_cube, 0.5, 3.0),
+    (_single_triangle, 0.2, 0.3),
 ], ids=["cube-on-nodes", "floor-and-box", "far-padding", "open-triangle"])
-def test_every_node_matches_oracle(make, cell, padding, inside):
+def test_every_node_matches_oracle(make, cell, padding):
     mesh = make()
     grid = build_sdf(mesh, cell=cell, padding=padding)
     tris = mesh.vertices[mesh.faces]
     xs, ys, zs = grid.node_positions()
     for i, j, k in np.ndindex(grid.dims):
         p = np.array([xs[i], ys[j], zs[k]])
-        if inside is None:
-            expect = oracle_signed_distance(p, tris)
-        else:
-            expect = min(_oracle_point_tri(p, a, b, c) for a, b, c in tris)
-            expect = -expect if inside(p) else expect
-        assert abs(grid.values[i, j, k] - expect) < 1e-12, (i, j, k)
+        assert abs(grid.values[i, j, k] - oracle_signed_distance(p, tris)) < 1e-12, (i, j, k)
     assert np.array_equal(grid.values, _every_pair_sdf(grid, tris))
+
+
+def test_oracle_counts_a_ray_through_a_shared_edge_once():
+    # The z ray from this node runs up the diagonal both triangles of the
+    # cube's top face share; x and y rays likewise.
+    mesh = unit_cube()
+    grid = build_sdf(mesh, cell=0.25, padding=1.0)
+    xs, ys, zs = grid.node_positions()
+    i, j, k = (int(np.flatnonzero(np.isclose(v, -0.25))[0]) for v in (xs, ys, zs))
+    assert oracle_signed_distance(np.full(3, -0.25), mesh.vertices[mesh.faces]) == -0.25
+    assert grid.values[i, j, k] == -0.25
 
 
 def _every_pair_sdf(grid, tris):
