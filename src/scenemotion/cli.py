@@ -154,6 +154,19 @@ def _load_dataset(path):
     return load_dataset(path)
 
 
+def _schedule(args, cfg):
+    """The refinement schedule of ``--schedule`` or of the config; a bad one
+    is a user error, raised before any scene work."""
+    from .refine import RefinementSchedule
+    path = getattr(args, "schedule", None)
+    try:
+        if path:
+            return RefinementSchedule.from_json(_require(path, "schedule"))
+        return RefinementSchedule.two_stage(iters=cfg.refine_iters, lr=cfg.refine_lr)
+    except ValueError as e:
+        raise UserError(f"{path or 'refine_iters/refine_lr'}: {e}") from None
+
+
 def _scene_field(path, cfg):
     from .field import SceneField
     from .scene import load_scene
@@ -260,7 +273,7 @@ def cmd_train_pose(args, cfg, log):
 def cmd_synthesize(args, cfg, log):
     from .persist import load_model
     from .pipeline import GoalSpec, plan_long_term, validate_spec
-    from .refine import RefinementSchedule
+    schedule = None if args.no_refine else _schedule(args, cfg)
     cvae_model, _ = load_model(_require(args.cvae, "CVAE weights"), "cvae")
     route_model, _ = load_model(_require(args.route, "RouteNet weights"), "route")
     pose_model, _ = load_model(_require(args.pose, "PoseNet weights"), "pose")
@@ -268,8 +281,6 @@ def cmd_synthesize(args, cfg, log):
     field = _scene_field(args.scene, cfg)
     for diag in validate_spec(spec, field.mesh):
         log(f"warning: {diag}")
-    schedule = None if args.no_refine else RefinementSchedule.two_stage(
-        iters=cfg.refine_iters, lr=cfg.refine_lr)
     result = plan_long_term(cvae_model, route_model, pose_model, _template(cfg), spec,
                             field, k=cfg.k, schedule=schedule, sigma=cfg.contact_sigma)
     save_sequence(args.out, result.sequence,
@@ -283,13 +294,10 @@ def cmd_synthesize(args, cfg, log):
 
 
 def cmd_refine(args, cfg, log):
-    from .refine import RefinementSchedule, refine
+    from .refine import refine
     seq = load_sequence(_require(args.seq, "input sequence"))
+    schedule = _schedule(args, cfg)
     field = _scene_field(args.scene, cfg)
-    if args.schedule:
-        schedule = RefinementSchedule.from_json(_require(args.schedule, "schedule"))
-    else:
-        schedule = RefinementSchedule.two_stage(iters=cfg.refine_iters, lr=cfg.refine_lr)
     result = refine(_template(cfg), seq, field, schedule, sigma=cfg.contact_sigma)
     if result.diagnostic:
         log(f"warning: {result.diagnostic}")

@@ -3,6 +3,7 @@ scene contact, and temporal smoothness, with hand-derived vertex gradients."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,21 +131,22 @@ def e_foot(template, frames, segmentation):
 
 
 def _foot_term(template, vertices, segmentation, want_grad, g_vertices=None, scale=1.0):
-    left_ids = template.sole_vertex_ids("left")
-    right_ids = template.sole_vertex_ids("right")
-    total = 0.0
+    """All frames of a segment at once; they touch only its sole vertices."""
+    per_frame = []
     for seg in segmentation.segments:
         if seg.side == "none":
             continue
-        ids = left_ids if seg.side == "left" else right_ids
-        for i in range(seg.start, min(seg.end, len(vertices))):
-            c = vertices[i][ids].mean(axis=0)
-            diff = c - seg.mean
-            n = np.linalg.norm(diff)
-            total += n
-            if want_grad and n > 0.0:
-                g_vertices[i][ids] += scale * diff / (n * len(ids))
-    return total
+        ids = template.sole_vertex_ids(seg.side)
+        frames = slice(seg.start, min(seg.end, len(vertices)))
+        diff = vertices[frames, ids].mean(axis=1) - seg.mean
+        n = _row_norms(diff)
+        per_frame.append(n)
+        if want_grad:
+            pos = n > 0.0
+            step = scale * diff / (np.where(pos, n, 1.0) * len(ids))[:, None]
+            step[~pos] = 0.0
+            g_vertices[frames, ids] += step[:, None, :]
+    return _frame_order_sum(np.concatenate(per_frame)) if per_frame else 0.0
 
 
 def e_col(vertices, grid):
@@ -153,19 +155,25 @@ def e_col(vertices, grid):
 
 
 def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
-    """The SDF is sampled once per block of ``body.FRAME_BLOCK`` frames, which
-    bounds the sampler's per-point transients on long sequences."""
+    """Per block of ``body.FRAME_BLOCK`` frames, the SDF is sampled only at the
+    vertices whose cell has a negative corner (``SdfGrid.may_be_negative``);
+    every other vertex reads >= 0 and adds neither value nor gradient."""
     T, V = vertices.shape[:2]
     per_frame = np.empty(T)
     for lo in range(0, T, body.FRAME_BLOCK):
         block = vertices[lo:lo + body.FRAME_BLOCK]
-        vals, grads = sample_sdf_batch(grid, block.reshape(-1, 3))
-        neg = vals < 0.0
-        per_frame[lo:lo + len(block)] = (
-            -np.where(neg, vals, 0.0).reshape(len(block), V).sum(axis=1) / V)
-        if want_grad and neg.any():
-            g_vertices[lo:lo + len(block)][neg.reshape(len(block), V)] += (
-                scale * (-grads[neg]) / V)
+        points = block.reshape(-1, 3)
+        rows = np.flatnonzero(grid.may_be_negative(points))
+        depth = np.zeros(len(points))
+        if len(rows):
+            vals, grads = sample_sdf_batch(grid, points.take(rows, axis=0))
+            hit = vals < 0.0
+            rows = rows[hit]
+            depth[rows] = vals[hit]
+            if want_grad and len(rows):
+                frame, vertex = np.divmod(rows, V)
+                g_vertices[lo + frame, vertex] += scale * (-grads[hit]) / V
+        per_frame[lo:lo + len(block)] = -depth.reshape(len(block), V).sum(axis=1) / V
     return _frame_order_sum(per_frame)
 
 
@@ -201,6 +209,13 @@ def _frame_order_sum(per_frame):
     return float(np.cumsum(np.concatenate([[0.0], per_frame]))[-1])
 
 
+def _row_norms(x):
+    """Euclidean norm of each leading-axis row of ``x``, each from one BLAS dot
+    product as ``np.linalg.norm`` takes it, so the values match it bit for bit."""
+    flat = x.reshape(len(x), math.prod(x.shape[1:]))
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
+
+
 def e_smooth(vertices):
     """Sum over consecutive frames of the Frobenius norm of the vertex delta."""
     if len(vertices) < 2:
@@ -209,16 +224,22 @@ def e_smooth(vertices):
 
 
 def _smooth_term(vertices, want_grad, g_vertices=None, scale=1.0):
-    total = 0.0
-    for i in range(len(vertices) - 1):
-        diff = vertices[i] - vertices[i + 1]
-        n = np.linalg.norm(diff)
-        total += n
-        if want_grad and n > 0.0:
-            g = scale * diff / n
-            g_vertices[i] += g
-            g_vertices[i + 1] -= g
-    return total
+    """Frame pairs are taken per block of ``body.FRAME_BLOCK``; frame i's
+    gradient row takes -G[i-1] before +G[i], as a loop over pairs adds them."""
+    T = len(vertices)
+    per_pair = np.empty(max(T - 1, 0))
+    for lo in range(0, T - 1, body.FRAME_BLOCK):
+        hi = min(lo + body.FRAME_BLOCK, T - 1)
+        diff = vertices[lo:hi] - vertices[lo + 1:hi + 1]
+        n = per_pair[lo:hi] = _row_norms(diff)
+        if want_grad:
+            pos = n > 0.0
+            diff *= scale
+            diff /= np.where(pos, n, 1.0)[:, None, None]
+            diff[~pos] = 0.0
+            g_vertices[lo + 1:hi + 1] -= diff
+            g_vertices[lo:hi] += diff
+    return _frame_order_sum(per_pair)
 
 
 @dataclass

@@ -36,6 +36,8 @@ class RefineStage:
     def __post_init__(self):
         if self.iters < 1:
             raise ValueError(f"stage iteration count must be >= 1, got {self.iters}")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"stage learning rate must be finite and positive, got {self.lr}")
 
 
 @dataclass
@@ -56,17 +58,23 @@ class RefinementSchedule:
 
     @staticmethod
     def from_json(path):
+        """Stages from a JSON list of ``{weights, iters, lr}`` records; a
+        malformed file raises ValueError naming the stage."""
         with open(path) as f:
             records = json.load(f)
+        if not isinstance(records, list):
+            raise ValueError("schedule must be a JSON list of stages")
         stages = []
-        for rec in records:
+        for n, rec in enumerate(records):
+            if not isinstance(rec, dict) or "weights" not in rec:
+                raise ValueError(f"stage {n} needs a \"weights\" entry")
             w = rec["weights"]
-            if isinstance(w, dict):
-                weights = EnergyWeights(**w)
-            else:
-                weights = EnergyWeights(*w)
-            stages.append(RefineStage(weights, int(rec.get("iters", DEFAULT_STAGE_ITERS)),
-                                      float(rec.get("lr", DEFAULT_STAGE_LR))))
+            try:
+                weights = EnergyWeights(**w) if isinstance(w, dict) else EnergyWeights(*w)
+                stages.append(RefineStage(weights, int(rec.get("iters", DEFAULT_STAGE_ITERS)),
+                                          float(rec.get("lr", DEFAULT_STAGE_LR))))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"stage {n}: {e}") from None
         return RefinementSchedule(stages=stages)
 
 

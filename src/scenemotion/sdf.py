@@ -58,6 +58,14 @@ class SdfGrid:
             raise ValueError(f"grid needs >= 2 nodes per axis, got {self.values.shape}")
         if self.cell <= 0.0:
             raise ValueError(f"cell size must be positive, got {self.cell}")
+        # One flag per node: entry (i, j, k) below the last layer on every axis
+        # says whether cell (i, j, k) has a negative corner; the last layer
+        # stands for points on or past the far faces and is always set.
+        neg = self.values < 0.0
+        cells = neg[:-1] | neg[1:]
+        cells = cells[:, :-1] | cells[:, 1:]
+        self.negative_cells = np.ones(self.dims, dtype=bool)
+        self.negative_cells[:-1, :-1, :-1] = cells[:, :, :-1] | cells[:, :, 1:]
 
     @property
     def dims(self):
@@ -73,6 +81,24 @@ class SdfGrid:
         ys = self.origin[1] + np.arange(ny) * self.cell
         zs = self.origin[2] + np.arange(nz) * self.cell
         return xs, ys, zs
+
+    def may_be_negative(self, points):
+        """Mask over ``points`` (N, 3): False where :func:`sample_sdf_batch`
+        certainly reads >= 0 or NaN there.
+
+        A point whose floored cell coordinates stay below ``dims - 1`` on
+        every axis is in the sampler's cell with fractions in [0, 1), so its
+        value is a combination with non-negative weights of that cell's
+        corners, plus a non-negative distance to the grid box; without a
+        negative corner it cannot be negative. Points whose clamped
+        coordinates reach a far face (where the sampler's fraction can round
+        past 1) read the always-set last layer.
+        """
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        _, local = _cell_coords(self, points)
+        i = _floor_cells(local, np.array(self.dims) - 1)
+        _, ny, nz = self.dims
+        return self.negative_cells.ravel().take((i[:, 0] * ny + i[:, 1]) * nz + i[:, 2])
 
     def check_lipschitz(self, tol=1e-6):
         """Adjacent-node jumps must respect the distance-field bound."""
@@ -247,6 +273,29 @@ def _projected_inside(qu, qw, a2, b2, c2):
 
 # -- sampling ------------------------------------------------------------------
 
+def _cell_coords(grid, points):
+    """Points (N, 3) clamped to the grid box, and their coordinates in cells
+    from the origin, ``(q - origin) / cell``. Each axis runs as one column
+    against scalar bounds, which numpy loops over far faster than a
+    broadcast (3,) bound."""
+    lo, hi = grid.origin, grid.upper
+    q = np.empty_like(points)
+    local = np.empty_like(points)
+    for a in range(3):
+        np.clip(points[:, a], lo[a], hi[a], out=q[:, a])
+        np.subtract(q[:, a], lo[a], out=local[:, a])
+    local /= grid.cell
+    return q, local
+
+
+def _floor_cells(local, top):
+    """Non-negative cell coordinates (N, 3) floored, capped at ``top`` per axis."""
+    idx = local.astype(np.int64)
+    for a in range(3):
+        np.minimum(idx[:, a], top[a], out=idx[:, a])
+    return idx
+
+
 def sample_sdf(grid, point):
     """Trilinear value and analytic gradient at one point (total function)."""
     v, g = sample_sdf_batch(grid, np.asarray(point, dtype=np.float64).reshape(1, 3))
@@ -258,15 +307,12 @@ def sample_sdf_batch(grid, points):
     boundary value plus Euclidean distance to the grid box, with the gradient
     pointing away from the box."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    lo = grid.origin
-    hi = grid.upper
-    q = np.clip(points, lo, hi)
+    q, local = _cell_coords(grid, points)
     delta = points - q
     outside_dist = np.linalg.norm(delta, axis=1)
 
-    local = (q - lo) / grid.cell
     dims = np.array(grid.dims)
-    idx = np.minimum(local.astype(np.int64), dims - 2)
+    idx = _floor_cells(local, dims - 2)
     frac = local - idx
 
     fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]

@@ -36,16 +36,19 @@ def rel_error(analytic, numeric, floor=1e-8):
     return np.abs(a - n).max(initial=0.0) / denom
 
 
-def check_param_grads(loss_fn, params, h=1e-4, tol=1e-3):
+def check_param_grads(loss_fn, params, h=1e-4, tol=1e-3, value_fn=None):
     """Compare each Param's grad slot against finite differences of loss_fn.
 
     ``loss_fn`` takes no arguments, runs forward+backward from fresh zeroed
-    grads, and returns the scalar loss. Returns the worst relative error.
+    grads, and returns the scalar loss. ``value_fn``, if given, returns the
+    same loss from the forward pass alone and takes the finite differences
+    in its place. Returns the worst relative error.
     """
     for p in params:
         p.zero_grad()
     loss_fn()
     analytic = [p.grad.copy() for p in params]
+    value = value_fn or (lambda: _loss_only(loss_fn, params))
     worst = 0.0
     for p, ga in zip(params, analytic):
         flat = p.value.ravel()
@@ -53,9 +56,9 @@ def check_param_grads(loss_fn, params, h=1e-4, tol=1e-3):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = _loss_only(loss_fn, params)
+            fp = value()
             flat[i] = orig - h
-            fm = _loss_only(loss_fn, params)
+            fm = value()
             flat[i] = orig
             gn[i] = (fp - fm) / (2.0 * h)
         err = rel_error(ga, gn.reshape(p.value.shape))

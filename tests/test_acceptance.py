@@ -20,7 +20,7 @@ from scenemotion.field import SceneField
 from scenemotion.metrics import contact_score, mpjpe, mpvpe, non_collision_score, \
     reconstruction_errors
 from scenemotion.motion_nets import PoseNet, RouteNet
-from scenemotion.nn.gradcheck import check_param_grads_directional
+from gradcheck import check_param_grads_directional
 from scenemotion.nn.layers import Linear, ResidualBlock
 from scenemotion.nn.lstm import BiLSTM
 from scenemotion.nn.pointnet import PointEncoder

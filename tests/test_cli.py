@@ -258,3 +258,47 @@ def test_train_cvae_on_truncated_sdf_cache_is_user_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "truncated SDF cache" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage, message", [
+    ({"weights": [0.0, 1.0, 1.0, 0.25], "lr": 0}, "learning rate"),
+    ({"iters": 5}, "weights"),
+    ({"weights": [0.0, -1.0, 1.0, 0.25]}, "non-negative"),
+    ({"weights": [0.0, 1.0, 1.0, 0.25], "iters": 0}, "iteration count"),
+])
+def test_refine_bad_schedule_is_user_error(tmp_path, capsys, monkeypatch, stage, message):
+    from scenemotion import cli
+    built = []
+    monkeypatch.setattr(cli, "_scene_field", lambda *a: built.append(a))
+    save_sequence(tmp_path / "seq", standing_sequence(4))
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps([{"weights": [0.0, 1.0, 1.0, 0.25], "iters": 1}, stage]))
+    code = main(["refine", "--scene", write_floor_scene(tmp_path / "scene.obj"),
+                 "--seq", str(tmp_path / "seq"), "--out", str(tmp_path / "out"),
+                 "--schedule", str(schedule)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "stage 1" in err and message in err
+    assert "Traceback" not in err
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["refine", "synthesize"])
+@pytest.mark.parametrize("pair", ["refine_lr=0", "refine_iters=0"])
+def test_bad_refine_config_is_user_error(tmp_path, capsys, monkeypatch, command, pair):
+    from scenemotion import cli
+    built = []
+    monkeypatch.setattr(cli, "_scene_field", lambda *a: built.append(a))
+    scene = write_floor_scene(tmp_path / "scene.obj")
+    if command == "refine":
+        save_sequence(tmp_path / "seq", standing_sequence(4))
+        argv = ["refine", "--scene", scene, "--seq", str(tmp_path / "seq")]
+    else:
+        argv = ["synthesize", "--scene", scene, "--goals", write_goals(tmp_path / "goals.json"),
+                "--cvae", "a.cvae", "--route", "a.route", "--pose", "a.pose"]
+    code = main(argv + ["--out", str(tmp_path / "out"), "--set", pair])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: refine_iters/refine_lr: ")
+    assert "Traceback" not in err
+    assert built == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scenemotion import body
 from scenemotion.cvae import (CVAETrainer, GoalCVAE, fit_latent, kl_grads, kl_loss)
 from scenemotion.field import SceneField
-from scenemotion.nn.gradcheck import check_param_grads_directional
+from gradcheck import check_param_grads_directional
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import PointCloud, VertexIndex
 from scenemotion.sdf import SdfGrid

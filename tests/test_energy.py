@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemotion import body, energy
-from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, _col_term,
-                                _cont_term, e_col, e_cont, e_foot, e_smooth, geman_mcclure,
-                                segment_from_centroids, segment_stable_foot, total_energy)
+from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, FootSegment,
+                                FootSegmentation, _col_term, _cont_term, _foot_term,
+                                _smooth_term, e_col, e_cont, e_foot, e_smooth, geman_mcclure,
+                                segment_from_centroids, segment_stable_foot, sole_centroids,
+                                total_energy)
+from scenemotion.sdf import SdfGrid, sample_sdf_batch
 from scenemotion.scene import VertexIndex
 from scenemotion.sequence import MotionSequence
 
@@ -113,8 +116,6 @@ def test_e_foot_pivoting_foot_is_zero(template):
 def test_e_foot_two_frame_hand_case():
     # 2-frame left segment with the sole at x=0 then x=0.1: the stored mean is
     # 0.05, so the energy is |0-0.05| + |0.1-0.05| = 0.1
-    from scenemotion.energy import FootSegment, FootSegmentation, _foot_term
-
     class _T:
         def sole_vertex_ids(self, side):
             return np.array([0])
@@ -310,5 +311,197 @@ def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatc
     _col_term(verts, slab_field.grid, True, np.zeros(verts.shape))
     _cont_term(verts, ids, slab_field.index, CONTACT_SIGMA, True, np.zeros(verts.shape))
     assert len(sampled) == -(-T // body.FRAME_BLOCK) == 3
-    assert sum(sampled) == T * V
+    assert sum(sampled) == _candidate_count(slab_field.grid, verts.reshape(-1, 3))
+    assert 0 < sum(sampled) < T * V
     assert queried == [T * len(ids)]
+
+
+# -- the culled collision term and the block-vectorized terms against loops ------------
+
+def _candidate_count(grid, points):
+    """Points whose sampled cell has a negative corner node, or whose clamped
+    coordinates reach a far face of the grid, read from the node values."""
+    dims = np.array(grid.dims)
+    local = (np.clip(points, grid.origin, grid.upper) - grid.origin) / grid.cell
+    raw = np.floor(local).astype(int)
+    i = np.minimum(raw, dims - 2)
+    corners = np.stack([grid.values[i[:, 0] + a, i[:, 1] + b, i[:, 2] + c]
+                        for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    return int(((corners < 0.0).any(axis=0) | (raw >= dims - 1).any(axis=1)).sum())
+
+
+def _unculled_col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
+    """The collision term sampling every vertex, as before the cell cull."""
+    T, V = vertices.shape[:2]
+    per_frame = np.empty(T)
+    for lo in range(0, T, body.FRAME_BLOCK):
+        block = vertices[lo:lo + body.FRAME_BLOCK]
+        vals, grads = sample_sdf_batch(grid, block.reshape(-1, 3))
+        neg = vals < 0.0
+        per_frame[lo:lo + len(block)] = (
+            -np.where(neg, vals, 0.0).reshape(len(block), V).sum(axis=1) / V)
+        if want_grad and neg.any():
+            g_vertices[lo:lo + len(block)][neg.reshape(len(block), V)] += (
+                scale * (-grads[neg]) / V)
+    return float(np.cumsum(np.concatenate([[0.0], per_frame]))[-1])
+
+
+def _assert_col_term_matches_unculled(vertices, grid, scale=0.7):
+    rng = np.random.default_rng(14)
+    g0 = rng.standard_normal(vertices.shape)
+    g_want, g_got = g0.copy(), g0.copy()
+    want = _unculled_col_term(vertices, grid, True, g_want, scale)
+    got = _col_term(vertices, grid, True, g_got, scale)
+    assert got == want
+    assert np.array_equal(g_got, g_want)
+    assert e_col(vertices, grid) == _unculled_col_term(vertices, grid, False)
+    return got, g_got - g0
+
+
+def _as_frames(points, V):
+    """Points (N, 3), padded by repeating the first, as (T, V, 3) frames."""
+    pad = -len(points) % V
+    return np.concatenate([points, np.repeat(points[:1], pad, axis=0)]).reshape(-1, V, 3)
+
+
+def test_culled_col_term_matches_unculled_on_sinking_bodies(template, slab_field):
+    verts = _sinking_vertices(template)
+    value, g = _assert_col_term_matches_unculled(verts, slab_field.grid)
+    assert value > 0.0 and np.any(g != 0.0)
+
+
+def test_culled_col_term_matches_unculled_around_one_negative_node():
+    rng = np.random.default_rng(15)
+    cell = 0.25
+    values = rng.uniform(0.1, 1.0, size=(8, 7, 9))
+    node = np.array([3, 4, 5])
+    values[tuple(node)] = -0.6
+    grid = SdfGrid(origin=np.array([-1.0, 0.5, -0.75]), cell=cell, values=values)
+    centre = grid.origin + node * cell
+    pts = [centre[None]]
+    for corner in np.ndindex(2, 2, 2):                      # inside the 8 cells around it
+        off = (np.array(corner) * 2 - 1)[None] * rng.uniform(0.0, cell, size=(40, 3))
+        pts.append(centre + off)
+    for axis in range(3):                                   # on the faces through it and
+        for shift in (-cell, 0.0, cell):                    # on the faces one cell away
+            face = centre + rng.uniform(-cell, cell, size=(40, 3))
+            face[:, axis] = centre[axis] + shift
+            pts.append(face)
+    pts.append(rng.uniform(grid.origin, grid.upper, size=(300, 3)))
+    pts = np.concatenate(pts)
+    verts = _as_frames(pts[rng.permutation(len(pts))], V=13)
+    assert len(verts) > body.FRAME_BLOCK
+    value, g = _assert_col_term_matches_unculled(verts, grid)
+    assert value > 0.0 and np.any(g != 0.0)
+
+
+def test_culled_col_term_matches_unculled_past_negative_boundary_nodes():
+    rng = np.random.default_rng(16)
+    values = rng.uniform(0.05, 0.5, size=(6, 5, 7))
+    values[0, 2, 3] = values[-1, 1, 4] = values[3, -1, 0] = values[-1, -1, -1] = -0.4
+    grid = SdfGrid(origin=np.array([0.3, -0.2, 1.0]), cell=0.2, values=values)
+    lo, hi = grid.origin, grid.upper
+    pts = [np.array([lo, hi])]
+    for axis in range(3):
+        for side, bound in ((-1.0, lo), (1.0, hi)):
+            past = rng.uniform(lo, hi, size=(60, 3))
+            past[:, axis] = bound[axis] + side * rng.uniform(0.0, 0.3, size=60)
+            pts.append(past)
+    pts.append(hi + rng.uniform(0.0, 0.2, size=(30, 3)))
+    pts.append(lo - rng.uniform(0.0, 0.2, size=(30, 3)))
+    verts = _as_frames(np.concatenate(pts), V=11)
+    value, g = _assert_col_term_matches_unculled(verts, grid)
+    assert value > 0.0 and np.any(g != 0.0)
+
+
+def test_culled_col_term_on_an_all_positive_grid_is_zero(monkeypatch):
+    rng = np.random.default_rng(17)
+    grid = SdfGrid(origin=np.zeros(3), cell=0.3, values=rng.uniform(0.0, 1.0, (5, 5, 5)))
+    verts = rng.uniform(-0.5, 1.7, size=(40, 9, 3))
+    g0 = rng.standard_normal(verts.shape)
+    g = g0.copy()
+    sampled = []
+
+    def counting_sample(grid, points):
+        sampled.append(len(points))
+        return sample_sdf_batch(grid, points)
+
+    monkeypatch.setattr(energy, "sample_sdf_batch", counting_sample)
+    assert _col_term(verts, grid, True, g, scale=0.7) == 0.0
+    assert np.array_equal(g, g0)
+    # only points on or past a far face are sampled
+    assert sum(sampled) == _candidate_count(grid, verts.reshape(-1, 3)) > 0
+    assert _unculled_col_term(verts, grid, False) == 0.0
+
+
+def _looped_smooth_term(vertices, want_grad, g_vertices=None, scale=1.0):
+    """The smoothness term as a loop over frame pairs."""
+    total = 0.0
+    for i in range(len(vertices) - 1):
+        diff = vertices[i] - vertices[i + 1]
+        n = np.linalg.norm(diff)
+        total += n
+        if want_grad and n > 0.0:
+            g = scale * diff / n
+            g_vertices[i] += g
+            g_vertices[i + 1] -= g
+    return total
+
+
+def _looped_foot_term(template, vertices, segmentation, want_grad, g_vertices=None, scale=1.0):
+    """The foot term as a loop over the frames of each segment."""
+    total = 0.0
+    for seg in segmentation.segments:
+        if seg.side == "none":
+            continue
+        ids = template.sole_vertex_ids(seg.side)
+        for i in range(seg.start, min(seg.end, len(vertices))):
+            diff = vertices[i][ids].mean(axis=0) - seg.mean
+            n = np.linalg.norm(diff)
+            total += n
+            if want_grad and n > 0.0:
+                g_vertices[i][ids] += scale * diff / (n * len(ids))
+    return total
+
+
+def _assert_matches_loop(term, oracle, vertices):
+    """Norms come from the same BLAS dot product as ``np.linalg.norm`` and are
+    added in frame order, so value and gradient match the loop bit for bit."""
+    rng = np.random.default_rng(18)
+    g0 = rng.standard_normal(vertices.shape)
+    g_want, g_got = g0.copy(), g0.copy()
+    want = oracle(vertices, True, g_want, 0.7)
+    got = term(vertices, True, g_got, 0.7)
+    assert got == want
+    assert np.array_equal(g_got, g_want)
+    assert term(vertices, False) == got
+    return got
+
+
+def test_block_smooth_term_matches_loop_over_frame_pairs(template):
+    verts = _sinking_vertices(template)
+    verts[5] = verts[4]                                     # a still pair adds nothing
+    assert _assert_matches_loop(_smooth_term, _looped_smooth_term, verts) > 0.0
+    assert _smooth_term(verts[:1], False) == 0.0
+
+
+def test_vectorized_foot_term_matches_loop_over_frames(template):
+    verts = _sinking_vertices(template)
+    T = len(verts)
+    segmentation = segment_from_centroids(*sole_centroids(template, verts), move_threshold=0.1)
+    assert {seg.side for seg in segmentation.segments} >= {"left", "right"}
+    left = sole_centroids(template, verts)[0]
+    hand = FootSegmentation(segments=[                      # a zero-distance frame, a
+        FootSegment(0, 3, "left", left[1]),                 # no-stance run and a segment
+        FootSegment(3, 9, "none", None),                    # running past the last frame
+        FootSegment(9, T + 4, "right", np.array([0.1, -0.2, 0.05]))])
+    for seg in (segmentation, hand):
+        total = _assert_matches_loop(
+            lambda v, want_grad, g=None, scale=1.0: _foot_term(template, v, seg, want_grad,
+                                                               g, scale),
+            lambda v, want_grad, g=None, scale=1.0: _looped_foot_term(template, v, seg,
+                                                                      want_grad, g, scale),
+            verts)
+        assert total > 0.0
+    empty = FootSegmentation(segments=[FootSegment(0, T, "none", None)])
+    assert _foot_term(template, verts, empty, False) == 0.0

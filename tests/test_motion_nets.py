@@ -11,7 +11,7 @@ from scenemotion.motion_nets import (PoseNet, RouteNet, pose_loss, pose_loss_gra
                                      synthesize_clip, train_pose_net)
 from scenemotion.nn.adam import AdamState
 from scenemotion.nn.layers import leaky_relu, leaky_relu_backward
-from scenemotion.nn.gradcheck import check_param_grads_directional
+from gradcheck import check_param_grads_directional
 from scenemotion.rotation import heading_to_rot6d
 from test_nn import oracle_bilstm, rel_err
 

@@ -27,6 +27,9 @@ def test_schedule_validation():
         RefinementSchedule(stages=[])
     with pytest.raises(ValueError):
         RefineStage(EnergyWeights(), iters=0)
+    for lr in (0.0, -1e-2, np.inf, np.nan):
+        with pytest.raises(ValueError, match="learning rate"):
+            RefineStage(EnergyWeights(), lr=lr)
 
 
 def test_two_stage_schedule_default_weights():

@@ -413,3 +413,41 @@ def test_batch_matches_3d_indexed_trilinear_inside_and_past_each_face():
         v1, g1 = _trilinear_oracle(grid, p)
         assert v == pytest.approx(v1, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(g, g1, rtol=1e-12, atol=1e-12)
+
+
+def _far_face_rounding_grid():
+    """A grid whose far x face sits, by rounding, just past ``dims - 1`` cells
+    from the origin, with zeros on that face and ones elsewhere: no node is
+    negative, yet the sampler's fraction there exceeds 1 and the value dips
+    below 0."""
+    values = np.ones((4, 4, 4))
+    values[-1] = 0.0
+    grid = SdfGrid(origin=np.full(3, -1.3), cell=0.1, values=values)
+    assert ((grid.upper - grid.origin) / grid.cell)[0] > grid.dims[0] - 1
+    return grid
+
+
+def test_may_be_negative_is_false_only_where_the_sample_is_not_negative():
+    rng = np.random.default_rng(13)
+    values = rng.uniform(0.0, 2.0, size=(6, 5, 7))
+    values[rng.random(values.shape) < 0.05] *= -1.0
+    values[0, 0, 0] = values[-1, -1, -1] = -0.5           # negative corner nodes
+    values[2, 2, 2] = np.nan
+    grid = SdfGrid(origin=np.array([-0.3, 0.2, -1.1]), cell=0.25, values=values)
+    lo, hi = grid.origin, grid.upper
+    nodes = np.stack(np.meshgrid(*grid.node_positions(), indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, size=(5000, 3)), nodes,
+                          nodes + 0.5 * grid.cell, np.array([lo, hi])])
+    mask = grid.may_be_negative(pts)
+    vals, _ = sample_sdf_batch(grid, pts)
+    assert not np.any(vals[~mask] < 0.0)
+    assert mask.any() and not mask.all()
+    assert np.all(mask[vals < 0.0])
+
+    edge = _far_face_rounding_grid()
+    on_face = np.array([[edge.upper[0], -1.15, -1.05]])
+    val, _ = sample_sdf_batch(edge, on_face)
+    assert val[0] < 0.0
+    assert edge.may_be_negative(on_face)[0]
+    assert not edge.may_be_negative(on_face - [edge.cell / 2, 0.0, 0.0])[0]
+    assert not edge.negative_cells[:-1, :-1, :-1].any()
