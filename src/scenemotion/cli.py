@@ -167,6 +167,18 @@ def _schedule(args, cfg):
         raise UserError(f"{path or 'refine_iters/refine_lr'}: {e}") from None
 
 
+def _goal_spec(path):
+    """The goal spec of ``--goals``; a malformed one is a user error, raised
+    before any weights or scene work."""
+    from .pipeline import GoalSpec
+    try:
+        return GoalSpec.from_json(_require(path, "goal spec"))
+    except KeyError as e:
+        raise UserError(f"{path}: missing {e} entry") from None
+    except (TypeError, ValueError) as e:
+        raise UserError(f"{path}: {e}") from None
+
+
 def _scene_field(path, cfg):
     from .field import SceneField
     from .scene import load_scene
@@ -272,12 +284,12 @@ def cmd_train_pose(args, cfg, log):
 
 def cmd_synthesize(args, cfg, log):
     from .persist import load_model
-    from .pipeline import GoalSpec, plan_long_term, validate_spec
+    from .pipeline import plan_long_term, validate_spec
     schedule = None if args.no_refine else _schedule(args, cfg)
+    spec = _goal_spec(args.goals)
     cvae_model, _ = load_model(_require(args.cvae, "CVAE weights"), "cvae")
     route_model, _ = load_model(_require(args.route, "RouteNet weights"), "route")
     pose_model, _ = load_model(_require(args.pose, "PoseNet weights"), "pose")
-    spec = GoalSpec.from_json(_require(args.goals, "goal spec"))
     field = _scene_field(args.scene, cfg)
     for diag in validate_spec(spec, field.mesh):
         log(f"warning: {diag}")
@@ -310,9 +322,9 @@ def cmd_refine(args, cfg, log):
 
 def cmd_baseline_interp(args, cfg, log):
     from .persist import load_model
-    from .pipeline import GoalSpec, cvae_interpolation_baseline
+    from .pipeline import cvae_interpolation_baseline
+    spec = _goal_spec(args.goals)
     cvae_model, _ = load_model(_require(args.cvae, "CVAE weights"), "cvae")
-    spec = GoalSpec.from_json(_require(args.goals, "goal spec"))
     field = _scene_field(args.scene, cfg)
     cloud = field.cloud.points
     ends = [0, -1]

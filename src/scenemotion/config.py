@@ -105,7 +105,7 @@ class RunConfig:
     def _set(self, key, value):
         if key not in _DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(self, key, _coerce(key, value, _DEFAULTS[key]))
+        setattr(self, key, _coerce(f"config key {key!r}", value, _DEFAULTS[key]))
 
     def hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -115,19 +115,20 @@ class RunConfig:
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _coerce(key, value, default):
-    """``value`` as the type of the knob's ``default``; ValueError if it is not one.
+def _coerce(what, value, default):
+    """``value`` as the type of ``default``; otherwise a ValueError that names
+    ``what``. Config knobs and refinement schedules share this rule.
 
     A bool is not a number here; an int is a valid float.
     """
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
-            raise ValueError(f"config key {key!r} takes a list, got {value!r}")
-        return tuple(_coerce(key, v, default[0]) for v in value)
+            raise ValueError(f"{what} takes a list, got {value!r}")
+        return tuple(_coerce(what, v, default[0]) for v in value)
     if not isinstance(value, bool):
         if isinstance(default, int) and isinstance(value, int):
             return value
         if isinstance(default, float) and isinstance(value, (int, float)):
             return float(value)
     kind = "an int" if isinstance(default, int) else "a number"
-    raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")
+    raise ValueError(f"{what} takes {kind}, got {value!r}")

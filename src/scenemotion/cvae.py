@@ -11,7 +11,7 @@ import numpy as np
 
 from . import body
 from .energy import _frame_order_sum, geman_mcclure, geman_mcclure_deriv
-from .nn.adam import AdamState
+from .nn.adam import AdamState, minibatch_epochs
 from .nn.layers import Linear, ResidualBlock, leaky_relu, leaky_relu_backward
 from .nn.params import Module
 from .nn.pointnet import FEATURE_DIM, PointEncoder
@@ -199,6 +199,7 @@ class CVAETrainer:
         self.model = model
         self.template = template
         self.scene_fields = scene_fields  # scene_id -> SceneField
+        self.clouds = {sid: f.cloud.points for sid, f in scene_fields.items()}
         self.w_kl = w_kl
         self.w_col = w_col
         self.w_cont = w_cont
@@ -234,13 +235,7 @@ class CVAETrainer:
         beta, t, r = x[:, 9:19], x[:, 0:3], x[:, 3:9]
         gt_ph = x[:, 19:]
 
-        # scene features, one encoder pass per distinct scene in the batch
-        unique = sorted(set(scene_ids))
-        feats, feat_caches = {}, {}
-        for sid in unique:
-            feats[sid], feat_caches[sid] = model.scene_feature(self.scene_fields[sid].cloud.points)
-        scene_feat = np.stack([feats[sid] for sid in scene_ids])
-
+        scene_feat, feat_caches = model.point_enc.encode_scenes(scene_ids, self.clouds)
         cond, cond_cache = model.condition_from_feature(scene_feat, beta, t, r)
         mu, log_var, enc_cache = model.encode(x, cond)
         sigma = np.exp(0.5 * log_var)
@@ -272,31 +267,18 @@ class CVAETrainer:
         g_log_var = g_z * eps * 0.5 * sigma + (w_kl / n) * 0.5 * (np.exp(log_var) - 1.0)
         _, g_cond_enc = model.encode_backward(enc_cache, g_mu, g_log_var)
         g_feat, _, _, _ = model.condition_backward(cond_cache, g_cond_dec + g_cond_enc)
-        for sid in unique:
-            rows = [i for i, s in enumerate(scene_ids) if s == sid]
-            model.point_enc.backward(feat_caches[sid], g_feat[rows].sum(axis=0))
+        model.point_enc.backward_scenes(scene_ids, feat_caches, g_feat)
 
         return {"total": float(total), "recon": float(recon.mean()), "kl": float(kl.mean()),
                 "kl_weight": float(w_kl), "e_col": float(e_col_val), "e_cont": float(e_cont_val)}
 
     def run_epochs(self, vecs, scene_ids, epochs, batch_size, lr, log=None):
         """Shuffled mini-batch epochs; returns per-epoch mean total losses."""
-        n = len(vecs)
-        if n == 0:
-            raise ValueError("empty training set")
-        order_rng = np.random.default_rng(self.rng.integers(2**31))
-        curve = []
-        for epoch in range(epochs):
-            order = order_rng.permutation(n)
-            totals = []
-            for lo in range(0, n, batch_size):
-                idx = order[lo:lo + batch_size]
-                stats = self.train_step(vecs[idx], [scene_ids[i] for i in idx], lr=lr)
-                totals.append(stats["total"])
-            curve.append(float(np.mean(totals)))
-            if log:
-                log(f"cvae epoch {epoch + 1}/{epochs}: loss {curve[-1]:.4f}")
-        return curve
+        def step(epoch, idx):
+            return self.train_step(vecs[idx], [scene_ids[i] for i in idx], lr=lr)["total"]
+
+        return minibatch_epochs(len(vecs), epochs, batch_size,
+                                np.random.default_rng(self.rng.integers(2**31)), step, log, "cvae")
 
     def _body_energies(self, frames, scene_ids):
         """Batch-mean collision and contact of decoded bodies (n, 75), plus the

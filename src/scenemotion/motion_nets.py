@@ -14,7 +14,7 @@ import numpy as np
 
 from . import body
 from .errors import NumericError
-from .nn.adam import AdamState
+from .nn.adam import AdamState, minibatch_epochs
 from .nn.layers import Linear, leaky_relu, leaky_relu_backward
 from .nn.lstm import BiLSTM
 from .nn.params import Module
@@ -107,19 +107,6 @@ class _SeqNet(Module):
         dropped at once, so inference holds no activations."""
         feat = self.point_enc.forward(cloud_points)[0]
         return self.forward_batch(xs, np.broadcast_to(feat, (len(xs), FEATURE_DIM)))[0]
-
-    def encode_scenes(self, scene_ids, clouds):
-        """One point-encoder pass per distinct scene; returns (feats, caches)."""
-        unique = sorted(set(scene_ids))
-        feats, caches = {}, {}
-        for sid in unique:
-            feats[sid], caches[sid] = self.point_enc.forward(clouds[sid])
-        return np.stack([feats[sid] for sid in scene_ids]), caches
-
-    def backward_scenes(self, scene_ids, caches, g_feats):
-        for sid in sorted(set(scene_ids)):
-            rows = [i for i, s in enumerate(scene_ids) if s == sid]
-            self.point_enc.backward(caches[sid], g_feats[rows].sum(axis=0))
 
 
 class RouteNet(_SeqNet):
@@ -230,54 +217,60 @@ def pose_loss_grad(pred, gt, lambda_p=LAMBDA_P, lambda_h=LAMBDA_H):
 
 # -- training ---------------------------------------------------------------------
 
+def _endpoints(frames, cols):
+    """Columns ``cols`` of the first and of the last frame of every clip, stacked."""
+    return np.stack([f[0, cols] for f in frames]), np.stack([f[-1, cols] for f in frames])
+
+
+def _route_inputs(model, frames):
+    """RouteNet step inputs between the first and last (t, r) of each clip."""
+    return model.step_inputs(*_endpoints(frames, slice(0, 9)), len(frames[0]) - 1)
+
+
+def _train_seq_net(model, clips, clouds, inputs, cols, loss, loss_grad, epochs, batch_size,
+                   lr, seed, log, tag):
+    """Train ``model`` to predict columns ``cols`` of every clip's inner frames
+    from ``inputs(idx, frames)``; the one loop behind both trainers."""
+    adam = AdamState(model.params())
+    enc = model.point_enc
+
+    def step(epoch, idx):
+        frames = [clips[i]["frames"] for i in idx]
+        sids = [clips[i]["scene"] for i in idx]
+        gt = np.stack([f[1:-1, cols] for f in frames])
+        n = len(idx)
+        feats, feat_caches = enc.encode_scenes(sids, clouds)
+        out, cache = model.forward_batch(inputs(idx, frames), feats)
+        value = sum(loss(out[i], gt[i]) for i in range(n)) / n
+        if not np.isfinite(value):
+            raise NumericError(f"{tag} loss is non-finite at epoch {epoch}")
+        model.zero_grad()
+        _, g_feats = model.backward_batch(cache, loss_grad(out, gt) / n)
+        enc.backward_scenes(sids, feat_caches, g_feats)
+        adam.step(lr)
+        return value
+
+    return minibatch_epochs(len(clips), epochs, batch_size, np.random.default_rng(seed), step,
+                            log, tag)
+
+
 def train_route_net(model, clips, clouds, epochs=20, batch_size=32, lr=1e-3, seed=0,
                     log=None):
     """Phase 1: RouteNet on ground-truth routes. Returns per-epoch mean losses."""
-    if not clips:
-        raise ValueError("empty training set")
-    rng = np.random.default_rng(seed)
-    adam = AdamState(model.params())
-    k = len(clips[0]["frames"]) - 1
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(clips))
-        losses = []
-        for lo in range(0, len(order), batch_size):
-            batch = [clips[i] for i in order[lo:lo + batch_size]]
-            n = len(batch)
-            starts = np.stack([c["frames"][0, 0:9] for c in batch])
-            ends = np.stack([c["frames"][k, 0:9] for c in batch])
-            gt = np.stack([c["frames"][1:k, 0:9] for c in batch])
-            sids = [c["scene"] for c in batch]
-            feats, feat_caches = model.encode_scenes(sids, clouds)
-            xs = model.step_inputs(starts, ends, k)
-            out, cache = model.forward_batch(xs, feats)
-            loss = sum(route_loss(out[i], gt[i]) for i in range(n)) / n
-            if not np.isfinite(loss):
-                raise NumericError(f"route loss is non-finite at epoch {epoch}")
-            model.zero_grad()
-            g_out = route_loss_grad(out, gt) / n
-            _, g_feats = model.backward_batch(cache, g_out)
-            model.backward_scenes(sids, feat_caches, g_feats)
-            adam.step(lr)
-            losses.append(loss)
-        curve.append(float(np.mean(losses)))
-        if log:
-            log(f"route epoch {epoch + 1}/{epochs}: loss {curve[-1]:.4f}")
-    return curve
+    return _train_seq_net(model, clips, clouds, lambda idx, frames: _route_inputs(model, frames),
+                          slice(0, 9), route_loss, route_loss_grad, epochs, batch_size,
+                          lr, seed, log, "route")
 
 
-def _frozen_routes(route_model, clips, clouds, k, batch_size):
+def _frozen_routes(route_model, clips, clouds, batch_size):
     """RouteNet's (k-1, 9) route for every clip, run in clip-order chunks of
     ``batch_size`` clips; no activations are kept."""
-    routes = np.empty((len(clips), k - 1, ROUTE_DIM))
+    routes = []
     for lo in range(0, len(clips), batch_size):
         chunk = clips[lo:lo + batch_size]
-        starts = np.stack([c["frames"][0, 0:9] for c in chunk])
-        ends = np.stack([c["frames"][k, 0:9] for c in chunk])
-        feats, _ = route_model.encode_scenes([c["scene"] for c in chunk], clouds)
-        routes[lo:lo + len(chunk)] = route_model.forward_batch(
-            route_model.step_inputs(starts, ends, k), feats)[0]
+        feats, _ = route_model.point_enc.encode_scenes([c["scene"] for c in chunk], clouds)
+        xs = _route_inputs(route_model, [c["frames"] for c in chunk])
+        routes.extend(route_model.forward_batch(xs, feats)[0])
     return routes
 
 
@@ -285,40 +278,15 @@ def train_pose_net(model, route_model, clips, clouds, epochs=20, batch_size=16, 
                    seed=0, log=None):
     """Phase 2: PoseNet on RouteNet's predicted routes; RouteNet is frozen, so
     every clip's route is computed once per call."""
-    if not clips:
-        raise ValueError("empty training set")
-    rng = np.random.default_rng(seed)
-    adam = AdamState(model.params())
-    k = len(clips[0]["frames"]) - 1
-    all_routes = _frozen_routes(route_model, clips, clouds, k, batch_size)
-    curve = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(clips))
-        losses = []
-        for lo in range(0, len(order), batch_size):
-            idx = order[lo:lo + batch_size]
-            batch = [clips[i] for i in idx]
-            n = len(batch)
-            sids = [c["scene"] for c in batch]
-            start_ph = np.stack([c["frames"][0, 19:75] for c in batch])
-            end_ph = np.stack([c["frames"][k, 19:75] for c in batch])
-            gt = np.stack([c["frames"][1:k, 19:75] for c in batch])
-            feats, feat_caches = model.encode_scenes(sids, clouds)
-            xs = model.step_inputs(start_ph, end_ph, all_routes[idx], k)
-            out, cache = model.forward_batch(xs, feats)
-            loss = sum(pose_loss(out[i], gt[i]) for i in range(n)) / n
-            if not np.isfinite(loss):
-                raise NumericError(f"pose loss is non-finite at epoch {epoch}")
-            model.zero_grad()
-            g_out = pose_loss_grad(out, gt) / n
-            _, g_feats = model.backward_batch(cache, g_out)
-            model.backward_scenes(sids, feat_caches, g_feats)
-            adam.step(lr)
-            losses.append(loss)
-        curve.append(float(np.mean(losses)))
-        if log:
-            log(f"pose epoch {epoch + 1}/{epochs}: loss {curve[-1]:.4f}")
-    return curve
+    routes = _frozen_routes(route_model, clips, clouds, batch_size)
+    cols = slice(19, 75)
+
+    def inputs(idx, frames):
+        return model.step_inputs(*_endpoints(frames, cols), np.stack([routes[i] for i in idx]),
+                                 len(frames[0]) - 1)
+
+    return _train_seq_net(model, clips, clouds, inputs, cols, pose_loss, pose_loss_grad, epochs,
+                          batch_size, lr, seed, log, "pose")
 
 
 def synthesize_clip(route_model, pose_model, bodies, cloud_points, k):

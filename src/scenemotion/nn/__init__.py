@@ -1,12 +1,12 @@
-from .adam import AdamState
+from .adam import AdamState, minibatch_epochs
 from .layers import MLP, Linear, ResidualBlock, leaky_relu, leaky_relu_backward
 from .lstm import BiLSTM, LSTMCell
-from .params import Module, Param, check_finite_grads, load_weights, save_weights, uniform_init
+from .params import Module, Param, load_weights, save_weights, uniform_init
 from .pointnet import FEATURE_DIM, PointEncoder
 
 __all__ = [
-    "AdamState", "MLP", "Linear", "ResidualBlock", "leaky_relu",
+    "AdamState", "minibatch_epochs", "MLP", "Linear", "ResidualBlock", "leaky_relu",
     "leaky_relu_backward", "BiLSTM", "LSTMCell", "Module", "Param",
-    "check_finite_grads", "load_weights", "save_weights", "uniform_init",
+    "load_weights", "save_weights", "uniform_init",
     "FEATURE_DIM", "PointEncoder",
 ]

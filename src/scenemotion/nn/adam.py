@@ -1,4 +1,5 @@
-"""Adam with bias correction, over named Param objects or raw arrays."""
+"""Adam with bias correction over Param objects, and the shuffled mini-batch
+epoch loop every trainer runs."""
 
 from __future__ import annotations
 
@@ -40,3 +41,23 @@ class AdamState:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def minibatch_epochs(n, epochs, batch_size, rng, step, log, tag):
+    """Shuffled mini-batch epochs over ``n`` items; returns per-epoch mean losses.
+
+    Each epoch draws one ``rng.permutation(n)`` and calls ``step(epoch, idx)``
+    on consecutive slices of ``batch_size`` indices; ``step`` returns the
+    batch loss. Unless ``log`` is None, each epoch logs
+    ``"{tag} epoch e/E: loss x"`` through it.
+    """
+    if n == 0:
+        raise ValueError("empty training set")
+    curve = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        losses = [step(epoch, order[lo:lo + batch_size]) for lo in range(0, n, batch_size)]
+        curve.append(float(np.mean(losses)))
+        if log:
+            log(f"{tag} epoch {epoch + 1}/{epochs}: loss {curve[-1]:.4f}")
+    return curve

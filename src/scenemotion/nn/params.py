@@ -12,8 +12,6 @@ import struct
 
 import numpy as np
 
-from ..errors import NumericError
-
 MAGIC = b"SMWT"
 CONTAINER_VERSION = 1
 
@@ -44,63 +42,31 @@ def uniform_init(rng, shape, fan_in):
 class Module:
     """Tiny base: modules expose their params and submodules by attribute."""
 
-    def params(self):
-        out = []
+    def named_params(self, prefix=""):
+        """{dotted name: Param}, depth-first over attribute names in sorted
+        order; list and tuple items are named by index. The one tree walk:
+        params() and named_arrays() keep its order."""
+        out = {}
         for key in sorted(vars(self)):
             val = getattr(self, key)
-            if isinstance(val, Param):
-                out.append(val)
-            elif isinstance(val, Module):
-                out.extend(val.params())
-            elif isinstance(val, (list, tuple)):
-                for item in val:
-                    if isinstance(item, Module):
-                        out.extend(item.params())
-                    elif isinstance(item, Param):
-                        out.append(item)
+            items = enumerate(val) if isinstance(val, (list, tuple)) else [(None, val)]
+            for i, item in items:
+                name = f"{prefix}{key}" if i is None else f"{prefix}{key}.{i}"
+                if isinstance(item, Param):
+                    out[name] = item
+                elif isinstance(item, Module):
+                    out.update(item.named_params(name + "."))
         return out
+
+    def params(self):
+        return list(self.named_params().values())
+
+    def named_arrays(self):
+        return {name: p.value for name, p in self.named_params().items()}
 
     def zero_grad(self):
         for p in self.params():
             p.zero_grad()
-
-    def named_arrays(self, prefix=""):
-        out = {}
-        for key in sorted(vars(self)):
-            val = getattr(self, key)
-            name = f"{prefix}{key}"
-            if isinstance(val, Param):
-                out[name] = val.value
-            elif isinstance(val, Module):
-                out.update(val.named_arrays(prefix=name + "."))
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        out.update(item.named_arrays(prefix=f"{name}.{i}."))
-                    elif isinstance(item, Param):
-                        out[f"{name}.{i}"] = item.value
-        return out
-
-    def named_params(self, prefix=""):
-        arrays = {}
-
-        def walk(mod, pre):
-            for key in sorted(vars(mod)):
-                val = getattr(mod, key)
-                name = f"{pre}{key}"
-                if isinstance(val, Param):
-                    arrays[name] = val
-                elif isinstance(val, Module):
-                    walk(val, name + ".")
-                elif isinstance(val, (list, tuple)):
-                    for i, item in enumerate(val):
-                        if isinstance(item, Module):
-                            walk(item, f"{name}.{i}.")
-                        elif isinstance(item, Param):
-                            arrays[f"{name}.{i}"] = item
-
-        walk(self, prefix)
-        return arrays
 
     def load_arrays(self, arrays):
         params = self.named_params()
@@ -122,12 +88,6 @@ class Module:
             hasher.update(name.encode())
             hasher.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         return hasher.hexdigest()
-
-
-def check_finite_grads(params):
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient in parameter {p.name!r}")
 
 
 def save_weights(path, arrays, meta=None):

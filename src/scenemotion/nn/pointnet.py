@@ -39,3 +39,18 @@ class PointEncoder(Module):
         g_per_point = np.zeros((m, FEATURE_DIM))
         g_per_point[argmax, np.arange(FEATURE_DIM)] = g_pooled
         return self.mlp.backward(mlp_cache, g_per_point)
+
+    def encode_scenes(self, scene_ids, clouds):
+        """Features (N, 256) for a batch whose row i lies in scene
+        ``scene_ids[i]``, with one pass per distinct scene of ``clouds``
+        ({scene_id: (M, 3) points}); returns (feats, per-scene caches)."""
+        feats, caches = {}, {}
+        for sid in sorted(set(scene_ids)):
+            feats[sid], caches[sid] = self.forward(clouds[sid])
+        return np.stack([feats[sid] for sid in scene_ids]), caches
+
+    def backward_scenes(self, scene_ids, caches, g_feats):
+        """Backward of encode_scenes: one pass per scene on its rows' summed gradient."""
+        for sid in sorted(set(scene_ids)):
+            rows = [i for i, s in enumerate(scene_ids) if s == sid]
+            self.backward(caches[sid], g_feats[rows].sum(axis=0))

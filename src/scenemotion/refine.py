@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import body
+from .config import _coerce
 from .energy import CONTACT_SIGMA, EnergyWeights, _cont_term, scene_energy, segment_stable_foot
 from .errors import InvalidRotationError, NumericError
 from .nn.adam import AdamState
@@ -70,9 +71,14 @@ class RefinementSchedule:
                 raise ValueError(f"stage {n} needs a \"weights\" entry")
             w = rec["weights"]
             try:
-                weights = EnergyWeights(**w) if isinstance(w, dict) else EnergyWeights(*w)
-                stages.append(RefineStage(weights, int(rec.get("iters", DEFAULT_STAGE_ITERS)),
-                                          float(rec.get("lr", DEFAULT_STAGE_LR))))
+                named = isinstance(w, dict)
+                ws = {k: _coerce(f"weight {k!r}", v, 0.0)
+                      for k, v in (w.items() if named else enumerate(w))}
+                weights = EnergyWeights(**ws) if named else EnergyWeights(*ws.values())
+                iters = _coerce("'iters'", rec.get("iters", DEFAULT_STAGE_ITERS),
+                                DEFAULT_STAGE_ITERS)
+                lr = _coerce("'lr'", rec.get("lr", DEFAULT_STAGE_LR), DEFAULT_STAGE_LR)
+                stages.append(RefineStage(weights, iters, lr))
             except (TypeError, ValueError) as e:
                 raise ValueError(f"stage {n}: {e}") from None
         return RefinementSchedule(stages=stages)

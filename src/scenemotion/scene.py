@@ -115,6 +115,36 @@ def _load_obj(path):
     return make_mesh(vertices, faces)
 
 
+_PLY_TYPES = {"char": "b", "uchar": "B", "int8": "b", "uint8": "B",
+              "short": "h", "ushort": "H", "int16": "h", "uint16": "H",
+              "int": "i", "uint": "I", "int32": "i", "uint32": "I",
+              "float": "f", "float32": "f", "double": "d", "float64": "d"}
+
+
+def _ply_reader(fmt, body):
+    """``read(kind, n)``: the next ``n`` values of PLY type ``kind`` in
+    ``body``; ValueError at a bad token or past the end."""
+    pos = 0
+    if fmt == "ascii":
+        tokens = body.decode("ascii", errors="replace").split()
+
+        def read(kind, n):
+            nonlocal pos
+            if n < 0 or pos + n > len(tokens):
+                raise ValueError(f"body ends at token {len(tokens)}")
+            pos += n
+            return [float(tok) for tok in tokens[pos - n:pos]]
+    else:
+        def read(kind, n):
+            nonlocal pos
+            size = struct.calcsize("<" + _PLY_TYPES[kind]) * n
+            if n < 0 or pos + size > len(body):
+                raise ValueError(f"body ends at byte {len(body)}")
+            pos += size
+            return struct.unpack_from("<" + _PLY_TYPES[kind] * n, body, pos - size)
+    return read
+
+
 def _load_ply(path):
     with open(path, "rb") as f:
         data = f.read()
@@ -125,80 +155,57 @@ def _load_ply(path):
         raise MeshFormatError(f"{path}: unterminated header")
     header_end = data.find(b"\n", header_end) + 1
     header = data[:header_end].decode("ascii", errors="replace")
-    body = data[header_end:]
 
     fmt = None
-    elements = []  # (name, count, [(proptype, name) or ('list', counttype, itemtype, name)])
+    elements = []  # (name, count, [(name, list count type or None, value type)])
     for lineno, line in enumerate(header.splitlines(), start=1):
         parts = line.split()
-        if not parts:
+        keyword = parts[0] if parts else None
+        if keyword not in ("format", "element", "property"):
             continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
-        elif parts[0] == "property":
+        try:
+            if keyword == "format":
+                fmt = parts[1]
+            elif keyword == "element":
+                elements.append((parts[1], int(parts[2]), []))
+            elif parts[1] == "list":
+                prop = (parts[4], parts[2], parts[3])
+            else:
+                prop = (parts[2], None, parts[1])
+        except (IndexError, ValueError):
+            raise MeshFormatError(f"{path}:{lineno}: malformed {keyword} line") from None
+        if keyword == "property":
             if not elements:
                 raise MeshFormatError(f"{path}:{lineno}: property before element")
-            if parts[1] == "list":
-                elements[-1][2].append(("list", parts[2], parts[3], parts[4]))
-            else:
-                elements[-1][2].append((parts[1], parts[2]))
+            for kind in filter(None, prop[1:]):
+                if kind not in _PLY_TYPES:
+                    raise MeshFormatError(f"{path}:{lineno}: unknown property type {kind!r}")
+            elements[-1][2].append(prop)
     if fmt not in ("ascii", "binary_little_endian"):
         raise MeshFormatError(f"{path}: unsupported ply format {fmt!r}")
 
+    read = _ply_reader(fmt, data[header_end:])
     vertices, faces = [], []
-    if fmt == "ascii":
-        tokens = body.decode("ascii").split()
-        pos = 0
+    try:
         for name, count, props in elements:
-            for _ in range(count):
+            for i in range(count):
                 values = {}
-                for prop in props:
-                    if prop[0] == "list":
-                        n = int(tokens[pos]); pos += 1
-                        values[prop[3]] = [int(float(tokens[pos + i])) for i in range(n)]
-                        pos += n
+                for prop, count_kind, kind in props:
+                    if count_kind is None:
+                        values[prop] = read(kind, 1)[0]
                     else:
-                        values[prop[1]] = float(tokens[pos]); pos += 1
+                        values[prop] = [int(v) for v in read(kind, int(read(count_kind, 1)[0]))]
                 if name == "vertex":
+                    if not {"x", "y", "z"} <= values.keys():
+                        raise ValueError("lacks x/y/z")
                     vertices.append([values["x"], values["y"], values["z"]])
                 elif name == "face":
                     idx = values.get("vertex_indices", values.get("vertex_index"))
-                    for a, b in zip(idx[1:-1], idx[2:]):
-                        faces.append([idx[0], a, b])
-    else:
-        pos = 0
-        scalar = {"char": "b", "uchar": "B", "int8": "b", "uint8": "B",
-                  "short": "h", "ushort": "H", "int16": "h", "uint16": "H",
-                  "int": "i", "uint": "I", "int32": "i", "uint32": "I",
-                  "float": "f", "float32": "f", "double": "d", "float64": "d"}
-        for name, count, props in elements:
-            for _ in range(count):
-                values = {}
-                for prop in props:
-                    if prop[0] == "list":
-                        cfmt, ifmt = scalar[prop[1]], scalar[prop[2]]
-                        n = struct.unpack_from("<" + cfmt, body, pos)[0]
-                        pos += struct.calcsize(cfmt)
-                        items = struct.unpack_from("<" + ifmt * n, body, pos)
-                        pos += struct.calcsize(ifmt) * n
-                        values[prop[3]] = [int(v) for v in items]
-                    else:
-                        sfmt = scalar[prop[0]]
-                        values[prop[1]] = struct.unpack_from("<" + sfmt, body, pos)[0]
-                        pos += struct.calcsize(sfmt)
-                if name == "vertex":
-                    try:
-                        vertices.append([values["x"], values["y"], values["z"]])
-                    except KeyError:
-                        raise MeshFormatError(f"{path}: vertex element lacks x/y/z at offset {pos}") from None
-                elif name == "face":
-                    idx = values.get("vertex_indices", values.get("vertex_index"))
-                    if idx is None:
-                        raise MeshFormatError(f"{path}: face element lacks vertex indices at offset {pos}")
-                    for a, b in zip(idx[1:-1], idx[2:]):
-                        faces.append([idx[0], a, b])
+                    if not isinstance(idx, list):
+                        raise ValueError("lacks a vertex index list")
+                    faces.extend([idx[0], a, b] for a, b in zip(idx[1:-1], idx[2:]))
+    except (ValueError, OverflowError) as e:
+        raise MeshFormatError(f"{path}: {name} element {i}: {e}") from None
     if not vertices or not faces:
         raise EmptySceneError(f"{path}: no geometry found")
     return make_mesh(vertices, faces)

@@ -265,6 +265,12 @@ def test_train_cvae_on_truncated_sdf_cache_is_user_error(tmp_path, capsys):
     ({"iters": 5}, "weights"),
     ({"weights": [0.0, -1.0, 1.0, 0.25]}, "non-negative"),
     ({"weights": [0.0, 1.0, 1.0, 0.25], "iters": 0}, "iteration count"),
+    ({"weights": [0.0, 1.0, 1.0, 0.25], "iters": 2.5}, "'iters' takes an int"),
+    ({"weights": [0.0, 1.0, 1.0, 0.25], "iters": True}, "'iters' takes an int"),
+    ({"weights": [0.0, 1.0, 1.0, 0.25], "iters": "3"}, "'iters' takes an int"),
+    ({"weights": [0.0, 1.0, 1.0, 0.25], "lr": True}, "'lr' takes a number"),
+    ({"weights": {"foot": 0.0, "col": True}}, "weight 'col' takes a number"),
+    ({"weights": [0.0, 1.0, True, 0.25]}, "weight 2 takes a number"),
 ])
 def test_refine_bad_schedule_is_user_error(tmp_path, capsys, monkeypatch, stage, message):
     from scenemotion import cli
@@ -301,4 +307,28 @@ def test_bad_refine_config_is_user_error(tmp_path, capsys, monkeypatch, command,
     err = capsys.readouterr().err
     assert err.startswith("error: refine_iters/refine_lr: ")
     assert "Traceback" not in err
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["synthesize", "baseline-interp"])
+@pytest.mark.parametrize("spec", [
+    {"goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
+    {"beta": [0.0] * 10},
+    {"goals": [{"t": [0, 0, 0.93], "r": [1.0, 0.0, 0.0]},
+               {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
+], ids=["one-goal", "no-goals", "short-r"])
+def test_bad_goal_spec_is_user_error(tmp_path, capsys, monkeypatch, command, spec):
+    from scenemotion import cli
+    built = []
+    monkeypatch.setattr(cli, "_scene_field", lambda *a: built.append(a))
+    goals = tmp_path / "goals.json"
+    goals.write_text(json.dumps(spec))
+    argv = [command, "--scene", write_floor_scene(tmp_path / "scene.obj"), "--goals", str(goals),
+            "--cvae", "a.cvae", "--out", str(tmp_path / "out")]
+    if command == "synthesize":
+        argv += ["--route", "a.route", "--pose", "a.pose"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {goals}: ")
+    assert "Traceback" not in err and "weights" not in err
     assert built == []

@@ -236,6 +236,31 @@ def test_empty_batch_rejected(template):
         trainer.forward_backward(np.zeros((0, 75)), [], eps=np.zeros((0, 32)))
 
 
+def test_run_epochs_matches_a_hand_loop_of_train_steps(template, slab_field):
+    # two scenes with the scene terms on, batches that mix them, a short last batch
+    rng = np.random.default_rng(13)
+    rest = body.BodyParams.rest(beta=np.zeros(10))
+    fields = {0: slab_field, 1: _contact_cloud_field(template, rest)}
+    vecs = np.tile(rest.flat(), (7, 1))
+    vecs[:, 0:3] += rng.uniform(-0.5, 0.5, (7, 3))
+    vecs[:, 19:] += rng.standard_normal((7, 56)) * 0.1
+    scene_ids = [0, 1, 1, 0, 1, 0, 0]
+    trainers = [CVAETrainer(tiny_model(seed=14), template, fields, total_steps=9, seed=3)
+                for _ in range(2)]
+    curve = trainers[0].run_epochs(vecs, scene_ids, epochs=3, batch_size=3, lr=1e-3)
+
+    hand = trainers[1]
+    order_rng = np.random.default_rng(hand.rng.integers(2**31))
+    expect = []
+    for _ in range(3):
+        order = order_rng.permutation(7)
+        totals = [hand.train_step(vecs[idx], [scene_ids[i] for i in idx], lr=1e-3)["total"]
+                  for idx in (order[lo:lo + 3] for lo in range(0, 7, 3))]
+        expect.append(float(np.mean(totals)))
+    assert curve == expect
+    assert trainers[0].model.checksum() == hand.model.checksum()
+
+
 def test_fit_latent_reconstructs_decodable_target():
     model = tiny_model(seed=11)
     rng = np.random.default_rng(12)

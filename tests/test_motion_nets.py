@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemotion import body
+from scenemotion.cvae import CVAETrainer
 from scenemotion.errors import InvalidRotationError
+from scenemotion.field import SceneField
 from scenemotion.motion_nets import (PoseNet, RouteNet, pose_loss, pose_loss_grad, route_loss,
-                                     synthesize_clip, train_pose_net)
+                                     route_loss_grad, synthesize_clip, train_pose_net,
+                                     train_route_net)
 from scenemotion.nn.adam import AdamState
 from scenemotion.nn.layers import leaky_relu, leaky_relu_backward
 from gradcheck import check_param_grads_directional
 from scenemotion.rotation import heading_to_rot6d
+from scenemotion.scene import PointCloud, VertexIndex
+from test_cvae import far_slab_grid, tiny_model
 from test_nn import oracle_bilstm, rel_err
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
@@ -137,13 +143,12 @@ def test_seqnet_gradients_match_fd():
     gt = rng.standard_normal((2, 7, 9))
 
     def loss():
-        feats, caches = model.encode_scenes([0, 0], {0: cloud})
+        feats, caches = model.point_enc.encode_scenes([0, 0], {0: cloud})
         xs = model.step_inputs(starts, ends, 8)
         out, cache = model.forward_batch(xs, feats)
-        from scenemotion.motion_nets import route_loss_grad
         value = sum(route_loss(out[i], gt[i]) for i in range(2))
         _, g_feats = model.backward_batch(cache, route_loss_grad(out, gt))
-        model.backward_scenes([0, 0], caches, g_feats)
+        model.point_enc.backward_scenes([0, 0], caches, g_feats)
         return value
 
     worst = check_param_grads_directional(loss, model.params(), n_cases=12, h=1e-5, tol=1e-3)
@@ -198,6 +203,82 @@ def _random_clips(rng, n, k, scenes):
              "frames": rng.standard_normal((k + 1, body.PARAM_DIM)) * 0.3} for _ in range(n)]
 
 
+def oracle_train_route_net(model, clips, clouds, epochs, batch_size, lr, seed):
+    """train_route_net as a hand loop over the same permutations and batches."""
+    rng = np.random.default_rng(seed)
+    adam = AdamState(model.params())
+    k = len(clips[0]["frames"]) - 1
+    curve = []
+    for _ in range(epochs):
+        order = rng.permutation(len(clips))
+        losses = []
+        for lo in range(0, len(order), batch_size):
+            batch = [clips[i] for i in order[lo:lo + batch_size]]
+            n = len(batch)
+            sids = [c["scene"] for c in batch]
+            gt = np.stack([c["frames"][1:k, 0:9] for c in batch])
+            feats, feat_caches = model.point_enc.encode_scenes(sids, clouds)
+            xs = model.step_inputs(np.stack([c["frames"][0, 0:9] for c in batch]),
+                                   np.stack([c["frames"][k, 0:9] for c in batch]), k)
+            out, cache = model.forward_batch(xs, feats)
+            losses.append(sum(route_loss(out[i], gt[i]) for i in range(n)) / n)
+            model.zero_grad()
+            _, g_feats = model.backward_batch(cache, route_loss_grad(out, gt) / n)
+            model.point_enc.backward_scenes(sids, feat_caches, g_feats)
+            adam.step(lr)
+        curve.append(float(np.mean(losses)))
+    return curve
+
+
+def test_route_training_matches_the_hand_loop():
+    rng = np.random.default_rng(17)
+    clips = _random_clips(rng, 5, 8, scenes=2)
+    clouds = {s: rng.standard_normal((12, 3)) for s in range(2)}
+    oracle_route, route = small_route(), small_route()
+    expect = oracle_train_route_net(oracle_route, clips, clouds, epochs=3, batch_size=2,
+                                    lr=1e-3, seed=4)
+    curve = train_route_net(route, clips, clouds, epochs=3, batch_size=2, lr=1e-3, seed=4)
+    assert curve == expect
+    for p, q in zip(route.params(), oracle_route.params()):
+        assert np.array_equal(p.value, q.value), p.name
+
+
+@pytest.mark.parametrize("tag", ["cvae", "route", "pose"])
+def test_trainers_log_each_epoch_and_reject_an_empty_set(template, tag):
+    rng = np.random.default_rng(18)
+    clips = _random_clips(rng, 3, 8, scenes=1)
+    clouds = {0: rng.standard_normal((12, 3))}
+    if tag == "cvae":
+        field = SceneField(mesh=None, cloud=PointCloud(points=clouds[0]), grid=far_slab_grid(),
+                           index=VertexIndex(clouds[0]))
+        trainer = CVAETrainer(tiny_model(), template, {0: field}, w_col=0.0, w_cont=0.0)
+        items = np.stack([c["frames"][0] for c in clips])
+
+        def train(data, log):
+            return trainer.run_epochs(data, [0] * len(data), epochs=2, batch_size=2, lr=1e-3,
+                                      log=log)
+    elif tag == "route":
+        items = clips
+
+        def train(data, log):
+            return train_route_net(small_route(), data, clouds, epochs=2, batch_size=2, log=log)
+    else:
+        items = clips
+
+        def train(data, log):
+            return train_pose_net(small_pose(), small_route(), data, clouds, epochs=2,
+                                  batch_size=2, log=log)
+    lines = []
+    curve = train(items, lines.append)
+    assert len(curve) == 2
+    for epoch, (line, loss) in enumerate(zip(lines, curve), start=1):
+        assert re.fullmatch(rf"{tag} epoch {epoch}/2: loss \d+\.\d{{4}}", line), line
+        assert line.endswith(f"{loss:.4f}")
+    with pytest.raises(ValueError, match="^empty training set$"):
+        train(items[:0], lines.append)
+    assert len(lines) == 2
+
+
 def oracle_train_pose_net(model, route_model, clips, clouds, epochs, batch_size, lr, seed):
     """train_pose_net with the frozen RouteNet run on every batch of every epoch."""
     rng = np.random.default_rng(seed)
@@ -213,18 +294,18 @@ def oracle_train_pose_net(model, route_model, clips, clouds, epochs, batch_size,
             sids = [c["scene"] for c in batch]
             starts = np.stack([c["frames"][0, 0:9] for c in batch])
             ends = np.stack([c["frames"][k, 0:9] for c in batch])
-            rfeats, _ = route_model.encode_scenes(sids, clouds)
+            rfeats, _ = route_model.point_enc.encode_scenes(sids, clouds)
             routes = route_model.forward_batch(route_model.step_inputs(starts, ends, k),
                                                rfeats)[0]
             gt = np.stack([c["frames"][1:k, 19:75] for c in batch])
-            feats, feat_caches = model.encode_scenes(sids, clouds)
+            feats, feat_caches = model.point_enc.encode_scenes(sids, clouds)
             xs = model.step_inputs(np.stack([c["frames"][0, 19:75] for c in batch]),
                                    np.stack([c["frames"][k, 19:75] for c in batch]), routes, k)
             out, cache = model.forward_batch(xs, feats)
             losses.append(sum(pose_loss(out[i], gt[i]) for i in range(n)) / n)
             model.zero_grad()
             _, g_feats = model.backward_batch(cache, pose_loss_grad(out, gt) / n)
-            model.backward_scenes(sids, feat_caches, g_feats)
+            model.point_enc.backward_scenes(sids, feat_caches, g_feats)
             adam.step(lr)
         curve.append(float(np.mean(losses)))
     return curve

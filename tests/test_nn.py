@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -310,6 +312,23 @@ def test_module_load_arrays_rejects_mismatch():
     layer = Linear(3, 2, rng)
     with pytest.raises(ValueError):
         layer.load_arrays({"W": np.zeros((2, 3))})  # missing 'b'
+
+
+def test_parameter_walk_leaves_no_reference_cycle():
+    # a cycle would keep a dropped model's weights alive until the collector runs
+    model = MLP((3, 4, 2), np.random.default_rng(15))
+    assert list(model.named_params()) == ["layers.0.W", "layers.0.b", "layers.1.W", "layers.1.b"]
+    assert model.params() == list(model.named_params().values())
+    weight = weakref.ref(model.layers[0].W.value)
+    gc.disable()
+    try:
+        model.params()
+        model.named_arrays()
+        model.load_arrays(model.named_arrays())
+        del model
+        assert weight() is None
+    finally:
+        gc.enable()
 
 
 def test_mlp_final_activation_flag():

@@ -86,22 +86,42 @@ def _cube_ply_binary(path):
     return str(path)
 
 
+def _cube_ply_bytes(path):
+    _cube_ply_binary(path)
+    return path.read_bytes()
+
+
 def test_ply_binary_little_endian_cube(tmp_path):
     mesh = load_scene(_cube_ply_binary(tmp_path / "cube.ply"))
     assert len(mesh.vertices) == 8
     assert len(mesh.faces) == 12
 
 
+_TRI_ASCII = ("ply\nformat ascii 1.0\n"
+              "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+              "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+              "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+
+
 def test_ply_ascii(tmp_path):
     path = tmp_path / "tri.ply"
-    path.write_text(
-        "ply\nformat ascii 1.0\n"
-        "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
-        "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
-        "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    path.write_text(_TRI_ASCII)
     mesh = load_scene(str(path))
     assert len(mesh.vertices) == 3
     assert len(mesh.faces) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_text(_TRI_ASCII[:-3]),
+    lambda path: path.write_text(_TRI_ASCII.replace("float x", "float w")),
+    lambda path: path.write_bytes(_cube_ply_bytes(path)[:-6]),
+    lambda path: path.write_bytes(_cube_ply_bytes(path).replace(b"float x", b"float128 x")),
+], ids=["truncated-ascii", "ascii-vertex-without-x", "truncated-binary", "float128"])
+def test_malformed_ply_raises_mesh_format_error(tmp_path, make):
+    path = tmp_path / "bad.ply"
+    make(path)
+    with pytest.raises(MeshFormatError):
+        load_scene(str(path))
 
 
 def test_save_obj_round_trip(tmp_path):
