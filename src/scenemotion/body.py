@@ -486,14 +486,9 @@ def joint_rotations(template, p, h):
     return w
 
 
-def forward(template, params):
-    """Pose the template: shape offsets, FK, linear-blend skinning, global r|t."""
-    mesh, _ = forward_with_cache(template, params)
-    return mesh
-
-
 def forward_with_cache(template, params):
-    """One-frame view of :func:`forward_batch_with_cache`."""
+    """Pose one BodyParams (shape offsets, FK, linear-blend skinning, global
+    r|t); a one-frame view of :func:`forward_batch_with_cache`."""
     mesh, cache = forward_batch_with_cache(template, params.flat()[None])
     return BodyMesh(vertices=mesh.vertices[0], joints=mesh.joints[0], faces=mesh.faces), cache
 

@@ -114,10 +114,8 @@ def build_parser():
 def _load_config(args):
     cfg = RunConfig()
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise UserError(f"config file not found: {args.config}")
         try:
-            cfg = RunConfig.load_file(args.config)
+            cfg = RunConfig.load_file(_require(args.config, "config file"))
         except ValueError as e:
             raise UserError(f"{args.config}: {e}") from None
     try:
@@ -139,9 +137,17 @@ def _write_log(out_dir, command, cfg, payload):
 
 
 def _require(path, what):
+    """``path`` if it names a file; otherwise a UserError."""
     if not os.path.exists(path):
         raise UserError(f"missing {what}: {path}")
+    if not os.path.isfile(path):
+        raise UserError(f"{what} is not a file: {path}")
     return path
+
+
+def _load_seq(path, what):
+    """The sequence saved in directory ``path``, which must hold a sequence.json."""
+    return load_sequence(os.path.dirname(_require(os.path.join(path, "sequence.json"), what)))
 
 
 def _template(cfg):
@@ -159,12 +165,12 @@ def _schedule(args, cfg):
     is a user error, raised before any scene work."""
     from .refine import RefinementSchedule
     path = getattr(args, "schedule", None)
-    try:
-        if path:
-            return RefinementSchedule.from_json(_require(path, "schedule"))
+    if not path:  # RunConfig has range-checked refine_iters and refine_lr
         return RefinementSchedule.two_stage(iters=cfg.refine_iters, lr=cfg.refine_lr)
+    try:
+        return RefinementSchedule.from_json(_require(path, "schedule"))
     except ValueError as e:
-        raise UserError(f"{path or 'refine_iters/refine_lr'}: {e}") from None
+        raise UserError(f"{path}: {e}") from None
 
 
 def _goal_spec(path):
@@ -186,6 +192,15 @@ def _scene_field(path, cfg):
     return SceneField.build(mesh, cloud_points=cfg.cloud_points, cloud_seed=cfg.seed,
                             cell=cfg.sdf_cell, padding=cfg.sdf_padding,
                             node_budget=cfg.sdf_node_budget)
+
+
+def _save_trained(args, cfg, log, model, kind, curve, seed, **payload):
+    """Write ``model`` to ``--out`` and the run log of ``train-<kind>`` beside it."""
+    from .persist import save_model
+    save_model(args.out, model, kind, {"loss_curve": curve, "config_hash": cfg.hash(), "seed": seed})
+    _write_log(os.path.dirname(os.path.abspath(args.out)), f"train-{kind}", cfg,
+               {"outputs": [args.out], "loss_curve": curve, **payload})
+    log(f"{kind} weights -> {args.out} (final loss {curve[-1]:.4f})")
 
 
 # -- command implementations -----------------------------------------------------
@@ -222,7 +237,6 @@ def cmd_build_sdf(args, cfg, log):
 def cmd_train_cvae(args, cfg, log):
     from .cvae import CVAETrainer, GoalCVAE
     from .datagen import dataset_bodies, dataset_scene_fields
-    from .persist import save_model
     dataset = _load_dataset(args.dataset)
     fields = dataset_scene_fields(dataset, cloud_points=cfg.cloud_points,
                                   cell=cfg.sdf_cell, padding=cfg.sdf_padding,
@@ -238,17 +252,12 @@ def cmd_train_cvae(args, cfg, log):
                           total_steps=cfg.cvae_epochs * steps_per_epoch, seed=cfg.seed)
     curve = trainer.run_epochs(vecs, scene_ids, epochs=cfg.cvae_epochs,
                                batch_size=cfg.cvae_batch, lr=cfg.cvae_lr, log=log)
-    save_model(args.out, model, "cvae",
-               {"loss_curve": curve, "config_hash": cfg.hash(), "seed": cfg.seed})
-    _write_log(os.path.dirname(os.path.abspath(args.out)), "train-cvae", cfg,
-               {"outputs": [args.out], "loss_curve": curve, "bodies": len(vecs)})
-    log(f"cvae weights -> {args.out} (final loss {curve[-1]:.4f})")
+    _save_trained(args, cfg, log, model, "cvae", curve, cfg.seed, bodies=len(vecs))
 
 
 def cmd_train_route(args, cfg, log):
     from .datagen import dataset_clouds
     from .motion_nets import RouteNet, train_route_net
-    from .persist import save_model
     dataset = _load_dataset(args.dataset)
     clouds = dataset_clouds(dataset, cloud_points=cfg.cloud_points)
     model = RouteNet(np.random.default_rng(cfg.seed), hidden=cfg.hidden,
@@ -256,17 +265,13 @@ def cmd_train_route(args, cfg, log):
     curve = train_route_net(model, dataset["clips"], clouds, epochs=cfg.route_epochs,
                             batch_size=cfg.route_batch, lr=cfg.route_lr,
                             seed=cfg.seed, log=log)
-    save_model(args.out, model, "route",
-               {"loss_curve": curve, "config_hash": cfg.hash(), "seed": cfg.seed})
-    _write_log(os.path.dirname(os.path.abspath(args.out)), "train-route", cfg,
-               {"outputs": [args.out], "loss_curve": curve})
-    log(f"route weights -> {args.out} (final loss {curve[-1]:.4f})")
+    _save_trained(args, cfg, log, model, "route", curve, cfg.seed)
 
 
 def cmd_train_pose(args, cfg, log):
     from .datagen import dataset_clouds
     from .motion_nets import PoseNet, train_pose_net
-    from .persist import load_model, save_model
+    from .persist import load_model
     dataset = _load_dataset(args.dataset)
     clouds = dataset_clouds(dataset, cloud_points=cfg.cloud_points)
     route_model, _ = load_model(_require(args.route, "RouteNet weights"), "route")
@@ -275,11 +280,7 @@ def cmd_train_pose(args, cfg, log):
     curve = train_pose_net(model, route_model, dataset["clips"], clouds,
                            epochs=cfg.pose_epochs, batch_size=cfg.pose_batch,
                            lr=cfg.pose_lr, seed=cfg.seed, log=log)
-    save_model(args.out, model, "pose",
-               {"loss_curve": curve, "config_hash": cfg.hash(), "seed": cfg.seed + 1})
-    _write_log(os.path.dirname(os.path.abspath(args.out)), "train-pose", cfg,
-               {"outputs": [args.out], "loss_curve": curve})
-    log(f"pose weights -> {args.out} (final loss {curve[-1]:.4f})")
+    _save_trained(args, cfg, log, model, "pose", curve, cfg.seed + 1)
 
 
 def cmd_synthesize(args, cfg, log):
@@ -307,7 +308,7 @@ def cmd_synthesize(args, cfg, log):
 
 def cmd_refine(args, cfg, log):
     from .refine import refine
-    seq = load_sequence(_require(args.seq, "input sequence"))
+    seq = _load_seq(args.seq, "input sequence")
     schedule = _schedule(args, cfg)
     field = _scene_field(args.scene, cfg)
     result = refine(_template(cfg), seq, field, schedule, sigma=cfg.contact_sigma)
@@ -340,8 +341,8 @@ def cmd_baseline_interp(args, cfg, log):
 
 def cmd_evaluate(args, cfg, log):
     from .metrics import evaluate
-    pred = load_sequence(_require(args.pred, "prediction sequence"))
-    gt = load_sequence(_require(args.gt, "reference sequence"))
+    pred = _load_seq(args.pred, "prediction sequence")
+    gt = _load_seq(args.gt, "reference sequence")
     grid = None
     if args.scene:
         from .sdf import build_sdf
@@ -363,7 +364,7 @@ def cmd_evaluate(args, cfg, log):
 
 
 def cmd_export_mesh(args, cfg, log):
-    seq = load_sequence(_require(args.seq, "input sequence"))
+    seq = _load_seq(args.seq, "input sequence")
     if args.every < 1:
         raise UserError(f"--every must be >= 1, got {args.every}")
     written = export_meshes(args.out, seq, _template(cfg), every=args.every)
@@ -397,10 +398,7 @@ def main(argv=None):
         cfg = _load_config(args)
         _COMMANDS[args.command](args, cfg, log)
         return 0
-    except UserError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except SceneMotionError as e:
+    except (UserError, SceneMotionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # argparse --help / --version

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 
@@ -105,7 +106,11 @@ class RunConfig:
     def _set(self, key, value):
         if key not in _DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(self, key, _coerce(f"config key {key!r}", value, _DEFAULTS[key]))
+        value = _coerce(f"config key {key!r}", value, _DEFAULTS[key])
+        for v in value if isinstance(value, tuple) else (value,):
+            if problem := _range_problem(key, v):
+                raise ValueError(f"config key {key!r} {problem}, got {value!r}")
+        setattr(self, key, value)
 
     def hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -113,6 +118,21 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def _range_problem(key, v):
+    """What is wrong with the value ``v`` of knob ``key``, or None. Ints are >= 1 (k >= 2,
+    seeds free); floats finite: rates and scales > 0, a fraction in [0, 1], others >= 0."""
+    if isinstance(v, int):
+        low = 2 if key == "k" else 1
+        return None if key.endswith("seed") or v >= low else f"must be >= {low}"
+    if not math.isfinite(v):
+        return "must be finite"
+    if key.endswith("_lr") or key in ("sdf_cell", "contact_sigma"):
+        return None if v > 0 else "must be > 0"
+    if key == "kl_warmup_frac":
+        return None if 0 <= v <= 1 else "must lie in [0, 1]"
+    return None if v >= 0 else "must be >= 0"
 
 
 def _coerce(what, value, default):

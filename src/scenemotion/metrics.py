@@ -3,7 +3,6 @@ and the in-environment non-collision / contact scores."""
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -137,20 +136,3 @@ def evaluate(pred, gt, template, grid=None):
         report.contact_pct = _contact_pct(vals, CONTACT_SDF_THRESHOLD)
     return report
 
-
-_CSV_COLUMNS = ["method", "transl", "orientation", "pose", "MPJPE", "MPVPE",
-                "neighbour_v2v", "non-collision", "contact"]
-
-
-def metrics_csv(rows):
-    """CSV table with one row per method, columns in the reference layout."""
-    out = io.StringIO()
-    out.write(",".join(_CSV_COLUMNS) + "\n")
-    for name, rep in rows.items():
-        values = [name,
-                  f"{rep.transl_l1_x100:.2f}", f"{rep.orient_l1_x100:.2f}",
-                  f"{rep.pose_l1_x100:.2f}", f"{rep.mpjpe_mm:.1f}", f"{rep.mpvpe_mm:.1f}",
-                  f"{rep.neighbour_v2v:.2f}", f"{rep.non_collision_pct:.2f}",
-                  f"{rep.contact_pct:.2f}"]
-        out.write(",".join(values) + "\n")
-    return out.getvalue()

@@ -28,7 +28,6 @@ LAMBDA_T = 1.0
 LAMBDA_R = 1.0
 LAMBDA_P = 1.0
 LAMBDA_H = 0.1
-MIN_CLIP_DISPLACEMENT = 0.5        # m between clip endpoints
 
 
 class _SeqHead(Module):

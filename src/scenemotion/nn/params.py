@@ -8,9 +8,12 @@ in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
+
+from ..errors import WeightFormatError
 
 MAGIC = b"SMWT"
 CONTAINER_VERSION = 1
@@ -110,19 +113,32 @@ def save_weights(path, arrays, meta=None):
 
 
 def load_weights(path):
-    """Read the container; returns (arrays dict, meta dict)."""
+    """Read the container; returns (arrays dict, meta dict). A file that is not
+    a whole container raises WeightFormatError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a weight container")
-        version, = struct.unpack("<I", f.read(4))
+        if f.read(4) != MAGIC:
+            raise WeightFormatError(f"{path}: not a weight container")
+        version, hlen = struct.unpack("<II", _read_exact(f, 8, path, "header"))
         if version != CONTAINER_VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        hlen, = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(hlen).decode())
+            raise WeightFormatError(f"{path}: unsupported container version {version}")
+        blob = _read_exact(f, hlen, path, "manifest")
+        try:
+            manifest = json.loads(blob.decode())
+            tensors = [(rec["name"], [int(d) for d in rec["shape"]])
+                       for rec in manifest["tensors"]]
+            if any(d < 0 for _, shape in tensors for d in shape):
+                raise ValueError("negative tensor dimension")
+        except (KeyError, TypeError, ValueError) as e:
+            raise WeightFormatError(f"{path}: bad manifest: {e}") from None
         arrays = {}
-        for rec in manifest["tensors"]:
-            count = int(np.prod(rec["shape"])) if rec["shape"] else 1
-            data = np.frombuffer(f.read(count * 8), dtype="<f8")
-            arrays[rec["name"]] = data.reshape(rec["shape"]).astype(np.float64)
+        for name, shape in tensors:
+            data = _read_exact(f, 8 * math.prod(shape), path, f"tensor {name!r}")
+            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
     return arrays, manifest.get("meta", {})
+
+
+def _read_exact(f, size, path, what):
+    data = f.read(size)
+    if len(data) != size:
+        raise WeightFormatError(f"{path}: truncated {what} ({len(data)} of {size} bytes)")
+    return data

@@ -140,7 +140,7 @@ def cvae_interpolation_baseline(cvae_model, start, end, cloud_points, steps,
         raise ValueError("baseline requires a shared shape vector")
     if fit_seeds is None:
         fit_seeds = (seed, seed + 1)
-    feat, _ = cvae_model.scene_feature(cloud_points)
+    feat, _ = cvae_model.point_enc.forward(cloud_points)
     cond_s, _ = cvae_model.condition_from_feature(feat, start.beta, start.t, start.r)
     cond_e, _ = cvae_model.condition_from_feature(feat, end.beta, end.t, end.r)
     z_s = fit_latent(cvae_model, cond_s, np.concatenate([start.p, start.h]),

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import body
 from .config import _coerce
-from .energy import CONTACT_SIGMA, EnergyWeights, _cont_term, scene_energy, segment_stable_foot
+from .energy import (CONTACT_SIGMA, EnergyWeights, _cont_term, scene_energy, segment_stable_foot,
+                     total_energy)
 from .errors import InvalidRotationError, NumericError
 from .nn.adam import AdamState
 from .nn.params import Param
@@ -88,7 +89,6 @@ class RefinementSchedule:
 class RefineResult:
     sequence: MotionSequence
     history: list                 # per stage: dict with weights and totals per iteration
-    reports: list                 # per stage: (initial EnergyReport, final EnergyReport)
     diagnostic: str | None = None
 
 
@@ -101,22 +101,17 @@ def vars_to_frames(x, betas):
 
 
 def energy_and_gradients(template, frames, scene_field, weights, segmentation,
-                         sigma=CONTACT_SIGMA, frozen_nn=None, want_grad=True):
+                         sigma=CONTACT_SIGMA, frozen_nn=None):
     """Weighted energy report plus dTotal/d(t,r,p,h) per frame.
 
     ``frozen_nn`` optionally pins per-frame contact correspondences (T, C int
     array of cloud indices); otherwise fresh exact queries are used and the
     gradient is taken with those correspondences held fixed.
     """
-    if want_grad:
-        mesh, cache = body.forward_batch_with_cache(template, frames)
-    else:
-        mesh = body.forward_batch(template, frames)
+    mesh, cache = body.forward_batch_with_cache(template, frames)
     report, g_vertices = scene_energy(template, mesh.vertices, scene_field, weights,
                                       segmentation, sigma, correspondences=frozen_nn,
-                                      want_grad=want_grad)
-    if not want_grad:
-        return report, None
+                                      want_grad=True)
     return report, body.pullback_batch(cache, g_vertices)
 
 
@@ -145,7 +140,6 @@ def refine(template, seq, scene_field, schedule, sigma=CONTACT_SIGMA):
     x = Param("refine.vars", frames_to_vars(seq.frames))
     adam = AdamState([x])
     history = []
-    reports = []
     diagnostic = None
     last_finite = x.value.copy()
 
@@ -153,8 +147,6 @@ def refine(template, seq, scene_field, schedule, sigma=CONTACT_SIGMA):
         frames = vars_to_frames(x.value, betas)
         segmentation = segment_stable_foot(template, frames)  # stage-frozen targets
         totals = []
-        initial_report = None
-        final_report = None
         for it in range(stage.iters):
             frames = vars_to_frames(x.value, betas)
             try:
@@ -169,8 +161,6 @@ def refine(template, seq, scene_field, schedule, sigma=CONTACT_SIGMA):
                 x.value[...] = last_finite
                 break
             last_finite = x.value.copy()
-            if initial_report is None:
-                initial_report = report
             totals.append(report.total)
             x.zero_grad()
             x.grad += g_x
@@ -180,19 +170,14 @@ def refine(template, seq, scene_field, schedule, sigma=CONTACT_SIGMA):
             except NumericError as e:
                 diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
                 break
-        else:
-            frames = vars_to_frames(x.value, betas)
-            final_report, _ = energy_and_gradients(template, frames, scene_field,
-                                                   stage.weights, segmentation, sigma,
-                                                   want_grad=False)
-            totals.append(final_report.total)
+        else:  # the energy the last step reached
+            totals.append(total_energy(template, vars_to_frames(x.value, betas), scene_field,
+                                       stage.weights, segmentation, sigma).total)
         history.append({"stage": stage_idx, "weights": list(stage.weights.as_tuple()),
                         "lr": stage.lr, "totals": totals})
-        reports.append((initial_report, final_report))
         if diagnostic is not None:
             break
 
     refined = MotionSequence(frames=vars_to_frames(x.value, betas), fps=seq.fps,
                              chunk_boundaries=list(seq.chunk_boundaries))
-    return RefineResult(sequence=refined, history=history, reports=reports,
-                        diagnostic=diagnostic)
+    return RefineResult(sequence=refined, history=history, diagnostic=diagnostic)

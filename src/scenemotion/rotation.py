@@ -109,16 +109,13 @@ def matrix_to_rot6d(R, tol=1e-4):
     return np.concatenate([R[:, 0], R[:, 1]])
 
 
-def axis_angle_to_matrix(w):
-    """Rodrigues formula over axis-angle vectors (..., 3), stable near the zero rotation.
+def axis_angle_to_matrix_with_cache(w):
+    """Rodrigues formula over axis-angle vectors (..., 3), stable near the zero
+    rotation; returns the matrices and the cache of :func:`axis_angle_pullback`.
 
     Raises:
         NumericError: if any row overflows.
     """
-    return axis_angle_to_matrix_with_cache(w)[0]
-
-
-def axis_angle_to_matrix_with_cache(w):
     w = np.asarray(w, dtype=np.float64)
     with np.errstate(over="ignore"):  # overflow is caught as a NumericError below
         theta2 = np.sum(w * w, axis=-1)

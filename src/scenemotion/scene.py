@@ -256,16 +256,6 @@ class VertexIndex:
         self._tree = cKDTree(points)
 
     def nearest(self, query):
-        """Returns (indices, distances); accepts a single point or (Q, 3)."""
-        q = np.asarray(query, dtype=np.float64)
-        single = q.ndim == 1
-        d, i = self._tree.query(q.reshape(-1, 3), k=1)
-        if single:
-            return int(i[0]), float(d[0])
+        """(indices (Q,), distances (Q,)) of the nearest point to each query row (Q, 3)."""
+        d, i = self._tree.query(np.asarray(query, dtype=np.float64).reshape(-1, 3), k=1)
         return i.astype(np.int64), d
-
-
-def nearest_scene_vertex(index, point):
-    """Exact nearest scene point to ``point``: (vertex xyz, distance)."""
-    i, d = index.nearest(np.asarray(point, dtype=np.float64).reshape(3))
-    return index.points[i], d

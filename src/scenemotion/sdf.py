@@ -296,16 +296,11 @@ def _floor_cells(local, top):
     return idx
 
 
-def sample_sdf(grid, point):
-    """Trilinear value and analytic gradient at one point (total function)."""
-    v, g = sample_sdf_batch(grid, np.asarray(point, dtype=np.float64).reshape(1, 3))
-    return float(v[0]), g[0]
-
-
 def sample_sdf_batch(grid, points):
-    """Vectorized :func:`sample_sdf`; out-of-grid points get the clamped
-    boundary value plus Euclidean distance to the grid box, with the gradient
-    pointing away from the box."""
+    """Trilinear values (N,) and analytic gradients (N, 3) at points (N, 3); a
+    total function. Out-of-grid points get the clamped boundary value plus the
+    Euclidean distance to the grid box, with the gradient pointing away from
+    the box."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     q, local = _cell_coords(grid, points)
     delta = points - q

@@ -52,16 +52,9 @@ class MotionSequence:
     def hands(self):
         return self.frames[:, 51:75]
 
-    def shares_beta(self, atol=0.0):
-        return np.abs(self.betas - self.betas[0]).max(initial=0.0) <= atol
-
     def copy(self):
         return MotionSequence(frames=self.frames.copy(), fps=self.fps,
                               chunk_boundaries=list(self.chunk_boundaries))
-
-    def path_length(self):
-        """Total pelvis travel in meters."""
-        return float(np.linalg.norm(np.diff(self.translations, axis=0), axis=1).sum())
 
     def meshes(self, template):
         """Posed vertices for every frame, (T, V, 3)."""

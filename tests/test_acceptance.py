@@ -21,6 +21,7 @@ from scenemotion.metrics import contact_score, mpjpe, mpvpe, non_collision_score
     reconstruction_errors
 from scenemotion.motion_nets import PoseNet, RouteNet
 from gradcheck import check_param_grads_directional
+from helpers import energy_value, foot_labels, path_length, sdf_at, shares_beta
 from scenemotion.nn.layers import Linear, ResidualBlock
 from scenemotion.nn.lstm import BiLSTM
 from scenemotion.nn.pointnet import PointEncoder
@@ -76,8 +77,9 @@ def test_c01_gradient_correctness(template, slab_field):
         dn = dict(params.__dict__)
         up[block] = vec + h * d
         dn[block] = vec - h * d
-        num = ((body.forward(template, body.BodyParams(**up)).vertices * cot).sum()
-               - (body.forward(template, body.BodyParams(**dn)).vertices * cot).sum()) / (2 * h)
+        num = ((body.forward_with_cache(template, body.BodyParams(**up))[0].vertices * cot).sum()
+               - (body.forward_with_cache(template, body.BodyParams(**dn))[0].vertices
+                  * cot).sum()) / (2 * h)
         ana = float(grads[block] @ d)
         err = max(err, abs(ana - num) / max(abs(num), abs(ana), 1e-8))
     worst["body"] = err
@@ -147,9 +149,8 @@ def test_c01_gradient_correctness(template, slab_field):
                                     frozen_nn=frozen)
 
         def term_loss(xv):
-            rep, _ = energy_and_gradients(template, vars_to_frames(xv, betas), slab_field,
-                                          weights, seg, frozen_nn=frozen, want_grad=False)
-            return rep.total
+            return energy_value(template, vars_to_frames(xv, betas), slab_field, weights, seg,
+                                frozen_nn=frozen)
 
         err = 0.0
         cases = 0
@@ -179,7 +180,7 @@ def test_c01_gradient_correctness(template, slab_field):
 
 def test_c02_sdf_oracle_equivalence():
     from test_sdf import oracle_signed_distance
-    from scenemotion.sdf import build_sdf, sample_sdf
+    from scenemotion.sdf import build_sdf
 
     t0 = time.monotonic()
     rng = np.random.default_rng(11)
@@ -209,13 +210,13 @@ def test_c02_sdf_oracle_equivalence():
         frac = local - np.floor(local)
         if np.any(frac < 0.01) or np.any(frac > 0.99):
             continue
-        _, grad = sample_sdf(grid, p)
+        _, grad = sdf_at(grid, p)
         for ax in range(3):
             h = 1e-5
             pp, pm = p.copy(), p.copy()
             pp[ax] += h
             pm[ax] -= h
-            fd = (sample_sdf(grid, pp)[0] - sample_sdf(grid, pm)[0]) / (2 * h)
+            fd = (sdf_at(grid, pp)[0] - sdf_at(grid, pm)[0]) / (2 * h)
             worst_grad = max(worst_grad, abs(grad[ax] - fd))
         checked += 1
     elapsed = time.monotonic() - t0
@@ -304,7 +305,7 @@ def test_c05_foot_segmentation(template):
         mspec = SyntheticMotionSpec(waypoints=[start, end], step_length=step, cadence=cadence)
         seq, stance = gen_motion(scene, mspec, template)
         seg = segment_stable_foot(template, seq.frames)
-        labels = seg.labels(len(seq))
+        labels = foot_labels(seg, len(seq))
         agreements.append(np.mean([a == b for a, b in zip(labels, stance)]))
     worst = min(agreements)
     mean = float(np.mean(agreements))
@@ -384,11 +385,11 @@ def test_c07_pipeline_laws(template):
     cloud = field.cloud.points
     clip_a = synthesize_clip(route, pose, [bodies[0], bodies[1]], cloud, 15)
     clip_b = synthesize_clip(route, pose, [bodies[1], bodies[2]], cloud, 15)
-    va = body.forward(template, body.BodyParams.from_flat(clip_a.frames[-1])).vertices
-    vb = body.forward(template, body.BodyParams.from_flat(clip_b.frames[0])).vertices
+    va = body.forward_batch(template, clip_a.frames[-1:]).vertices[0]
+    vb = body.forward_batch(template, clip_b.frames[:1]).vertices[0]
     seam_v2v = float(np.linalg.norm(va - vb, axis=1).mean())
 
-    beta_ok = result.sequence.shares_beta()
+    beta_ok = shares_beta(result.sequence)
     again = plan_long_term(cvae, route, pose, template, spec3, field, k=15, schedule=None)
     determinism = again.sequence.frames.tobytes() == result.sequence.frames.tobytes()
     ok = counts_ok and seam_v2v == 0.0 and beta_ok and determinism
@@ -454,9 +455,9 @@ def test_c09_baseline_contrast(trained_stack, template):
                               schedule=RefinementSchedule.two_stage(iters=100, lr=1e-2))
         baseline = cvae_interpolation_baseline(cvae, plan.goal_bodies[0], plan.goal_bodies[1],
                                                cloud, steps=k + 1)
-        paths.append(plan.sequence.path_length())
+        paths.append(path_length(plan.sequence))
         sm_pipe = e_smooth(plan.sequence.meshes(template)) / paths[-1]
-        sm_base = e_smooth(baseline.meshes(template)) / baseline.path_length()
+        sm_base = e_smooth(baseline.meshes(template)) / path_length(baseline)
         pairs.append((sm_base, sm_pipe))
         goal_t = plan.sequence.translations[plan.sequence.chunk_boundaries]
         drift = max(drift, np.linalg.norm(goal_t - spec.translations, axis=1).max())

@@ -3,7 +3,7 @@ import pytest
 
 from scenemotion import body
 from scenemotion.errors import InvalidRotationError, NumericError
-from scenemotion.rotation import axis_angle_to_matrix, rot6d_to_matrix
+from scenemotion.rotation import axis_angle_to_matrix_with_cache, rot6d_to_matrix
 
 
 def test_template_invariants(template):
@@ -22,7 +22,7 @@ def test_template_invariants(template):
 
 
 def test_rest_pose_reproduces_template_bit_exactly(template):
-    mesh = body.forward(template, body.BodyParams.rest())
+    mesh, _ = body.forward_with_cache(template, body.BodyParams.rest())
     assert np.array_equal(mesh.vertices, template.rest_vertices)
     assert np.array_equal(mesh.joints, template.joints)
 
@@ -35,8 +35,8 @@ def test_translation_equivariance(template):
                              h=rng.standard_normal(24) * 0.5)
     offset = np.array([1.0, 2.0, 3.0])
     shifted = body.BodyParams(t=offset, r=params.r, beta=params.beta, p=params.p, h=params.h)
-    va = body.forward(template, params).vertices
-    vb = body.forward(template, shifted).vertices
+    va = body.forward_with_cache(template, params)[0].vertices
+    vb = body.forward_with_cache(template, shifted)[0].vertices
     assert np.array_equal(vb, va + offset)
 
 
@@ -48,8 +48,8 @@ def test_rotation_equivariance_about_pelvis(template):
     Q = rot6d_to_matrix(rng.standard_normal(6))
     rotated = body.BodyParams(t=base.t, r=body.rotation.matrix_to_rot6d(Q @ rot6d_to_matrix(base.r)),
                               beta=base.beta, p=base.p, h=base.h)
-    va = body.forward(template, base).vertices
-    vb = body.forward(template, rotated).vertices
+    va = body.forward_with_cache(template, base)[0].vertices
+    vb = body.forward_with_cache(template, rotated)[0].vertices
     np.testing.assert_allclose(vb - base.t, (va - base.t) @ Q.T, atol=1e-9)
 
 
@@ -61,11 +61,11 @@ def test_knee_rotation_matches_two_bone_fk_oracle(template):
     p = body.pose_latent_for(template, {idx: angle})
     params = body.BodyParams(t=np.zeros(3), r=np.array([1.0, 0, 0, 0, 1, 0]),
                              beta=np.zeros(10), p=p, h=np.zeros(24))
-    mesh = body.forward(template, params)
+    mesh, _ = body.forward_with_cache(template, params)
     names = body.JOINT_NAMES
     knee = template.joints[names.index("l_knee")]
     ankle_rest = template.joints[names.index("l_ankle")]
-    oracle = knee + axis_angle_to_matrix([angle, 0, 0]) @ (ankle_rest - knee)
+    oracle = knee + axis_angle_to_matrix_with_cache([angle, 0, 0])[0] @ (ankle_rest - knee)
     np.testing.assert_allclose(mesh.joints[names.index("l_ankle")], oracle, atol=1e-9)
 
 
@@ -104,7 +104,7 @@ def test_shape_basis_column_is_linear(template):
     beta[0] = eps
     params = body.BodyParams(t=np.zeros(3), r=np.array([1.0, 0, 0, 0, 1, 0]),
                              beta=beta, p=np.zeros(32), h=np.zeros(24))
-    delta = body.forward(template, params).vertices - template.rest_vertices
+    delta = body.forward_with_cache(template, params)[0].vertices - template.rest_vertices
     np.testing.assert_allclose(delta, eps * template.shape_basis[:, :, 0], atol=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_pullback_matches_fd_on_every_block(template):
     grads = body.pullback(cache, cot)
 
     def scalar(pr):
-        return float((body.forward(template, pr).vertices * cot).sum())
+        return float((body.forward_with_cache(template, pr)[0].vertices * cot).sum())
 
     h = 1e-4
     for name in ("t", "r", "beta", "p", "h"):
@@ -229,5 +229,5 @@ def test_template_save_load_round_trip(template, tmp_path):
     assert np.array_equal(loaded.pose_map, template.pose_map)
     for name in template.vertex_groups:
         assert np.array_equal(loaded.vertex_groups[name], template.vertex_groups[name])
-    mesh = body.forward(loaded, body.BodyParams.rest())
+    mesh, _ = body.forward_with_cache(loaded, body.BodyParams.rest())
     assert np.array_equal(mesh.vertices, template.rest_vertices)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_bad_refine_config_is_user_error(tmp_path, capsys, monkeypatch, command,
     code = main(argv + ["--out", str(tmp_path / "out"), "--set", pair])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: refine_iters/refine_lr: ")
+    assert err.startswith(f"error: config key '{pair.split('=')[0]}' must be ")
     assert "Traceback" not in err
     assert built == []
 
@@ -332,3 +333,81 @@ def test_bad_goal_spec_is_user_error(tmp_path, capsys, monkeypatch, command, spe
     assert err.startswith(f"error: {goals}: ")
     assert "Traceback" not in err and "weights" not in err
     assert built == []
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("cvae_batch=0", "'cvae_batch' must be >= 1"), ("route_epochs=-3", "'route_epochs' must be >= 1"),
+    ("k=0", "'k' must be >= 2"), ("k=1", "'k' must be >= 2"),
+    ("point_hidden=[16,0]", "'point_hidden' must be >= 1"),
+    ("refine_lr=-1e-3", "'refine_lr' must be > 0"), ("sdf_cell=0", "'sdf_cell' must be > 0"),
+    ("contact_sigma=0", "'contact_sigma' must be > 0"), ("w_col=-0.5", "'w_col' must be >= 0"),
+    ("sdf_padding=-1", "'sdf_padding' must be >= 0"), ("kl_warmup_frac=1.5", "must lie in [0, 1]"),
+    ("w_kl=NaN", "'w_kl' must be finite"), ("min_displacement=Infinity", "must be finite"),
+])
+def test_out_of_range_override_is_rejected(pair, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig().apply_overrides([pair])
+    key, value = pair.split("=")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig.from_dict({key: json.loads(value)})
+
+
+def test_edge_of_range_overrides_are_accepted():
+    cfg = RunConfig().apply_overrides(["k=2", "cvae_batch=1", "w_col=0", "kl_warmup_frac=0",
+                                       "kl_warmup_frac=1", "sdf_padding=0", "seed=-4",
+                                       "template_seed=0"])
+    assert (cfg.k, cfg.cvae_batch, cfg.w_col, cfg.kl_warmup_frac) == (2, 1, 0.0, 1.0)
+    assert (cfg.seed, cfg.template_seed) == (-4, 0)
+
+
+def test_train_route_with_zero_epochs_is_user_error(tmp_path, capsys):
+    code = main(["train-route", "--dataset", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "w.route"), "--set", "route_epochs=0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'route_epochs' must be >= 1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "baseline-interp"])
+def test_directory_as_goal_spec_is_user_error(tmp_path, capsys, command):
+    argv = [command, "--scene", write_floor_scene(tmp_path / "scene.obj"),
+            "--goals", str(tmp_path), "--cvae", "a.cvae", "--out", str(tmp_path / "out")]
+    if command == "synthesize":
+        argv += ["--route", "a.route", "--pose", "a.pose"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: goal spec is not a file: {tmp_path}")
+    assert "Traceback" not in err
+
+
+def test_directory_without_sequence_is_user_error(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    code = main(["export-mesh", "--seq", str(tmp_path / "empty"), "--out", str(tmp_path / "m")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing input sequence: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "baseline-interp"])
+def test_damaged_cvae_weights_are_user_error(tmp_path, capsys, command):
+    from scenemotion.cvae import GoalCVAE
+    from scenemotion.persist import save_model
+    valid = tmp_path / "valid.cvae"
+    save_model(str(valid), GoalCVAE(np.random.default_rng(0), hidden=8, cond_dim=8,
+                                    point_hidden=(4, 4)), "cvae")
+    data = valid.read_bytes()
+    for name, blob in (("empty", b""), ("random", np.random.default_rng(1).bytes(300)),
+                       ("truncated", data[:len(data) // 2])):
+        path = tmp_path / f"{name}.cvae"
+        path.write_bytes(blob)
+        argv = [command, "--scene", write_floor_scene(tmp_path / "scene.obj"),
+                "--goals", write_goals(tmp_path / "goals.json"), "--cvae", str(path),
+                "--out", str(tmp_path / "out")]
+        if command == "synthesize":
+            argv += ["--route", str(valid), "--pose", str(valid), "--no-refine"]
+        assert main(argv) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: "), name
+        assert "Traceback" not in err, name

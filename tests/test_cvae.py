@@ -77,7 +77,7 @@ def test_kl_grads_closed_form():
 
 def condition(model, beta, t, r, cloud):
     """F_hs for a single goal: the scene feature fused with (beta, t, r)."""
-    feat, _ = model.scene_feature(cloud)
+    feat, _ = model.point_enc.forward(cloud)
     return model.condition_from_feature(feat, beta, t, r)[0][0]
 
 
@@ -152,7 +152,7 @@ def test_goal_bodies_batch_matches_one_goal_at_a_time():
 # -- training step ----------------------------------------------------------------
 
 def _contact_cloud_field(template, params):
-    mesh = body.forward(template, params)
+    mesh, _ = body.forward_with_cache(template, params)
     pts = mesh.vertices[template.contact_vertex_ids()]
     cloud = PointCloud(points=pts)
     return SceneField(mesh=None, cloud=cloud, grid=far_slab_grid(),
@@ -236,6 +236,44 @@ def test_empty_batch_rejected(template):
         trainer.forward_backward(np.zeros((0, 75)), [], eps=np.zeros((0, 32)))
 
 
+def test_body_energies_are_the_batch_mean_of_refinement_terms(template, slab_field):
+    # two scenes, bodies sunk into the slab or the box, both scene terms on
+    from scenemotion.datagen import box_mesh_arrays
+    from scenemotion.energy import EnergyWeights, FootSegmentation, scene_energy
+    from scenemotion.scene import make_mesh
+    box = SceneField.build(make_mesh(*box_mesh_arrays([0.3, 0.0, 0.6], [0.8, 0.8, 0.6])),
+                           cloud_points=256, cloud_seed=2, cell=0.1, padding=0.4)
+    fields = {0: slab_field, 1: box}
+    rng = np.random.default_rng(15)
+    scene_ids = [1, 0, 0, 1, 0, 1, 1]
+    frames = np.tile(body.BodyParams.rest(beta=np.zeros(10)).flat(), (len(scene_ids), 1))
+    frames[:, 0:3] = rng.uniform([-0.2, -0.2, 0.7], [0.2, 0.2, 0.9], (len(scene_ids), 3))
+    frames[:, 9:19] = rng.standard_normal((len(scene_ids), 10)) * 0.2
+    frames[:, 19:] += rng.standard_normal((len(scene_ids), 56)) * 0.2
+    w_col, w_cont = 0.7, 0.3
+    trainer = CVAETrainer(tiny_model(), template, fields, w_col=w_col, w_cont=w_cont, seed=0)
+    col, cont, g_ph = trainer._body_energies(frames, scene_ids)
+
+    n = len(frames)
+    weights = EnergyWeights(foot=0.0, col=w_col, cont=w_cont, smooth=0.0)
+    mesh, cache = body.forward_batch_with_cache(template, frames)
+    g_vertices = np.zeros(mesh.vertices.shape)
+    reports = []
+    for i, sid in enumerate(scene_ids):
+        report, g = scene_energy(template, mesh.vertices[i:i + 1], fields[sid], weights,
+                                 FootSegmentation(segments=[]), want_grad=True)
+        reports.append(report)
+        g_vertices[i] = g[0] / n
+    want_col = np.mean([r.col for r in reports])
+    want_cont = np.mean([r.cont for r in reports])
+    want_g = body.pullback_batch(cache, g_vertices)[:, 9:]
+    assert min(r.col for r, s in zip(reports, scene_ids) if s == 0) > 0.0
+    assert min(r.col for r, s in zip(reports, scene_ids) if s == 1) > 0.0
+    assert col == pytest.approx(want_col, rel=1e-12, abs=0.0)
+    assert cont == pytest.approx(want_cont, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(g_ph, want_g, rtol=0.0, atol=1e-12 * np.abs(want_g).max())
+
+
 def test_run_epochs_matches_a_hand_loop_of_train_steps(template, slab_field):
     # two scenes with the scene terms on, batches that mix them, a short last batch
     rng = np.random.default_rng(13)
@@ -294,7 +332,7 @@ def test_encode_decode_round_trip_beats_noise_floor(template):
                           warmup_frac=0.1, total_steps=600, seed=2)
     trainer.run_epochs(vecs, [0] * 24, epochs=200, batch_size=8, lr=1e-3)
 
-    feat, _ = model.scene_feature(cloud_pts)
+    feat, _ = model.point_enc.forward(cloud_pts)
     cond, _ = model.condition_from_feature(np.tile(feat, (24, 1)), vecs[:, 9:19],
                                            vecs[:, 0:3], vecs[:, 3:9])
     mu, _, _ = model.encode(vecs, cond)

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from scenemotion import body, energy
 from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, FootSegment,
                                 FootSegmentation, _col_term, _cont_term, _foot_term,
-                                _smooth_term, e_col, e_cont, e_foot, e_smooth, geman_mcclure,
+                                _smooth_term, e_col, e_cont, e_smooth, geman_mcclure,
                                 segment_from_centroids, segment_stable_foot, sole_centroids,
                                 total_energy)
 from scenemotion.sdf import SdfGrid, sample_sdf_batch
 from scenemotion.scene import VertexIndex
 from scenemotion.sequence import MotionSequence
+from helpers import foot_labels, sdf_at
 
 
 def standing_frames(template, positions, pelvis_z=0.93):
@@ -100,7 +101,7 @@ def test_procedural_gait_oracle(template):
                                 cadence=1.8)
     seq, stance = gen_motion(spec, mspec, template)
     seg = segment_stable_foot(template, seq.frames)
-    labels = seg.labels(len(seq))
+    labels = foot_labels(seg, len(seq))
     agreement = np.mean([a == b for a, b in zip(labels, stance)])
     assert agreement >= 0.9
 
@@ -110,7 +111,8 @@ def test_procedural_gait_oracle(template):
 def test_e_foot_pivoting_foot_is_zero(template):
     frames = standing_frames(template, [(0.0, 0.0)] * 5)
     seg = segment_stable_foot(template, frames)
-    assert e_foot(template, frames, seg) == 0.0
+    verts = body.forward_batch(template, frames).vertices
+    assert _foot_term(template, verts, seg, want_grad=False) == 0.0
 
 
 def test_e_foot_two_frame_hand_case():
@@ -143,7 +145,6 @@ def test_e_col_hand_case_single_penetrating_vertex(slab_field):
 
 
 def test_e_col_matches_naive_oracle(template, slab_field):
-    from scenemotion.sdf import sample_sdf
     rng = np.random.default_rng(1)
     frames = standing_frames(template, [(0.3, 0.2), (-0.4, 0.6)], pelvis_z=0.85)
     verts = MotionSequence(frames=frames).meshes(template)
@@ -151,7 +152,7 @@ def test_e_col_matches_naive_oracle(template, slab_field):
     for f in range(len(verts)):
         acc = 0.0
         for v in verts[f]:
-            val, _ = sample_sdf(slab_field.grid, v)
+            val, _ = sdf_at(slab_field.grid, v)
             acc += abs(min(val, 0.0))
         expected += acc / verts.shape[1]
     assert e_col(verts, slab_field.grid) == pytest.approx(expected, abs=1e-9)

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from scenemotion import body
-from scenemotion.metrics import (contact_score, evaluate, metrics_csv, mpjpe, mpvpe,
+from scenemotion.metrics import (contact_score, evaluate, mpjpe, mpvpe,
                                  neighbour_v2v, non_collision_score, reconstruction_errors)
 from scenemotion.sdf import SdfGrid
 from scenemotion.sequence import MotionSequence
@@ -161,17 +163,17 @@ def test_standing_on_floor_contacts_every_frame(template):
     assert contact_score(seq, template, grid) == 100.0
 
 
-def test_evaluate_and_csv(template):
+def test_evaluate_and_json(template):
     gt = seq_of_translations([[0, 0, 1], [0.1, 0, 1], [0.2, 0, 1]])
     pred = seq_of_translations([[0.01, 0, 1], [0.11, 0, 1], [0.21, 0, 1]])
     report = evaluate(pred, gt, template, grid=plane_grid())
     assert report.mpjpe_mm == pytest.approx(10.0, abs=1e-6)
     blob = report.to_json()
     assert "mpjpe_mm" in blob
-    csv = metrics_csv({"ours": report})
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("method,transl,orientation,pose,MPJPE,MPVPE")
-    assert lines[1].startswith("ours,")
+    assert json.loads(blob) == report.to_dict()
+    assert list(report.to_dict()) == ["transl_l1_x100", "orient_l1_x100", "pose_l1_x100",
+                                      "mpjpe_mm", "mpvpe_mm", "neighbour_v2v",
+                                      "non_collision_pct", "contact_pct"]
 
 
 def _random_sequence(rng, n):

@@ -10,6 +10,7 @@ from scenemotion.pipeline import (GoalSpec, cvae_interpolation_baseline, plan_lo
                                   validate_spec)
 from scenemotion.refine import RefinementSchedule
 from scenemotion.rotation import heading_to_rot6d
+from helpers import shares_beta
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
@@ -70,7 +71,7 @@ def test_beta_constant_across_frames(random_models, small_field, template):
     spec.beta[...] = np.linspace(-0.5, 0.5, 10)
     result = plan_long_term(cvae, route, pose, template, spec, small_field, k=15,
                             schedule=None)
-    assert result.sequence.shares_beta()
+    assert shares_beta(result.sequence)
     np.testing.assert_array_equal(result.sequence.betas[0], spec.beta)
 
 

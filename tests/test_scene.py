@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from scenemotion.errors import EmptySceneError, MeshFormatError, StateError
-from scenemotion.scene import (VertexIndex, load_scene, make_mesh, nearest_scene_vertex,
-                               sample_point_cloud, save_obj)
+from scenemotion.scene import VertexIndex, load_scene, make_mesh, sample_point_cloud, save_obj
 
 
 def _write_obj(path, text):
@@ -176,12 +175,9 @@ def test_sample_zero_count_rejected():
 
 def test_nearest_vertex_trivial_cases():
     index = VertexIndex([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-    v, d = nearest_scene_vertex(index, [0.0, 0.0, 0.0])
-    assert d == 0.0
-    assert np.array_equal(v, [0.0, 0.0, 0.0])
-    v, d = nearest_scene_vertex(index, [4.0, 0.0, 0.0])
-    assert d == 4.0
-    assert np.array_equal(v, [0.0, 0.0, 0.0])
+    idx, d = index.nearest(np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]))
+    assert d.tolist() == [0.0, 4.0]
+    assert np.array_equal(index.points[idx], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_nearest_vertex_equals_linear_scan():

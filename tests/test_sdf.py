@@ -5,7 +5,8 @@ from scenemotion.datagen import box_mesh_arrays, dataset_scene_fields
 from scenemotion.errors import ResourceLimitError, SceneMotionError, SdfCacheError
 from scenemotion.scene import make_mesh
 from scenemotion.sdf import (BRICK, SdfGrid, _point_triangle_dist2, _projected_inside, build_sdf,
-                             load_sdf, sample_sdf, sample_sdf_batch, save_sdf, unsigned_distance)
+                             load_sdf, sample_sdf_batch, save_sdf, unsigned_distance)
+from helpers import sdf_at
 
 
 def unit_cube():
@@ -83,9 +84,9 @@ def _oracle_point_tri(p, a, b, c):
 
 def test_cube_center_and_outside_nodes():
     grid = build_sdf(unit_cube(), cell=0.25, padding=1.0)
-    val, _ = sample_sdf(grid, [0.0, 0.0, 0.0])
+    val, _ = sdf_at(grid, [0.0, 0.0, 0.0])
     assert abs(val - (-0.5)) <= 0.25 + 1e-9
-    val, _ = sample_sdf(grid, [1.0, 0.0, 0.0])
+    val, _ = sdf_at(grid, [1.0, 0.0, 0.0])
     assert abs(val - 0.5) <= 0.25 + 1e-9
 
 
@@ -216,7 +217,7 @@ def test_brick_bound_keeps_a_triangle_nearest_by_a_hair():
 def test_node_exact_sampling():
     grid = build_sdf(unit_cube(), cell=0.25, padding=0.75)
     xs, ys, zs = grid.node_positions()
-    val, _ = sample_sdf(grid, [xs[3], ys[4], zs[5]])
+    val, _ = sdf_at(grid, [xs[3], ys[4], zs[5]])
     assert val == grid.values[3, 4, 5]
 
 
@@ -231,13 +232,13 @@ def test_trilinear_gradient_matches_fd():
         frac = local - np.floor(local)
         if np.any(frac < 0.01) or np.any(frac > 0.99):
             continue
-        _, grad = sample_sdf(grid, p)
+        _, grad = sdf_at(grid, p)
         h = 1e-5
         for i in range(3):
             pp, pm = p.copy(), p.copy()
             pp[i] += h
             pm[i] -= h
-            fd = (sample_sdf(grid, pp)[0] - sample_sdf(grid, pm)[0]) / (2 * h)
+            fd = (sdf_at(grid, pp)[0] - sdf_at(grid, pm)[0]) / (2 * h)
             assert abs(grad[i] - fd) < 1e-4
         checked += 1
 
@@ -251,8 +252,8 @@ def test_continuity_across_cell_faces():
         x = xs[rng.integers(1, len(xs) - 1)]
         y = rng.uniform(ys[0], ys[-1])
         z = rng.uniform(zs[0], zs[-1])
-        lo, _ = sample_sdf(grid, [x - 1e-10, y, z])
-        hi, _ = sample_sdf(grid, [x + 1e-10, y, z])
+        lo, _ = sdf_at(grid, [x - 1e-10, y, z])
+        hi, _ = sdf_at(grid, [x + 1e-10, y, z])
         assert abs(lo - hi) < 1e-9
 
 
@@ -260,14 +261,14 @@ def test_outside_grid_clamped_plus_distance():
     grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
     hi = grid.upper
     outside = np.array([hi[0] + 2.0, 0.1, 0.2])
-    val, grad = sample_sdf(grid, outside)
-    boundary, _ = sample_sdf(grid, [hi[0], 0.1, 0.2])
+    val, grad = sdf_at(grid, outside)
+    boundary, _ = sdf_at(grid, [hi[0], 0.1, 0.2])
     assert val == pytest.approx(boundary + 2.0, abs=1e-12)
     assert grad[0] == pytest.approx(1.0, abs=1e-12)  # unit component away from the box
     assert val > 0
     # diagonal exit: gradient points away from the box on every outside axis
     diag = hi + np.array([1.0, 2.0, 3.0])
-    val_d, grad_d = sample_sdf(grid, diag)
+    val_d, grad_d = sdf_at(grid, diag)
     away = (diag - hi) / np.linalg.norm(diag - hi)
     np.testing.assert_allclose(grad_d, away, atol=1e-12)
     assert val_d > 0
@@ -364,7 +365,7 @@ def test_batch_matches_scalar():
     pts = rng.uniform(-1.5, 1.5, size=(40, 3))
     vals, grads = sample_sdf_batch(grid, pts)
     for p, v, g in zip(pts, vals, grads):
-        v1, g1 = sample_sdf(grid, p)
+        v1, g1 = sdf_at(grid, p)
         assert v == v1
         assert np.array_equal(g, g1)
 
