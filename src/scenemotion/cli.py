@@ -154,12 +154,6 @@ def _template(cfg):
     return body.default_template(cfg.template_seed)
 
 
-def _load_dataset(path):
-    from .datagen import load_dataset
-    _require(os.path.join(path, "manifest.json"), "dataset manifest")
-    return load_dataset(path)
-
-
 def _schedule(args, cfg):
     """The refinement schedule of ``--schedule`` or of the config; a bad one
     is a user error, raised before any scene work."""
@@ -181,7 +175,7 @@ def _goal_spec(path):
         return GoalSpec.from_json(_require(path, "goal spec"))
     except KeyError as e:
         raise UserError(f"{path}: missing {e} entry") from None
-    except (TypeError, ValueError) as e:
+    except (OverflowError, TypeError, ValueError) as e:
         raise UserError(f"{path}: {e}") from None
 
 
@@ -219,8 +213,9 @@ def cmd_gen_data(args, cfg, log):
 
 
 def cmd_build_sdf(args, cfg, log):
+    from .datagen import load_dataset
     from .sdf import build_sdf, save_sdf
-    dataset = _load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset)
     sdf_dir = os.path.join(args.dataset, "sdf")
     os.makedirs(sdf_dir, exist_ok=True)
     outputs = []
@@ -236,8 +231,8 @@ def cmd_build_sdf(args, cfg, log):
 
 def cmd_train_cvae(args, cfg, log):
     from .cvae import CVAETrainer, GoalCVAE
-    from .datagen import dataset_bodies, dataset_scene_fields
-    dataset = _load_dataset(args.dataset)
+    from .datagen import dataset_bodies, dataset_scene_fields, load_dataset
+    dataset = load_dataset(args.dataset)
     fields = dataset_scene_fields(dataset, cloud_points=cfg.cloud_points,
                                   cell=cfg.sdf_cell, padding=cfg.sdf_padding,
                                   node_budget=cfg.sdf_node_budget,
@@ -256,9 +251,9 @@ def cmd_train_cvae(args, cfg, log):
 
 
 def cmd_train_route(args, cfg, log):
-    from .datagen import dataset_clouds
+    from .datagen import dataset_clouds, load_dataset
     from .motion_nets import RouteNet, train_route_net
-    dataset = _load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset)
     clouds = dataset_clouds(dataset, cloud_points=cfg.cloud_points)
     model = RouteNet(np.random.default_rng(cfg.seed), hidden=cfg.hidden,
                      fc_width=cfg.fc_width, point_hidden=cfg.point_hidden)
@@ -269,10 +264,10 @@ def cmd_train_route(args, cfg, log):
 
 
 def cmd_train_pose(args, cfg, log):
-    from .datagen import dataset_clouds
+    from .datagen import dataset_clouds, load_dataset
     from .motion_nets import PoseNet, train_pose_net
     from .persist import load_model
-    dataset = _load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset)
     clouds = dataset_clouds(dataset, cloud_points=cfg.cloud_points)
     route_model, _ = load_model(_require(args.route, "RouteNet weights"), "route")
     model = PoseNet(np.random.default_rng(cfg.seed + 1), hidden=cfg.hidden,
@@ -295,7 +290,7 @@ def cmd_synthesize(args, cfg, log):
     for diag in validate_spec(spec, field.mesh):
         log(f"warning: {diag}")
     result = plan_long_term(cvae_model, route_model, pose_model, _template(cfg), spec,
-                            field, k=cfg.k, schedule=schedule, sigma=cfg.contact_sigma)
+                            field, k=cfg.k, schedule=schedule)
     save_sequence(args.out, result.sequence,
                   extra={"pre_refine_total": result.pre_report.total if result.pre_report else None})
     payload = {"outputs": [args.out], "frames": len(result.sequence),
@@ -311,7 +306,7 @@ def cmd_refine(args, cfg, log):
     seq = _load_seq(args.seq, "input sequence")
     schedule = _schedule(args, cfg)
     field = _scene_field(args.scene, cfg)
-    result = refine(_template(cfg), seq, field, schedule, sigma=cfg.contact_sigma)
+    result = refine(_template(cfg), seq, field, schedule)
     if result.diagnostic:
         log(f"warning: {result.diagnostic}")
     save_sequence(args.out, result.sequence)
@@ -343,13 +338,7 @@ def cmd_evaluate(args, cfg, log):
     from .metrics import evaluate
     pred = _load_seq(args.pred, "prediction sequence")
     gt = _load_seq(args.gt, "reference sequence")
-    grid = None
-    if args.scene:
-        from .sdf import build_sdf
-        from .scene import load_scene
-        grid = build_sdf(load_scene(_require(args.scene, "scene mesh")),
-                         cell=cfg.sdf_cell, padding=cfg.sdf_padding,
-                         node_budget=cfg.sdf_node_budget)
+    grid = _scene_field(args.scene, cfg).grid if args.scene else None
     try:
         report = evaluate(pred, gt, _template(cfg), grid=grid)
     except ValueError as e:

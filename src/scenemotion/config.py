@@ -48,7 +48,6 @@ class RunConfig:
     sdf_cell: float = 0.05
     sdf_padding: float = 0.5
     sdf_node_budget: int = 64_000_000
-    contact_sigma: float = 0.2
 
     # refinement (RefinementSchedule.two_stage fixes the stage weights)
     refine_iters: int = 200
@@ -80,6 +79,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d):
+        if not isinstance(d, dict):
+            raise ValueError(f"a config is a JSON object, got {type(d).__name__}")
         cfg = RunConfig()
         for key, value in d.items():
             cfg._set(key, value)
@@ -128,7 +129,7 @@ def _range_problem(key, v):
         return None if key.endswith("seed") or v >= low else f"must be >= {low}"
     if not math.isfinite(v):
         return "must be finite"
-    if key.endswith("_lr") or key in ("sdf_cell", "contact_sigma"):
+    if key.endswith("_lr") or key == "sdf_cell":
         return None if v > 0 else "must be > 0"
     if key == "kl_warmup_frac":
         return None if 0 <= v <= 1 else "must lie in [0, 1]"

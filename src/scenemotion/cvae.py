@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import body
-from .energy import CONTACT_SIGMA, _col_term, _cont_term
+from .energy import _col_term, _cont_term
 from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
 from .nn.layers import Linear, ResidualBlock, leaky_relu, leaky_relu_backward
@@ -289,7 +289,7 @@ class CVAETrainer:
             field = self.scene_fields[sid]
             verts, g_rows = mesh.vertices[rows], g[rows]
             col += _col_term(verts, field.grid, self.w_col != 0.0, g_rows, self.w_col / n)
-            cont += _cont_term(verts, self.contact_ids, field.index, CONTACT_SIGMA,
-                               self.w_cont != 0.0, g_rows, self.w_cont / n)
+            cont += _cont_term(verts, self.contact_ids, field.index, self.w_cont != 0.0,
+                               g_rows, self.w_cont / n)
             g[rows] = g_rows
         return col / n, cont / n, body.pullback_batch(cache, g)[:, 9:]

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import body
+from .errors import ArtefactError
 from .rotation import heading_to_rot6d
 from .scene import make_mesh
 from .sdf import DEFAULT_NODE_BUDGET, cache_mismatch, load_sdf
@@ -342,30 +344,36 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
 
 
 def load_dataset(dataset_dir):
-    """Manifest + in-memory clip frames and scene meshes."""
+    """Manifest + in-memory clip frames and scene meshes. A manifest, scene,
+    clip or stance file that is missing, malformed or short raises ArtefactError."""
     from .scene import load_scene
-    with open(os.path.join(dataset_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    k = manifest["k"]
-    scenes = {}
-    for rec in manifest["scenes"]:
-        scenes[rec["id"]] = {
-            "mesh": load_scene(os.path.join(dataset_dir, rec["file"])),
-            "seed": rec["seed"],
-            "record": rec,
-        }
-    clips = []
-    for rec in manifest["clips"]:
-        frames = np.fromfile(os.path.join(dataset_dir, rec["file"]), dtype="<f8")
-        frames = frames.reshape(k + 1, body.PARAM_DIM).astype(np.float64)
-        stance = None
-        if rec.get("stance_file"):
-            with open(os.path.join(dataset_dir, rec["stance_file"])) as f:
-                stance = json.load(f)
-        clips.append({"id": rec["id"], "scene": rec["scene"], "frames": frames,
-                      "stance": stance, "displacement": rec["displacement"]})
-    return {"manifest": manifest, "scenes": scenes, "clips": clips,
-            "k": k, "fps": manifest["fps"]}
+    try:
+        manifest = json.loads(Path(dataset_dir, "manifest.json").read_bytes())
+        k = manifest["k"]
+        scenes = {rec["id"]: {"mesh": load_scene(os.path.join(dataset_dir, rec["file"])),
+                              "seed": rec["seed"], "record": rec}
+                  for rec in manifest["scenes"]}
+        clips = []
+        for rec in manifest["clips"]:
+            if rec["scene"] not in scenes:
+                raise ValueError(f"clip {rec['id']} names unknown scene {rec['scene']!r}")
+            frames = np.fromfile(os.path.join(dataset_dir, rec["file"]), dtype="<f8")
+            if frames.size != (k + 1) * body.PARAM_DIM:
+                raise ValueError(f"{rec['file']} holds {frames.size} values, "
+                                 f"expected {k + 1} x {body.PARAM_DIM}")
+            stance_file = rec.get("stance_file")
+            stance = json.loads(Path(dataset_dir, stance_file).read_bytes()) if stance_file else None
+            clips.append({"id": rec["id"], "scene": rec["scene"],
+                          "frames": frames.reshape(k + 1, body.PARAM_DIM).astype(np.float64),
+                          "stance": stance, "displacement": rec["displacement"]})
+        if not clips:
+            raise ValueError("the manifest lists no clips")
+        return {"manifest": manifest, "scenes": scenes, "clips": clips,
+                "k": k, "fps": manifest["fps"]}
+    except KeyError as e:
+        raise ArtefactError(f"{dataset_dir}: manifest lacks {e}") from None
+    except (OSError, TypeError, ValueError) as e:
+        raise ArtefactError(f"{dataset_dir}: {e}") from None
 
 
 def dataset_scene_fields(dataset, cloud_points=1024, cell=0.05, padding=0.5,

@@ -166,12 +166,12 @@ def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
     return _frame_order_sum(per_frame)
 
 
-def e_cont(vertices, contact_ids, index, sigma=CONTACT_SIGMA):
+def e_cont(vertices, contact_ids, index):
     """Sum of robustified nearest-scene distances of the contact vertices."""
-    return _cont_term(vertices, contact_ids, index, sigma, want_grad=False)
+    return _cont_term(vertices, contact_ids, index, want_grad=False)
 
 
-def _cont_term(vertices, contact_ids, index, sigma, want_grad, g_vertices=None, scale=1.0,
+def _cont_term(vertices, contact_ids, index, want_grad, g_vertices=None, scale=1.0,
                correspondences=None):
     """``correspondences`` (T, C) optionally pins each contact vertex to a cloud
     point index; otherwise one exact nearest-point query covers every frame."""
@@ -182,12 +182,12 @@ def _cont_term(vertices, contact_ids, index, sigma, want_grad, g_vertices=None, 
     else:
         nn_idx = np.asarray(correspondences)
         d = np.linalg.norm(cv - index.points[nn_idx], axis=2)
-    total = _frame_order_sum(geman_mcclure(d, sigma).sum(axis=1))
+    total = _frame_order_sum(geman_mcclure(d).sum(axis=1))
     if want_grad:
         pos = d > 0.0
         if pos.any():
             frame, col = np.nonzero(pos)
-            pull = geman_mcclure_deriv(d[pos], sigma) / d[pos]
+            pull = geman_mcclure_deriv(d[pos]) / d[pos]
             g_vertices[frame, contact_ids[col]] += (
                 scale * pull[:, None] * (cv[pos] - index.points[nn_idx[pos]]))
     return total
@@ -266,8 +266,8 @@ class EnergyReport:
                 "weights": list(self.weights.as_tuple())}
 
 
-def scene_energy(template, vertices, scene_field, weights, segmentation, sigma=CONTACT_SIGMA,
-                 correspondences=None, want_grad=False):
+def scene_energy(template, vertices, scene_field, weights, segmentation, correspondences=None,
+                 want_grad=False):
     """Weighted four-term energy of posed vertices (T, V, 3).
 
     Returns the EnergyReport and, with ``want_grad``, dTotal/dvertices
@@ -279,7 +279,7 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, sigma=C
                       g, scale=weights.foot)
     col = _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0,
                     g, scale=weights.col)
-    cont = _cont_term(vertices, template.contact_vertex_ids(), scene_field.index, sigma,
+    cont = _cont_term(vertices, template.contact_vertex_ids(), scene_field.index,
                       want_grad and weights.cont != 0.0, g, scale=weights.cont,
                       correspondences=correspondences)
     smooth = _smooth_term(vertices, want_grad and weights.smooth != 0.0, g,
@@ -287,11 +287,11 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, sigma=C
     return EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights), g
 
 
-def total_energy(template, seq, scene_field, weights, segmentation=None, sigma=CONTACT_SIGMA):
+def total_energy(template, seq, scene_field, weights, segmentation=None):
     """Evaluate all four terms; segmentation is recomputed unless supplied."""
     frames = seq.frames if hasattr(seq, "frames") else np.asarray(seq)
     vertices = body.forward_batch(template, frames).vertices
     if segmentation is None:
         segmentation = segment_from_centroids(*sole_centroids(template, vertices))
-    report, _ = scene_energy(template, vertices, scene_field, weights, segmentation, sigma)
+    report, _ = scene_energy(template, vertices, scene_field, weights, segmentation)
     return report

@@ -13,16 +13,9 @@ class MeshFormatError(SceneMotionError, ValueError):
     """A scene file could not be parsed; message carries line/offset info."""
 
 
-class SequenceFormatError(SceneMotionError, ValueError):
-    """A sequence file has an unsupported version or inconsistent contents."""
-
-
-class SdfCacheError(SceneMotionError, ValueError):
-    """An SDF cache file is not one, has an unsupported version or is truncated."""
-
-
-class WeightFormatError(SceneMotionError, ValueError):
-    """A weight file is not one, has an unsupported version, a bad manifest or is truncated."""
+class ArtefactError(SceneMotionError, ValueError):
+    """A file the program wrote (weights, SDF cache, sequence, dataset) is not
+    whole, has an unsupported version or does not fit what reads it."""
 
 
 class EmptySceneError(SceneMotionError, ValueError):

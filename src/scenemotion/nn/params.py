@@ -1,22 +1,9 @@
-"""Named parameter tensors with gradient slots, init, and persistence.
-
-Weights persist to a single versioned container: a JSON manifest (names,
-shapes, seed, arbitrary metadata) followed by little-endian float64 blobs
-in manifest order.
-"""
+"""Named parameter tensors with gradient slots and init. Weights persist
+through ``scenemotion.artefact``."""
 
 from __future__ import annotations
 
-import json
-import math
-import struct
-
 import numpy as np
-
-from ..errors import WeightFormatError
-
-MAGIC = b"SMWT"
-CONTAINER_VERSION = 1
 
 
 class Param:
@@ -91,54 +78,3 @@ class Module:
             hasher.update(name.encode())
             hasher.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         return hasher.hexdigest()
-
-
-def save_weights(path, arrays, meta=None):
-    """Write the versioned weight container."""
-    order = sorted(arrays)
-    manifest = {
-        "version": CONTAINER_VERSION,
-        "dtype": "<f8",
-        "tensors": [{"name": n, "shape": list(np.asarray(arrays[n]).shape)} for n in order],
-        "meta": meta or {},
-    }
-    blob = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", CONTAINER_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for n in order:
-            f.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
-
-
-def load_weights(path):
-    """Read the container; returns (arrays dict, meta dict). A file that is not
-    a whole container raises WeightFormatError."""
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise WeightFormatError(f"{path}: not a weight container")
-        version, hlen = struct.unpack("<II", _read_exact(f, 8, path, "header"))
-        if version != CONTAINER_VERSION:
-            raise WeightFormatError(f"{path}: unsupported container version {version}")
-        blob = _read_exact(f, hlen, path, "manifest")
-        try:
-            manifest = json.loads(blob.decode())
-            tensors = [(rec["name"], [int(d) for d in rec["shape"]])
-                       for rec in manifest["tensors"]]
-            if any(d < 0 for _, shape in tensors for d in shape):
-                raise ValueError("negative tensor dimension")
-        except (KeyError, TypeError, ValueError) as e:
-            raise WeightFormatError(f"{path}: bad manifest: {e}") from None
-        arrays = {}
-        for name, shape in tensors:
-            data = _read_exact(f, 8 * math.prod(shape), path, f"tensor {name!r}")
-            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-    return arrays, manifest.get("meta", {})
-
-
-def _read_exact(f, size, path, what):
-    data = f.read(size)
-    if len(data) != size:
-        raise WeightFormatError(f"{path}: truncated {what} ({len(data)} of {size} bytes)")
-    return data

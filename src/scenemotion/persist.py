@@ -1,51 +1,38 @@
-"""Model save/load on top of the nn weight container."""
+"""Model save/load on top of the artefact container."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from . import artefact
 from .cvae import GoalCVAE
-from .errors import StateError
+from .errors import ArtefactError
 from .motion_nets import PoseNet, RouteNet
-from .nn.params import load_weights, save_weights
 
-_KINDS = {"cvae", "route", "pose"}
+# kind -> (model class, constructor keys stored in the meta besides point_hidden)
+_MODELS = {
+    "cvae": (GoalCVAE, ("hidden", "cond_dim")),
+    "route": (RouteNet, ("hidden", "fc_width")),
+    "pose": (PoseNet, ("hidden", "fc_width")),
+}
 
 
 def save_model(path, model, kind, extra_meta=None):
-    if kind not in _KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    meta = {"kind": kind, "point_hidden": list(model.point_enc.point_hidden)}
-    if kind == "cvae":
-        meta.update(hidden=model.hidden, cond_dim=model.cond_dim)
-    else:
-        meta.update(hidden=model.hidden, fc_width=model.fc_width)
-    if extra_meta:
-        meta.update(extra_meta)
-    save_weights(path, model.named_arrays(), meta=meta)
+    meta = {"kind": kind, "point_hidden": list(model.point_enc.point_hidden),
+            **{key: getattr(model, key) for key in _MODELS[kind][1]}, **(extra_meta or {})}
+    artefact.save(path, model.named_arrays(), meta)
 
 
-def load_model(path, expect_kind=None):
-    if not os.path.exists(path):
-        raise StateError(f"missing weights: {path}")
-    arrays, meta = load_weights(path)
-    kind = meta.get("kind")
-    if expect_kind and kind != expect_kind:
-        raise StateError(f"{path}: holds {kind!r} weights, expected {expect_kind!r}")
-    rng = np.random.default_rng(0)  # shapes are overwritten by the stored arrays
-    point_hidden = tuple(meta["point_hidden"])
-    if kind == "cvae":
-        model = GoalCVAE(rng, hidden=meta["hidden"], cond_dim=meta["cond_dim"],
-                         point_hidden=point_hidden)
-    elif kind == "route":
-        model = RouteNet(rng, hidden=meta["hidden"], fc_width=meta["fc_width"],
-                         point_hidden=point_hidden)
-    elif kind == "pose":
-        model = PoseNet(rng, hidden=meta["hidden"], fc_width=meta["fc_width"],
-                        point_hidden=point_hidden)
-    else:
-        raise StateError(f"{path}: unknown model kind {kind!r}")
-    model.load_arrays(arrays)
+def load_model(path, kind):
+    """(model, meta) of the ``kind`` weights at ``path``; weights whose meta or
+    tensors do not fit the model raise ArtefactError."""
+    arrays, meta = artefact.load(path, kind)
+    cls, keys = _MODELS[kind]
+    try:
+        # shapes are overwritten by the stored arrays
+        model = cls(np.random.default_rng(0), point_hidden=tuple(meta["point_hidden"]),
+                    **{key: meta[key] for key in keys})
+        model.load_arrays(arrays)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArtefactError(f"{path}: {kind} weights do not fit the model: {e!r}") from None
     return model, meta

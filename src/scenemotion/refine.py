@@ -18,8 +18,7 @@ import numpy as np
 
 from . import body
 from .config import _coerce
-from .energy import (CONTACT_SIGMA, EnergyWeights, _cont_term, scene_energy, segment_stable_foot,
-                     total_energy)
+from .energy import EnergyWeights, _cont_term, scene_energy, segment_stable_foot, total_energy
 from .errors import InvalidRotationError, NumericError
 from .nn.adam import AdamState
 from .nn.params import Param
@@ -100,8 +99,7 @@ def vars_to_frames(x, betas):
     return np.concatenate([x[:, 0:9], betas, x[:, 9:65]], axis=1)
 
 
-def energy_and_gradients(template, frames, scene_field, weights, segmentation,
-                         sigma=CONTACT_SIGMA, frozen_nn=None):
+def energy_and_gradients(template, frames, scene_field, weights, segmentation, frozen_nn=None):
     """Weighted energy report plus dTotal/d(t,r,p,h) per frame.
 
     ``frozen_nn`` optionally pins per-frame contact correspondences (T, C int
@@ -110,7 +108,7 @@ def energy_and_gradients(template, frames, scene_field, weights, segmentation,
     """
     mesh, cache = body.forward_batch_with_cache(template, frames)
     report, g_vertices = scene_energy(template, mesh.vertices, scene_field, weights,
-                                      segmentation, sigma, correspondences=frozen_nn,
+                                      segmentation, correspondences=frozen_nn,
                                       want_grad=True)
     return report, body.pullback_batch(cache, g_vertices)
 
@@ -128,7 +126,7 @@ def contact_correspondences(template, frames, scene_field):
     return nn_idx.reshape(cv.shape[:2])
 
 
-def refine(template, seq, scene_field, schedule, sigma=CONTACT_SIGMA):
+def refine(template, seq, scene_field, schedule):
     """Run the staged Adam refinement over the whole sequence.
 
     The translation and orientation of every ``seq.chunk_boundaries`` frame
@@ -151,7 +149,7 @@ def refine(template, seq, scene_field, schedule, sigma=CONTACT_SIGMA):
             frames = vars_to_frames(x.value, betas)
             try:
                 report, g_x = energy_and_gradients(template, frames, scene_field,
-                                                   stage.weights, segmentation, sigma)
+                                                   stage.weights, segmentation)
             except (InvalidRotationError, NumericError, FloatingPointError) as e:
                 diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
                 x.value[...] = last_finite
@@ -172,7 +170,7 @@ def refine(template, seq, scene_field, schedule, sigma=CONTACT_SIGMA):
                 break
         else:  # the energy the last step reached
             totals.append(total_energy(template, vars_to_frames(x.value, betas), scene_field,
-                                       stage.weights, segmentation, sigma).total)
+                                       stage.weights, segmentation).total)
         history.append({"stage": stage_idx, "weights": list(stage.weights.as_tuple()),
                         "lr": stage.lr, "totals": totals})
         if diagnostic is not None:

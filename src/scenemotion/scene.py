@@ -83,7 +83,8 @@ def load_scene(path):
 
 def _load_obj(path):
     vertices, faces = [], []
-    with open(path, "r") as f:
+    # bytes that are not UTF-8 only matter where a number is due
+    with open(path, encoding="utf-8", errors="replace") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -25,13 +25,12 @@ Both passes hold at most ``_CHUNK_NODES`` node coordinates at a time.
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, SdfCacheError
+from . import artefact
+from .errors import ArtefactError, ResourceLimitError
 
 DEFAULT_CELL = 0.05      # m
 DEFAULT_PADDING = 0.5    # m
@@ -40,9 +39,6 @@ BRICK = 4                # nodes per brick edge in the distance pass
 
 _CHUNK_NODES = 262_144   # node coordinates held at once
 _PAIR_BUDGET = 1 << 22   # brick-triangle distances held at once
-
-_MAGIC = b"SMSF"
-_CACHE_VERSION = 2
 
 
 @dataclass
@@ -358,54 +354,29 @@ def mesh_sha256(mesh):
 
 
 def save_sdf(path, grid, mesh, padding):
-    """Header JSON + raw little-endian float64 node values. The header records
-    what the grid was built from: ``mesh`` (as its sha256), cell and padding."""
-    header = {
-        "version": _CACHE_VERSION,
-        "origin": [float(x) for x in grid.origin],
-        "cell": float(grid.cell),
-        "padding": float(padding),
-        "mesh_sha256": mesh_sha256(mesh),
-        "dims": [int(d) for d in grid.dims],
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+    """Write ``grid`` as an ``sdf`` container whose meta records what it was
+    built from: ``mesh`` (as its sha256), cell and padding."""
+    artefact.save(path, {"values": grid.values},
+                  {"kind": "sdf", "origin": [float(x) for x in grid.origin],
+                   "cell": float(grid.cell), "padding": float(padding),
+                   "mesh_sha256": mesh_sha256(mesh)})
 
 
 def load_sdf(path):
-    """Read a cache written by :func:`save_sdf`; returns (grid, header)."""
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise SdfCacheError(f"{path}: not an SDF cache file (bad magic)")
-        try:
-            hlen, = struct.unpack("<I", f.read(4))
-            header = json.loads(f.read(hlen).decode())
-        except (struct.error, ValueError) as e:
-            raise SdfCacheError(f"{path}: unreadable SDF cache header ({e})") from None
-        if header.get("version") != _CACHE_VERSION:
-            raise SdfCacheError(f"{path}: SDF cache version {header.get('version')!r}, "
-                                f"expected {_CACHE_VERSION}; rebuild it with build-sdf")
-        dims = header["dims"]
-        size = 8 * dims[0] * dims[1] * dims[2]
-        body = f.read(size)
-    if len(body) != size:
-        raise SdfCacheError(f"{path}: truncated SDF cache ({len(body)} of {size} value bytes)")
-    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    grid = SdfGrid(origin=np.array(header["origin"]), cell=header["cell"],
-                   values=values.reshape(dims))
-    return grid, header
+    """Read a cache written by :func:`save_sdf`; returns (grid, meta)."""
+    arrays, meta = artefact.load(path, "sdf")
+    try:
+        return SdfGrid(origin=meta["origin"], cell=meta["cell"], values=arrays["values"]), meta
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArtefactError(f"{path}: not an SDF grid: {e}") from None
 
 
 def cache_mismatch(header, mesh, cell, padding):
     """Why a cache with ``header`` does not stand for ``build_sdf(mesh, cell,
     padding)``, or None when it does."""
     for key, want in (("cell", float(cell)), ("padding", float(padding))):
-        if header[key] != want:
-            return f"built at {key} {header[key]}, requested {want}"
-    if header["mesh_sha256"] != mesh_sha256(mesh):
+        if header.get(key) != want:
+            return f"built at {key} {header.get(key)}, requested {want}"
+    if header.get("mesh_sha256") != mesh_sha256(mesh):
         return "built from a different mesh"
     return None

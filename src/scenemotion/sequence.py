@@ -5,14 +5,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import body
-from .errors import SequenceFormatError
+from .errors import ArtefactError
 
-SEQUENCE_VERSION = 1
-FRAME_DTYPE = "<f8"
+# the index fields that fix how frames.bin is laid out
+_LAYOUT = {"version": 1, "param_dim": body.PARAM_DIM, "dtype": "<f8"}
 
 
 @dataclass
@@ -66,13 +67,11 @@ def save_sequence(dirpath, seq, extra=None):
     os.makedirs(dirpath, exist_ok=True)
     frames_path = os.path.join(dirpath, "frames.bin")
     with open(frames_path, "wb") as f:
-        f.write(np.ascontiguousarray(seq.frames, dtype=FRAME_DTYPE).tobytes())
+        f.write(np.ascontiguousarray(seq.frames, dtype=_LAYOUT["dtype"]).tobytes())
     index = {
-        "version": SEQUENCE_VERSION,
+        **_LAYOUT,
         "fps": seq.fps,
         "num_frames": int(len(seq)),
-        "param_dim": body.PARAM_DIM,
-        "dtype": FRAME_DTYPE,
         "frames_file": "frames.bin",
         "chunk_boundaries": [int(i) for i in seq.chunk_boundaries],
     }
@@ -83,17 +82,23 @@ def save_sequence(dirpath, seq, extra=None):
 
 
 def load_sequence(dirpath):
-    with open(os.path.join(dirpath, "sequence.json")) as f:
-        index = json.load(f)
-    if index.get("version") != SEQUENCE_VERSION:
-        raise SequenceFormatError(f"{dirpath}: unsupported sequence version {index.get('version')}")
-    raw = np.fromfile(os.path.join(dirpath, index["frames_file"]), dtype=index["dtype"])
+    """The sequence saved in ``dirpath``; a missing or malformed index or
+    frames file raises ArtefactError."""
     try:
-        frames = raw.reshape(index["num_frames"], index["param_dim"]).astype(np.float64)
-        return MotionSequence(frames=frames, fps=index["fps"],
+        index = json.loads(Path(dirpath, "sequence.json").read_bytes())
+        layout = {k: index.get(k) for k in _LAYOUT} if isinstance(index, dict) else index
+        if layout != _LAYOUT:
+            raise ValueError(f"unsupported sequence layout {layout!r}, expected {_LAYOUT}")
+        shape = (int(index["num_frames"]), body.PARAM_DIM)
+        raw = np.fromfile(os.path.join(dirpath, index["frames_file"]), dtype=_LAYOUT["dtype"])
+        if raw.size != shape[0] * shape[1]:
+            raise ValueError(f"frames file holds {raw.size} values, expected {shape[0]} x {shape[1]}")
+        return MotionSequence(frames=raw.reshape(shape).astype(np.float64), fps=index["fps"],
                               chunk_boundaries=list(index.get("chunk_boundaries", [])))
-    except ValueError as e:
-        raise SequenceFormatError(f"{dirpath}: {e}") from None
+    except KeyError as e:
+        raise ArtefactError(f"{dirpath}: sequence index lacks {e}") from None
+    except (OSError, TypeError, ValueError) as e:
+        raise ArtefactError(f"{dirpath}: {e}") from None
 
 
 def export_meshes(dirpath, seq, template, every=1):

@@ -257,7 +257,7 @@ def test_train_cvae_on_truncated_sdf_cache_is_user_error(tmp_path, capsys):
                  "--set", "sdf_cell=0.3"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "truncated SDF cache" in err
+    assert f"{cache}: truncated tensor 'values'" in err
     assert "Traceback" not in err
 
 
@@ -317,7 +317,9 @@ def test_bad_refine_config_is_user_error(tmp_path, capsys, monkeypatch, command,
     {"beta": [0.0] * 10},
     {"goals": [{"t": [0, 0, 0.93], "r": [1.0, 0.0, 0.0]},
                {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
-], ids=["one-goal", "no-goals", "short-r"])
+    {"goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0)), "seed": float("inf")},
+               {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
+], ids=["one-goal", "no-goals", "short-r", "infinite-seed"])
 def test_bad_goal_spec_is_user_error(tmp_path, capsys, monkeypatch, command, spec):
     from scenemotion import cli
     built = []
@@ -340,7 +342,7 @@ def test_bad_goal_spec_is_user_error(tmp_path, capsys, monkeypatch, command, spe
     ("k=0", "'k' must be >= 2"), ("k=1", "'k' must be >= 2"),
     ("point_hidden=[16,0]", "'point_hidden' must be >= 1"),
     ("refine_lr=-1e-3", "'refine_lr' must be > 0"), ("sdf_cell=0", "'sdf_cell' must be > 0"),
-    ("contact_sigma=0", "'contact_sigma' must be > 0"), ("w_col=-0.5", "'w_col' must be >= 0"),
+    ("w_col=-0.5", "'w_col' must be >= 0"),
     ("sdf_padding=-1", "'sdf_padding' must be >= 0"), ("kl_warmup_frac=1.5", "must lie in [0, 1]"),
     ("w_kl=NaN", "'w_kl' must be finite"), ("min_displacement=Infinity", "must be finite"),
 ])
@@ -411,3 +413,187 @@ def test_damaged_cvae_weights_are_user_error(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: "), name
         assert "Traceback" not in err, name
+
+
+def _assert_user_error(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err, (argv, code, err)
+    return err
+
+
+def _tiny_models(root):
+    """Smoke-sized CVAE, RouteNet and PoseNet weight files under ``root``."""
+    from scenemotion.cvae import GoalCVAE
+    from scenemotion.motion_nets import PoseNet, RouteNet
+    from scenemotion.persist import save_model
+    rng = np.random.default_rng(0)
+    paths = {}
+    for kind, model in (("cvae", GoalCVAE(rng, hidden=8, cond_dim=8, point_hidden=(4, 4))),
+                        ("route", RouteNet(rng, hidden=4, fc_width=8, point_hidden=(4, 4))),
+                        ("pose", PoseNet(rng, hidden=4, fc_width=8, point_hidden=(4, 4)))):
+        paths[kind] = str(root / f"model.{kind}")
+        save_model(paths[kind], model, kind)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid file or directory for every file argument of the CLI."""
+    from scenemotion.datagen import build_dataset
+    root = tmp_path_factory.mktemp("valid")
+    paths = _tiny_models(root)
+    save_sequence(root / "seq", standing_sequence(4))
+    build_dataset(str(root / "data"), body.default_template(), n_scenes=1, clips_per_scene=2,
+                  k=15, master_seed=1)
+    (root / "schedule.json").write_text(json.dumps([{"weights": [0.0, 1.0, 1.0, 0.25],
+                                                     "iters": 1}]))
+    (root / "config.json").write_text(json.dumps({"k": 15, "sdf_cell": 0.3}))
+    paths.update(scene=write_floor_scene(root / "scene.obj"),
+                 goals=write_goals(root / "goals.json"), seq=str(root / "seq"),
+                 data=str(root / "data"), schedule=str(root / "schedule.json"),
+                 config=str(root / "config.json"))
+    return paths
+
+
+# flag -> (command line with {bad} where the broken input goes, key of its valid input);
+# every command fails on its first input, so the others only need to be valid
+_FILE_ARGUMENTS = {
+    "--config": ("export-mesh --seq {seq} --config {bad}", "config"),
+    "--goals": ("baseline-interp --scene {scene} --cvae {cvae} --goals {bad}", "goals"),
+    "--scene": ("refine --seq {seq} --scene {bad}", "scene"),
+    "--schedule": ("refine --seq {seq} --scene {scene} --schedule {bad}", "schedule"),
+    "--cvae": ("baseline-interp --scene {scene} --goals {goals} --cvae {bad}", "cvae"),
+    "--route": ("synthesize --scene {scene} --goals {goals} --cvae {cvae} --pose {pose} "
+                "--no-refine --route {bad}", "route"),
+    "--pose": ("synthesize --scene {scene} --goals {goals} --cvae {cvae} --route {route} "
+               "--no-refine --pose {bad}", "pose"),
+    "--seq": ("export-mesh --seq {bad}", "seq"),
+    "--pred": ("evaluate --gt {seq} --pred {bad}", "seq"),
+    "--gt": ("evaluate --pred {seq} --gt {bad}", "seq"),
+    "--dataset": ("build-sdf --dataset {bad}", "data"),
+}
+# directory inputs: (index file, data file) inside them
+_DIRECTORIES = {"seq": ("sequence.json", "frames.bin"),
+                "data": ("manifest.json", "clips/clip_00000.bin")}
+
+
+def _broken_input(valid, key, case, dst, blob=b""):
+    """``valid[key]`` broken as ``case`` under ``dst``; returns the path to pass.
+    A file input is replaced whole; a directory is copied with its index file
+    replaced, or with its data file truncated."""
+    import shutil
+    src = valid[key]
+    if case == "missing":
+        return str(dst / "missing")
+    if case == "wrong type":  # a directory for a file, a file for a directory
+        return str(dst) if key not in _DIRECTORIES else valid["goals"]
+    if key in _DIRECTORIES:
+        index, data = _DIRECTORIES[key]
+        path = dst / key
+        shutil.rmtree(path, ignore_errors=True)
+        shutil.copytree(src, path)
+        name = data if case == "truncated" else index
+        src, target = os.path.join(src, name), path / name
+    else:
+        path = target = dst / ("broken" + os.path.splitext(src)[1])
+    if case == "truncated":
+        with open(src, "rb") as f:
+            blob = f.read()
+        blob = blob[:len(blob) // 2]
+    target.write_bytes(blob)
+    return str(path)
+
+
+def _argv(flag, valid, bad, out):
+    line, _ = _FILE_ARGUMENTS[flag]
+    argv = [tok.format(bad=bad, **valid) for tok in line.split()]
+    if argv[0] != "build-sdf":
+        argv += ["--out", str(out)]
+    return argv + ["--set", "sdf_cell=0.3", "--set", "cloud_points=64", "--set", "refine_iters=1"]
+
+
+@pytest.mark.parametrize("case", ["valid", "missing", "wrong type", "empty", "random bytes",
+                                  "truncated"])
+@pytest.mark.parametrize("flag", list(_FILE_ARGUMENTS))
+def test_every_file_argument_rejects_a_broken_input(valid_inputs, tmp_path, capsys, flag, case):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    key = _FILE_ARGUMENTS[flag][1]
+    if case == "valid":  # the control: each command runs on the valid inputs
+        assert main(_argv(flag, valid_inputs, valid_inputs[key], tmp_path / "out")) == 0
+    elif case == "random bytes":
+        @settings(max_examples=8, deadline=None, derandomize=True)
+        @given(st.binary(max_size=256))
+        def check(blob):
+            bad = _broken_input(valid_inputs, key, case, tmp_path, blob)
+            _assert_user_error(_argv(flag, valid_inputs, bad, tmp_path / "out"), capsys)
+        check()
+    else:
+        bad = _broken_input(valid_inputs, key, case, tmp_path)
+        _assert_user_error(_argv(flag, valid_inputs, bad, tmp_path / "out"), capsys)
+
+
+@pytest.mark.parametrize("damage", ["not json", "no num_frames", "no frames file"])
+def test_damaged_sequence_is_user_error(tmp_path, capsys, damage):
+    seq = tmp_path / "seq"
+    save_sequence(seq, standing_sequence(4))
+    if damage == "not json":
+        (seq / "sequence.json").write_text("{\"version\": 1,")
+    elif damage == "no num_frames":
+        index = json.loads((seq / "sequence.json").read_text())
+        del index["num_frames"]
+        (seq / "sequence.json").write_text(json.dumps(index))
+    else:
+        (seq / "frames.bin").unlink()
+    err = _assert_user_error(["export-mesh", "--seq", str(seq), "--out", str(tmp_path / "m")],
+                             capsys)
+    assert str(seq) in err
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("no point_hidden", "do not fit the model: KeyError('point_hidden')"),
+    ("misfit tensors", "do not fit the model"),
+    ("wrong kind", "holds 'route' data, expected 'cvae'"),
+])
+def test_ill_fitting_cvae_weights_are_user_error(tmp_path, capsys, damage, message):
+    from scenemotion import artefact
+    paths = _tiny_models(tmp_path)
+    arrays, meta = artefact.load(paths["cvae"], "cvae")
+    if damage == "no point_hidden":
+        del meta["point_hidden"]
+    elif damage == "misfit tensors":
+        arrays = {"a": np.zeros(3)}
+    else:
+        arrays, meta = artefact.load(paths["route"], "route")
+    artefact.save(paths["cvae"], arrays, meta)
+    err = _assert_user_error(["baseline-interp", "--scene", write_floor_scene(tmp_path / "s.obj"),
+                              "--goals", write_goals(tmp_path / "goals.json"),
+                              "--cvae", paths["cvae"], "--out", str(tmp_path / "out")], capsys)
+    assert err.startswith(f"error: {paths['cvae']}: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["build-sdf", "train-route"])
+@pytest.mark.parametrize("manifest, message", [
+    (b"{}", "manifest lacks 'k'"),
+    (np.random.default_rng(5).bytes(64), "error: "),
+    (json.dumps({"k": 15, "fps": 30, "scenes": [],
+                 "clips": [{"id": 0, "scene": 0, "file": "c.bin"}]}).encode(), "unknown scene 0"),
+    (json.dumps({"k": 15, "fps": 30, "scenes": [], "clips": []}).encode(), "lists no clips"),
+], ids=["empty object", "random bytes", "unknown scene", "no clips"])
+def test_damaged_dataset_manifest_is_user_error(tmp_path, capsys, command, manifest, message):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_bytes(manifest)
+    argv = [command, "--dataset", str(tmp_path / "data")]
+    if command == "train-route":
+        argv += ["--out", str(tmp_path / "w.route")]
+    assert message in _assert_user_error(argv, capsys)
+
+
+def test_non_utf8_obj_scene_is_user_error(tmp_path, capsys):
+    save_sequence(tmp_path / "seq", standing_sequence(4))
+    scene = tmp_path / "scene.obj"
+    scene.write_bytes(b"v 0 0 0\nv \xff\xfe 1 0\n")
+    err = _assert_user_error(["refine", "--scene", str(scene), "--seq", str(tmp_path / "seq"),
+                              "--out", str(tmp_path / "out")], capsys)
+    assert err.startswith(f"error: {scene}:2: bad vertex coordinate")

@@ -277,12 +277,12 @@ def test_cont_term_equals_its_one_frame_evaluations(template, slab_field, frozen
         corr = np.stack([index.nearest(v[ids] + 0.05)[0] for v in verts])
 
     def frame(v, g, i):
-        return _cont_term(v, ids, index, CONTACT_SIGMA, True, g, scale=1.3,
+        return _cont_term(v, ids, index, True, g, scale=1.3,
                           correspondences=None if corr is None else corr[i:i + 1])
 
     want, g_want = _one_frame_at_a_time(frame, verts)
     g = np.zeros(verts.shape)
-    got = _cont_term(verts, ids, index, CONTACT_SIGMA, True, g, scale=1.3,
+    got = _cont_term(verts, ids, index, True, g, scale=1.3,
                      correspondences=corr)
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -310,7 +310,7 @@ def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatc
     monkeypatch.setattr(VertexIndex, "nearest", counting_nearest)
     ids = template.contact_vertex_ids()
     _col_term(verts, slab_field.grid, True, np.zeros(verts.shape))
-    _cont_term(verts, ids, slab_field.index, CONTACT_SIGMA, True, np.zeros(verts.shape))
+    _cont_term(verts, ids, slab_field.index, True, np.zeros(verts.shape))
     assert len(sampled) == -(-T // body.FRAME_BLOCK) == 3
     assert sum(sampled) == _candidate_count(slab_field.grid, verts.reshape(-1, 3))
     assert 0 < sum(sampled) < T * V

@@ -6,10 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from scenemotion.errors import NumericError, SceneMotionError, StateError, WeightFormatError
+from scenemotion import artefact
+from scenemotion.errors import ArtefactError, NumericError, SceneMotionError, StateError
 from scenemotion.nn import (AdamState, BiLSTM, Linear, MLP, Param, PointEncoder,
-                            ResidualBlock, leaky_relu, leaky_relu_backward, load_weights,
-                            save_weights)
+                            ResidualBlock, leaky_relu, leaky_relu_backward)
 from gradcheck import check_param_grads
 from scenemotion.nn.layers import LEAKY_SLOPE
 
@@ -301,35 +301,38 @@ def test_weight_container_round_trip(tmp_path):
     arrays = {"a.W": rng.standard_normal((3, 4)), "b": rng.standard_normal(7)}
     meta = {"kind": "test", "seed": 12}
     path = tmp_path / "weights.bin"
-    save_weights(path, arrays, meta=meta)
-    loaded, loaded_meta = load_weights(path)
+    artefact.save(path, arrays, meta)
+    loaded, loaded_meta = artefact.load(path, "test")
     assert loaded_meta == meta
     for k in arrays:
         assert np.array_equal(loaded[k], arrays[k])
 
 
 def _damaged_weight_files(tmp_path):
-    """(name, bytes) of files that are not whole weight containers."""
+    """(name, bytes, message) of files that are not whole "test" containers."""
     path = tmp_path / "valid.bin"
-    save_weights(path, {"a": np.arange(6.0).reshape(2, 3)}, meta={"kind": "test"})
+    artefact.save(path, {"a": np.arange(6.0).reshape(2, 3)}, {"kind": "other"})
+    other = path.read_bytes()
+    artefact.save(path, {"a": np.arange(6.0).reshape(2, 3)}, {"kind": "test"})
     valid = path.read_bytes()
     hlen = struct.unpack("<I", valid[8:12])[0]
     bad_json = valid[:12] + b"{" * hlen + valid[12 + hlen:]
-    return [("empty", b"", "not a weight container"),
-            ("random", np.random.default_rng(0).bytes(200), "not a weight container"),
+    return [("empty", b"", "not a container"),
+            ("random", np.random.default_rng(0).bytes(200), "not a container"),
             ("version", valid[:4] + struct.pack("<I", 99) + valid[8:], "unsupported"),
             ("short header", valid[:10], "truncated header"),
             ("short manifest", valid[:12 + hlen // 2], "truncated manifest"),
             ("bad manifest", bad_json, "bad manifest"),
-            ("short tensor", valid[:-8], "truncated tensor 'a'")]
+            ("short tensor", valid[:-8], "truncated tensor 'a'"),
+            ("kind", other, "holds 'other' data, expected 'test'")]
 
 
 def test_damaged_weight_file_raises_a_typed_error(tmp_path):
     for name, data, message in _damaged_weight_files(tmp_path):
         path = tmp_path / f"{name}.bin"
         path.write_bytes(data)
-        with pytest.raises(WeightFormatError, match=message) as err:
-            load_weights(path)
+        with pytest.raises(ArtefactError, match=message) as err:
+            artefact.load(path, "test")
         assert isinstance(err.value, SceneMotionError) and isinstance(err.value, ValueError)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scenemotion.datagen import box_mesh_arrays, dataset_scene_fields
-from scenemotion.errors import ResourceLimitError, SceneMotionError, SdfCacheError
+from scenemotion.errors import ArtefactError, ResourceLimitError, SceneMotionError
 from scenemotion.scene import make_mesh
 from scenemotion.sdf import (BRICK, SdfGrid, _point_triangle_dist2, _projected_inside, build_sdf,
                              load_sdf, sample_sdf_batch, save_sdf, unsigned_distance)
@@ -332,18 +332,23 @@ def test_stale_cache_is_rebuilt(tmp_path, cell, padding, shift, reason):
     assert np.array_equal(fields[0].grid.values, fresh.values)
 
 
-def _version1_cache(path, grid):
-    """The float32 layout written before the header recorded padding and mesh."""
+def _smsf_cache(path, grid):
+    """The SDF cache layout of its own ``SMSF`` format (version 2), used before
+    caches were written as containers."""
     import json
     import struct
-    blob = json.dumps({"version": 1, "origin": grid.origin.tolist(), "cell": grid.cell,
-                       "dims": list(grid.dims)}).encode()
+    blob = json.dumps({"version": 2, "origin": grid.origin.tolist(), "cell": grid.cell,
+                       "padding": 0.5, "mesh_sha256": "", "dims": list(grid.dims)}).encode()
     path.write_bytes(b"SMSF" + struct.pack("<I", len(blob)) + blob
-                     + grid.values.astype("<f4").tobytes())
+                     + grid.values.astype("<f8").tobytes())
 
 
-@pytest.mark.parametrize("damage", ["magic", "version", "truncated"])
-def test_malformed_cache_is_a_typed_error(tmp_path, damage):
+@pytest.mark.parametrize("damage, message", [
+    ("magic", "not a container"),
+    ("version", "not a container"),
+    ("truncated", "truncated tensor 'values'"),
+], ids=["magic", "version", "truncated"])
+def test_malformed_cache_is_a_typed_error(tmp_path, damage, message):
     grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
     path = tmp_path / "cube.sdf"
     save_sdf(path, grid, unit_cube(), 0.5)
@@ -351,10 +356,10 @@ def test_malformed_cache_is_a_typed_error(tmp_path, damage):
     if damage == "magic":
         path.write_bytes(b"XXXX" + data[4:])
     elif damage == "version":
-        _version1_cache(path, grid)
+        _smsf_cache(path, grid)
     else:
         path.write_bytes(data[:-8])
-    with pytest.raises(SdfCacheError, match=damage) as err:
+    with pytest.raises(ArtefactError, match=message) as err:
         load_sdf(path)
     assert isinstance(err.value, SceneMotionError)
 
