@@ -6,14 +6,29 @@ every step is one GEMM before the time loop; the loop does only the
 recurrent GEMM and in-place elementwise work on buffers allocated once per
 call; the weight gradients are one GEMM each after the loop. Inside a cell
 arrays are time-major, so the rows of one step are contiguous.
+
+The two directions of a BiLSTM share no state, so a pass over at least
+``MIN_THREADED_ROWS`` sequences runs the backward-in-time cell on a worker
+thread while the calling thread runs the forward one (the same paper
+overlaps independent recurrent work this way). Each cell does the same
+arithmetic on either thread, so results are bit-identical to the serial
+pass. The gain assumes BLAS runs each call on one thread.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from ..errors import StateError
 from .params import Module, Param, uniform_init
+
+# Smallest batch whose two directions run on two threads. A step streams the
+# whole Wh for a few rows, so below this a second thread costs more than it
+# saves: inference fills 1 to 5 clips per pass, training batches are 16-32.
+MIN_THREADED_ROWS = 8
 
 
 class LSTMCell(Module):
@@ -135,8 +150,8 @@ class BiLSTM(Module):
             raise ValueError(f"sequence too short for a bi-directional pass: T={xs.shape[1]}")
         N, T, _ = xs.shape
         H = self.hidden
-        hf, cf = self.fwd.forward(xs)
-        hb_rev, cb = self.bwd.forward(xs[:, ::-1, :])
+        (hf, cf), (hb_rev, cb) = _both_directions(
+            N, partial(self.fwd.forward, xs), partial(self.bwd.forward, xs[:, ::-1, :]))
         y = np.empty((T, N, 2 * H))
         y[:, :, :H] = hf.transpose(1, 0, 2)
         y[:, :, H:] = hb_rev.transpose(1, 0, 2)[::-1]
@@ -145,6 +160,22 @@ class BiLSTM(Module):
     def backward(self, cache, gy):
         cf, cb = cache
         H = self.hidden
-        gxf = self.fwd.backward(cf, gy[:, :, :H])
-        gxb_rev = self.bwd.backward(cb, gy[:, ::-1, H:])
+        gxf, gxb_rev = _both_directions(
+            len(gy), partial(self.fwd.backward, cf, gy[:, :, :H]),
+            partial(self.bwd.backward, cb, gy[:, ::-1, H:]))
         return gxf + gxb_rev[:, ::-1, :]
+
+
+def _both_directions(rows, fwd, bwd):
+    """``(fwd(), bwd())``. From ``MIN_THREADED_ROWS`` rows on, ``bwd`` runs on a
+    worker thread meanwhile; an exception it raises reaches the caller, ahead
+    of one ``fwd`` raised."""
+    if rows < MIN_THREADED_ROWS:
+        return fwd(), bwd()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(bwd)
+        try:
+            out = fwd()
+        finally:
+            other = pending.result()
+    return out, other

@@ -75,13 +75,21 @@ def load_scene(path):
     path = str(path)
     lower = path.lower()
     if lower.endswith(".obj"):
-        return _load_obj(path)
-    if lower.endswith(".ply"):
-        return _load_ply(path)
-    raise MeshFormatError(f"{path}: unsupported extension (expected .obj or .ply)")
+        vertices, faces = _read_obj(path)
+    elif lower.endswith(".ply"):
+        vertices, faces = _read_ply(path)
+    else:
+        raise MeshFormatError(f"{path}: unsupported extension (expected .obj or .ply)")
+    if not vertices or not faces:
+        raise EmptySceneError(f"{path}: no geometry found")
+    try:
+        return make_mesh(vertices, faces)
+    except OverflowError:  # an index past the int64 range
+        raise MeshFormatError(f"{path}: face references an out-of-range vertex") from None
 
 
-def _load_obj(path):
+def _read_obj(path):
+    """(vertex rows, triangle index rows) of an OBJ file."""
     vertices, faces = [], []
     # bytes that are not UTF-8 only matter where a number is due
     with open(path, encoding="utf-8", errors="replace") as f:
@@ -111,9 +119,7 @@ def _load_obj(path):
                 # fan-triangulate polygons
                 for a, b in zip(idx[1:-1], idx[2:]):
                     faces.append([idx[0], a, b])
-    if not vertices or not faces:
-        raise EmptySceneError(f"{path}: no geometry found")
-    return make_mesh(vertices, faces)
+    return vertices, faces
 
 
 _PLY_TYPES = {"char": "b", "uchar": "B", "int8": "b", "uint8": "B",
@@ -146,7 +152,8 @@ def _ply_reader(fmt, body):
     return read
 
 
-def _load_ply(path):
+def _read_ply(path):
+    """(vertex rows, triangle index rows) of an ASCII or little-endian PLY file."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"ply"):
@@ -207,9 +214,7 @@ def _load_ply(path):
                     faces.extend([idx[0], a, b] for a, b in zip(idx[1:-1], idx[2:]))
     except (ValueError, OverflowError) as e:
         raise MeshFormatError(f"{path}: {name} element {i}: {e}") from None
-    if not vertices or not faces:
-        raise EmptySceneError(f"{path}: no geometry found")
-    return make_mesh(vertices, faces)
+    return vertices, faces
 
 
 def save_obj(path, vertices, faces):

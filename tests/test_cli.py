@@ -597,3 +597,22 @@ def test_non_utf8_obj_scene_is_user_error(tmp_path, capsys):
     err = _assert_user_error(["refine", "--scene", str(scene), "--seq", str(tmp_path / "seq"),
                               "--out", str(tmp_path / "out")], capsys)
     assert err.startswith(f"error: {scene}:2: bad vertex coordinate")
+
+
+_PLY_TRIANGLE_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+                        "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+                        "end_header\n0 0 0\n1 0 0\n0 1 0\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("scene.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n"),
+    ("scene.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -99999999999999999999\n"),
+    ("scene.ply", _PLY_TRIANGLE_HEADER + "3 0 1 99999999999999999999\n"),
+], ids=["obj", "obj-negative", "ascii-ply"])
+def test_face_index_past_int64_is_user_error(tmp_path, capsys, name, text):
+    save_sequence(tmp_path / "seq", standing_sequence(4))
+    scene = tmp_path / name
+    scene.write_text(text)
+    err = _assert_user_error(["refine", "--scene", str(scene), "--seq", str(tmp_path / "seq"),
+                              "--out", str(tmp_path / "out")], capsys)
+    assert err.startswith(f"error: {scene}: face references an out-of-range vertex")

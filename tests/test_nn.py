@@ -1,5 +1,7 @@
 import gc
 import struct
+import threading
+import traceback
 import warnings
 import weakref
 
@@ -10,8 +12,9 @@ from scenemotion import artefact
 from scenemotion.errors import ArtefactError, NumericError, SceneMotionError, StateError
 from scenemotion.nn import (AdamState, BiLSTM, Linear, MLP, Param, PointEncoder,
                             ResidualBlock, leaky_relu, leaky_relu_backward)
-from gradcheck import check_param_grads
+from gradcheck import check_param_grads, check_param_grads_directional
 from scenemotion.nn.layers import LEAKY_SLOPE
+from scenemotion.nn.lstm import MIN_THREADED_ROWS
 
 
 def test_linear_identity_and_bias():
@@ -108,15 +111,17 @@ def test_bilstm_rejects_short_sequences():
 def test_bilstm_gradcheck():
     rng = np.random.default_rng(8)
     lstm = BiLSTM(3, 3, rng)
-    xs = rng.standard_normal((2, 4, 3))
-    w = rng.standard_normal((2, 4, 6))
+    # dense on a serial pass, directional on the smallest threaded one
+    for N, check in ((2, check_param_grads), (MIN_THREADED_ROWS, check_param_grads_directional)):
+        xs = rng.standard_normal((N, 4, 3))
+        w = rng.standard_normal((N, 4, 6))
 
-    def loss():
-        y, cache = lstm.forward(xs)
-        lstm.backward(cache, w)
-        return float((y * w).sum())
+        def loss():
+            y, cache = lstm.forward(xs)
+            lstm.backward(cache, w)
+            return float((y * w).sum())
 
-    assert check_param_grads(loss, lstm.params(), h=1e-5, tol=1e-3) < 1e-3
+        assert check(loss, lstm.params(), h=1e-5, tol=1e-3) < 1e-3, N
 
 
 # -- per-step LSTM oracle ------------------------------------------------------
@@ -181,7 +186,7 @@ def rel_err(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
-@pytest.mark.parametrize("N, T", [(1, 3), (1, 7), (3, 3), (3, 7)])
+@pytest.mark.parametrize("N, T", [(1, 3), (1, 7), (3, 3), (3, 7), (MIN_THREADED_ROWS, 7), (32, 7)])
 @pytest.mark.parametrize("saturate", [False, True], ids=["plain", "saturated"])
 def test_bilstm_matches_per_step_oracle(N, T, saturate):
     rng = np.random.default_rng(10 * N + T)
@@ -201,17 +206,59 @@ def test_bilstm_matches_per_step_oracle(N, T, saturate):
     assert rel_err(gx, gx_ref) < 1e-12
     for p in lstm.params():
         assert rel_err(p.grad, grads_ref[p.name]) < 1e-12, p.name
+    # the pass, threaded or not, is bit-identical to the two cells run in turn
+    grads = {p.name: p.grad.copy() for p in lstm.params()}
+    lstm.zero_grad()
+    hf, cf = lstm.fwd.forward(xs)
+    hb, cb = lstm.bwd.forward(xs[:, ::-1])
+    assert np.array_equal(y, np.concatenate([hf, hb[:, ::-1]], axis=2))
+    for got, want in zip(cache, (cf, cb)):
+        assert np.array_equal(got["h"], want["h"]) and np.array_equal(got["c"], want["c"])
+    H = lstm.hidden
+    gxb = lstm.bwd.backward(cb, gy[:, ::-1, H:])
+    assert np.array_equal(gx, lstm.fwd.backward(cf, gy[:, :, :H]) + gxb[:, ::-1])
+    for p in lstm.params():
+        assert np.array_equal(p.grad, grads[p.name]), p.name
+
+
+def _raised_within(timeout, fn):
+    """The exception ``fn()`` raises, or None. It runs on a thread joined with
+    a timeout, so a pass that never returns fails the test instead of hanging it."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except Exception as e:
+            raised.append(e)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"call did not return within {timeout} s"
+    return raised[0] if raised else None
 
 
 def test_lstm_backward_consumes_its_cache():
     rng = np.random.default_rng(11)
     lstm = BiLSTM(3, 4, rng)
-    xs = rng.standard_normal((2, 5, 3))
-    gy = rng.standard_normal((2, 5, 8))
-    y, cache = lstm.forward(xs)
-    lstm.backward(cache, gy)
-    with pytest.raises(StateError):
+    threads = threading.active_count()
+    for N in (2, MIN_THREADED_ROWS):
+        xs = rng.standard_normal((N, 5, 3))
+        gy = rng.standard_normal((N, 5, 8))
+        y, cache = lstm.forward(xs)
         lstm.backward(cache, gy)
+        for spend_forward_cache in (True, False):
+            if not spend_forward_cache:  # only the backward-in-time cell's cache is spent
+                y, cache = lstm.forward(xs)
+                lstm.bwd.backward(cache[1], gy[:, ::-1, 4:])
+            err = _raised_within(30.0, lambda: lstm.backward(cache, gy))
+            assert isinstance(err, StateError), (N, spend_forward_cache)
+            # on a threaded pass the error is the worker's, raised by its future
+            files = [frame.filename for frame in traceback.extract_tb(err.__traceback__)]
+            assert any(f.endswith("concurrent/futures/thread.py") for f in files) == (
+                N >= MIN_THREADED_ROWS)
+            assert threading.active_count() == threads
     h, cell_cache = lstm.fwd.forward(xs)
     lstm.fwd.backward(cell_cache, gy[:, :, :4])
     with pytest.raises(StateError):
