@@ -1,4 +1,5 @@
-"""The one on-disk container of the program's arrays: weights and SDF caches.
+"""The one on-disk container of the program's arrays: weights, SDF caches,
+sequences and datasets. No other module lays out array bytes on disk.
 
 Layout: the magic ``SMWT``, little-endian uint32 container version and
 manifest length, a JSON manifest (tensor names and shapes in order, dtype and
@@ -34,9 +35,13 @@ def save(path, arrays, meta):
 
 def load(path, kind):
     """(arrays, meta) of the container at ``path``, which must hold ``kind``.
-    A file that is not a whole container of that kind raises ArtefactError."""
-    with open(path, "rb") as f:
-        data = f.read()
+    A file that cannot be read or is not a whole container of that kind
+    raises ArtefactError."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise ArtefactError(f"{path}: cannot read: {e.strerror}") from None
     pos = 4
 
     def take(size, what):

@@ -9,7 +9,6 @@ axis-angle rotations through fixed orthogonalized linear maps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,6 @@ HAND_DIM = 24
 SHAPE_DIM = 10
 PARAM_DIM = 3 + 6 + SHAPE_DIM + POSE_DIM + HAND_DIM  # 75
 
-TEMPLATE_VERSION = 1
 DEFAULT_TEMPLATE_SEED = 20240117
 
 JOINT_NAMES = [
@@ -142,62 +140,6 @@ class BodyTemplate:
 
     def sole_vertex_ids(self, side):
         return self.vertex_groups["left_sole" if side == "left" else "right_sole"]
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path):
-        payload = {
-            "format": "scenemotion-body-template",
-            "version": TEMPLATE_VERSION,
-            "seed": self.seed,
-            "counts": {"vertices": int(self.num_vertices), "faces": int(len(self.faces)),
-                       "joints": int(len(self.joints))},
-            "arrays": {
-                "rest_vertices": _pack(self.rest_vertices),
-                "faces": _pack(self.faces),
-                "joints": _pack(self.joints),
-                "parents": _pack(self.parents),
-                "skin_weights": _pack(self.skin_weights),
-                "shape_basis": _pack(self.shape_basis),
-                "pose_map": _pack(self.pose_map),
-                "hand_map": _pack(self.hand_map),
-            },
-            "vertex_groups": {k: np.asarray(v).tolist() for k, v in self.vertex_groups.items()},
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f)
-
-    @staticmethod
-    def load(path):
-        with open(path) as f:
-            payload = json.load(f)
-        if payload.get("format") != "scenemotion-body-template":
-            raise ValueError(f"{path}: not a body template file")
-        if payload.get("version") != TEMPLATE_VERSION:
-            raise ValueError(f"{path}: unsupported template version {payload.get('version')}")
-        arrays = {k: _unpack(v) for k, v in payload["arrays"].items()}
-        tpl = BodyTemplate(
-            rest_vertices=arrays["rest_vertices"],
-            faces=arrays["faces"].astype(np.int64),
-            joints=arrays["joints"],
-            parents=arrays["parents"].astype(np.int64),
-            skin_weights=arrays["skin_weights"],
-            shape_basis=arrays["shape_basis"],
-            pose_map=arrays["pose_map"],
-            hand_map=arrays["hand_map"],
-            vertex_groups={k: np.asarray(v, dtype=np.int64) for k, v in payload["vertex_groups"].items()},
-            seed=payload["seed"],
-        )
-        return tpl.validate()
-
-
-def _pack(arr):
-    arr = np.asarray(arr)
-    return {"shape": list(arr.shape), "dtype": str(arr.dtype), "data": arr.ravel(order="C").tolist()}
-
-
-def _unpack(rec):
-    return np.asarray(rec["data"], dtype=rec["dtype"]).reshape(rec["shape"])
 
 
 # -- procedural template construction ----------------------------------------

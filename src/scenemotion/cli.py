@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, body
 from .config import RunConfig
 from .errors import SceneMotionError
-from .sequence import export_meshes, load_sequence, save_sequence
+from .sequence import SEQUENCE_FILE, export_meshes, load_sequence, save_sequence
 
 
 class UserError(Exception):
@@ -146,8 +146,19 @@ def _require(path, what):
 
 
 def _load_seq(path, what):
-    """The sequence saved in directory ``path``, which must hold a sequence.json."""
-    return load_sequence(os.path.dirname(_require(os.path.join(path, "sequence.json"), what)))
+    """The sequence saved in directory ``path``, which must hold a SEQUENCE_FILE."""
+    return load_sequence(os.path.dirname(_require(os.path.join(path, SEQUENCE_FILE), what)))
+
+
+def _out_dir(path):
+    """The directory of the ``--out`` file ``path``, created before any other
+    work; one that cannot be created is a user error."""
+    out_dir = os.path.dirname(os.path.abspath(path))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise UserError(f"cannot create output directory {out_dir}: {e.strerror}") from None
+    return out_dir
 
 
 def _template(cfg):
@@ -192,7 +203,7 @@ def _save_trained(args, cfg, log, model, kind, curve, seed, **payload):
     """Write ``model`` to ``--out`` and the run log of ``train-<kind>`` beside it."""
     from .persist import save_model
     save_model(args.out, model, kind, {"loss_curve": curve, "config_hash": cfg.hash(), "seed": seed})
-    _write_log(os.path.dirname(os.path.abspath(args.out)), f"train-{kind}", cfg,
+    _write_log(_out_dir(args.out), f"train-{kind}", cfg,
                {"outputs": [args.out], "loss_curve": curve, **payload})
     log(f"{kind} weights -> {args.out} (final loss {curve[-1]:.4f})")
 
@@ -202,14 +213,13 @@ def _save_trained(args, cfg, log, model, kind, curve, seed, **payload):
 
 def cmd_gen_data(args, cfg, log):
     from .datagen import build_dataset
-    manifest = build_dataset(args.out, _template(cfg), n_scenes=cfg.n_scenes,
-                             clips_per_scene=cfg.clips_per_scene, k=cfg.k, fps=cfg.fps,
-                             master_seed=cfg.seed, min_displacement=cfg.min_displacement,
-                             log=log)
+    meta = build_dataset(args.out, _template(cfg), n_scenes=cfg.n_scenes,
+                         clips_per_scene=cfg.clips_per_scene, k=cfg.k, fps=cfg.fps,
+                         master_seed=cfg.seed, min_displacement=cfg.min_displacement, log=log)
     _write_log(args.out, "gen-data", cfg,
-               {"outputs": [args.out], "clips": len(manifest["clips"]),
-                "scenes": len(manifest["scenes"])})
-    log(f"dataset written to {args.out}: {len(manifest['clips'])} clips")
+               {"outputs": [args.out], "clips": len(meta["clips"]),
+                "scenes": len(meta["scenes"])})
+    log(f"dataset written to {args.out}: {len(meta['clips'])} clips")
 
 
 def cmd_build_sdf(args, cfg, log):
@@ -232,6 +242,7 @@ def cmd_build_sdf(args, cfg, log):
 def cmd_train_cvae(args, cfg, log):
     from .cvae import CVAETrainer, GoalCVAE
     from .datagen import dataset_bodies, dataset_scene_fields, load_dataset
+    _out_dir(args.out)
     dataset = load_dataset(args.dataset)
     fields = dataset_scene_fields(dataset, cloud_points=cfg.cloud_points,
                                   cell=cfg.sdf_cell, padding=cfg.sdf_padding,
@@ -253,6 +264,7 @@ def cmd_train_cvae(args, cfg, log):
 def cmd_train_route(args, cfg, log):
     from .datagen import dataset_clouds, load_dataset
     from .motion_nets import RouteNet, train_route_net
+    _out_dir(args.out)
     dataset = load_dataset(args.dataset)
     clouds = dataset_clouds(dataset, cloud_points=cfg.cloud_points)
     model = RouteNet(np.random.default_rng(cfg.seed), hidden=cfg.hidden,
@@ -267,6 +279,7 @@ def cmd_train_pose(args, cfg, log):
     from .datagen import dataset_clouds, load_dataset
     from .motion_nets import PoseNet, train_pose_net
     from .persist import load_model
+    _out_dir(args.out)
     dataset = load_dataset(args.dataset)
     clouds = dataset_clouds(dataset, cloud_points=cfg.cloud_points)
     route_model, _ = load_model(_require(args.route, "RouteNet weights"), "route")
@@ -291,8 +304,7 @@ def cmd_synthesize(args, cfg, log):
         log(f"warning: {diag}")
     result = plan_long_term(cvae_model, route_model, pose_model, _template(cfg), spec,
                             field, k=cfg.k, schedule=schedule)
-    save_sequence(args.out, result.sequence,
-                  extra={"pre_refine_total": result.pre_report.total if result.pre_report else None})
+    save_sequence(args.out, result.sequence)
     payload = {"outputs": [args.out], "frames": len(result.sequence),
                "pre_energy": result.pre_report.to_dict() if result.pre_report else None,
                "post_energy": result.post_report.to_dict() if result.post_report else None,
@@ -336,6 +348,7 @@ def cmd_baseline_interp(args, cfg, log):
 
 def cmd_evaluate(args, cfg, log):
     from .metrics import evaluate
+    out_dir = _out_dir(args.out) if args.out else None
     pred = _load_seq(args.pred, "prediction sequence")
     gt = _load_seq(args.gt, "reference sequence")
     grid = _scene_field(args.scene, cfg).grid if args.scene else None
@@ -345,7 +358,7 @@ def cmd_evaluate(args, cfg, log):
         raise UserError(str(e)) from None
     blob = report.to_json(args.out)
     if args.out:
-        _write_log(os.path.dirname(os.path.abspath(args.out)) or ".", "evaluate", cfg,
+        _write_log(out_dir, "evaluate", cfg,
                    {"outputs": [args.out], "metrics": report.to_dict()})
         log(f"metric report -> {args.out}")
     else:

@@ -8,14 +8,12 @@ construction and is emitted alongside the frames as a segmentation oracle.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import body
+from . import artefact, body
 from .errors import ArtefactError
 from .rotation import heading_to_rot6d
 from .scene import make_mesh
@@ -24,6 +22,7 @@ from .sequence import MotionSequence
 
 FLOOR_MARGIN = 0.05
 MIN_DISPLACEMENT = 0.5  # m between clip endpoints; shorter clips are filtered
+DATASET_FILE = "dataset.smwt"  # the clip container inside a dataset directory
 
 
 @dataclass
@@ -272,23 +271,24 @@ def _sample_clip_spec(rng, scene_spec, clip_seconds):
 
 def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=30,
                   master_seed=0, min_displacement=MIN_DISPLACEMENT, log=None):
-    """Generate scenes + clips, filter by endpoint displacement, write manifest.
+    """Generate scenes + clips and filter them by endpoint displacement; write
+    the scenes as OBJ files and the clips as one ``dataset`` container,
+    ``DATASET_FILE``. Returns the container's meta.
 
     Regeneration with the same master seed is byte-identical.
     """
+    from .scene import save_obj
     os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "clips"), exist_ok=True)
     clip_seconds = k / fps
     scenes = []
     clips = []
+    frames = []
     rejected = 0
-    clip_id = 0
     for s in range(n_scenes):
         scene_seed = master_seed * 1_000_003 + 7919 * s + 17
         spec = random_scene_spec(scene_seed)
         mesh = gen_scene(spec)
         scene_file = f"scenes/scene_{s:03d}.obj"
-        from .scene import save_obj
         save_obj(os.path.join(out_dir, scene_file), mesh.vertices, mesh.faces)
         scenes.append({
             "id": s, "file": scene_file, "seed": scene_seed,
@@ -315,21 +315,14 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
             if disp <= min_displacement:
                 rejected += 1
                 continue
-            clip_file = f"clips/clip_{clip_id:05d}.bin"
-            with open(os.path.join(out_dir, clip_file), "wb") as f:
-                f.write(np.ascontiguousarray(seq.frames, dtype="<f8").tobytes())
-            stance_file = f"clips/clip_{clip_id:05d}.stance.json"
-            with open(os.path.join(out_dir, stance_file), "w") as f:
-                json.dump(stance, f)
-            clips.append({"id": clip_id, "scene": s, "file": clip_file,
-                          "stance_file": stance_file, "displacement": disp})
-            clip_id += 1
+            clips.append({"id": len(clips), "scene": s, "displacement": disp, "stance": stance})
+            frames.append(seq.frames)
             accepted += 1
         if log:
             log(f"scene {s}: {accepted} clips accepted, {attempts - accepted} rejected/filtered")
 
-    manifest = {
-        "version": 1,
+    meta = {
+        "kind": "dataset",
         "master_seed": master_seed,
         "k": k,
         "fps": fps,
@@ -338,42 +331,41 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
         "scenes": scenes,
         "clips": clips,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    return manifest
+    artefact.save(os.path.join(out_dir, DATASET_FILE),
+                  {"frames": np.reshape(frames, (len(clips), k + 1, body.PARAM_DIM))}, meta)
+    return meta
 
 
 def load_dataset(dataset_dir):
-    """Manifest + in-memory clip frames and scene meshes. A manifest, scene,
-    clip or stance file that is missing, malformed or short raises ArtefactError."""
+    """The dataset in ``dataset_dir``: its meta (as ``manifest``), scene meshes
+    and per-clip frames. A container or scene file that is missing or
+    malformed, or frames that do not fit the clip list, raise ArtefactError."""
     from .scene import load_scene
+    path = os.path.join(dataset_dir, DATASET_FILE)
+    arrays, meta = artefact.load(path, "dataset")
     try:
-        manifest = json.loads(Path(dataset_dir, "manifest.json").read_bytes())
-        k = manifest["k"]
+        k = meta["k"]
         scenes = {rec["id"]: {"mesh": load_scene(os.path.join(dataset_dir, rec["file"])),
-                              "seed": rec["seed"], "record": rec}
-                  for rec in manifest["scenes"]}
-        clips = []
-        for rec in manifest["clips"]:
+                              "seed": rec["seed"]}
+                  for rec in meta["scenes"]}
+        records = meta["clips"]
+        if not records:
+            raise ValueError("the dataset lists no clips")
+        for rec in records:
             if rec["scene"] not in scenes:
                 raise ValueError(f"clip {rec['id']} names unknown scene {rec['scene']!r}")
-            frames = np.fromfile(os.path.join(dataset_dir, rec["file"]), dtype="<f8")
-            if frames.size != (k + 1) * body.PARAM_DIM:
-                raise ValueError(f"{rec['file']} holds {frames.size} values, "
-                                 f"expected {k + 1} x {body.PARAM_DIM}")
-            stance_file = rec.get("stance_file")
-            stance = json.loads(Path(dataset_dir, stance_file).read_bytes()) if stance_file else None
-            clips.append({"id": rec["id"], "scene": rec["scene"],
-                          "frames": frames.reshape(k + 1, body.PARAM_DIM).astype(np.float64),
-                          "stance": stance, "displacement": rec["displacement"]})
-        if not clips:
-            raise ValueError("the manifest lists no clips")
-        return {"manifest": manifest, "scenes": scenes, "clips": clips,
-                "k": k, "fps": manifest["fps"]}
+        frames = arrays["frames"]
+        if frames.shape != (len(records), k + 1, body.PARAM_DIM):
+            raise ValueError(f"frames are {frames.shape}, expected {len(records)} clips "
+                             f"x {k + 1} x {body.PARAM_DIM}")
+        clips = [{"id": rec["id"], "scene": rec["scene"], "frames": clip,
+                  "stance": rec["stance"], "displacement": rec["displacement"]}
+                 for rec, clip in zip(records, frames)]
+        return {"manifest": meta, "scenes": scenes, "clips": clips, "k": k, "fps": meta["fps"]}
     except KeyError as e:
-        raise ArtefactError(f"{dataset_dir}: manifest lacks {e}") from None
+        raise ArtefactError(f"{path}: dataset lacks {e}") from None
     except (OSError, TypeError, ValueError) as e:
-        raise ArtefactError(f"{dataset_dir}: {e}") from None
+        raise ArtefactError(f"{path}: {e}") from None
 
 
 def dataset_scene_fields(dataset, cloud_points=1024, cell=0.05, padding=0.5,

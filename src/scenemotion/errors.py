@@ -14,8 +14,9 @@ class MeshFormatError(SceneMotionError, ValueError):
 
 
 class ArtefactError(SceneMotionError, ValueError):
-    """A file the program wrote (weights, SDF cache, sequence, dataset) is not
-    whole, has an unsupported version or does not fit what reads it."""
+    """A file the program wrote (weights, SDF cache, sequence, dataset) cannot
+    be read, is not whole, has an unsupported version or does not fit what
+    reads it."""
 
 
 class EmptySceneError(SceneMotionError, ValueError):

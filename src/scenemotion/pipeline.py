@@ -13,7 +13,7 @@ import numpy as np
 from . import body
 from .cvae import fit_latent
 from .energy import EnergyWeights, total_energy
-from .errors import SceneMotionError
+from .errors import InvalidRotationError, SceneMotionError
 from .motion_nets import synthesize_clip
 from .refine import refine
 from .rotation import rot6d_to_matrix
@@ -51,6 +51,10 @@ class GoalSpec:
             self.seeds = list(range(len(self.translations)))
         if len(self.seeds) != len(self.translations):
             raise ValueError("one latent seed per goal required")
+        try:
+            rot6d_to_matrix(self.rotations)
+        except InvalidRotationError as e:
+            raise InvalidRotationError(f"degenerate goal orientation: {e}") from None
         disp = np.linalg.norm(np.diff(self.translations, axis=0), axis=1)
         if np.any(disp == 0.0):
             raise ValueError("consecutive goals must not coincide")
@@ -72,21 +76,11 @@ class GoalSpec:
 
 
 def validate_spec(spec, scene_mesh, margin=0.5):
-    """Diagnostics only: out-of-bounds goals, degenerate rotations, zero hops."""
-    diagnostics = []
+    """Warnings for goals that lie outside the scene's floor bounds; GoalSpec
+    itself rejects degenerate orientations and coinciding goals."""
     lo, hi = scene_mesh.bounds()
-    for i, (t, r) in enumerate(zip(spec.translations, spec.rotations)):
-        if np.any(t[:2] < lo[:2] - margin) or np.any(t[:2] > hi[:2] + margin):
-            diagnostics.append(f"goal {i}: outside the scene bounds")
-        try:
-            rot6d_to_matrix(r)
-        except Exception:
-            diagnostics.append(f"goal {i}: degenerate orientation")
-    disp = np.linalg.norm(np.diff(spec.translations, axis=0), axis=1)
-    for i, d in enumerate(disp):
-        if d == 0.0:
-            diagnostics.append(f"goals {i}-{i + 1}: zero displacement")
-    return diagnostics
+    return [f"goal {i}: outside the scene bounds" for i, t in enumerate(spec.translations)
+            if np.any(t[:2] < lo[:2] - margin) or np.any(t[:2] > hi[:2] + margin)]
 
 
 @dataclass

@@ -5,15 +5,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import body
+from . import artefact, body
 from .errors import ArtefactError
 
-# the index fields that fix how frames.bin is laid out
-_LAYOUT = {"version": 1, "param_dim": body.PARAM_DIM, "dtype": "<f8"}
+SEQUENCE_FILE = "sequence.smwt"  # the container inside a sequence directory
 
 
 @dataclass
@@ -62,43 +60,29 @@ class MotionSequence:
         return body.forward_batch(template, self.frames).vertices
 
 
-def save_sequence(dirpath, seq, extra=None):
-    """JSON index plus a raw little-endian float64 frame block."""
+def save_sequence(dirpath, seq):
+    """Write ``seq`` as one ``sequence`` container, ``SEQUENCE_FILE``, in ``dirpath``."""
     os.makedirs(dirpath, exist_ok=True)
-    frames_path = os.path.join(dirpath, "frames.bin")
-    with open(frames_path, "wb") as f:
-        f.write(np.ascontiguousarray(seq.frames, dtype=_LAYOUT["dtype"]).tobytes())
-    index = {
-        **_LAYOUT,
-        "fps": seq.fps,
-        "num_frames": int(len(seq)),
-        "frames_file": "frames.bin",
-        "chunk_boundaries": [int(i) for i in seq.chunk_boundaries],
-    }
-    if extra:
-        index["extra"] = extra
-    with open(os.path.join(dirpath, "sequence.json"), "w") as f:
-        json.dump(index, f, indent=2, sort_keys=True)
+    artefact.save(os.path.join(dirpath, SEQUENCE_FILE), {"frames": seq.frames},
+                  {"kind": "sequence", "fps": seq.fps,
+                   "chunk_boundaries": [int(i) for i in seq.chunk_boundaries]})
 
 
 def load_sequence(dirpath):
-    """The sequence saved in ``dirpath``; a missing or malformed index or
-    frames file raises ArtefactError."""
+    """The sequence saved in ``dirpath``; a missing or malformed container, or
+    frames that are not (T, 75), raise ArtefactError."""
+    path = os.path.join(dirpath, SEQUENCE_FILE)
+    arrays, meta = artefact.load(path, "sequence")
     try:
-        index = json.loads(Path(dirpath, "sequence.json").read_bytes())
-        layout = {k: index.get(k) for k in _LAYOUT} if isinstance(index, dict) else index
-        if layout != _LAYOUT:
-            raise ValueError(f"unsupported sequence layout {layout!r}, expected {_LAYOUT}")
-        shape = (int(index["num_frames"]), body.PARAM_DIM)
-        raw = np.fromfile(os.path.join(dirpath, index["frames_file"]), dtype=_LAYOUT["dtype"])
-        if raw.size != shape[0] * shape[1]:
-            raise ValueError(f"frames file holds {raw.size} values, expected {shape[0]} x {shape[1]}")
-        return MotionSequence(frames=raw.reshape(shape).astype(np.float64), fps=index["fps"],
-                              chunk_boundaries=list(index.get("chunk_boundaries", [])))
+        frames = arrays["frames"]
+        if frames.ndim != 2 or frames.shape[1] != body.PARAM_DIM:
+            raise ValueError(f"frames are {frames.shape}, expected (T, {body.PARAM_DIM})")
+        return MotionSequence(frames=frames, fps=meta["fps"],
+                              chunk_boundaries=list(meta["chunk_boundaries"]))
     except KeyError as e:
-        raise ArtefactError(f"{dirpath}: sequence index lacks {e}") from None
-    except (OSError, TypeError, ValueError) as e:
-        raise ArtefactError(f"{dirpath}: {e}") from None
+        raise ArtefactError(f"{path}: sequence lacks {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ArtefactError(f"{path}: {e}") from None
 
 
 def export_meshes(dirpath, seq, template, every=1):

@@ -1,4 +1,5 @@
-"""Every public function and method of the core modules has a use.
+"""Every public function and method of the core modules has a use, and one
+module lays out arrays on disk.
 
 A name counts as used when code in ``src/`` outside its own definition
 refers to it, when README's "Library API" section lists it, or when the
@@ -37,20 +38,25 @@ def public_names():
     return out
 
 
+def src_trees():
+    """(path relative to the package, parsed module) of each file in ``src/``."""
+    for dirpath, _, files in os.walk(SRC):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                with open(os.path.join(dirpath, f)) as fh:
+                    yield os.path.relpath(os.path.join(dirpath, f), SRC), ast.parse(fh.read())
+
+
 def src_references():
     """Each name read as a variable or an attribute anywhere in ``src/``; a
     name is not counted by its own ``def``, an assignment or an import."""
     names = set()
-    for dirpath, _, files in os.walk(SRC):
-        for f in files:
-            if f.endswith(".py"):
-                with open(os.path.join(dirpath, f)) as fh:
-                    tree = ast.parse(fh.read())
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                        names.add(node.id)
-                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                        names.add(node.attr)
+    for _, tree in src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
     return names
 
 
@@ -80,3 +86,23 @@ def test_every_public_name_has_a_use():
         f"public names with no caller in src/, no README 'Library API' entry and no "
         f"benchmark binding: {unused}")
 
+
+def raw_array_io(tree):
+    """Line of each ``np.fromfile``, ``.tofile`` and binary-write ``open`` call."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Attribute) and fn.attr in ("fromfile", "tofile"):
+            yield node.lineno
+        elif isinstance(fn, ast.Name) and fn.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or ("b" in m.value and m.value != "rb")
+                   for m in modes):
+                yield node.lineno
+
+
+def test_only_the_artefact_module_writes_raw_arrays():
+    found = [f"{path}:{line}" for path, tree in src_trees() if path != "artefact.py"
+             for line in raw_array_io(tree)]
+    assert found == [], f"raw binary array I/O outside scenemotion.artefact: {found}"

@@ -218,16 +218,3 @@ def test_bodyparams_rejects_nonfinite_and_degenerate():
     with pytest.raises(ValueError):
         body.BodyParams(t=np.zeros(3), r=np.zeros(6),
                         beta=np.zeros(10), p=np.zeros(32), h=np.zeros(24))
-
-
-def test_template_save_load_round_trip(template, tmp_path):
-    path = tmp_path / "template.json"
-    template.save(path)
-    loaded = body.BodyTemplate.load(path)
-    assert np.array_equal(loaded.rest_vertices, template.rest_vertices)
-    assert np.array_equal(loaded.skin_weights, template.skin_weights)
-    assert np.array_equal(loaded.pose_map, template.pose_map)
-    for name in template.vertex_groups:
-        assert np.array_equal(loaded.vertex_groups[name], template.vertex_groups[name])
-    mesh, _ = body.forward_with_cache(loaded, body.BodyParams.rest())
-    assert np.array_equal(mesh.vertices, template.rest_vertices)

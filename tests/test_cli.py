@@ -1,15 +1,17 @@
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from scenemotion import body
+from scenemotion import artefact, body
 from scenemotion.cli import main
 from scenemotion.config import RunConfig
+from scenemotion.datagen import DATASET_FILE
 from scenemotion.rotation import heading_to_rot6d
-from scenemotion.sequence import MotionSequence, load_sequence, save_sequence
+from scenemotion.sequence import SEQUENCE_FILE, MotionSequence, load_sequence, save_sequence
 
 
 def standing_sequence(n=4):
@@ -128,9 +130,10 @@ def test_config_file_and_overrides(tmp_path):
     code = main(["gen-data", "--out", str(out), "--config", str(cfg_file),
                  "--set", "clips_per_scene=2"])
     assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["k"] == 15
-    assert len(manifest["clips"]) == 2
+    arrays, meta = artefact.load(out / DATASET_FILE, "dataset")
+    assert meta["k"] == 15
+    assert len(meta["clips"]) == 2
+    assert arrays["frames"].shape == (2, 16, body.PARAM_DIM)
     log = json.loads((out / "run_log.json").read_text())
     assert log["config"]["clips_per_scene"] == 2
     assert log["command"] == "gen-data"
@@ -189,7 +192,7 @@ def test_scalar_override_of_tuple_knob_is_user_error(tmp_path):
 def test_sequence_round_trip(tmp_path):
     seq = standing_sequence(6)
     seq.chunk_boundaries = [0, 5]
-    save_sequence(tmp_path / "seq", seq, extra={"note": "test"})
+    save_sequence(tmp_path / "seq", seq)
     loaded = load_sequence(tmp_path / "seq")
     assert np.array_equal(loaded.frames, seq.frames)
     assert loaded.chunk_boundaries == [0, 5]
@@ -208,10 +211,15 @@ def test_sequence_rejects_out_of_range_boundaries(tmp_path, boundaries):
 @pytest.mark.parametrize("key, value", [("chunk_boundaries", [0, 9]), ("version", 99)])
 def test_refine_bad_sequence_file_is_user_error(tmp_path, capsys, key, value):
     save_sequence(tmp_path / "seq", standing_sequence(4))
-    index_path = tmp_path / "seq" / "sequence.json"
-    index = json.loads(index_path.read_text())
-    index[key] = value
-    index_path.write_text(json.dumps(index))
+    path = tmp_path / "seq" / SEQUENCE_FILE
+    if key == "version":  # the container's, in its header after the magic
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", value)
+        path.write_bytes(bytes(blob))
+    else:
+        arrays, meta = artefact.load(path, "sequence")
+        meta[key] = value
+        artefact.save(path, arrays, meta)
     code = main(["refine", "--scene", write_floor_scene(tmp_path / "scene.obj"),
                  "--seq", str(tmp_path / "seq"), "--out", str(tmp_path / "out")])
     assert code == 1
@@ -319,7 +327,9 @@ def test_bad_refine_config_is_user_error(tmp_path, capsys, monkeypatch, command,
                {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
     {"goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0)), "seed": float("inf")},
                {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
-], ids=["one-goal", "no-goals", "short-r", "infinite-seed"])
+    {"goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0))},
+               {"t": [1, 0, 0.93], "r": [1.0, 0.0, 0.0, 2.0, 0.0, 0.0]}]},
+], ids=["one-goal", "no-goals", "short-r", "infinite-seed", "degenerate-r"])
 def test_bad_goal_spec_is_user_error(tmp_path, capsys, monkeypatch, command, spec):
     from scenemotion import cli
     built = []
@@ -473,15 +483,14 @@ _FILE_ARGUMENTS = {
     "--gt": ("evaluate --pred {seq} --gt {bad}", "seq"),
     "--dataset": ("build-sdf --dataset {bad}", "data"),
 }
-# directory inputs: (index file, data file) inside them
-_DIRECTORIES = {"seq": ("sequence.json", "frames.bin"),
-                "data": ("manifest.json", "clips/clip_00000.bin")}
+# directory inputs: the container inside them
+_DIRECTORIES = {"seq": SEQUENCE_FILE, "data": DATASET_FILE}
 
 
 def _broken_input(valid, key, case, dst, blob=b""):
     """``valid[key]`` broken as ``case`` under ``dst``; returns the path to pass.
-    A file input is replaced whole; a directory is copied with its index file
-    replaced, or with its data file truncated."""
+    A file input is replaced whole; a directory is copied with its container
+    replaced."""
     import shutil
     src = valid[key]
     if case == "missing":
@@ -489,12 +498,10 @@ def _broken_input(valid, key, case, dst, blob=b""):
     if case == "wrong type":  # a directory for a file, a file for a directory
         return str(dst) if key not in _DIRECTORIES else valid["goals"]
     if key in _DIRECTORIES:
-        index, data = _DIRECTORIES[key]
         path = dst / key
         shutil.rmtree(path, ignore_errors=True)
         shutil.copytree(src, path)
-        name = data if case == "truncated" else index
-        src, target = os.path.join(src, name), path / name
+        src, target = os.path.join(src, _DIRECTORIES[key]), path / _DIRECTORIES[key]
     else:
         path = target = dst / ("broken" + os.path.splitext(src)[1])
     if case == "truncated":
@@ -534,21 +541,45 @@ def test_every_file_argument_rejects_a_broken_input(valid_inputs, tmp_path, caps
         _assert_user_error(_argv(flag, valid_inputs, bad, tmp_path / "out"), capsys)
 
 
-@pytest.mark.parametrize("damage", ["not json", "no num_frames", "no frames file"])
+# damage to a sequence container -> what the error says
+_SEQUENCE_DAMAGE = {
+    "not json": "bad manifest",
+    "no fps": "sequence lacks 'fps'",
+    "no frames tensor": "sequence lacks 'frames'",
+    "frames not T x 75": "frames are (4, 74), expected (T, 75)",
+    "frames not 2-D": "frames are (4, 75, 1), expected (T, 75)",
+    "sdf cache": "holds 'sdf' data, expected 'sequence'",
+}
+
+
+@pytest.mark.parametrize("damage", list(_SEQUENCE_DAMAGE))
 def test_damaged_sequence_is_user_error(tmp_path, capsys, damage):
+    from scenemotion.scene import load_scene
+    from scenemotion.sdf import build_sdf, save_sdf
     seq = tmp_path / "seq"
     save_sequence(seq, standing_sequence(4))
-    if damage == "not json":
-        (seq / "sequence.json").write_text("{\"version\": 1,")
-    elif damage == "no num_frames":
-        index = json.loads((seq / "sequence.json").read_text())
-        del index["num_frames"]
-        (seq / "sequence.json").write_text(json.dumps(index))
+    path = seq / SEQUENCE_FILE
+    arrays, meta = artefact.load(path, "sequence")
+    if damage == "not json":  # the manifest's first byte, past magic, version and length
+        blob = bytearray(path.read_bytes())
+        blob[12] = ord("#")
+        path.write_bytes(bytes(blob))
+    elif damage == "sdf cache":
+        mesh = load_scene(write_floor_scene(tmp_path / "scene.obj"))
+        save_sdf(str(path), build_sdf(mesh, cell=0.5, padding=0.5), mesh, 0.5)
     else:
-        (seq / "frames.bin").unlink()
+        if damage == "no fps":
+            del meta["fps"]
+        elif damage == "no frames tensor":
+            arrays = {}
+        elif damage == "frames not T x 75":
+            arrays["frames"] = arrays["frames"][:, :74]
+        else:
+            arrays["frames"] = arrays["frames"][..., None]
+        artefact.save(path, arrays, meta)
     err = _assert_user_error(["export-mesh", "--seq", str(seq), "--out", str(tmp_path / "m")],
                              capsys)
-    assert str(seq) in err
+    assert err.startswith(f"error: {path}: ") and _SEQUENCE_DAMAGE[damage] in err
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -574,20 +605,77 @@ def test_ill_fitting_cvae_weights_are_user_error(tmp_path, capsys, damage, messa
 
 
 @pytest.mark.parametrize("command", ["build-sdf", "train-route"])
-@pytest.mark.parametrize("manifest, message", [
-    (b"{}", "manifest lacks 'k'"),
-    (np.random.default_rng(5).bytes(64), "error: "),
-    (json.dumps({"k": 15, "fps": 30, "scenes": [],
-                 "clips": [{"id": 0, "scene": 0, "file": "c.bin"}]}).encode(), "unknown scene 0"),
-    (json.dumps({"k": 15, "fps": 30, "scenes": [], "clips": []}).encode(), "lists no clips"),
+@pytest.mark.parametrize("meta, message", [
+    ({}, "dataset lacks 'k'"),
+    (None, "not a container"),
+    ({"k": 15, "fps": 30, "scenes": [], "clips": [{"id": 0, "scene": 0}]}, "unknown scene 0"),
+    ({"k": 15, "fps": 30, "scenes": [], "clips": []}, "lists no clips"),
 ], ids=["empty object", "random bytes", "unknown scene", "no clips"])
-def test_damaged_dataset_manifest_is_user_error(tmp_path, capsys, command, manifest, message):
+def test_damaged_dataset_manifest_is_user_error(tmp_path, capsys, command, meta, message):
     (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "manifest.json").write_bytes(manifest)
+    path = tmp_path / "data" / DATASET_FILE
+    if meta is None:
+        path.write_bytes(np.random.default_rng(5).bytes(64))
+    else:
+        artefact.save(path, {}, {"kind": "dataset", **meta})
     argv = [command, "--dataset", str(tmp_path / "data")]
     if command == "train-route":
         argv += ["--out", str(tmp_path / "w.route")]
-    assert message in _assert_user_error(argv, capsys)
+    err = _assert_user_error(argv, capsys)
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("clip dropped", "frames are (1, 16, 75), expected 2 clips x 16 x 75"),
+    ("frame dropped", "frames are (2, 15, 75), expected 2 clips x 16 x 75"),
+    ("k changed", "frames are (2, 16, 75), expected 2 clips x 15 x 75"),
+], ids=["clip dropped", "frame dropped", "k changed"])
+def test_dataset_frames_that_disagree_with_the_clip_list_are_user_error(
+        valid_inputs, tmp_path, capsys, damage, message):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(valid_inputs["data"], data)
+    path = data / DATASET_FILE
+    arrays, meta = artefact.load(path, "dataset")
+    if damage == "clip dropped":
+        arrays["frames"] = arrays["frames"][1:]
+    elif damage == "frame dropped":
+        arrays["frames"] = arrays["frames"][:, 1:]
+    else:
+        meta["k"] = 14
+    artefact.save(path, arrays, meta)
+    err = _assert_user_error(["build-sdf", "--dataset", str(data)], capsys)
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["train-cvae", "train-route", "train-pose"])
+def test_training_creates_the_output_directory(valid_inputs, tmp_path, command):
+    out = tmp_path / "new" / "dir" / "model.bin"
+    argv = [command, "--dataset", valid_inputs["data"], "--out", str(out),
+            "--set", "sdf_cell=0.3", "--set", "cloud_points=64", "--set", "hidden=4",
+            "--set", "fc_width=8", "--set", "cond_dim=8", "--set", "point_hidden=[4,4]",
+            "--set", "cvae_epochs=1", "--set", "route_epochs=1", "--set", "pose_epochs=1"]
+    if command == "train-pose":
+        argv += ["--route", valid_inputs["route"]]
+    assert main(argv) == 0
+    kind = command.split("-")[1]
+    assert artefact.load(out, kind)[1]["kind"] == kind
+    assert (out.parent / "run_log.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train-cvae", "train-route", "train-pose", "evaluate"])
+def test_output_directory_blocked_by_a_file_is_user_error(tmp_path, capsys, command):
+    # tmp_path holds no dataset or sequence, so the error shows which check ran first
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "model.bin"
+    if command == "evaluate":
+        argv = [command, "--pred", str(tmp_path), "--gt", str(tmp_path)]
+    else:
+        argv = [command, "--dataset", str(tmp_path)]
+    if command == "train-pose":
+        argv += ["--route", str(tmp_path)]
+    err = _assert_user_error(argv + ["--out", str(out)], capsys)
+    assert err.startswith(f"error: cannot create output directory {tmp_path / 'file'}: ")
 
 
 def test_non_utf8_obj_scene_is_user_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from scenemotion import body
 from scenemotion.cvae import GoalCVAE
 from scenemotion.datagen import gen_scene, SyntheticSceneSpec
+from scenemotion.errors import InvalidRotationError
 from scenemotion.field import SceneField
 from scenemotion.motion_nets import PoseNet, RouteNet
 from scenemotion.pipeline import (GoalSpec, cvae_interpolation_baseline, plan_long_term,
@@ -45,6 +46,9 @@ def test_goal_spec_validation():
     with pytest.raises(ValueError):
         GoalSpec(translations=np.array([[0, 0, 0], [1, 0, 0]]),
                  rotations=np.tile(IDENTITY_R, (2, 1)), beta=np.zeros(10), seeds=[1])
+    with pytest.raises(InvalidRotationError, match="degenerate goal orientation: row 1: "):
+        GoalSpec(translations=np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]]),
+                 rotations=np.stack([IDENTITY_R, np.zeros(6), IDENTITY_R]), beta=np.zeros(10))
 
 
 @pytest.mark.parametrize("G,k", [(2, 15), (3, 15), (5, 15), (2, 61), (3, 61)])
@@ -160,18 +164,9 @@ def test_plan_runs_each_network_once(random_models, small_field, template, monke
 
 
 def test_validate_spec_diagnostics(small_field):
-    ts = np.array([[50.0, 0, 0.9], [0.0, 0, 0.9], [0.0, 0, 0.9]])
-    rs = np.stack([IDENTITY_R, np.zeros(6), IDENTITY_R])
-    spec = GoalSpec.__new__(GoalSpec)  # bypass __post_init__ to exercise diagnostics
-    spec.translations = ts
-    spec.rotations = rs
-    spec.beta = np.zeros(10)
-    spec.seeds = [0, 1, 2]
-    diags = validate_spec(spec, small_field.mesh)
-    joined = "\n".join(diags)
-    assert "outside" in joined
-    assert "degenerate" in joined
-    assert "zero displacement" in joined
+    ts = np.array([[50.0, 0, 0.9], [0.0, 0, 0.9], [1.0, 0, 0.9]])
+    spec = GoalSpec(translations=ts, rotations=np.tile(IDENTITY_R, (3, 1)), beta=np.zeros(10))
+    assert validate_spec(spec, small_field.mesh) == ["goal 0: outside the scene bounds"]
 
 
 def test_validate_spec_clean(small_field):
