@@ -150,15 +150,19 @@ def _load_seq(path, what):
     return load_sequence(os.path.dirname(_require(os.path.join(path, SEQUENCE_FILE), what)))
 
 
-def _out_dir(path):
-    """The directory of the ``--out`` file ``path``, created before any other
-    work; one that cannot be created is a user error."""
-    out_dir = os.path.dirname(os.path.abspath(path))
+def _make_out_dir(out_dir):
+    """``out_dir``, created before any other work; one that cannot be created,
+    such as a path naming a file, is a user error."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise UserError(f"cannot create output directory {out_dir}: {e.strerror}") from None
     return out_dir
+
+
+def _out_dir(path):
+    """The directory of the ``--out`` file ``path``, made by ``_make_out_dir``."""
+    return _make_out_dir(os.path.dirname(os.path.abspath(path)))
 
 
 def _template(cfg):
@@ -213,6 +217,7 @@ def _save_trained(args, cfg, log, model, kind, curve, seed, **payload):
 
 def cmd_gen_data(args, cfg, log):
     from .datagen import build_dataset
+    _make_out_dir(args.out)
     meta = build_dataset(args.out, _template(cfg), n_scenes=cfg.n_scenes,
                          clips_per_scene=cfg.clips_per_scene, k=cfg.k, fps=cfg.fps,
                          master_seed=cfg.seed, min_displacement=cfg.min_displacement, log=log)
@@ -226,8 +231,7 @@ def cmd_build_sdf(args, cfg, log):
     from .datagen import load_dataset
     from .sdf import build_sdf, save_sdf
     dataset = load_dataset(args.dataset)
-    sdf_dir = os.path.join(args.dataset, "sdf")
-    os.makedirs(sdf_dir, exist_ok=True)
+    sdf_dir = _make_out_dir(os.path.join(args.dataset, "sdf"))
     outputs = []
     for sid, rec in sorted(dataset["scenes"].items()):
         grid = build_sdf(rec["mesh"], cell=cfg.sdf_cell, padding=cfg.sdf_padding,
@@ -294,6 +298,7 @@ def cmd_train_pose(args, cfg, log):
 def cmd_synthesize(args, cfg, log):
     from .persist import load_model
     from .pipeline import plan_long_term, validate_spec
+    _make_out_dir(args.out)
     schedule = None if args.no_refine else _schedule(args, cfg)
     spec = _goal_spec(args.goals)
     cvae_model, _ = load_model(_require(args.cvae, "CVAE weights"), "cvae")
@@ -315,6 +320,7 @@ def cmd_synthesize(args, cfg, log):
 
 def cmd_refine(args, cfg, log):
     from .refine import refine
+    _make_out_dir(args.out)
     seq = _load_seq(args.seq, "input sequence")
     schedule = _schedule(args, cfg)
     field = _scene_field(args.scene, cfg)
@@ -331,6 +337,7 @@ def cmd_refine(args, cfg, log):
 def cmd_baseline_interp(args, cfg, log):
     from .persist import load_model
     from .pipeline import cvae_interpolation_baseline
+    _make_out_dir(args.out)
     spec = _goal_spec(args.goals)
     cvae_model, _ = load_model(_require(args.cvae, "CVAE weights"), "cvae")
     field = _scene_field(args.scene, cfg)
@@ -366,6 +373,7 @@ def cmd_evaluate(args, cfg, log):
 
 
 def cmd_export_mesh(args, cfg, log):
+    _make_out_dir(args.out)
     seq = _load_seq(args.seq, "input sequence")
     if args.every < 1:
         raise UserError(f"--every must be >= 1, got {args.every}")

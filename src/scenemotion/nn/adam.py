@@ -13,7 +13,13 @@ EPS = 1e-8
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers plus the shared step counter.
+
+    A step allocates no array the size of a parameter: it works in two
+    scratch buffers sized to the largest parameter, allocated here with the
+    moments, and does the textbook update's operations in the same order, so
+    its results are bit-identical to it.
+    """
 
     def __init__(self, params, beta1=BETA1, beta2=BETA2, eps=EPS):
         self.params = list(params)
@@ -23,6 +29,8 @@ class AdamState:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        size = max((p.value.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, lr):
         """One Adam update from the params' grad slots; grads are not cleared."""
@@ -36,11 +44,23 @@ class AdamState:
         bc2 = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
+            a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            # value -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bc1, out=b)
+            b *= lr
+            b /= a
+            p.value -= b
 
 
 def minibatch_epochs(n, epochs, batch_size, rng, step, log, tag):

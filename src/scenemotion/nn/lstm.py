@@ -12,7 +12,9 @@ The two directions of a BiLSTM share no state, so a pass over at least
 thread while the calling thread runs the forward one (the same paper
 overlaps independent recurrent work this way). Each cell does the same
 arithmetic on either thread, so results are bit-identical to the serial
-pass. The gain assumes BLAS runs each call on one thread.
+pass. The gain assumes BLAS runs each call on one thread, which importing
+``scenemotion`` sets unless the user chose a thread count
+(``scenemotion._runtime``).
 """
 
 from __future__ import annotations

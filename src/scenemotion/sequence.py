@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -21,6 +23,10 @@ class MotionSequence:
     chunk_boundaries: list = field(default_factory=list)
 
     def __post_init__(self):
+        fps = self.fps
+        if (isinstance(fps, bool) or not isinstance(fps, numbers.Real)
+                or not math.isfinite(fps) or fps <= 0):
+            raise ValueError(f"fps must be a finite positive number, got {fps!r}")
         self.frames = np.asarray(self.frames, dtype=np.float64).reshape(-1, body.PARAM_DIM)
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("sequence contains non-finite parameters")

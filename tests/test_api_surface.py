@@ -1,5 +1,5 @@
-"""Every public function and method of the core modules has a use, and one
-module lays out arrays on disk.
+"""Every public function and method of the core modules has a use, one
+module lays out arrays on disk, and one module sets the process policy.
 
 A name counts as used when code in ``src/`` outside its own definition
 refers to it, when README's "Library API" section lists it, or when the
@@ -106,3 +106,37 @@ def test_only_the_artefact_module_writes_raw_arrays():
     found = [f"{path}:{line}" for path, tree in src_trees() if path != "artefact.py"
              for line in raw_array_io(tree)]
     assert found == [], f"raw binary array I/O outside scenemotion.artefact: {found}"
+
+
+_ENV_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _is_environ(node):
+    return ((isinstance(node, ast.Attribute) and node.attr == "environ")
+            or (isinstance(node, ast.Name) and node.id == "environ"))
+
+
+def process_policy_sites(tree):
+    """Line of each ``ctypes`` import and each write to the process environment."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "ctypes" for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "ctypes":
+                yield node.lineno
+        elif isinstance(node, ast.Subscript):
+            if _is_environ(node.value) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            fn = node.func
+            if (fn.attr in _ENV_WRITES and _is_environ(fn.value)) or fn.attr in ("putenv",
+                                                                                  "unsetenv"):
+                yield node.lineno
+
+
+def test_only_the_runtime_module_sets_the_process_policy():
+    sites = {path: list(process_policy_sites(tree)) for path, tree in src_trees()}
+    assert sites.pop("_runtime.py"), "the check finds nothing in scenemotion._runtime"
+    found = [f"{path}:{line}" for path, lines in sites.items() for line in lines]
+    assert found == [], f"ctypes import or environment write outside scenemotion._runtime: {found}"

@@ -10,6 +10,7 @@ from scenemotion import artefact, body
 from scenemotion.cli import main
 from scenemotion.config import RunConfig
 from scenemotion.datagen import DATASET_FILE
+from scenemotion.errors import ArtefactError
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.sequence import SEQUENCE_FILE, MotionSequence, load_sequence, save_sequence
 
@@ -676,6 +677,49 @@ def test_output_directory_blocked_by_a_file_is_user_error(tmp_path, capsys, comm
         argv += ["--route", str(tmp_path)]
     err = _assert_user_error(argv + ["--out", str(out)], capsys)
     assert err.startswith(f"error: cannot create output directory {tmp_path / 'file'}: ")
+
+
+@pytest.mark.parametrize("command", ["gen-data", "synthesize", "refine", "baseline-interp",
+                                     "export-mesh"])
+def test_output_directory_that_is_a_file_is_user_error(tmp_path, capsys, command):
+    # the inputs are missing, so the error shows the --out check ran first
+    out = tmp_path / "file"
+    out.write_text("")
+    missing = str(tmp_path / "missing")
+    inputs = {"gen-data": [], "export-mesh": ["--seq", missing],
+              "refine": ["--scene", missing, "--seq", missing],
+              "baseline-interp": ["--scene", missing, "--goals", missing, "--cvae", missing],
+              "synthesize": ["--scene", missing, "--goals", missing, "--cvae", missing,
+                             "--route", missing, "--pose", missing]}[command]
+    err = _assert_user_error([command, *inputs, "--out", str(out)], capsys)
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert out.read_text() == ""
+
+
+def test_sdf_directory_that_is_a_file_is_user_error(valid_inputs, tmp_path, capsys):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(valid_inputs["data"], data)
+    shutil.rmtree(data / "sdf", ignore_errors=True)
+    (data / "sdf").write_text("")
+    err = _assert_user_error(["build-sdf", "--dataset", str(data)], capsys)
+    assert err.startswith(f"error: cannot create output directory {data / 'sdf'}: ")
+
+
+@pytest.mark.parametrize("fps", ["x", -5, 0, True, float("nan")], ids=repr)
+def test_sequence_fps_must_be_a_finite_positive_number(tmp_path, capsys, fps):
+    with pytest.raises(ValueError, match="fps must be a finite positive number"):
+        MotionSequence(frames=np.zeros((2, 75)), fps=fps)
+    seq = tmp_path / "seq"
+    save_sequence(seq, standing_sequence(3))
+    path = seq / SEQUENCE_FILE
+    arrays, meta = artefact.load(path, "sequence")
+    artefact.save(path, arrays, {**meta, "fps": fps})
+    with pytest.raises(ArtefactError, match="fps must be a finite positive number"):
+        load_sequence(seq)
+    err = _assert_user_error(["export-mesh", "--seq", str(seq), "--out", str(tmp_path / "m")],
+                             capsys)
+    assert err.startswith(f"error: {path}: fps must be")
 
 
 def test_non_utf8_obj_scene_is_user_error(tmp_path, capsys):

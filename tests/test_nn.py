@@ -13,6 +13,7 @@ from scenemotion.errors import ArtefactError, NumericError, SceneMotionError, St
 from scenemotion.nn import (AdamState, BiLSTM, Linear, MLP, Param, PointEncoder,
                             ResidualBlock, leaky_relu, leaky_relu_backward)
 from gradcheck import check_param_grads, check_param_grads_directional
+from scenemotion.nn.adam import BETA1, BETA2, EPS
 from scenemotion.nn.layers import LEAKY_SLOPE
 from scenemotion.nn.lstm import MIN_THREADED_ROWS
 
@@ -341,6 +342,53 @@ def test_adam_rejects_nonfinite_gradient():
     p.grad[...] = [np.nan, 0.0]
     with pytest.raises(NumericError, match="weights.w"):
         state.step(0.1)
+
+
+def _mixed_params(rng):
+    return [Param(f"p{i}", rng.standard_normal(shape))
+            for i, shape in enumerate([(7, 5), (3,), (), (4, 6, 2), (1, 1), (0,)])]
+
+
+def test_adam_step_is_bit_identical_to_the_textbook_update():
+    rng = np.random.default_rng(4)
+    params = _mixed_params(rng)
+    ref = [p.value.copy() for p in params]
+    m = [np.zeros_like(v) for v in ref]
+    v = [np.zeros_like(v) for v in ref]
+    state = AdamState(params)
+    b1, b2, eps, lr = BETA1, BETA2, EPS, 3e-3
+    for t in range(1, 6):
+        for p in params:
+            p.grad[...] = rng.standard_normal(p.grad.shape) * 10.0 ** rng.integers(-6, 3)
+        state.step(lr)
+        for i, p in enumerate(params):
+            g = p.grad
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            ref[i] = ref[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+        for i, p in enumerate(params):
+            assert p.value.tobytes() == ref[i].tobytes(), (t, p.name)
+            assert state.m[i].tobytes() == m[i].tobytes(), (t, p.name)
+            assert state.v[i].tobytes() == v[i].tobytes(), (t, p.name)
+
+
+def test_adam_step_allocates_no_parameter_sized_array():
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    params = _mixed_params(rng) + [Param("big", rng.standard_normal((256, 512)))]
+    state = AdamState(params)
+    for p in params:
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    state.step(1e-3)
+    tracemalloc.start()
+    try:
+        state.step(1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the textbook update holds three temporaries of the largest parameter at once
+    assert peak < params[-1].value.nbytes
 
 
 def test_weight_container_round_trip(tmp_path):
