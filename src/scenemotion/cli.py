@@ -340,14 +340,13 @@ def cmd_baseline_interp(args, cfg, log):
     _make_out_dir(args.out)
     spec = _goal_spec(args.goals)
     cvae_model, _ = load_model(_require(args.cvae, "CVAE weights"), "cvae")
-    field = _scene_field(args.scene, cfg)
-    cloud = field.cloud.points
+    feat = cvae_model.point_enc.forward(_scene_field(args.scene, cfg).cloud.points)[0]
     ends = [0, -1]
     start, end = cvae_model.sample_goal_bodies(spec.beta, spec.translations[ends],
-                                               spec.rotations[ends], cloud,
+                                               spec.rotations[ends], feat,
                                                [spec.seeds[i] for i in ends])
     steps = args.steps or (cfg.k + 1)
-    seq = cvae_interpolation_baseline(cvae_model, start, end, cloud, steps)
+    seq = cvae_interpolation_baseline(cvae_model, start, end, feat, steps)
     save_sequence(args.out, seq)
     _write_log(args.out, "baseline-interp", cfg, {"outputs": [args.out], "frames": steps})
     log(f"baseline sequence of {steps} frames -> {args.out}")

@@ -133,21 +133,21 @@ class GoalCVAE(Module):
 
     # -- inference ----------------------------------------------------------------
 
-    def sample_goal_bodies(self, beta, ts, rs, cloud_points, seeds):
+    def sample_goal_bodies(self, beta, ts, rs, scene_feat, seeds):
         """One goal body per row of ``ts`` (G, 3) and ``rs`` (G, 6), all decoded
         in one batch. Goal g draws z ~ N(0, I) from ``default_rng(seeds[g])``;
         (beta, t, r) pass through verbatim.
 
-        The cloud is encoded once. Raises InvalidRotationError naming the first
-        degenerate row of ``rs``.
+        ``scene_feat`` is the scene cloud's ``point_enc`` feature, so a caller
+        encodes the cloud once for every use. Raises InvalidRotationError
+        naming the first degenerate row of ``rs``.
         """
         beta = np.asarray(beta, dtype=np.float64)
         ts = np.asarray(ts, dtype=np.float64).reshape(-1, 3)
         rs = np.asarray(rs, dtype=np.float64).reshape(-1, 6)
         rot6d_to_matrix(rs)
-        feat = self.point_enc.forward(cloud_points)[0]
         cond = self.condition_from_feature(
-            feat, np.broadcast_to(beta, (len(ts), body.SHAPE_DIM)), ts, rs)[0]
+            scene_feat, np.broadcast_to(beta, (len(ts), body.SHAPE_DIM)), ts, rs)[0]
         z = np.stack([np.random.default_rng(seed).standard_normal(LATENT_DIM)
                       for seed in seeds])
         ph = self.decode(z, cond)[0]
@@ -155,9 +155,9 @@ class GoalCVAE(Module):
                                 h=row[body.POSE_DIM:])
                 for t, r, row in zip(ts, rs, ph)]
 
-    def sample_goal_body(self, beta, t, r, cloud_points, seed=0):
+    def sample_goal_body(self, beta, t, r, scene_feat, seed=0):
         """Draw z ~ N(0, I) and decode; (beta, t, r) pass through verbatim."""
-        return self.sample_goal_bodies(beta, [t], [r], cloud_points, [seed])[0]
+        return self.sample_goal_bodies(beta, [t], [r], scene_feat, [seed])[0]
 
 
 def fit_latent(model, cond, target_ph, steps=500, lr=1e-2, seed=0):

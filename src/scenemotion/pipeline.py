@@ -106,7 +106,8 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
     cloud = scene_field.cloud.points
     with _stage("goal-body sampling"):
         bodies = cvae_model.sample_goal_bodies(spec.beta, spec.translations, spec.rotations,
-                                               cloud, spec.seeds)
+                                               cvae_model.point_enc.forward(cloud)[0],
+                                               spec.seeds)
     with _stage("clip synthesis"):
         pre = synthesize_clip(route_model, pose_model, bodies, cloud, k)
 
@@ -123,19 +124,19 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
                       post_report=post_report)
 
 
-def cvae_interpolation_baseline(cvae_model, start, end, cloud_points, steps,
+def cvae_interpolation_baseline(cvae_model, start, end, scene_feat, steps,
                                 fit_steps=500, fit_lr=1e-2, seed=0, fit_seeds=None):
     """Latent-interpolation baseline: Adam-fit z for both endpoint bodies, then
-    decode linear blends of (z, t, r) for the frames in between."""
+    decode linear blends of (z, t, r) for the frames in between. ``scene_feat``
+    is the scene cloud's ``cvae_model.point_enc`` feature."""
     if steps < 2:
         raise ValueError(f"need at least 2 interpolation steps, got {steps}")
     if np.any(start.beta != end.beta):
         raise ValueError("baseline requires a shared shape vector")
     if fit_seeds is None:
         fit_seeds = (seed, seed + 1)
-    feat, _ = cvae_model.point_enc.forward(cloud_points)
-    cond_s, _ = cvae_model.condition_from_feature(feat, start.beta, start.t, start.r)
-    cond_e, _ = cvae_model.condition_from_feature(feat, end.beta, end.t, end.r)
+    cond_s, _ = cvae_model.condition_from_feature(scene_feat, start.beta, start.t, start.r)
+    cond_e, _ = cvae_model.condition_from_feature(scene_feat, end.beta, end.t, end.r)
     z_s = fit_latent(cvae_model, cond_s, np.concatenate([start.p, start.h]),
                      steps=fit_steps, lr=fit_lr, seed=fit_seeds[0])
     z_e = fit_latent(cvae_model, cond_e, np.concatenate([end.p, end.h]),
@@ -146,7 +147,7 @@ def cvae_interpolation_baseline(cvae_model, start, end, cloud_points, steps,
         z = (1.0 - alpha) * z_s + alpha * z_e
         t = (1.0 - alpha) * start.t + alpha * end.t
         r = (1.0 - alpha) * start.r + alpha * end.r
-        cond, _ = cvae_model.condition_from_feature(feat, start.beta, t, r)
+        cond, _ = cvae_model.condition_from_feature(scene_feat, start.beta, t, r)
         ph, _ = cvae_model.decode(z, cond)
         frames[i] = body.BodyParams(t=t, r=r, beta=start.beta,
                                     p=ph[0, :body.POSE_DIM],

@@ -99,31 +99,21 @@ def vars_to_frames(x, betas):
     return np.concatenate([x[:, 0:9], betas, x[:, 9:65]], axis=1)
 
 
-def energy_and_gradients(template, frames, scene_field, weights, segmentation, frozen_nn=None):
+def energy_and_gradients(template, frames, scene_field, weights, segmentation):
     """Weighted energy report plus dTotal/d(t,r,p,h) per frame.
 
-    ``frozen_nn`` optionally pins per-frame contact correspondences (T, C int
-    array of cloud indices); otherwise fresh exact queries are used and the
-    gradient is taken with those correspondences held fixed.
+    Contact targets come from fresh exact queries, and the gradient is taken
+    with those correspondences held fixed.
     """
     mesh, cache = body.forward_batch_with_cache(template, frames)
     report, g_vertices = scene_energy(template, mesh.vertices, scene_field, weights,
-                                      segmentation, correspondences=frozen_nn,
-                                      want_grad=True)
+                                      segmentation, want_grad=True)
     return report, body.pullback_batch(cache, g_vertices)
 
 
 # The benchmark's tracer (perfbench/tracing.py) looks the contact term up
 # under this name.
 _contact_value_grad = _cont_term
-
-
-def contact_correspondences(template, frames, scene_field):
-    """Exact nearest-cloud index of every contact vertex per frame, (T, C)."""
-    contact_ids = template.contact_vertex_ids()
-    cv = body.forward_batch(template, frames).vertices[:, contact_ids]
-    nn_idx, _ = scene_field.index.nearest(cv.reshape(-1, 3))
-    return nn_idx.reshape(cv.shape[:2])
 
 
 def refine(template, seq, scene_field, schedule):

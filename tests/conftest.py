@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,23 @@ K = 15
 DATASET_SEED = 3
 N_SCENES = 4
 CLIPS_PER_SCENE = 60
+
+
+# how long a thread a test started may take to finish after the test returns
+THREAD_JOIN_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Errors at teardown when a test leaves a thread it started alive: the
+    BiLSTM's worker and every other thread a test starts must end with it."""
+    before = set(threading.enumerate())
+    yield
+    started = [t for t in threading.enumerate() if t not in before]
+    for t in started:
+        t.join(THREAD_JOIN_S / len(started))
+    alive = [t.name for t in started if t.is_alive()]
+    assert not alive, f"threads started by the test are still alive: {alive}"
 
 
 @pytest.fixture(scope="session")

@@ -36,9 +36,28 @@ def shares_beta(seq):
     return bool(np.all(seq.betas == seq.betas[0]))
 
 
-def energy_value(template, frames, scene_field, weights, segmentation, frozen_nn=None):
+def energy_value(template, frames, scene_field, weights, segmentation, correspondences=None):
     """Weighted energy total of refinement's objective, without its gradient."""
     vertices = body.forward_batch(template, frames).vertices
     report, _ = scene_energy(template, vertices, scene_field, weights, segmentation,
-                             correspondences=frozen_nn)
+                             correspondences=correspondences)
     return report.total
+
+
+def contact_correspondences(template, frames, scene_field):
+    """Exact nearest-cloud index of every contact vertex per frame, (T, C)."""
+    cv = body.forward_batch(template, frames).vertices[:, template.contact_vertex_ids()]
+    nn_idx, _ = scene_field.index.nearest(cv.reshape(-1, 3))
+    return nn_idx.reshape(cv.shape[:2])
+
+
+def frozen_energy_and_gradients(template, frames, scene_field, weights, segmentation,
+                                correspondences):
+    """``refine.energy_and_gradients`` with the contact targets pinned to
+    ``correspondences`` (T, C cloud indices), so that finite differences of
+    ``energy_value`` with the same targets check its gradient."""
+    mesh, cache = body.forward_batch_with_cache(template, frames)
+    report, g_vertices = scene_energy(template, mesh.vertices, scene_field, weights,
+                                      segmentation, correspondences=correspondences,
+                                      want_grad=True)
+    return report, body.pullback_batch(cache, g_vertices)

@@ -21,13 +21,13 @@ from scenemotion.metrics import contact_score, mpjpe, mpvpe, non_collision_score
     reconstruction_errors
 from scenemotion.motion_nets import PoseNet, RouteNet
 from gradcheck import check_param_grads_directional
-from helpers import energy_value, foot_labels, path_length, sdf_at, shares_beta
+from helpers import (contact_correspondences, energy_value, foot_labels,
+                     frozen_energy_and_gradients, path_length, sdf_at, shares_beta)
 from scenemotion.nn.layers import Linear, ResidualBlock
 from scenemotion.nn.lstm import BiLSTM
 from scenemotion.nn.pointnet import PointEncoder
 from scenemotion.pipeline import GoalSpec, cvae_interpolation_baseline, plan_long_term
-from scenemotion.refine import (RefinementSchedule, RefineStage, contact_correspondences,
-                                energy_and_gradients, frames_to_vars, refine,
+from scenemotion.refine import (RefinementSchedule, RefineStage, frames_to_vars, refine,
                                 vars_to_frames)
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import VertexIndex, make_mesh
@@ -145,12 +145,11 @@ def test_c01_gradient_correctness(template, slab_field):
                           ("col", EnergyWeights(0, 1, 0, 0)),
                           ("cont", EnergyWeights(0, 0, 1, 0)),
                           ("smooth", EnergyWeights(0, 0, 0, 1))):
-        _, g = energy_and_gradients(template, frames, slab_field, weights, seg,
-                                    frozen_nn=frozen)
+        _, g = frozen_energy_and_gradients(template, frames, slab_field, weights, seg, frozen)
 
         def term_loss(xv):
             return energy_value(template, vars_to_frames(xv, betas), slab_field, weights, seg,
-                                frozen_nn=frozen)
+                                correspondences=frozen)
 
         err = 0.0
         cases = 0
@@ -439,7 +438,7 @@ def test_c08_metric_identities(template):
 def test_c09_baseline_contrast(trained_stack, template):
     field = trained_stack["fields"][0]
     cvae = trained_stack["cvae"]
-    cloud = field.cloud.points
+    feat = cvae.point_enc.forward(field.cloud.points)[0]
     k = 15
     wins = 0
     pairs = []
@@ -454,7 +453,7 @@ def test_c09_baseline_contrast(trained_stack, template):
                               template, spec, field, k=k,
                               schedule=RefinementSchedule.two_stage(iters=100, lr=1e-2))
         baseline = cvae_interpolation_baseline(cvae, plan.goal_bodies[0], plan.goal_bodies[1],
-                                               cloud, steps=k + 1)
+                                               feat, steps=k + 1)
         paths.append(path_length(plan.sequence))
         sm_pipe = e_smooth(plan.sequence.meshes(template)) / paths[-1]
         sm_base = e_smooth(baseline.meshes(template)) / path_length(baseline)

@@ -87,6 +87,14 @@ def test_every_public_name_has_a_use():
         f"benchmark binding: {unused}")
 
 
+def test_refinement_has_no_test_only_hooks():
+    # tests freeze the contact targets through tests/helpers.py instead
+    refine = importlib.import_module("scenemotion.refine")
+    assert not hasattr(refine, "contact_correspondences")
+    assert list(inspect.signature(refine.energy_and_gradients).parameters) == [
+        "template", "frames", "scene_field", "weights", "segmentation"]
+
+
 def raw_array_io(tree):
     """Line of each ``np.fromfile``, ``.tofile`` and binary-write ``open`` call."""
     for node in ast.walk(tree):

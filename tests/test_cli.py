@@ -229,8 +229,8 @@ def test_refine_bad_sequence_file_is_user_error(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
-def test_baseline_interp_encodes_the_cloud_twice(tmp_path, monkeypatch):
-    # one pass samples both endpoint bodies, one fits their latents
+def test_baseline_interp_encodes_the_cloud_once(tmp_path, monkeypatch):
+    # one pass serves both endpoint bodies and the fit of their latents
     from scenemotion.cvae import GoalCVAE
     from scenemotion.nn.pointnet import PointEncoder
     from scenemotion.persist import save_model
@@ -250,7 +250,7 @@ def test_baseline_interp_encodes_the_cloud_twice(tmp_path, monkeypatch):
                  "--steps", "3", "--out", str(tmp_path / "base"),
                  "--set", "sdf_cell=0.3", "--set", "cloud_points=64"])
     assert code == 0
-    assert calls == [64, 64]
+    assert calls == [64]
     assert len(load_sequence(tmp_path / "base").frames) == 3
 
 

@@ -110,12 +110,12 @@ def test_zero_weight_encoder_outputs_bias():
 def test_decode_is_deterministic_and_sample_reproducible(template):
     model = tiny_model()
     rng = np.random.default_rng(4)
-    cloud = rng.standard_normal((30, 3))
+    feat = model.point_enc.forward(rng.standard_normal((30, 3)))[0]
     beta = rng.standard_normal(10) * 0.1
     t = np.array([0.5, -0.2, 0.9])
     r = np.array([1.0, 0, 0, 0, 1, 0])
-    a = model.sample_goal_body(beta, t, r, cloud, seed=9)
-    b = model.sample_goal_body(beta, t, r, cloud, seed=9)
+    a = model.sample_goal_body(beta, t, r, feat, seed=9)
+    b = model.sample_goal_body(beta, t, r, feat, seed=9)
     assert np.array_equal(a.flat(), b.flat())
     # pass-through contract
     assert np.array_equal(a.t, t)
@@ -126,23 +126,23 @@ def test_decode_is_deterministic_and_sample_reproducible(template):
 def test_sampled_bodies_satisfy_invariants():
     model = tiny_model()
     rng = np.random.default_rng(5)
-    cloud = rng.standard_normal((30, 3))
-    params = model.sample_goal_body(np.zeros(10), [0, 0, 0.9], [1, 0, 0, 0, 1, 0], cloud, seed=1)
+    feat = model.point_enc.forward(rng.standard_normal((30, 3)))[0]
+    params = model.sample_goal_body(np.zeros(10), [0, 0, 0.9], [1, 0, 0, 0, 1, 0], feat, seed=1)
     assert np.all(np.isfinite(params.flat()))
 
 
 def test_goal_bodies_batch_matches_one_goal_at_a_time():
     model = tiny_model()
     rng = np.random.default_rng(6)
-    cloud = rng.standard_normal((30, 3))
+    feat = model.point_enc.forward(rng.standard_normal((30, 3)))[0]
     beta = rng.standard_normal(10) * 0.1
     ts = rng.uniform(-2.0, 2.0, (5, 3))
     rs = np.stack([heading_to_rot6d(a) for a in rng.uniform(0.0, 2.0 * np.pi, 5)])
     seeds = [11, 3, 11, 7, 2**31 - 1]
-    bodies = model.sample_goal_bodies(beta, ts, rs, cloud, seeds)
+    bodies = model.sample_goal_bodies(beta, ts, rs, feat, seeds)
     assert len(bodies) == 5
     for g, b in enumerate(bodies):
-        one = model.sample_goal_body(beta, ts[g], rs[g], cloud, seed=seeds[g])
+        one = model.sample_goal_body(beta, ts[g], rs[g], feat, seed=seeds[g])
         np.testing.assert_allclose(b.flat(), one.flat(), rtol=0, atol=1e-12)
         assert np.array_equal(b.t, ts[g])
         assert np.array_equal(b.r, rs[g])
@@ -371,8 +371,8 @@ def test_trained_decoder_diversity(trained_stack):
 
 def test_trained_sampling_ten_seeds_distinct(trained_stack):
     cvae = trained_stack["cvae"]
-    cloud = trained_stack["fields"][0].cloud.points
+    feat = cvae.point_enc.forward(trained_stack["fields"][0].cloud.points)[0]
     bodies = [cvae.sample_goal_body(np.zeros(10), [0.3, -0.2, 0.93], [1, 0, 0, 0, 1, 0],
-                                    cloud, seed=s) for s in range(10)]
+                                    feat, seed=s) for s in range(10)]
     distinct = {tuple(np.round(np.concatenate([b.p, b.h]), 12)) for b in bodies}
     assert len(distinct) >= 2

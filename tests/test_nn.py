@@ -15,7 +15,7 @@ from scenemotion.nn import (AdamState, BiLSTM, Linear, MLP, Param, PointEncoder,
 from gradcheck import check_param_grads, check_param_grads_directional
 from scenemotion.nn.adam import BETA1, BETA2, EPS
 from scenemotion.nn.layers import LEAKY_SLOPE
-from scenemotion.nn.lstm import MIN_THREADED_ROWS
+from scenemotion.nn.lstm import LSTMCell
 
 
 def test_linear_identity_and_bias():
@@ -112,8 +112,8 @@ def test_bilstm_rejects_short_sequences():
 def test_bilstm_gradcheck():
     rng = np.random.default_rng(8)
     lstm = BiLSTM(3, 3, rng)
-    # dense on a serial pass, directional on the smallest threaded one
-    for N, check in ((2, check_param_grads), (MIN_THREADED_ROWS, check_param_grads_directional)):
+    # dense on a small pass, directional on a larger one
+    for N, check in ((2, check_param_grads), (8, check_param_grads_directional)):
         xs = rng.standard_normal((N, 4, 3))
         w = rng.standard_normal((N, 4, 6))
 
@@ -187,7 +187,7 @@ def rel_err(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
-@pytest.mark.parametrize("N, T", [(1, 3), (1, 7), (3, 3), (3, 7), (MIN_THREADED_ROWS, 7), (32, 7)])
+@pytest.mark.parametrize("N, T", [(1, 3), (1, 7), (3, 3), (3, 7), (8, 7), (32, 7)])
 @pytest.mark.parametrize("saturate", [False, True], ids=["plain", "saturated"])
 def test_bilstm_matches_per_step_oracle(N, T, saturate):
     rng = np.random.default_rng(10 * N + T)
@@ -207,7 +207,13 @@ def test_bilstm_matches_per_step_oracle(N, T, saturate):
     assert rel_err(gx, gx_ref) < 1e-12
     for p in lstm.params():
         assert rel_err(p.grad, grads_ref[p.name]) < 1e-12, p.name
-    # the pass, threaded or not, is bit-identical to the two cells run in turn
+    assert_same_as_cells_in_turn(lstm, xs, gy, y, cache, gx)
+
+
+def assert_same_as_cells_in_turn(lstm, xs, gy, y, cache, gx):
+    """The BiLSTM pass that gave ``y``, ``cache``, ``gx`` and the current
+    parameter gradients is bit-identical to its two cells run one after the
+    other on the calling thread. Leaves the in-turn gradients behind."""
     grads = {p.name: p.grad.copy() for p in lstm.params()}
     lstm.zero_grad()
     hf, cf = lstm.fwd.forward(xs)
@@ -220,6 +226,28 @@ def test_bilstm_matches_per_step_oracle(N, T, saturate):
     assert np.array_equal(gx, lstm.fwd.backward(cf, gy[:, :, :H]) + gxb[:, ::-1])
     for p in lstm.params():
         assert np.array_equal(p.grad, grads[p.name]), p.name
+
+
+@pytest.mark.parametrize("N", [1, 5, 32])
+def test_bilstm_runs_the_backward_in_time_cell_on_a_worker_thread(N, monkeypatch):
+    rng = np.random.default_rng(40 + N)
+    lstm = BiLSTM(4, 5, rng)
+    xs = rng.standard_normal((N, 7, 4))
+    gy = rng.standard_normal((N, 7, 10))
+    ran_on = []
+    for name in ("forward", "backward"):
+        def recorded(self, *args, run=getattr(LSTMCell, name), name=name):
+            ran_on.append((name, "bwd" if self is lstm.bwd else "fwd", threading.get_ident()))
+            return run(self, *args)
+        monkeypatch.setattr(LSTMCell, name, recorded)
+    y, cache = lstm.forward(xs)
+    gx = lstm.backward(cache, gy)
+    monkeypatch.undo()
+    caller = threading.get_ident()
+    assert sorted((name, cell, ident == caller) for name, cell, ident in ran_on) == [
+        ("backward", "bwd", False), ("backward", "fwd", True),
+        ("forward", "bwd", False), ("forward", "fwd", True)]
+    assert_same_as_cells_in_turn(lstm, xs, gy, y, cache, gx)
 
 
 def _raised_within(timeout, fn):
@@ -244,7 +272,7 @@ def test_lstm_backward_consumes_its_cache():
     rng = np.random.default_rng(11)
     lstm = BiLSTM(3, 4, rng)
     threads = threading.active_count()
-    for N in (2, MIN_THREADED_ROWS):
+    for N in (2, 8):
         xs = rng.standard_normal((N, 5, 3))
         gy = rng.standard_normal((N, 5, 8))
         y, cache = lstm.forward(xs)
@@ -255,10 +283,11 @@ def test_lstm_backward_consumes_its_cache():
                 lstm.bwd.backward(cache[1], gy[:, ::-1, 4:])
             err = _raised_within(30.0, lambda: lstm.backward(cache, gy))
             assert isinstance(err, StateError), (N, spend_forward_cache)
-            # on a threaded pass the error is the worker's, raised by its future
+            # the error is the worker's, raised by its future
             files = [frame.filename for frame in traceback.extract_tb(err.__traceback__)]
-            assert any(f.endswith("concurrent/futures/thread.py") for f in files) == (
-                N >= MIN_THREADED_ROWS)
+            assert any(f.endswith("concurrent/futures/thread.py") for f in files), N
+            # ... with the forward cell's error, if it raised one, as its context
+            assert isinstance(err.__context__, StateError) == spend_forward_cache, N
             assert threading.active_count() == threads
     h, cell_cache = lstm.fwd.forward(xs)
     lstm.fwd.backward(cell_cache, gy[:, :, :4])

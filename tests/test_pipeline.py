@@ -189,13 +189,13 @@ def test_goal_spec_json_round_trip(tmp_path):
 
 def test_baseline_two_steps_returns_fitted_decoded_endpoints(random_models, small_field):
     cvae, _, _ = random_models
-    cloud = small_field.cloud.points
+    feat = cvae.point_enc.forward(small_field.cloud.points)[0]
     rng = np.random.default_rng(3)
     start = body.BodyParams(t=np.array([-1.0, 0, 0.93]), r=IDENTITY_R, beta=np.zeros(10),
                             p=rng.standard_normal(32) * 0.2, h=rng.standard_normal(24) * 0.2)
     end = body.BodyParams(t=np.array([1.0, 0, 0.93]), r=IDENTITY_R, beta=np.zeros(10),
                           p=rng.standard_normal(32) * 0.2, h=rng.standard_normal(24) * 0.2)
-    seq = cvae_interpolation_baseline(cvae, start, end, cloud, steps=2, fit_steps=50)
+    seq = cvae_interpolation_baseline(cvae, start, end, feat, steps=2, fit_steps=50)
     assert len(seq) == 2
     # frames carry the endpoint (t, r) and decoded (p, h)
     np.testing.assert_array_equal(seq.frames[0, 0:3], start.t)
@@ -208,10 +208,10 @@ def test_baseline_constant_when_endpoints_identical(random_models, small_field):
     # identical bodies with identical fit seeds -> z_start = z_end exactly, so
     # the decoded interpolation is constant
     cvae, _, _ = random_models
-    cloud = small_field.cloud.points
+    feat = cvae.point_enc.forward(small_field.cloud.points)[0]
     p0 = body.BodyParams(t=np.array([0.5, 0, 0.93]), r=IDENTITY_R, beta=np.zeros(10),
                          p=np.full(32, 0.1), h=np.zeros(24))
-    base = cvae_interpolation_baseline(cvae, p0, p0, cloud, steps=6, fit_steps=50,
+    base = cvae_interpolation_baseline(cvae, p0, p0, feat, steps=6, fit_steps=50,
                                        fit_seeds=(4, 4))
     assert len(base) == 6
     ref = base.frames[0]
@@ -221,11 +221,11 @@ def test_baseline_constant_when_endpoints_identical(random_models, small_field):
 
 def test_baseline_requires_two_steps_and_shared_beta(random_models, small_field):
     cvae, _, _ = random_models
-    cloud = small_field.cloud.points
+    feat = cvae.point_enc.forward(small_field.cloud.points)[0]
     a = body.BodyParams.rest()
     with pytest.raises(ValueError):
-        cvae_interpolation_baseline(cvae, a, a, cloud, steps=1)
+        cvae_interpolation_baseline(cvae, a, a, feat, steps=1)
     b = body.BodyParams(t=np.ones(3), r=IDENTITY_R, beta=np.ones(10),
                         p=np.zeros(32), h=np.zeros(24))
     with pytest.raises(ValueError):
-        cvae_interpolation_baseline(cvae, a, b, cloud, steps=4)
+        cvae_interpolation_baseline(cvae, a, b, feat, steps=4)

@@ -5,10 +5,10 @@ import pytest
 
 from scenemotion import body
 from scenemotion.energy import EnergyWeights, segment_stable_foot, total_energy
-from scenemotion.refine import (RefinementSchedule, RefineStage, contact_correspondences,
-                                energy_and_gradients, frames_to_vars, refine, vars_to_frames)
+from scenemotion.refine import (RefinementSchedule, RefineStage, energy_and_gradients,
+                                frames_to_vars, refine, vars_to_frames)
 from scenemotion.sequence import MotionSequence
-from helpers import energy_value
+from helpers import contact_correspondences, energy_value, frozen_energy_and_gradients
 
 
 def walking_frames(rng, n=4, z=0.93):
@@ -75,11 +75,11 @@ def test_energy_gradients_match_fd(template, slab_field):
     seg = segment_stable_foot(template, frames)
     weights = EnergyWeights(1.0, 1.0, 1.0, 0.25)
     frozen = contact_correspondences(template, frames, slab_field)
-    _, g = energy_and_gradients(template, frames, slab_field, weights, seg, frozen_nn=frozen)
+    _, g = frozen_energy_and_gradients(template, frames, slab_field, weights, seg, frozen)
 
     def loss(x):
         fr = vars_to_frames(x, frames[:, 9:19])
-        return energy_value(template, fr, slab_field, weights, seg, frozen_nn=frozen)
+        return energy_value(template, fr, slab_field, weights, seg, correspondences=frozen)
 
     x0 = frames_to_vars(frames)
     h = 1e-4
@@ -180,8 +180,8 @@ def test_frozen_correspondences_match_fresh_queries(template, slab_field):
     weights = EnergyWeights(1.0, 1.0, 1.0, 0.25)
     frozen = contact_correspondences(template, frames, slab_field)
     fresh, g_fresh = energy_and_gradients(template, frames, slab_field, weights, seg)
-    pinned, g_pinned = energy_and_gradients(template, frames, slab_field, weights, seg,
-                                            frozen_nn=frozen)
+    pinned, g_pinned = frozen_energy_and_gradients(template, frames, slab_field, weights, seg,
+                                                   frozen)
     assert fresh.cont > 0.0
     for term in ("foot", "col", "cont", "smooth", "total"):
         assert getattr(pinned, term) == pytest.approx(getattr(fresh, term), rel=1e-12, abs=0.0)
