@@ -386,15 +386,17 @@ def _orthonormal_rows(rng, rows, cols):
 
 
 def pose_latent_for(template, coeffs):
-    """Latent p that realizes exact designed-axis angles.
+    """Latents p (..., 32) that realize exact designed-axis angles.
 
     ``coeffs`` maps a designed latent index (order of the documented axis
-    table) to an angle in radians. Exactness holds because the designed
-    columns are orthonormal before the gain is applied.
+    table) to an angle in radians, or to an array of per-frame angles; p
+    takes the angles' common shape as its leading axes. Exactness holds
+    because the designed columns are orthonormal before the gain is applied.
     """
-    p = np.zeros(POSE_DIM)
-    for idx, angle in coeffs.items():
-        p[idx] = angle / POSE_GAIN
+    angles = {idx: np.asarray(angle, dtype=np.float64) for idx, angle in coeffs.items()}
+    p = np.zeros(np.broadcast_shapes(*(a.shape for a in angles.values())) + (POSE_DIM,))
+    for idx, angle in angles.items():
+        p[..., idx] = angle / POSE_GAIN
     return p
 
 

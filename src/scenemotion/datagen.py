@@ -4,18 +4,24 @@ Scenes are a floor rectangle plus axis-aligned furniture boxes. Motions put
 the pelvis on a waypoint path at a fixed cadence and drive the legs through
 the designed latent axes, so the alternating stance schedule is known by
 construction and is emitted alongside the frames as a segmentation oracle.
+
+A clip is computed as whole (T,) and (T, 75) arrays: frame times, path
+position and heading, gait swing, stance labels and the sit blend. Its
+frames are checked once, by ``MotionSequence`` for finiteness and by one
+batched ``rot6d_to_matrix`` for the global orientations, not frame by frame.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import artefact, body
-from .errors import ArtefactError
-from .rotation import heading_to_rot6d
+from .errors import ArtefactError, EmptyDatasetError
+from .rotation import heading_to_rot6d, rot6d_to_matrix
 from .scene import make_mesh
 from .sdf import DEFAULT_NODE_BUDGET, cache_mismatch, load_sdf
 from .sequence import MotionSequence
@@ -56,10 +62,19 @@ class SyntheticMotionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cadence <= 0:
-            raise ValueError(f"cadence must be positive, got {self.cadence}")
-        if self.step_length <= 0:
-            raise ValueError(f"step length must be positive, got {self.step_length}")
+        pts = np.asarray(self.waypoints, dtype=np.float64)
+        if pts.size == 0:
+            raise ValueError("waypoints: a path needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"waypoints must be finite, got {self.waypoints!r}")
+        for name in ("step_length", "cadence", "sit_duration", "duration"):
+            value = getattr(self, name)
+            if value is None and name == "duration":
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not math.isfinite(self.pelvis_height):
+            raise ValueError(f"pelvis_height must be finite, got {self.pelvis_height!r}")
 
 
 def box_mesh_arrays(center, size):
@@ -122,17 +137,16 @@ def _polyline(waypoints):
 
 
 def _point_on_path(pts, cum, s):
+    """Positions (T, 2) and headings (T,) at arc lengths ``s`` (T,) along the
+    polyline; a zero-length path is one point with heading 0."""
     if cum[-1] == 0.0:
-        return pts[0], 0.0
-    s = min(max(s, 0.0), cum[-1])
-    i = int(np.searchsorted(cum, s, side="right")) - 1
-    i = min(i, len(pts) - 2)
+        return np.broadcast_to(pts[0], s.shape + (2,)), np.zeros(s.shape)
+    s = np.clip(s, 0.0, cum[-1])
+    i = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(pts) - 2)
     seg = cum[i + 1] - cum[i]
-    alpha = 0.0 if seg == 0.0 else (s - cum[i]) / seg
-    pos = pts[i] + alpha * (pts[i + 1] - pts[i])
+    alpha = np.divide(s - cum[i], seg, out=np.zeros_like(s), where=seg != 0.0)
     d = pts[i + 1] - pts[i]
-    heading = np.arctan2(d[1], d[0])
-    return pos, heading
+    return pts[i] + alpha[:, None] * d, np.arctan2(d[:, 1], d[:, 0])
 
 
 def leg_length(template):
@@ -153,12 +167,20 @@ def _tri_wave(phi):
     return np.where(m < np.pi, 1.0 - 2.0 * m / np.pi, -3.0 + 2.0 * m / np.pi)
 
 
+# (designed hip/ankle/shoulder axis, multiple of the gait swing); the ankles
+# counter the hips to keep the feet level
+_GAIT_AXES = (("l_hip", 1.0), ("r_hip", -1.0), ("l_ankle", -1.0), ("r_ankle", 1.0),
+              ("l_shoulder", -0.35), ("r_shoulder", 0.35))
+
+
 def gen_motion(scene_spec, motion_spec, template, fps=30):
     """Procedural gait along the waypoint path.
 
     Returns (MotionSequence, stance schedule) where the schedule holds one of
     "left"/"right"/"none" per frame, known from the gait phase by construction.
     """
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be finite and positive, got {fps!r}")
     pts, cum = _polyline(motion_spec.waypoints)
     half = scene_spec.floor_extent / 2.0
     if np.abs(pts).max() > half + 1e-9:
@@ -179,70 +201,56 @@ def gen_motion(scene_spec, motion_spec, template, fps=30):
     omega = np.pi * motion_spec.cadence   # full gait cycle spans two steps
     phi0 = np.pi / 2.0                     # start mid left-stance
 
+    t = np.arange(T) / fps
+    walk_t = np.minimum(t, walk_time)
+    pos, heading = _point_on_path(pts, cum, walk_t * speed)
+    walking = (t <= walk_time) & (length > 0.0)
+    swing = amp * _tri_wave(omega * walk_t + phi0)
     ax = body.DESIGNED_AXIS_INDEX
+    angles = {ax[(joint, 0)]: np.where(walking, gain * swing, 0.0) for joint, gain in _GAIT_AXES}
+    # the left foot is planted while its hip sweeps backward (descending half
+    # of the triangle wave)
+    mid = np.mod(omega * np.minimum(t + 0.5 / fps, walk_time) + phi0, 2.0 * np.pi)
+    stance = np.where(walking, np.where(mid < np.pi, "left", "right"), "none").tolist()
+
+    pelvis_z = np.full(T, motion_spec.pelvis_height, dtype=np.float64)
+    if sit:
+        sitting = t > walk_time
+        alpha = np.clip((t - walk_time) / motion_spec.sit_duration, 0.0, 1.0)
+        alpha = alpha * alpha * (3.0 - 2.0 * alpha)
+        center, size = motion_spec.sit_box
+        seat_z = center[2] + size[2] / 2.0 + 0.16
+        pelvis_z = np.where(sitting, (1.0 - alpha) * motion_spec.pelvis_height + alpha * seat_z,
+                            pelvis_z)
+        bend = alpha * 0.45 * np.pi
+        for joint, sign in (("l_hip", 1.0), ("r_hip", 1.0), ("l_knee", -1.0), ("r_knee", -1.0)):
+            idx = ax[(joint, 0)]
+            angles[idx] = np.where(sitting, sign * bend, angles.get(idx, 0.0))
+
     frames = np.zeros((T, body.PARAM_DIM))
-    stance = []
-    for i in range(T):
-        ti = i / fps
-        walking = length > 0.0 and ti <= walk_time
-        s = min(ti, walk_time) * speed
-        pos, heading = _point_on_path(pts, cum, s)
-        phase = omega * min(ti, walk_time) + phi0
-
-        coeffs = {}
-        if walking:
-            swing = amp * float(_tri_wave(phase))
-            coeffs[ax[("l_hip", 0)]] = swing
-            coeffs[ax[("r_hip", 0)]] = -swing
-            coeffs[ax[("l_ankle", 0)]] = -swing   # keep feet level
-            coeffs[ax[("r_ankle", 0)]] = swing
-            coeffs[ax[("l_shoulder", 0)]] = -0.35 * swing
-            coeffs[ax[("r_shoulder", 0)]] = 0.35 * swing
-            # left foot is planted while its hip sweeps backward (descending
-            # half of the triangle wave)
-            mid = np.mod(omega * min(ti + 0.5 / fps, walk_time) + phi0, 2.0 * np.pi)
-            stance.append("left" if mid < np.pi else "right")
-        else:
-            stance.append("none")
-
-        pelvis_z = motion_spec.pelvis_height
-        if sit and ti > walk_time:
-            alpha = np.clip((ti - walk_time) / motion_spec.sit_duration, 0.0, 1.0)
-            alpha = alpha * alpha * (3.0 - 2.0 * alpha)
-            center, size = motion_spec.sit_box
-            seat_z = center[2] + size[2] / 2.0 + 0.16
-            pelvis_z = (1.0 - alpha) * motion_spec.pelvis_height + alpha * seat_z
-            bend = alpha * 0.45 * np.pi
-            coeffs[ax[("l_hip", 0)]] = bend
-            coeffs[ax[("r_hip", 0)]] = bend
-            coeffs[ax[("l_knee", 0)]] = -bend
-            coeffs[ax[("r_knee", 0)]] = -bend
-
-        p = body.pose_latent_for(template, coeffs)
-        params = body.BodyParams(
-            t=np.array([pos[0], pos[1], pelvis_z]),
-            r=heading_to_rot6d(heading - np.pi / 2.0),  # template faces +y
-            beta=beta, p=p, h=np.zeros(body.HAND_DIM),
-        )
-        frames[i] = params.flat()
+    frames[:, 0:2] = pos
+    frames[:, 2] = pelvis_z
+    frames[:, 3:9] = heading_to_rot6d(heading - np.pi / 2.0)  # template faces +y
+    frames[:, 9:19] = np.reshape(beta, body.SHAPE_DIM)
+    frames[:, 19:51] = body.pose_latent_for(template, angles)
+    rot6d_to_matrix(frames[:, 3:9])  # rejects a degenerate global orientation
     return MotionSequence(frames=frames, fps=fps), stance
 
 
 # -- dataset building ---------------------------------------------------------------
 
 def _segment_clear_of_boxes(a, b, boxes, margin=0.35):
-    """2D clearance test between a path segment and every box footprint."""
+    """2D clearance test between a path segment and every box footprint: True
+    when none of 9 evenly spaced points on the segment lies in a footprint
+    grown by ``margin``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    for center, size in boxes:
-        half = np.asarray(size[:2]) / 2.0 + margin
-        lo = np.asarray(center[:2]) - half
-        hi = np.asarray(center[:2]) + half
-        for alpha in np.linspace(0.0, 1.0, 9):
-            p = a + alpha * (b - a)
-            if np.all(p >= lo) and np.all(p <= hi):
-                return False
-    return True
+    centers = np.array([np.asarray(c, dtype=np.float64)[:2] for c, _ in boxes]).reshape(-1, 2)
+    half = np.array([np.asarray(sz, dtype=np.float64)[:2] for _, sz in boxes]).reshape(-1, 2)
+    half = half / 2.0 + margin
+    p = a + np.linspace(0.0, 1.0, 9)[:, None, None] * (b - a)   # (9, 1, 2)
+    inside = np.all((p >= centers - half) & (p <= centers + half), axis=-1)
+    return not inside.any()
 
 
 def _sample_clip_spec(rng, scene_spec, clip_seconds):
@@ -321,6 +329,11 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
         if log:
             log(f"scene {s}: {accepted} clips accepted, {attempts - accepted} rejected/filtered")
 
+    if not clips:
+        raise EmptyDatasetError(
+            f"no clip was kept: {rejected} moved no more than min_displacement="
+            f"{min_displacement} m and the rest found no clear path; {DATASET_FILE} "
+            f"is not written")
     meta = {
         "kind": "dataset",
         "master_seed": master_seed,

@@ -23,6 +23,10 @@ class EmptySceneError(SceneMotionError, ValueError):
     """Loaded or constructed scene contains no usable geometry."""
 
 
+class EmptyDatasetError(SceneMotionError, ValueError):
+    """Dataset generation kept no clip, so nothing could train on it."""
+
+
 class ResourceLimitError(SceneMotionError, RuntimeError):
     """A configurable resource budget (e.g. SDF node count) was exceeded."""
 

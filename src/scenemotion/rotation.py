@@ -94,19 +94,23 @@ def _dot(x, y):
 
 
 def matrix_to_rot6d(R, tol=1e-4):
-    """Extract the 6D representation (first two columns) of a rotation matrix.
+    """Extract the 6D representations (..., 6), the first two columns, of
+    rotation matrices (..., 3, 3).
 
     Raises:
-        InvalidRotationError: if ``R`` deviates from orthonormality (or from
-            determinant +1) by more than ``tol``.
+        InvalidRotationError: if any matrix deviates from orthonormality (or
+            from determinant +1) by more than ``tol``, or is not finite. For a
+            batch, the message names the first bad row.
     """
     R = np.asarray(R, dtype=np.float64)
-    if R.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got shape {R.shape}")
-    err = np.abs(R.T @ R - np.eye(3)).max()
-    if err > tol or abs(np.linalg.det(R) - 1.0) > tol:
-        raise InvalidRotationError(f"matrix is not a rotation (orthonormality error {err:.2e})")
-    return np.concatenate([R[:, 0], R[:, 1]])
+    if R.shape[-2:] != (3, 3):
+        raise ValueError(f"expected 3x3 matrices, got shape {R.shape}")
+    with np.errstate(invalid="ignore"):  # a non-finite matrix fails the test below
+        err = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1))
+        ok = (err <= tol) & (np.abs(np.linalg.det(R) - 1.0) <= tol)
+    _reject(~ok[..., None], f"matrix is not a rotation (orthonormality error "
+                            f"{np.max(err, initial=0.0):.2e})")
+    return np.concatenate([R[..., 0], R[..., 1]], axis=-1)
 
 
 def axis_angle_to_matrix_with_cache(w):
@@ -181,7 +185,9 @@ def _rodrigues_coeff_derivs(theta2):
 
 
 def heading_to_rot6d(angle):
-    """6D representation of a rotation about +z by ``angle`` radians."""
+    """6D representations (..., 6) of rotations about +z by ``angle`` (...) radians."""
     c, s = np.cos(angle), np.sin(angle)
-    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    R = np.zeros(np.shape(c) + (3, 3))
+    R[..., 0, 0], R[..., 0, 1], R[..., 2, 2] = c, -s, 1.0
+    R[..., 1, 0], R[..., 1, 1] = s, c
     return matrix_to_rot6d(R)

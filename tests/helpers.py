@@ -1,6 +1,6 @@
-"""One-point, one-sequence and value-only shorthands that tests use as oracles.
+"""One-point, one-frame, one-sequence and value-only forms that tests use as oracles.
 
-The package keeps only the batched forms; these wrap them for readability.
+The package keeps only the batched forms; these wrap or unroll them for readability.
 """
 
 from __future__ import annotations
@@ -8,8 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 from scenemotion import body
+from scenemotion.datagen import leg_length
 from scenemotion.energy import scene_energy
+from scenemotion.rotation import heading_to_rot6d
 from scenemotion.sdf import sample_sdf_batch
+from scenemotion.sequence import MotionSequence
 
 
 def sdf_at(grid, point):
@@ -61,3 +64,95 @@ def frozen_energy_and_gradients(template, frames, scene_field, weights, segmenta
                                       segmentation, correspondences=correspondences,
                                       want_grad=True)
     return report, body.pullback_batch(cache, g_vertices)
+
+
+def gen_motion_per_frame(scene_spec, motion_spec, template, fps=30):
+    """``datagen.gen_motion`` one frame at a time: the pelvis placed on the
+    polyline and each frame's gait angles built as a ``body.BodyParams``."""
+    pts = np.asarray(motion_spec.waypoints, dtype=np.float64).reshape(-1, 2)
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    if np.abs(pts).max() > scene_spec.floor_extent / 2.0 + 1e-9:
+        raise ValueError("path leaves the floor extent")
+
+    def point_on_path(s):
+        if cum[-1] == 0.0:
+            return pts[0], 0.0
+        s = min(max(s, 0.0), cum[-1])
+        i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(pts) - 2)
+        seg = cum[i + 1] - cum[i]
+        alpha = 0.0 if seg == 0.0 else (s - cum[i]) / seg
+        d = pts[i + 1] - pts[i]
+        return pts[i] + alpha * d, np.arctan2(d[1], d[0])
+
+    def tri_wave(phi):
+        m = np.mod(phi, 2.0 * np.pi)
+        return 1.0 - 2.0 * m / np.pi if m < np.pi else -3.0 + 2.0 * m / np.pi
+
+    speed = motion_spec.step_length * motion_spec.cadence
+    length = cum[-1]
+    if length > 0.0:
+        walk_time = length / speed
+    else:
+        walk_time = motion_spec.duration if motion_spec.duration else 1.0
+    sit = motion_spec.sit_box is not None
+    total_time = walk_time + (motion_spec.sit_duration if sit else 0.0)
+    T = int(round(total_time * fps)) + 1
+
+    beta = np.zeros(body.SHAPE_DIM) if motion_spec.beta is None else np.asarray(motion_spec.beta)
+    amp = np.clip(motion_spec.step_length / (2.0 * leg_length(template)), 0.0, 0.9)
+    omega = np.pi * motion_spec.cadence
+    phi0 = np.pi / 2.0
+
+    ax = body.DESIGNED_AXIS_INDEX
+    frames = np.zeros((T, body.PARAM_DIM))
+    stance = []
+    for i in range(T):
+        ti = i / fps
+        walking = length > 0.0 and ti <= walk_time
+        pos, heading = point_on_path(min(ti, walk_time) * speed)
+        coeffs = {}
+        if walking:
+            swing = amp * tri_wave(omega * min(ti, walk_time) + phi0)
+            coeffs[ax[("l_hip", 0)]] = swing
+            coeffs[ax[("r_hip", 0)]] = -swing
+            coeffs[ax[("l_ankle", 0)]] = -swing
+            coeffs[ax[("r_ankle", 0)]] = swing
+            coeffs[ax[("l_shoulder", 0)]] = -0.35 * swing
+            coeffs[ax[("r_shoulder", 0)]] = 0.35 * swing
+            mid = np.mod(omega * min(ti + 0.5 / fps, walk_time) + phi0, 2.0 * np.pi)
+            stance.append("left" if mid < np.pi else "right")
+        else:
+            stance.append("none")
+        pelvis_z = motion_spec.pelvis_height
+        if sit and ti > walk_time:
+            alpha = np.clip((ti - walk_time) / motion_spec.sit_duration, 0.0, 1.0)
+            alpha = alpha * alpha * (3.0 - 2.0 * alpha)
+            center, size = motion_spec.sit_box
+            seat_z = center[2] + size[2] / 2.0 + 0.16
+            pelvis_z = (1.0 - alpha) * motion_spec.pelvis_height + alpha * seat_z
+            bend = alpha * 0.45 * np.pi
+            coeffs[ax[("l_hip", 0)]] = bend
+            coeffs[ax[("r_hip", 0)]] = bend
+            coeffs[ax[("l_knee", 0)]] = -bend
+            coeffs[ax[("r_knee", 0)]] = -bend
+        params = body.BodyParams(t=np.array([pos[0], pos[1], pelvis_z]),
+                                 r=heading_to_rot6d(heading - np.pi / 2.0),
+                                 beta=beta, p=body.pose_latent_for(template, coeffs),
+                                 h=np.zeros(body.HAND_DIM))
+        frames[i] = params.flat()
+    return MotionSequence(frames=frames, fps=fps), stance
+
+
+def segment_clear_of_boxes_per_point(a, b, boxes, margin=0.35):
+    """``datagen._segment_clear_of_boxes`` one box and one sample point at a time."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    for center, size in boxes:
+        half = np.asarray(size[:2]) / 2.0 + margin
+        lo = np.asarray(center[:2]) - half
+        hi = np.asarray(center[:2]) + half
+        for alpha in np.linspace(0.0, 1.0, 9):
+            p = a + alpha * (b - a)
+            if np.all(p >= lo) and np.all(p <= hi):
+                return False
+    return True

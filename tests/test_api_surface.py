@@ -1,4 +1,4 @@
-"""Every public function and method of the core modules has a use, one
+"""Every public function and method of the package has a use, one
 module lays out arrays on disk, and one module sets the process policy.
 
 A name counts as used when code in ``src/`` outside its own definition
@@ -13,11 +13,17 @@ import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import re
+
+import scenemotion
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "scenemotion")
-MODULES = ("body", "energy", "sdf", "scene", "metrics", "sequence", "cvae", "refine")
+# every module of the package but the process-policy module
+MODULES = tuple(m.name.split(".", 1)[1]
+                for m in pkgutil.walk_packages(scenemotion.__path__, "scenemotion.")
+                if m.name != "scenemotion._runtime")
 
 
 def public_names():

@@ -80,6 +80,16 @@ def test_pose_latent_for_is_exact(template):
     assert np.abs(others).max() < 1e-12
 
 
+def test_pose_latent_for_takes_per_frame_angles(template):
+    ax = body.DESIGNED_AXIS_INDEX
+    hip, knee = ax[("l_hip", 0)], ax[("l_knee", 0)]
+    hips = np.array([0.3, -0.0, 0.5])
+    p = body.pose_latent_for(template, {hip: hips, knee: -0.2})
+    assert p.shape == (3, body.POSE_DIM)
+    for i, angle in enumerate(hips):
+        assert np.array_equal(p[i], body.pose_latent_for(template, {hip: angle, knee: -0.2}))
+
+
 def test_unit_latent_rotation_bound(template):
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -140,6 +140,17 @@ def test_config_file_and_overrides(tmp_path):
     assert log["command"] == "gen-data"
 
 
+def test_gen_data_that_keeps_no_clip_fails_and_writes_no_dataset(tmp_path, capsys):
+    out = tmp_path / "ds"
+    code = main(["gen-data", "--out", str(out), "--set", "k=15", "--set", "n_scenes=1",
+                 "--set", "clips_per_scene=3", "--set", "min_displacement=50"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "min_displacement=50" in err and "Traceback" not in err
+    assert not (out / DATASET_FILE).exists()
+    assert not (out / "run_log.json").exists()
+
+
 def test_bad_override_is_user_error(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "x"), "--set", "nonsense=1"]) == 1
 

@@ -3,12 +3,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import gen_motion_per_frame, segment_clear_of_boxes_per_point
 from scenemotion import body
-from scenemotion.datagen import (SyntheticMotionSpec, SyntheticSceneSpec, box_mesh_arrays,
-                                 build_dataset, dataset_bodies, gen_motion, gen_scene,
-                                 load_dataset, random_scene_spec)
+from scenemotion.datagen import (SyntheticMotionSpec, SyntheticSceneSpec, _sample_clip_spec,
+                                 _segment_clear_of_boxes, box_mesh_arrays, build_dataset,
+                                 dataset_bodies, gen_motion, gen_scene, load_dataset,
+                                 random_scene_spec)
 from scenemotion.energy import e_smooth
+from scenemotion.errors import EmptyDatasetError
 
 
 def test_floor_only_scene_is_two_triangles():
@@ -81,6 +86,87 @@ def test_motion_spec_validation():
         SyntheticMotionSpec(waypoints=[(0, 0)], step_length=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("waypoints", []),
+    ("waypoints", [(0.0, 0.0), (np.nan, 1.0)]),
+    ("step_length", np.nan),
+    ("cadence", np.nan),
+    ("sit_duration", -1.0),
+    ("sit_duration", 0.0),
+    ("duration", np.nan),
+    ("duration", -1.0),
+    ("pelvis_height", np.inf),
+])
+def test_motion_spec_rejects_bad_field(field, value):
+    kwargs = {"waypoints": [(0.0, 0.0), (1.0, 0.0)], field: value}
+    with pytest.raises(ValueError, match=field):
+        SyntheticMotionSpec(**kwargs)
+
+
+@pytest.mark.parametrize("fps", [0, -30, np.nan])
+def test_gen_motion_rejects_bad_fps(template, fps):
+    mspec = SyntheticMotionSpec(waypoints=[(0.0, 0.0), (1.0, 0.0)])
+    with pytest.raises(ValueError, match="fps"):
+        gen_motion(SyntheticSceneSpec(), mspec, template, fps=fps)
+
+
+def assert_same_as_per_frame(scene_spec, motion_spec, template, fps=30):
+    seq, stance = gen_motion(scene_spec, motion_spec, template, fps=fps)
+    ref, ref_stance = gen_motion_per_frame(scene_spec, motion_spec, template, fps=fps)
+    assert np.array_equal(seq.frames, ref.frames)
+    assert np.array_equal(np.signbit(seq.frames), np.signbit(ref.frames))
+    assert stance == ref_stance
+    assert seq.fps == ref.fps
+
+
+def test_sampled_clips_match_the_per_frame_loop(template):
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 20:
+        spec = random_scene_spec(int(rng.integers(2**31)))
+        mspec = _sample_clip_spec(rng, spec, 62 / 30)
+        if mspec is not None:
+            assert_same_as_per_frame(spec, mspec, template)
+            checked += 1
+
+
+SIT_BOX = (np.array([0.0, 1.5, 0.25]), np.array([0.8, 0.8, 0.5]))
+
+
+@pytest.mark.parametrize("mspec, fps", [
+    # a repeated waypoint mid-path and at its end: zero-length segments
+    (SyntheticMotionSpec(waypoints=[(-1.0, -1.0), (0.5, -1.0), (0.5, -1.0), (0.5, 1.2),
+                                    (-0.7, 0.3), (-0.7, 0.3)], step_length=0.5,
+                         cadence=2.1, beta=np.linspace(-0.5, 0.5, body.SHAPE_DIM)), 30),
+    (SyntheticMotionSpec(waypoints=[(0.4, -0.2), (0.4, -0.2)], duration=0.7), 30),
+    # 1 m/s over 2 m: the last walking frame falls exactly on the walk's end
+    (SyntheticMotionSpec(waypoints=[(0.0, -1.0), (0.0, 1.0)], step_length=0.5, cadence=2.0,
+                         sit_box=SIT_BOX, sit_duration=0.5), 30),
+    (SyntheticMotionSpec(waypoints=[(1.0, 1.0), (-1.5, 0.2)], cadence=1.7), 24),
+], ids=["zero-length-segment", "static", "sit", "fps24"])
+def test_path_cases_match_the_per_frame_loop(template, mspec, fps):
+    assert_same_as_per_frame(SyntheticSceneSpec(floor_extent=6.0), mspec, template, fps=fps)
+
+
+_COORD = st.sampled_from([-1.5, -0.6, -0.25, 0.0, 0.25, 0.5, 0.6, 1.5])
+_POINT = st.tuples(_COORD, _COORD)
+_BOX = st.tuples(st.tuples(_COORD, _COORD, st.just(0.5)),
+                 st.tuples(st.sampled_from([0.5, 1.0, 1.2]), st.sampled_from([0.5, 1.0]),
+                           st.just(1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POINT, _POINT, st.lists(_BOX, max_size=4), st.sampled_from([0.0, 0.1, 0.35]))
+@example((0.0, 0.0), (1.0, 1.0), [], 0.35)                              # no boxes
+@example((0.5, 0.5), (0.5, 0.5), [((0.0, 0.0, 0.5), (1.0, 1.0, 1.0))], 0.0)  # a == b on a corner
+@example((0.5, -1.5), (0.5, 1.5), [((0.0, 0.0, 0.5), (1.0, 1.0, 1.0))], 0.0)  # along an edge
+@example((0.6, -1.5), (0.6, 1.5), [((0.0, 0.0, 0.5), (1.0, 1.0, 1.0))], 0.0)  # just outside
+def test_segment_clearance_matches_the_per_point_loop(a, b, boxes, margin):
+    boxes = [(np.array(c), np.array(sz)) for c, sz in boxes]
+    got = _segment_clear_of_boxes(a, b, boxes, margin)
+    assert got is segment_clear_of_boxes_per_point(a, b, boxes, margin)
+
+
 def test_sit_motion_lowers_pelvis(template):
     spec = SyntheticSceneSpec(floor_extent=6.0,
                               boxes=[(np.array([0.0, 1.5, 0.25]), np.array([0.8, 0.8, 0.5]))])
@@ -134,3 +220,11 @@ def test_dataset_bodies_stride(dataset):
     assert len(vecs) == per_clip * len(dataset["clips"])
     assert len(scene_ids) == len(vecs)
     assert vecs.shape[1] == body.PARAM_DIM
+
+
+def test_dataset_with_no_clip_is_not_written(tmp_path, template):
+    with pytest.raises(EmptyDatasetError, match=r"min_displacement=50\.0.*") as err:
+        build_dataset(str(tmp_path), template, n_scenes=1, clips_per_scene=3, k=15,
+                      min_displacement=50.0)
+    assert "120 moved" in str(err.value)   # 3 clips x 40 attempts, all too short
+    assert not (tmp_path / "dataset.smwt").exists()

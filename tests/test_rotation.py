@@ -119,6 +119,21 @@ def test_heading_rotation_is_about_z():
     np.testing.assert_allclose(R @ np.array([0, 0, 1.0]), [0, 0, 1.0], atol=1e-12)
 
 
+def test_batched_heading_and_matrix_conversions_match_single_calls():
+    angles = np.random.default_rng(5).uniform(-7.0, 7.0, (3, 4))
+    r = rotation.heading_to_rot6d(angles)
+    assert r.shape == (3, 4, 6)
+    assert np.array_equal(r, [[rotation.heading_to_rot6d(a) for a in row] for row in angles])
+    R = rotation.rot6d_to_matrix(r)
+    assert np.array_equal(rotation.matrix_to_rot6d(R),
+                          [[rotation.matrix_to_rot6d(m) for m in row] for row in R])
+    R[1, 2] *= 1.01
+    with pytest.raises(InvalidRotationError, match=r"row \(1, 2\)"):
+        rotation.matrix_to_rot6d(R)
+    with pytest.raises(InvalidRotationError):
+        rotation.matrix_to_rot6d(np.full((3, 3), np.nan))
+
+
 def test_batched_rows_match_single_vector_calls():
     rng = np.random.default_rng(4)
     r = rng.standard_normal((4, 5, 6))
