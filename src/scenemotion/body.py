@@ -10,10 +10,12 @@ axis-angle rotations through fixed orthogonalized linear maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import rotation
+from ._worker import both
 
 NUM_BODY_JOINTS = 22
 NUM_HAND_JOINTS = 2
@@ -411,7 +413,9 @@ DESIGNED_AXIS_INDEX = {name_axis: i for i, name_axis in enumerate(_DESIGNED_POSE
 # skin_weights @ (B, J, 12) matmul over per-joint affine maps
 # [Rw - I | dw - (Rw - I) J] in blocks of FRAME_BLOCK frames. Both parts of
 # the map vanish identically at rest, so the rest template is reproduced
-# bit-for-bit (no a + (b - a) rounding).
+# bit-for-bit (no a + (b - a) rounding). The blocks of skinning and of its
+# adjoint are split between the calling thread and a worker; everything else
+# runs on the calling thread.
 
 FRAME_BLOCK = 32  # frames skinned together; bounds the (B, V, 12) transients
 
@@ -491,8 +495,8 @@ def _pose(tpl, frames, keep_cache):
     v_skin = np.empty((N, V, 3)) if keep_cache else None
     R_glob_T = R_glob.transpose(0, 2, 1)
     basis_T = tpl.shape_basis.reshape(-1, SHAPE_DIM).T
-    for lo in range(0, N, FRAME_BLOCK):
-        b = slice(lo, lo + FRAME_BLOCK)
+
+    def skin(b):
         rest = tpl.rest_vertices + (beta[b] @ basis_T).reshape(-1, V, 3)
         blend = _blend(tpl, affine[b])
         skinned = rest + np.einsum("bvik,bvk->bvi", blend[..., :3], rest) + blend[..., 3]
@@ -500,11 +504,31 @@ def _pose(tpl, frames, keep_cache):
         if keep_cache:
             v_rest[b], v_skin[b] = rest, skinned
 
+    _each_block(N, skin)
+
     joints = (tpl.joints + dw) @ R_glob_T + t[:, None]
     mesh = BodyMesh(vertices=vertices, joints=joints, faces=tpl.faces)
     if not keep_cache:
         return mesh, None
     return mesh, (tpl, v_rest, v_skin, affine, R_loc, loc_cache, Rw, R_glob, glob_cache)
+
+
+def _each_block(n, fn):
+    """``fn(b)`` for the slice ``b`` of each FRAME_BLOCK block of ``n`` frames.
+
+    With more than one block, the worker (``_worker.both``) takes every other
+    block while the calling thread takes the rest; blocks write disjoint rows.
+    """
+    blocks = [slice(lo, lo + FRAME_BLOCK) for lo in range(0, n, FRAME_BLOCK)]
+
+    def run(share):
+        for b in share:
+            fn(b)
+
+    if len(blocks) > 1:
+        both(partial(run, blocks[0::2]), partial(run, blocks[1::2]))
+    else:
+        run(blocks)
 
 
 def _blend(tpl, affine):
@@ -537,8 +561,8 @@ def pullback_batch(cache, g_vertices, shape=False):
     g_affine = np.empty((N, J, 3, 4))
     basis = tpl.shape_basis.reshape(-1, SHAPE_DIM)
     W_T = tpl.skin_weights.T
-    for lo in range(0, N, FRAME_BLOCK):
-        b = slice(lo, lo + FRAME_BLOCK)
+
+    def skin_adjoint(b):
         g_skin = gv[b] @ R_glob[b]
         rest = v_rest[b]
         B, V = rest.shape[:2]
@@ -550,6 +574,8 @@ def pullback_batch(cache, g_vertices, shape=False):
             blend = _blend(tpl, affine[b])
             g_rest = g_skin + np.einsum("bvik,bvi->bvk", blend[..., :3], g_skin)
             out[b, 9:19] = g_rest.reshape(B, -1) @ basis
+
+    _each_block(N, skin_adjoint)
 
     # c = dw - M J and M = Rw - I
     g_dw = g_affine[..., 3].copy()

@@ -283,12 +283,13 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
     the scenes as OBJ files and the clips as one ``dataset`` container,
     ``DATASET_FILE``. Returns the container's meta.
 
-    Regeneration with the same master seed is byte-identical.
+    Regeneration with the same master seed is byte-identical. Nothing is
+    written when no clip is kept.
     """
     from .scene import save_obj
-    os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
     clip_seconds = k / fps
     scenes = []
+    meshes = []
     clips = []
     frames = []
     rejected = 0
@@ -296,10 +297,9 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
         scene_seed = master_seed * 1_000_003 + 7919 * s + 17
         spec = random_scene_spec(scene_seed)
         mesh = gen_scene(spec)
-        scene_file = f"scenes/scene_{s:03d}.obj"
-        save_obj(os.path.join(out_dir, scene_file), mesh.vertices, mesh.faces)
+        meshes.append(mesh)
         scenes.append({
-            "id": s, "file": scene_file, "seed": scene_seed,
+            "id": s, "file": f"scenes/scene_{s:03d}.obj", "seed": scene_seed,
             "floor_extent": float(spec.floor_extent),
             "boxes": [[list(map(float, c)), list(map(float, sz))] for c, sz in spec.boxes],
         })
@@ -334,6 +334,9 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
             f"no clip was kept: {rejected} moved no more than min_displacement="
             f"{min_displacement} m and the rest found no clear path; {DATASET_FILE} "
             f"is not written")
+    os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
+    for scene, mesh in zip(scenes, meshes):
+        save_obj(os.path.join(out_dir, scene["file"]), mesh.vertices, mesh.faces)
     meta = {
         "kind": "dataset",
         "master_seed": master_seed,

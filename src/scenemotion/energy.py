@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import body
+from ._worker import both, worker
 from .sdf import sample_sdf_batch
 
 CONTACT_SIGMA = 0.2       # m, Geman-McClure scale
@@ -172,12 +174,13 @@ def e_cont(vertices, contact_ids, index):
 
 
 def _cont_term(vertices, contact_ids, index, want_grad, g_vertices=None, scale=1.0,
-               correspondences=None):
+               correspondences=None, nearest=None):
     """``correspondences`` (T, C) optionally pins each contact vertex to a cloud
-    point index; otherwise one exact nearest-point query covers every frame."""
+    point index; otherwise one exact nearest-point query covers every frame,
+    unless ``nearest`` holds what that query returned (``_contact_query``)."""
     cv = vertices[:, contact_ids]
     if correspondences is None:
-        nn_idx, d = index.nearest(cv.reshape(-1, 3))
+        nn_idx, d = index.nearest(cv.reshape(-1, 3)) if nearest is None else nearest
         nn_idx, d = nn_idx.reshape(cv.shape[:2]), d.reshape(cv.shape[:2])
     else:
         nn_idx = np.asarray(correspondences)
@@ -191,6 +194,11 @@ def _cont_term(vertices, contact_ids, index, want_grad, g_vertices=None, scale=1
             g_vertices[frame, contact_ids[col]] += (
                 scale * pull[:, None] * (cv[pos] - index.points[nn_idx[pos]]))
     return total
+
+
+def _contact_query(vertices, contact_ids, index):
+    """The nearest-point query of ``_cont_term`` over every frame's contact vertices."""
+    return index._nearest(vertices[:, contact_ids].reshape(-1, 3))
 
 
 def _frame_order_sum(per_frame):
@@ -272,26 +280,41 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, corresp
 
     Returns the EnergyReport and, with ``want_grad``, dTotal/dvertices
     (T, V, 3), else None; a zero-weight term adds no gradient.
-    ``correspondences`` pins the contact targets (see ``_cont_term``).
+    ``correspondences`` pins the contact targets (see ``_cont_term``);
+    without them, the contact query runs on the worker (``_worker.both``)
+    while the calling thread takes the foot and collision terms. The terms
+    add their gradients in the order foot, col, cont, smooth.
     """
     g = np.zeros(vertices.shape) if want_grad else None
-    foot = _foot_term(template, vertices, segmentation, want_grad and weights.foot != 0.0,
-                      g, scale=weights.foot)
-    col = _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0,
-                    g, scale=weights.col)
-    cont = _cont_term(vertices, template.contact_vertex_ids(), scene_field.index,
-                      want_grad and weights.cont != 0.0, g, scale=weights.cont,
-                      correspondences=correspondences)
+    contact_ids, index = template.contact_vertex_ids(), scene_field.index
+
+    def foot_and_col():
+        foot = _foot_term(template, vertices, segmentation, want_grad and weights.foot != 0.0,
+                          g, scale=weights.foot)
+        return foot, _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0,
+                               g, scale=weights.col)
+
+    if correspondences is None:
+        (foot, col), nearest = both(foot_and_col,
+                                    partial(_contact_query, vertices, contact_ids, index))
+    else:
+        (foot, col), nearest = foot_and_col(), None
+    cont = _cont_term(vertices, contact_ids, index, want_grad and weights.cont != 0.0, g,
+                      scale=weights.cont, correspondences=correspondences, nearest=nearest)
     smooth = _smooth_term(vertices, want_grad and weights.smooth != 0.0, g,
                           scale=weights.smooth)
     return EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights), g
 
 
 def total_energy(template, seq, scene_field, weights, segmentation=None):
-    """Evaluate all four terms; segmentation is recomputed unless supplied."""
+    """Evaluate all four terms; segmentation is recomputed unless supplied.
+
+    The posing and the energy share one worker thread (``_worker.worker``).
+    """
     frames = seq.frames if hasattr(seq, "frames") else np.asarray(seq)
-    vertices = body.forward_batch(template, frames).vertices
-    if segmentation is None:
-        segmentation = segment_from_centroids(*sole_centroids(template, vertices))
-    report, _ = scene_energy(template, vertices, scene_field, weights, segmentation)
+    with worker():
+        vertices = body.forward_batch(template, frames).vertices
+        if segmentation is None:
+            segmentation = segment_from_centroids(*sole_centroids(template, vertices))
+        report, _ = scene_energy(template, vertices, scene_field, weights, segmentation)
     return report

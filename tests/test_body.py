@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,57 @@ def test_blocked_batch_matches_frames_posed_one_at_a_time(template):
         np.testing.assert_allclose(mesh.vertices[i], one.vertices, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mesh.joints[i], one.joints, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads[i], g, rtol=0, atol=1e-12 * np.abs(g).max())
+
+
+def _kernel_outputs(template, frames, cot):
+    mesh, cache = body.forward_batch_with_cache(template, frames)
+    plain = body.forward_batch(template, frames)
+    return [mesh.vertices, mesh.joints, plain.vertices, plain.joints, *cache[1:3],
+            body.pullback_batch(cache, cot), body.pullback_batch(cache, cot, shape=True)]
+
+
+def test_kernel_blocks_on_two_threads_match_the_blocks_run_in_turn(template, monkeypatch):
+    """Same bytes as the same blocks run one after the other on the calling
+    thread. (Not as separate one-block calls: the rotations and FK run over
+    all frames at once, and numpy rounds some rows of a 6-frame tail call
+    differently from the same rows of a 70-frame call.)"""
+    rng = np.random.default_rng(22)
+    frames = random_frames(rng, 2 * body.FRAME_BLOCK + 6)   # three blocks
+    cot = rng.standard_normal((len(frames), template.num_vertices, 3))
+    ran_on = []
+
+    def recording(mine, theirs, real=body.both):
+        def on(role, fn):
+            return lambda: (ran_on.append((role, threading.get_ident())), fn())[1]
+        return real(on("mine", mine), on("theirs", theirs))
+
+    monkeypatch.setattr(body, "both", recording)
+    threaded = _kernel_outputs(template, frames, cot)
+    # forward twice and pullback twice, each on the calling thread and one worker
+    caller = threading.get_ident()
+    assert sorted((role, ident == caller) for role, ident in ran_on) == (
+        [("mine", True)] * 4 + [("theirs", False)] * 4)
+    _kernel_outputs(template, frames[:body.FRAME_BLOCK], cot[:body.FRAME_BLOCK])
+    assert len(ran_on) == 8   # one block: nothing to hand over
+    monkeypatch.setattr(body, "both", lambda mine, theirs: (mine(), theirs()))
+    in_turn = _kernel_outputs(template, frames, cot)
+    for got, want in zip(threaded, in_turn):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_error_on_the_worker_reaches_the_caller(template, monkeypatch):
+    caller = threading.get_ident()
+
+    def blend(tpl, affine, real=body._blend):
+        if threading.get_ident() != caller:
+            raise RuntimeError("skinning failed on the worker")
+        return real(tpl, affine)
+
+    monkeypatch.setattr(body, "_blend", blend)
+    frames = random_frames(np.random.default_rng(23), 2 * body.FRAME_BLOCK + 6)
+    with pytest.raises(RuntimeError, match="on the worker"):
+        body.forward_batch(template, frames)
+    body.forward_batch(template, frames[:body.FRAME_BLOCK])   # one block: caller only
 
 
 def test_pullback_batch_matches_fd_on_every_block(template):

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +151,21 @@ def test_gen_data_that_keeps_no_clip_fails_and_writes_no_dataset(tmp_path, capsy
     assert "min_displacement=50" in err and "Traceback" not in err
     assert not (out / DATASET_FILE).exists()
     assert not (out / "run_log.json").exists()
+    assert not (out / "scenes").exists()
+
+
+def test_gen_data_does_not_load_scipy_spatial(tmp_path):
+    # no command that builds no nearest-point index pays for importing it
+    probe = ("import json, sys; from scenemotion.cli import main; "
+             "code = main(['gen-data', '--out', sys.argv[1], '--set', 'k=15', "
+             "'--set', 'n_scenes=1', '--set', 'clips_per_scene=2']); "
+             "print(json.dumps([code, 'scipy.spatial' in sys.modules]))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "ds")], check=True,
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, False]
+    assert (tmp_path / "ds" / DATASET_FILE).exists()
 
 
 def test_bad_override_is_user_error(tmp_path):

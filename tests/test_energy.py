@@ -291,6 +291,28 @@ def test_cont_term_equals_its_one_frame_evaluations(template, slab_field, frozen
         assert e_cont(verts, ids, index) == got
 
 
+def test_scene_energy_is_its_terms_added_in_order(template, slab_field):
+    """The contact query runs on the worker while the calling thread takes the
+    foot and collision terms; the bytes match the four terms called in turn."""
+    verts = _sinking_vertices(template, n=2 * body.FRAME_BLOCK + 6)
+    left, _ = sole_centroids(template, verts)
+    seg = FootSegmentation([FootSegment(0, 30, "left", left[:30].mean(axis=0)),
+                            FootSegment(30, len(verts), "right", left[30:].mean(axis=0))])
+    w = EnergyWeights(foot=0.7, col=1.1, cont=1.3, smooth=0.25)
+    report, g = energy.scene_energy(template, verts, slab_field, w, seg, want_grad=True)
+    g_want = np.zeros(verts.shape)
+    terms = [_foot_term(template, verts, seg, True, g_want, scale=w.foot),
+             _col_term(verts, slab_field.grid, True, g_want, scale=w.col),
+             _cont_term(verts, template.contact_vertex_ids(), slab_field.index, True, g_want,
+                        scale=w.cont),
+             _smooth_term(verts, True, g_want, scale=w.smooth)]
+    assert min(terms) > 0.0
+    assert [report.foot, report.col, report.cont, report.smooth] == terms
+    assert g.tobytes() == g_want.tobytes()
+    value_only, none = energy.scene_energy(template, verts, slab_field, w, seg)
+    assert none is None and value_only.to_dict() == report.to_dict()
+
+
 def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatch):
     verts = _sinking_vertices(template)
     T, V = verts.shape[:2]

@@ -1,3 +1,6 @@
+import functools
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from scenemotion.pipeline import (GoalSpec, cvae_interpolation_baseline, plan_lo
                                   validate_spec)
 from scenemotion.refine import RefinementSchedule
 from scenemotion.rotation import heading_to_rot6d
-from helpers import shares_beta
+from helpers import perfbench_tracing, shares_beta
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
@@ -161,6 +164,34 @@ def test_plan_runs_each_network_once(random_models, small_field, template, monke
     cvae, route, pose = random_models
     plan_long_term(cvae, route, pose, template, goals(5), small_field, k=15, schedule=None)
     assert calls == {"point encoder": 3, "bilstm": 2}
+
+
+def test_benchmark_traced_callables_run_only_on_the_calling_thread(random_models, small_field,
+                                                                   template):
+    """The benchmark's tracer keeps one span stack for the process, so nothing
+    it wraps may run on the worker thread that refinement and the BiLSTM use."""
+    tracing = perfbench_tracing()
+    ran_on = {}
+
+    class ThreadRecorder(tracing.Tracer):
+        def _wrap(self, name, fn, work):
+            traced = super()._wrap(name, fn, work)
+
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                ran_on.setdefault(name, set()).add(threading.get_ident())
+                return traced(*args, **kwargs)
+            return recorded
+
+    cvae, route, pose = random_models
+    tracer = ThreadRecorder()
+    with tracer.op(0):   # 46 frames: two body-kernel blocks
+        plan_long_term(cvae, route, pose, template, goals(4), small_field, k=15,
+                       schedule=RefinementSchedule.two_stage(iters=2))
+    assert {"refine.energy_and_gradients", "energy.terms", "nn.lstm.forward"} <= set(ran_on)
+    assert {name: threads for name, threads in ran_on.items()
+            if threads != {threading.get_ident()}} == {}
+    assert tracing.span_problems(tracer.spans) == []
 
 
 def test_validate_spec_diagnostics(small_field):

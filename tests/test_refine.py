@@ -1,9 +1,10 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from scenemotion import body
+from scenemotion import _worker, body, energy
 from scenemotion.energy import EnergyWeights, segment_stable_foot, total_energy
 from scenemotion.refine import (RefinementSchedule, RefineStage, energy_and_gradients,
                                 frames_to_vars, refine, vars_to_frames)
@@ -135,6 +136,37 @@ def test_nonfinite_energy_aborts_with_diagnostic(template, slab_field):
     result = refine(template, seq, slab_field, sched)
     assert result.diagnostic is not None
     assert np.all(np.isfinite(result.sequence.frames))
+
+
+def test_refine_opens_one_worker_and_leaves_no_thread_when_it_aborts(template, slab_field,
+                                                                     monkeypatch):
+    pools = []
+
+    def counting(*args, real=_worker.ThreadPoolExecutor, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(_worker, "ThreadPoolExecutor", counting)
+    threads = threading.active_count()
+    seq = MotionSequence(frames=walking_frames(np.random.default_rng(9),
+                                               n=2 * body.FRAME_BLOCK + 6))
+    result = refine(template, seq, slab_field, RefinementSchedule.two_stage(iters=2))
+    assert result.diagnostic is None and len(pools) == 1
+    assert threading.active_count() == threads
+    # an abort in the middle of a stage
+    sched = RefinementSchedule([RefineStage(EnergyWeights(0, 1.0, 1.0, 0), iters=50, lr=1e200)])
+    result = refine(template, seq, slab_field, sched)
+    assert result.diagnostic.endswith("at iteration 1") and len(pools) == 2
+    assert threading.active_count() == threads
+
+    # and an error raised on the worker, which refine does not catch
+    def failing(*args):
+        raise RuntimeError("query failed")
+
+    monkeypatch.setattr(energy, "_contact_query", failing)
+    with pytest.raises(RuntimeError, match="query failed"):
+        refine(template, seq, slab_field, sched)
+    assert threading.active_count() == threads
 
 
 def test_refine_is_deterministic(template, slab_field):
