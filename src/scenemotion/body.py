@@ -26,6 +26,8 @@ SHAPE_DIM = 10
 PARAM_DIM = 3 + 6 + SHAPE_DIM + POSE_DIM + HAND_DIM  # 75
 
 DEFAULT_TEMPLATE_SEED = 20240117
+# vertex groups encouraged to contact the scene
+CONTACT_GROUPS = ("left_sole", "right_sole", "buttocks", "thigh_back", "palm")
 
 JOINT_NAMES = [
     "pelvis", "l_hip", "r_hip", "spine1", "l_knee", "r_knee", "spine2",
@@ -136,9 +138,9 @@ class BodyTemplate:
             raise ValueError("face indices out of range")
         return self
 
-    def contact_vertex_ids(self, groups=("left_sole", "right_sole", "buttocks", "thigh_back", "palm")):
+    def contact_vertex_ids(self):
         """Vertex ids encouraged to contact the scene."""
-        return np.concatenate([self.vertex_groups[g] for g in groups])
+        return np.concatenate([self.vertex_groups[g] for g in CONTACT_GROUPS])
 
     def sole_vertex_ids(self, side):
         return self.vertex_groups["left_sole" if side == "left" else "right_sole"]
@@ -210,7 +212,7 @@ def build_template(seed=DEFAULT_TEMPLATE_SEED):
     parents = np.array(PARENTS, dtype=np.int64)
 
     verts, faces, owners = [], [], []  # owners: (proximal id, distal id, blend)
-    groups = {k: [] for k in ("left_sole", "right_sole", "buttocks", "thigh_back", "palm")}
+    groups = {k: [] for k in CONTACT_GROUPS}
 
     def add_ring(center, u, v, radius, nseg, prox, dist, blend, squash=1.0):
         base = len(verts)

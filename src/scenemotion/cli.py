@@ -311,7 +311,7 @@ def cmd_synthesize(args, cfg, log):
                             field, k=cfg.k, schedule=schedule)
     save_sequence(args.out, result.sequence)
     payload = {"outputs": [args.out], "frames": len(result.sequence),
-               "pre_energy": result.pre_report.to_dict() if result.pre_report else None,
+               "pre_energy": result.pre_report.to_dict(),
                "post_energy": result.post_report.to_dict() if result.post_report else None,
                "energy_history": result.energy_history}
     _write_log(args.out, "synthesize", cfg, payload)

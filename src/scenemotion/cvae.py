@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import body
-from .energy import _col_term, _cont_term
+from ._worker import worker
+from .energy import EnergyWeights, FootSegmentation, scene_energy
 from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
 from .nn.layers import Linear, ResidualBlock, leaky_relu, leaky_relu_backward
@@ -202,7 +203,6 @@ class CVAETrainer:
         self.rng = np.random.default_rng(seed)
         self.adam = AdamState(model.params())
         self.step_count = 0
-        self.contact_ids = template.contact_vertex_ids()
 
     def kl_weight(self):
         if self.w_kl == 0.0 or not self.total_steps:
@@ -278,18 +278,19 @@ class CVAETrainer:
         """Batch-mean collision and contact of decoded bodies (n, 75), plus the
         gradient of w_col * collision + w_cont * contact w.r.t. their (p, h).
 
-        Refinement's collision and contact terms score each scene's bodies
-        together, as frames of one sequence."""
+        ``energy.scene_energy`` scores each scene's bodies together, as frames
+        of one sequence, with the foot and smoothness terms weighted 0."""
         n = len(frames)
-        mesh, cache = body.forward_batch_with_cache(self.template, frames)
-        g = np.zeros(mesh.vertices.shape)
-        col = cont = 0.0
-        for sid in dict.fromkeys(scene_ids):
-            rows = np.array([i for i, s in enumerate(scene_ids) if s == sid])
-            field = self.scene_fields[sid]
-            verts, g_rows = mesh.vertices[rows], g[rows]
-            col += _col_term(verts, field.grid, self.w_col != 0.0, g_rows, self.w_col / n)
-            cont += _cont_term(verts, self.contact_ids, field.index, self.w_cont != 0.0,
-                               g_rows, self.w_cont / n)
-            g[rows] = g_rows
-        return col / n, cont / n, body.pullback_batch(cache, g)[:, 9:]
+        weights = EnergyWeights(foot=0.0, col=self.w_col / n, cont=self.w_cont / n, smooth=0.0)
+        with worker():
+            mesh, cache = body.forward_batch_with_cache(self.template, frames)
+            g = np.zeros(mesh.vertices.shape)
+            col = cont = 0.0
+            for sid in dict.fromkeys(scene_ids):
+                rows = np.array([i for i, s in enumerate(scene_ids) if s == sid])
+                report, g[rows] = scene_energy(self.template, mesh.vertices[rows],
+                                               self.scene_fields[sid], weights,
+                                               FootSegmentation([]), want_grad=True)
+                col += report.col
+                cont += report.cont
+            return col / n, cont / n, body.pullback_batch(cache, g)[:, 9:]

@@ -35,7 +35,6 @@ DATASET_FILE = "dataset.smwt"  # the clip container inside a dataset directory
 class SyntheticSceneSpec:
     floor_extent: float = 6.0            # full side length, floor spans +-extent/2
     boxes: list = field(default_factory=list)  # (center xyz, size xyz) tuples
-    seed: int = 0
 
     def __post_init__(self):
         if self.floor_extent <= 0:
@@ -59,7 +58,6 @@ class SyntheticMotionSpec:
     sit_duration: float = 1.0
     duration: float | None = None         # only used for zero-length paths
     beta: np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self):
         pts = np.asarray(self.waypoints, dtype=np.float64)
@@ -114,16 +112,17 @@ def gen_scene(spec):
     return make_mesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64))
 
 
-def random_scene_spec(seed, extent_range=(5.0, 7.0), box_count_range=(1, 3)):
+def random_scene_spec(seed):
+    """A floor 5-7 m across with one to three boxes, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    extent = rng.uniform(*extent_range)
+    extent = rng.uniform(5.0, 7.0)
     boxes = []
-    for _ in range(rng.integers(box_count_range[0], box_count_range[1] + 1)):
+    for _ in range(rng.integers(1, 4)):
         size = rng.uniform([0.4, 0.4, 0.3], [1.2, 1.2, 0.9])
         lim = extent / 2.0 - size[:2] / 2.0 - FLOOR_MARGIN
         center_xy = rng.uniform(-lim, lim)
         boxes.append((np.array([center_xy[0], center_xy[1], size[2] / 2.0]), size))
-    return SyntheticSceneSpec(floor_extent=extent, boxes=boxes, seed=int(seed))
+    return SyntheticSceneSpec(floor_extent=extent, boxes=boxes)
 
 
 # -- gait generation -------------------------------------------------------------
@@ -270,10 +269,10 @@ def _sample_clip_spec(rng, scene_spec, clip_seconds):
         if not _segment_clear_of_boxes(start, end, scene_spec.boxes):
             continue
         beta = np.clip(rng.standard_normal(body.SHAPE_DIM) * 0.3, -1.0, 1.0)
-        return SyntheticMotionSpec(waypoints=[start, end], step_length=step,
-                                   cadence=cadence,
-                                   pelvis_height=rng.uniform(0.90, 0.96),
-                                   beta=beta, seed=int(rng.integers(2**31)))
+        spec = SyntheticMotionSpec(waypoints=[start, end], step_length=step, cadence=cadence,
+                                   pelvis_height=rng.uniform(0.90, 0.96), beta=beta)
+        rng.integers(2**31)  # unused; the later clips' draws, so every dataset, follow it
+        return spec
     return None
 
 

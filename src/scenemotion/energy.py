@@ -18,16 +18,16 @@ STANCE_MOVE_THRESHOLD = 0.02  # m/frame; both soles faster -> no stance
 STANCE_HYSTERESIS = 3     # frames; shorter runs are absorbed
 
 
-def geman_mcclure(x, sigma=CONTACT_SIGMA):
-    """Bounded robustifier: 0 at 0, monotone, saturating at sigma^2."""
+def geman_mcclure(x):
+    """Bounded robustifier: 0 at 0, monotone, saturating at CONTACT_SIGMA^2."""
     x = np.asarray(x, dtype=np.float64)
-    s2 = sigma * sigma
+    s2 = CONTACT_SIGMA * CONTACT_SIGMA
     return s2 * x * x / (x * x + s2)
 
 
-def geman_mcclure_deriv(x, sigma=CONTACT_SIGMA):
+def geman_mcclure_deriv(x):
     x = np.asarray(x, dtype=np.float64)
-    s2 = sigma * sigma
+    s2 = CONTACT_SIGMA * CONTACT_SIGMA
     return 2.0 * s2 * s2 * x / (x * x + s2) ** 2
 
 
@@ -51,16 +51,16 @@ def sole_centroids(template, vertices):
     return left, right
 
 
-def segment_stable_foot(template, frames, move_threshold=STANCE_MOVE_THRESHOLD,
-                        hysteresis=STANCE_HYSTERESIS):
+def segment_stable_foot(template, frames):
     """Split the timeline into stable-foot segments by the nearer-foot rule.
 
     Per frame pair the foot whose sole centroid moved less is stable; frames
-    where both soles move more than ``move_threshold`` have no stance. Runs
-    shorter than ``hysteresis`` frames are absorbed to prevent label chatter.
+    where both soles move more than ``STANCE_MOVE_THRESHOLD`` have no stance.
+    Runs shorter than ``STANCE_HYSTERESIS`` frames are absorbed to prevent
+    label chatter.
     """
     left, right = sole_centroids(template, body.forward_batch(template, frames).vertices)
-    return segment_from_centroids(left, right, move_threshold, hysteresis)
+    return segment_from_centroids(left, right)
 
 
 def segment_from_centroids(left, right, move_threshold=STANCE_MOVE_THRESHOLD,
@@ -117,7 +117,7 @@ def segment_from_centroids(left, right, move_threshold=STANCE_MOVE_THRESHOLD,
 #
 # Each _*_term takes posed vertices (T, V, 3) and returns the term's value;
 # with want_grad it adds scale * dTerm/dvertices into g_vertices in place.
-# Gradients treat nearest-neighbor correspondences and segment means as
+# Gradients treat the nearest-point contact targets and segment means as
 # constants, matching one optimizer inner step. The e_* functions are the
 # value-only forms.
 
@@ -170,21 +170,15 @@ def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
 
 def e_cont(vertices, contact_ids, index):
     """Sum of robustified nearest-scene distances of the contact vertices."""
-    return _cont_term(vertices, contact_ids, index, want_grad=False)
+    return _cont_term(vertices, contact_ids, index,
+                      _contact_query(vertices, contact_ids, index), want_grad=False)
 
 
-def _cont_term(vertices, contact_ids, index, want_grad, g_vertices=None, scale=1.0,
-               correspondences=None, nearest=None):
-    """``correspondences`` (T, C) optionally pins each contact vertex to a cloud
-    point index; otherwise one exact nearest-point query covers every frame,
-    unless ``nearest`` holds what that query returned (``_contact_query``)."""
+def _cont_term(vertices, contact_ids, index, nearest, want_grad, g_vertices=None, scale=1.0):
+    """``nearest`` is what ``_contact_query`` returned for these vertices: the
+    cloud index of, and the distance to, each contact vertex's target."""
     cv = vertices[:, contact_ids]
-    if correspondences is None:
-        nn_idx, d = index.nearest(cv.reshape(-1, 3)) if nearest is None else nearest
-        nn_idx, d = nn_idx.reshape(cv.shape[:2]), d.reshape(cv.shape[:2])
-    else:
-        nn_idx = np.asarray(correspondences)
-        d = np.linalg.norm(cv - index.points[nn_idx], axis=2)
+    nn_idx, d = (a.reshape(cv.shape[:2]) for a in nearest)
     total = _frame_order_sum(geman_mcclure(d).sum(axis=1))
     if want_grad:
         pos = d > 0.0
@@ -197,7 +191,7 @@ def _cont_term(vertices, contact_ids, index, want_grad, g_vertices=None, scale=1
 
 
 def _contact_query(vertices, contact_ids, index):
-    """The nearest-point query of ``_cont_term`` over every frame's contact vertices."""
+    """One exact nearest-point query over every frame's contact vertices."""
     return index._nearest(vertices[:, contact_ids].reshape(-1, 3))
 
 
@@ -274,16 +268,14 @@ class EnergyReport:
                 "weights": list(self.weights.as_tuple())}
 
 
-def scene_energy(template, vertices, scene_field, weights, segmentation, correspondences=None,
-                 want_grad=False):
+def scene_energy(template, vertices, scene_field, weights, segmentation, want_grad=False):
     """Weighted four-term energy of posed vertices (T, V, 3).
 
     Returns the EnergyReport and, with ``want_grad``, dTotal/dvertices
-    (T, V, 3), else None; a zero-weight term adds no gradient.
-    ``correspondences`` pins the contact targets (see ``_cont_term``);
-    without them, the contact query runs on the worker (``_worker.both``)
-    while the calling thread takes the foot and collision terms. The terms
-    add their gradients in the order foot, col, cont, smooth.
+    (T, V, 3), else None; a zero-weight term adds no gradient. The contact
+    query (``_contact_query``) runs on the worker (``_worker.both``) while
+    the calling thread takes the foot and collision terms. The terms add
+    their gradients in the order foot, col, cont, smooth.
     """
     g = np.zeros(vertices.shape) if want_grad else None
     contact_ids, index = template.contact_vertex_ids(), scene_field.index
@@ -294,13 +286,10 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, corresp
         return foot, _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0,
                                g, scale=weights.col)
 
-    if correspondences is None:
-        (foot, col), nearest = both(foot_and_col,
-                                    partial(_contact_query, vertices, contact_ids, index))
-    else:
-        (foot, col), nearest = foot_and_col(), None
-    cont = _cont_term(vertices, contact_ids, index, want_grad and weights.cont != 0.0, g,
-                      scale=weights.cont, correspondences=correspondences, nearest=nearest)
+    (foot, col), nearest = both(foot_and_col,
+                                partial(_contact_query, vertices, contact_ids, index))
+    cont = _cont_term(vertices, contact_ids, index, nearest, want_grad and weights.cont != 0.0,
+                      g, scale=weights.cont)
     smooth = _smooth_term(vertices, want_grad and weights.smooth != 0.0, g,
                           scale=weights.smooth)
     return EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights), g

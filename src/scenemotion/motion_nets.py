@@ -179,38 +179,38 @@ class PoseNet(_SeqNet):
 
 # -- losses ---------------------------------------------------------------------
 
-def route_loss(pred, gt, lambda_t=LAMBDA_T, lambda_r=LAMBDA_R):
+def route_loss(pred, gt):
     """l1 route loss summed over steps 1..k-1."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"route length mismatch: {pred.shape} vs {gt.shape}")
     diff = np.abs(pred - gt)
-    return float(lambda_t * diff[..., :3].sum() + lambda_r * diff[..., 3:9].sum())
+    return float(LAMBDA_T * diff[..., :3].sum() + LAMBDA_R * diff[..., 3:9].sum())
 
 
-def route_loss_grad(pred, gt, lambda_t=LAMBDA_T, lambda_r=LAMBDA_R):
+def route_loss_grad(pred, gt):
     g = np.sign(pred - gt)
-    g[..., :3] *= lambda_t
-    g[..., 3:9] *= lambda_r
+    g[..., :3] *= LAMBDA_T
+    g[..., 3:9] *= LAMBDA_R
     return g
 
 
-def pose_loss(pred, gt, lambda_p=LAMBDA_P, lambda_h=LAMBDA_H):
+def pose_loss(pred, gt):
     """l1 pose loss summed over steps 1..k-1; hands down-weighted."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"pose length mismatch: {pred.shape} vs {gt.shape}")
     diff = np.abs(pred - gt)
-    return float(lambda_p * diff[..., :body.POSE_DIM].sum()
-                 + lambda_h * diff[..., body.POSE_DIM:].sum())
+    return float(LAMBDA_P * diff[..., :body.POSE_DIM].sum()
+                 + LAMBDA_H * diff[..., body.POSE_DIM:].sum())
 
 
-def pose_loss_grad(pred, gt, lambda_p=LAMBDA_P, lambda_h=LAMBDA_H):
+def pose_loss_grad(pred, gt):
     g = np.sign(pred - gt)
-    g[..., :body.POSE_DIM] *= lambda_p
-    g[..., body.POSE_DIM:] *= lambda_h
+    g[..., :body.POSE_DIM] *= LAMBDA_P
+    g[..., body.POSE_DIM:] *= LAMBDA_H
     return g
 
 

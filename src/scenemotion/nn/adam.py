@@ -21,11 +21,8 @@ class AdamState:
     its results are bit-identical to it.
     """
 
-    def __init__(self, params, beta1=BETA1, beta2=BETA2, eps=EPS):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -40,23 +37,23 @@ class AdamState:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"non-finite gradient in parameter {p.name!r}")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
             # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=a)
             m += a
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=a)
             a *= g
             v += a
             # value -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
             np.divide(v, bc2, out=a)
             np.sqrt(a, out=a)
-            a += self.eps
+            a += EPS
             np.divide(m, bc1, out=b)
             b *= lr
             b /= a

@@ -75,12 +75,12 @@ class GoalSpec:
         )
 
 
-def validate_spec(spec, scene_mesh, margin=0.5):
-    """Warnings for goals that lie outside the scene's floor bounds; GoalSpec
-    itself rejects degenerate orientations and coinciding goals."""
+def validate_spec(spec, scene_mesh):
+    """Warnings for goals more than 0.5 m outside the scene's floor bounds;
+    GoalSpec itself rejects degenerate orientations and coinciding goals."""
     lo, hi = scene_mesh.bounds()
     return [f"goal {i}: outside the scene bounds" for i, t in enumerate(spec.translations)
-            if np.any(t[:2] < lo[:2] - margin) or np.any(t[:2] > hi[:2] + margin)]
+            if np.any(t[:2] < lo[:2] - 0.5) or np.any(t[:2] > hi[:2] + 0.5)]
 
 
 @dataclass
@@ -89,7 +89,7 @@ class PlanResult:
     pre_refine: MotionSequence
     goal_bodies: list
     energy_history: list
-    pre_report: object = None
+    pre_report: object
     post_report: object = None
 
 
@@ -125,7 +125,7 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
 
 
 def cvae_interpolation_baseline(cvae_model, start, end, scene_feat, steps,
-                                fit_steps=500, fit_lr=1e-2, seed=0, fit_seeds=None):
+                                fit_steps=500, fit_seeds=(0, 1)):
     """Latent-interpolation baseline: Adam-fit z for both endpoint bodies, then
     decode linear blends of (z, t, r) for the frames in between. ``scene_feat``
     is the scene cloud's ``cvae_model.point_enc`` feature."""
@@ -133,14 +133,12 @@ def cvae_interpolation_baseline(cvae_model, start, end, scene_feat, steps,
         raise ValueError(f"need at least 2 interpolation steps, got {steps}")
     if np.any(start.beta != end.beta):
         raise ValueError("baseline requires a shared shape vector")
-    if fit_seeds is None:
-        fit_seeds = (seed, seed + 1)
     cond_s, _ = cvae_model.condition_from_feature(scene_feat, start.beta, start.t, start.r)
     cond_e, _ = cvae_model.condition_from_feature(scene_feat, end.beta, end.t, end.r)
     z_s = fit_latent(cvae_model, cond_s, np.concatenate([start.p, start.h]),
-                     steps=fit_steps, lr=fit_lr, seed=fit_seeds[0])
+                     steps=fit_steps, seed=fit_seeds[0])
     z_e = fit_latent(cvae_model, cond_e, np.concatenate([end.p, end.h]),
-                     steps=fit_steps, lr=fit_lr, seed=fit_seeds[1])
+                     steps=fit_steps, seed=fit_seeds[1])
 
     frames = np.empty((steps, body.PARAM_DIM))
     for i, alpha in enumerate(np.linspace(0.0, 1.0, steps)):

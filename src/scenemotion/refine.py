@@ -5,8 +5,8 @@ global orientation of every frame but the goal frames (``chunk_boundaries``),
 with Adam under a staged weight schedule; shape stays fixed. The goal frames
 keep their given translation and orientation bit-exact; left free, the
 smoothness term would shrink the trajectory by pulling the goals together. Foot
-segmentation is recomputed at stage boundaries; nearest-neighbor contact
-correspondences are refreshed every iteration and frozen within it.
+segmentation is recomputed at stage boundaries; the nearest-point contact
+targets are refreshed every iteration and frozen within it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ import numpy as np
 from . import body
 from ._worker import worker
 from .config import _coerce
-from .energy import EnergyWeights, _cont_term, scene_energy, segment_stable_foot, total_energy
+from .energy import EnergyWeights, scene_energy, segment_stable_foot, total_energy
+# The benchmark's tracer (perfbench/tracing.py) looks the contact term up
+# under this name.
+from .energy import _cont_term as _contact_value_grad  # noqa: F401
 from .errors import InvalidRotationError, NumericError
 from .nn.adam import AdamState
 from .nn.params import Param
@@ -104,17 +107,12 @@ def energy_and_gradients(template, frames, scene_field, weights, segmentation):
     """Weighted energy report plus dTotal/d(t,r,p,h) per frame.
 
     Contact targets come from fresh exact queries, and the gradient is taken
-    with those correspondences held fixed.
+    with those targets held fixed.
     """
     mesh, cache = body.forward_batch_with_cache(template, frames)
     report, g_vertices = scene_energy(template, mesh.vertices, scene_field, weights,
                                       segmentation, want_grad=True)
     return report, body.pullback_batch(cache, g_vertices)
-
-
-# The benchmark's tracer (perfbench/tracing.py) looks the contact term up
-# under this name.
-_contact_value_grad = _cont_term
 
 
 def refine(template, seq, scene_field, schedule):

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InvalidRotationError, NumericError
 
 _DEGENERATE_NORM = 1e-8
+_ROTATION_TOL = 1e-4  # orthonormality and determinant error a rotation may carry
 IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
@@ -93,13 +94,13 @@ def _dot(x, y):
     return np.sum(x * y, axis=-1, keepdims=True)
 
 
-def matrix_to_rot6d(R, tol=1e-4):
+def matrix_to_rot6d(R):
     """Extract the 6D representations (..., 6), the first two columns, of
     rotation matrices (..., 3, 3).
 
     Raises:
         InvalidRotationError: if any matrix deviates from orthonormality (or
-            from determinant +1) by more than ``tol``, or is not finite. For a
+            from determinant +1) by more than ``_ROTATION_TOL``, or is not finite. For a
             batch, the message names the first bad row.
     """
     R = np.asarray(R, dtype=np.float64)
@@ -107,7 +108,7 @@ def matrix_to_rot6d(R, tol=1e-4):
         raise ValueError(f"expected 3x3 matrices, got shape {R.shape}")
     with np.errstate(invalid="ignore"):  # a non-finite matrix fails the test below
         err = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1))
-        ok = (err <= tol) & (np.abs(np.linalg.det(R) - 1.0) <= tol)
+        ok = (err <= _ROTATION_TOL) & (np.abs(np.linalg.det(R) - 1.0) <= _ROTATION_TOL)
     _reject(~ok[..., None], f"matrix is not a rotation (orthonormality error "
                             f"{np.max(err, initial=0.0):.2e})")
     return np.concatenate([R[..., 0], R[..., 1]], axis=-1)

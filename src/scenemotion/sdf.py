@@ -96,9 +96,9 @@ class SdfGrid:
         _, ny, nz = self.dims
         return self.negative_cells.ravel().take((i[:, 0] * ny + i[:, 1]) * nz + i[:, 2])
 
-    def check_lipschitz(self, tol=1e-6):
+    def check_lipschitz(self):
         """Adjacent-node jumps must respect the distance-field bound."""
-        bound = np.sqrt(3.0) * self.cell + tol
+        bound = np.sqrt(3.0) * self.cell + 1e-6
         for ax in range(3):
             d = np.abs(np.diff(self.values, axis=ax)).max()
             if d > bound:

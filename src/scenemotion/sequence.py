@@ -53,10 +53,6 @@ class MotionSequence:
     def poses(self):
         return self.frames[:, 19:51]
 
-    @property
-    def hands(self):
-        return self.frames[:, 51:75]
-
     def copy(self):
         return MotionSequence(frames=self.frames.copy(), fps=self.fps,
                               chunk_boundaries=list(self.chunk_boundaries))

@@ -5,6 +5,7 @@ The package keeps only the batched forms; these wrap or unroll them for readabil
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import os
 
@@ -42,11 +43,35 @@ def shares_beta(seq):
     return bool(np.all(seq.betas == seq.betas[0]))
 
 
+class PinnedIndex:
+    """A ``VertexIndex`` whose query rows each get a pinned cloud index, so the
+    contact targets hold still while the vertices move."""
+
+    def __init__(self, points, indices):
+        self.points = points
+        self.indices = np.asarray(indices).reshape(-1)
+
+    def _nearest(self, query):
+        query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
+        return self.indices, np.linalg.norm(query - self.points[self.indices], axis=1)
+
+    nearest = _nearest
+
+
+def pinned_field(scene_field, correspondences):
+    """``scene_field`` with its contact targets pinned to ``correspondences``
+    (T, C cloud indices), or unchanged when they are None."""
+    if correspondences is None:
+        return scene_field
+    return dataclasses.replace(scene_field,
+                               index=PinnedIndex(scene_field.index.points, correspondences))
+
+
 def energy_value(template, frames, scene_field, weights, segmentation, correspondences=None):
     """Weighted energy total of refinement's objective, without its gradient."""
     vertices = body.forward_batch(template, frames).vertices
-    report, _ = scene_energy(template, vertices, scene_field, weights, segmentation,
-                             correspondences=correspondences)
+    report, _ = scene_energy(template, vertices, pinned_field(scene_field, correspondences),
+                             weights, segmentation)
     return report.total
 
 
@@ -63,9 +88,9 @@ def frozen_energy_and_gradients(template, frames, scene_field, weights, segmenta
     ``correspondences`` (T, C cloud indices), so that finite differences of
     ``energy_value`` with the same targets check its gradient."""
     mesh, cache = body.forward_batch_with_cache(template, frames)
-    report, g_vertices = scene_energy(template, mesh.vertices, scene_field, weights,
-                                      segmentation, correspondences=correspondences,
-                                      want_grad=True)
+    report, g_vertices = scene_energy(template, mesh.vertices,
+                                      pinned_field(scene_field, correspondences), weights,
+                                      segmentation, want_grad=True)
     return report, body.pullback_batch(cache, g_vertices)
 
 

@@ -92,9 +92,40 @@ def test_every_public_name_has_a_use():
 def test_refinement_has_no_test_only_hooks():
     # tests freeze the contact targets through tests/helpers.py instead
     refine = importlib.import_module("scenemotion.refine")
+    energy = importlib.import_module("scenemotion.energy")
     assert not hasattr(refine, "contact_correspondences")
     assert list(inspect.signature(refine.energy_and_gradients).parameters) == [
         "template", "frames", "scene_field", "weights", "segmentation"]
+    assert list(inspect.signature(energy.scene_energy).parameters) == [
+        "template", "vertices", "scene_field", "weights", "segmentation", "want_grad"]
+
+
+_TERMS = {"_foot_term", "_col_term", "_cont_term", "_smooth_term"}
+# the alias the benchmark's tracer binds (perfbench/tracing.py)
+_TRACED_ALIAS = ("refine.py", "_contact_value_grad")
+
+
+def term_reads(path, tree):
+    """``path:line name`` of each import or read of an energy term in one module,
+    but for the import of the tracer's alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names if (path, a.asname) != _TRACED_ALIAS]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        yield from (f"{path}:{node.lineno} {n}" for n in names if n in _TERMS)
+
+
+def test_only_the_energy_module_reads_the_energy_terms():
+    """Refinement, CVAE training and the reports reach the terms through
+    ``energy.scene_energy``; only the tracer's alias in ``refine`` names one."""
+    found = [r for path, tree in src_trees() if path != "energy.py"
+             for r in term_reads(path, tree)]
+    assert found == [], f"energy terms read outside scenemotion.energy: {found}"
 
 
 def raw_array_io(tree):

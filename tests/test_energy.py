@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from scenemotion import body, energy
 from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, FootSegment,
-                                FootSegmentation, _col_term, _cont_term, _foot_term,
-                                _smooth_term, e_col, e_cont, e_smooth, geman_mcclure,
+                                FootSegmentation, _col_term, _contact_query, _cont_term,
+                                _foot_term, _smooth_term, e_col, e_cont, e_smooth, geman_mcclure,
                                 segment_from_centroids, segment_stable_foot, sole_centroids,
                                 total_energy)
 from scenemotion.sdf import SdfGrid, sample_sdf_batch
 from scenemotion.scene import VertexIndex
 from scenemotion.sequence import MotionSequence
-from helpers import foot_labels, sdf_at
+from helpers import PinnedIndex, foot_labels, pinned_field, sdf_at
 
 
 def standing_frames(template, positions, pelvis_z=0.93):
@@ -272,18 +272,19 @@ def test_cont_term_equals_its_one_frame_evaluations(template, slab_field, frozen
     verts = _sinking_vertices(template)
     ids = template.contact_vertex_ids()
     index = slab_field.index
-    corr = None
-    if frozen:  # correspondences of other vertices, so they differ from fresh queries
+    if frozen:  # targets of other vertices, so they differ from fresh queries
         corr = np.stack([index.nearest(v[ids] + 0.05)[0] for v in verts])
 
+    def query(v, frames):
+        return _contact_query(v, ids, PinnedIndex(index.points, corr[frames]) if frozen
+                              else index)
+
     def frame(v, g, i):
-        return _cont_term(v, ids, index, True, g, scale=1.3,
-                          correspondences=None if corr is None else corr[i:i + 1])
+        return _cont_term(v, ids, index, query(v, slice(i, i + 1)), True, g, scale=1.3)
 
     want, g_want = _one_frame_at_a_time(frame, verts)
     g = np.zeros(verts.shape)
-    got = _cont_term(verts, ids, index, True, g, scale=1.3,
-                     correspondences=corr)
+    got = _cont_term(verts, ids, index, query(verts, slice(None)), True, g, scale=1.3)
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert np.array_equal(g, g_want)
@@ -300,11 +301,12 @@ def test_scene_energy_is_its_terms_added_in_order(template, slab_field):
                             FootSegment(30, len(verts), "right", left[30:].mean(axis=0))])
     w = EnergyWeights(foot=0.7, col=1.1, cont=1.3, smooth=0.25)
     report, g = energy.scene_energy(template, verts, slab_field, w, seg, want_grad=True)
+    ids = template.contact_vertex_ids()
     g_want = np.zeros(verts.shape)
     terms = [_foot_term(template, verts, seg, True, g_want, scale=w.foot),
              _col_term(verts, slab_field.grid, True, g_want, scale=w.col),
-             _cont_term(verts, template.contact_vertex_ids(), slab_field.index, True, g_want,
-                        scale=w.cont),
+             _cont_term(verts, ids, slab_field.index,
+                        _contact_query(verts, ids, slab_field.index), True, g_want, scale=w.cont),
              _smooth_term(verts, True, g_want, scale=w.smooth)]
     assert min(terms) > 0.0
     assert [report.foot, report.col, report.cont, report.smooth] == terms
@@ -313,12 +315,32 @@ def test_scene_energy_is_its_terms_added_in_order(template, slab_field):
     assert none is None and value_only.to_dict() == report.to_dict()
 
 
+def test_pinned_index_at_fresh_targets_is_the_real_index(template, slab_field):
+    """The gradient checks pin the contact targets through ``PinnedIndex``; pinned
+    where a fresh query lands, it scores exactly as the real index does."""
+    verts = _sinking_vertices(template, n=2 * body.FRAME_BLOCK + 6)
+    assert -(-len(verts) // body.FRAME_BLOCK) == 3
+    seg = segment_from_centroids(*sole_centroids(template, verts))
+    w = EnergyWeights(foot=0.7, col=1.1, cont=1.3, smooth=0.25)
+    fresh = _contact_query(verts, template.contact_vertex_ids(), slab_field.index)[0]
+    want, g_want = energy.scene_energy(template, verts, slab_field, w, seg, want_grad=True)
+    got, g = energy.scene_energy(template, verts, pinned_field(slab_field, fresh), w, seg,
+                                 want_grad=True)
+    assert want.cont > 0.0
+    assert got.to_dict() == want.to_dict()
+    assert g.tobytes() == g_want.tobytes()
+    # other pinned targets are the ones scored
+    other, _ = energy.scene_energy(template, verts, pinned_field(slab_field, np.roll(fresh, 1)),
+                                   w, seg)
+    assert other.cont > want.cont and other.col == want.col
+
+
 def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatch):
     verts = _sinking_vertices(template)
     T, V = verts.shape[:2]
     sampled, queried = [], []
     sample = energy.sample_sdf_batch
-    nearest = VertexIndex.nearest
+    nearest = VertexIndex._nearest
 
     def counting_sample(grid, points):
         sampled.append(len(points))
@@ -329,10 +351,11 @@ def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatc
         return nearest(self, query)
 
     monkeypatch.setattr(energy, "sample_sdf_batch", counting_sample)
-    monkeypatch.setattr(VertexIndex, "nearest", counting_nearest)
+    monkeypatch.setattr(VertexIndex, "_nearest", counting_nearest)
     ids = template.contact_vertex_ids()
     _col_term(verts, slab_field.grid, True, np.zeros(verts.shape))
-    _cont_term(verts, ids, slab_field.index, True, np.zeros(verts.shape))
+    _cont_term(verts, ids, slab_field.index, _contact_query(verts, ids, slab_field.index),
+               True, np.zeros(verts.shape))
     assert len(sampled) == -(-T // body.FRAME_BLOCK) == 3
     assert sum(sampled) == _candidate_count(slab_field.grid, verts.reshape(-1, 3))
     assert 0 < sum(sampled) < T * V
