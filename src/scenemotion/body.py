@@ -74,16 +74,6 @@ class BodyParams:
         vec = np.asarray(vec, dtype=np.float64).reshape(PARAM_DIM)
         return BodyParams(t=vec[:3], r=vec[3:9], beta=vec[9:19], p=vec[19:51], h=vec[51:75])
 
-    @staticmethod
-    def rest(beta=None):
-        return BodyParams(
-            t=np.zeros(3),
-            r=rotation.IDENTITY_6D.copy(),
-            beta=np.zeros(SHAPE_DIM) if beta is None else beta,
-            p=np.zeros(POSE_DIM),
-            h=np.zeros(HAND_DIM),
-        )
-
 
 @dataclass
 class BodyMesh:
@@ -417,7 +407,8 @@ DESIGNED_AXIS_INDEX = {name_axis: i for i, name_axis in enumerate(_DESIGNED_POSE
 # the map vanish identically at rest, so the rest template is reproduced
 # bit-for-bit (no a + (b - a) rounding). The blocks of skinning and of its
 # adjoint are split between the calling thread and a worker; everything else
-# runs on the calling thread.
+# runs on the calling thread. The pullback stops at t, r, p and h: every
+# optimisation holds the shape beta fixed, so nothing asks for dL/dbeta.
 
 FRAME_BLOCK = 32  # frames skinned together; bounds the (B, V, 12) transients
 
@@ -451,10 +442,10 @@ def pullback(cache, g_vertices):
         g_vertices: (V, 3) dL/dvertices.
 
     Returns:
-        dict with keys t, r, beta, p, h holding the parameter gradients.
+        dict with keys t, r, p, h holding the parameter gradients.
     """
-    g = pullback_batch(cache, np.asarray(g_vertices, dtype=np.float64)[None], shape=True)[0]
-    return {"t": g[0:3], "r": g[3:9], "beta": g[9:19], "p": g[19:51], "h": g[51:75]}
+    g = pullback_batch(cache, np.asarray(g_vertices, dtype=np.float64)[None])[0]
+    return {"t": g[0:3], "r": g[3:9], "p": g[9:41], "h": g[41:65]}
 
 
 def forward_batch(template, frames):
@@ -512,7 +503,7 @@ def _pose(tpl, frames, keep_cache):
     mesh = BodyMesh(vertices=vertices, joints=joints, faces=tpl.faces)
     if not keep_cache:
         return mesh, None
-    return mesh, (tpl, v_rest, v_skin, affine, R_loc, loc_cache, Rw, R_glob, glob_cache)
+    return mesh, (tpl, v_rest, v_skin, R_loc, loc_cache, Rw, R_glob, glob_cache)
 
 
 def _each_block(n, fn):
@@ -539,29 +530,26 @@ def _blend(tpl, affine):
     return (tpl.skin_weights @ affine.reshape(B, NUM_JOINTS, 12)).reshape(B, -1, 3, 4)
 
 
-def pullback_batch(cache, g_vertices, shape=False):
+def pullback_batch(cache, g_vertices):
     """Reverse-mode map from vertex cotangents to parameter gradients.
 
     Args:
         cache: second return of :func:`forward_batch_with_cache`.
         g_vertices: (N, V, 3) dL/dvertices.
-        shape: also return dL/dbeta, which costs a fifth of the pullback.
 
     Returns:
-        (N, 65) dL/d(t, r, p, h), refinement's variable layout; with ``shape``,
-        (N, 75) in the flat t, r, beta, p, h record layout.
+        (N, 65) dL/d(t, r, p, h), refinement's variable layout: the flat
+        record without beta, which no optimisation moves.
     """
-    tpl, v_rest, v_skin, affine, R_loc, loc_cache, Rw, R_glob, glob_cache = cache
+    tpl, v_rest, v_skin, R_loc, loc_cache, Rw, R_glob, glob_cache = cache
     gv = np.asarray(g_vertices, dtype=np.float64)
     N, J = len(gv), NUM_JOINTS
-    out = np.zeros((N, PARAM_DIM))
+    out = np.empty((N, PARAM_DIM - SHAPE_DIM))
     out[:, 0:3] = gv.sum(axis=1)
     out[:, 3:9] = rotation.rot6d_matrix_pullback(glob_cache, gv.transpose(0, 2, 1) @ v_skin)
 
-    # skinning adjoint, one block at a time: per-joint map cotangents
-    # [g_M | g_c] and, for beta, the shaped-rest cotangent
+    # skinning adjoint, one block at a time: per-joint map cotangents [g_M | g_c]
     g_affine = np.empty((N, J, 3, 4))
-    basis = tpl.shape_basis.reshape(-1, SHAPE_DIM)
     W_T = tpl.skin_weights.T
 
     def skin_adjoint(b):
@@ -572,10 +560,6 @@ def pullback_batch(cache, g_vertices, shape=False):
         np.einsum("bvi,bvk->bvik", g_skin, rest, out=outer[..., :3])
         outer[..., 3] = g_skin
         g_affine[b] = (W_T @ outer.reshape(B, V, 12)).reshape(B, J, 3, 4)
-        if shape:
-            blend = _blend(tpl, affine[b])
-            g_rest = g_skin + np.einsum("bvik,bvi->bvk", blend[..., :3], g_skin)
-            out[b, 9:19] = g_rest.reshape(B, -1) @ basis
 
     _each_block(N, skin_adjoint)
 
@@ -593,9 +577,9 @@ def pullback_batch(cache, g_vertices, shape=False):
         g_dw[:, par] += g_dw[:, j]
 
     g_w = rotation.axis_angle_pullback(loc_cache, g_Rloc)
-    out[:, 19:51] = g_w[:, 1:NUM_BODY_JOINTS].reshape(N, -1) @ tpl.pose_map
-    out[:, 51:75] = g_w[:, NUM_BODY_JOINTS:].reshape(N, -1) @ tpl.hand_map
-    return out if shape else np.concatenate([out[:, 0:9], out[:, 19:75]], axis=1)
+    out[:, 9:41] = g_w[:, 1:NUM_BODY_JOINTS].reshape(N, -1) @ tpl.pose_map
+    out[:, 41:65] = g_w[:, NUM_BODY_JOINTS:].reshape(N, -1) @ tpl.hand_map
+    return out
 
 
 _template_cache = {}

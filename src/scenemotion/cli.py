@@ -322,6 +322,8 @@ def cmd_refine(args, cfg, log):
     from .refine import refine
     _make_out_dir(args.out)
     seq = _load_seq(args.seq, "input sequence")
+    if len(seq) < 2:
+        raise UserError(f"refine needs a sequence of at least 2 frames, got {len(seq)}")
     schedule = _schedule(args, cfg)
     field = _scene_field(args.scene, cfg)
     result = refine(_template(cfg), seq, field, schedule)
@@ -338,6 +340,9 @@ def cmd_baseline_interp(args, cfg, log):
     from .persist import load_model
     from .pipeline import cvae_interpolation_baseline
     _make_out_dir(args.out)
+    steps = cfg.k + 1 if args.steps is None else args.steps
+    if steps < 2:
+        raise UserError(f"--steps must be >= 2, got {steps}")
     spec = _goal_spec(args.goals)
     cvae_model, _ = load_model(_require(args.cvae, "CVAE weights"), "cvae")
     feat = cvae_model.point_enc.forward(_scene_field(args.scene, cfg).cloud.points)[0]
@@ -345,7 +350,6 @@ def cmd_baseline_interp(args, cfg, log):
     start, end = cvae_model.sample_goal_bodies(spec.beta, spec.translations[ends],
                                                spec.rotations[ends], feat,
                                                [spec.seeds[i] for i in ends])
-    steps = args.steps or (cfg.k + 1)
     seq = cvae_interpolation_baseline(cvae_model, start, end, feat, steps)
     save_sequence(args.out, seq)
     _write_log(args.out, "baseline-interp", cfg, {"outputs": [args.out], "frames": steps})

@@ -26,6 +26,7 @@ LATENT_DIM = 32
 COND_INPUT_DIM = FEATURE_DIM + body.SHAPE_DIM + 3 + 6   # (F_s, beta, t, r)
 BODY_VEC_DIM = body.PARAM_DIM                            # full 75-float record
 PH_DIM = body.POSE_DIM + body.HAND_DIM                   # decoder output width
+FIT_LR = 1e-2   # Adam step size of fit_latent
 
 
 def kl_loss(mu, log_var):
@@ -161,8 +162,9 @@ class GoalCVAE(Module):
         return self.sample_goal_bodies(beta, [t], [r], scene_feat, [seed])[0]
 
 
-def fit_latent(model, cond, target_ph, steps=500, lr=1e-2, seed=0):
-    """Adam-fit a latent whose decoding matches (p, h) in l1; returns z."""
+def fit_latent(model, cond, target_ph, steps=500, seed=0):
+    """Adam-fit a latent whose decoding matches (p, h) in l1, at step size
+    ``FIT_LR``; returns z."""
     rng = np.random.default_rng(seed)
     z = Param("fit.z", 0.1 * rng.standard_normal(LATENT_DIM))
     adam = AdamState([z])
@@ -177,7 +179,7 @@ def fit_latent(model, cond, target_ph, steps=500, lr=1e-2, seed=0):
         z.zero_grad()
         g_z, _ = model.decode_backward(cache, np.sign(resid))
         z.grad += g_z[0]
-        adam.step(lr)
+        adam.step(FIT_LR)
     return z.value.copy()
 
 

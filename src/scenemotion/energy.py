@@ -63,14 +63,18 @@ def segment_stable_foot(template, frames):
     return segment_from_centroids(left, right)
 
 
-def segment_from_centroids(left, right, move_threshold=STANCE_MOVE_THRESHOLD,
-                           hysteresis=STANCE_HYSTERESIS):
+def segment_from_centroids(left, right):
+    """:func:`segment_stable_foot` of given sole-centroid tracks (T, 3).
+
+    Neighbouring segments differ in side, and a result of more than one
+    segment has none shorter than ``STANCE_HYSTERESIS`` frames.
+    """
     if len(left) < 2:
         raise ValueError(f"need at least 2 frames to segment, got {len(left)}")
     dl = np.linalg.norm(np.diff(left, axis=0), axis=1)
     dr = np.linalg.norm(np.diff(right, axis=0), axis=1)
-    raw = np.where((dl > move_threshold) & (dr > move_threshold), "none",
-                   np.where(dl <= dr, "left", "right")).tolist()
+    moving = (dl > STANCE_MOVE_THRESHOLD) & (dr > STANCE_MOVE_THRESHOLD)
+    raw = np.where(moving, "none", np.where(dl <= dr, "left", "right")).tolist()
     raw.append(raw[-1])  # last frame inherits the last pair's label
 
     runs = []
@@ -81,23 +85,14 @@ def segment_from_centroids(left, right, move_threshold=STANCE_MOVE_THRESHOLD,
             runs.append([label, 1])
     merged = []
     for label, length in runs:
-        if merged and length < hysteresis:
-            merged[-1][1] += length
-        elif merged and merged[-1][0] == label:
+        if merged and (length < STANCE_HYSTERESIS or merged[-1][0] == label):
             merged[-1][1] += length
         else:
             merged.append([label, length])
-    if len(merged) > 1 and merged[0][1] < hysteresis:
-        merged[1][1] += merged[0][1]
-        merged.pop(0)
-        # re-merge in case absorbing created equal neighbors
-        fixed = [merged[0]]
-        for label, length in merged[1:]:
-            if fixed[-1][0] == label:
-                fixed[-1][1] += length
-            else:
-                fixed.append([label, length])
-        merged = fixed
+    # a short first run joins the second; the two differ in label, so the
+    # result still has no equal neighbours
+    if len(merged) > 1 and merged[0][1] < STANCE_HYSTERESIS:
+        merged[1][1] += merged.pop(0)[1]
 
     segments = []
     start = 0
@@ -295,12 +290,12 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, want_gr
     return EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights), g
 
 
-def total_energy(template, seq, scene_field, weights, segmentation=None):
-    """Evaluate all four terms; segmentation is recomputed unless supplied.
+def total_energy(template, frames, scene_field, weights, segmentation=None):
+    """Evaluate all four terms of flat records ``frames`` (T, 75); the
+    segmentation is recomputed unless supplied.
 
     The posing and the energy share one worker thread (``_worker.worker``).
     """
-    frames = seq.frames if hasattr(seq, "frames") else np.asarray(seq)
     with worker():
         vertices = body.forward_batch(template, frames).vertices
         if segmentation is None:

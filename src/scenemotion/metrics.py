@@ -92,18 +92,18 @@ def non_collision_score(seq, template, grid):
     return _non_collision_pct(_sdf_values(seq.meshes(template), grid))
 
 
-def contact_score(seq, template, grid, threshold=CONTACT_SDF_THRESHOLD):
-    """Percentage of frames with at least one vertex strictly below the
-    contact threshold of the signed distance."""
-    return _contact_pct(_sdf_values(seq.meshes(template), grid), threshold)
+def contact_score(seq, template, grid):
+    """Percentage of frames with at least one vertex whose signed distance is
+    strictly below ``CONTACT_SDF_THRESHOLD``."""
+    return _contact_pct(_sdf_values(seq.meshes(template), grid))
 
 
 def _non_collision_pct(vals):
     return 100.0 * float(np.mean((vals >= 0.0).mean(axis=1)))
 
 
-def _contact_pct(vals, threshold):
-    return 100.0 * int((vals < threshold).any(axis=1).sum()) / len(vals)
+def _contact_pct(vals):
+    return 100.0 * int((vals < CONTACT_SDF_THRESHOLD).any(axis=1).sum()) / len(vals)
 
 
 def _sdf_values(vertices, grid):
@@ -133,6 +133,6 @@ def evaluate(pred, gt, template, grid=None):
     if grid is not None:
         vals = _sdf_values(a.vertices, grid)
         report.non_collision_pct = _non_collision_pct(vals)
-        report.contact_pct = _contact_pct(vals, CONTACT_SDF_THRESHOLD)
+        report.contact_pct = _contact_pct(vals)
     return report
 

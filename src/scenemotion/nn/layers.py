@@ -79,26 +79,20 @@ class ResidualBlock(Module):
 
 
 class MLP(Module):
-    """Linear stack with leaky activations between layers (none after last)."""
+    """Linear stack with a leaky activation after every layer, the last included."""
 
-    def __init__(self, dims, rng, name="mlp", final_activation=False):
+    def __init__(self, dims, rng, name="mlp"):
         self.layers = [Linear(dims[i], dims[i + 1], rng, name=f"{name}.{i}") for i in range(len(dims) - 1)]
-        self.final_activation = final_activation
 
     def forward(self, x):
         caches = []
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             x, c = layer.forward(x)
-            pre = x
-            if i < len(self.layers) - 1 or self.final_activation:
-                x = leaky_relu(x)
-            caches.append((c, pre))
+            caches.append((c, x))
+            x = leaky_relu(x)
         return x, caches
 
     def backward(self, caches, gy):
-        for i in range(len(self.layers) - 1, -1, -1):
-            c, pre = caches[i]
-            if i < len(self.layers) - 1 or self.final_activation:
-                gy = leaky_relu_backward(pre, gy)
-            gy = self.layers[i].backward(c, gy)
+        for layer, (c, pre) in zip(reversed(self.layers), reversed(caches)):
+            gy = layer.backward(c, leaky_relu_backward(pre, gy))
         return gy

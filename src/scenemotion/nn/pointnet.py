@@ -18,7 +18,7 @@ class PointEncoder(Module):
     def __init__(self, rng, hidden=(64, 128), name="pointenc"):
         self.point_hidden = tuple(hidden)
         dims = (3,) + tuple(hidden) + (FEATURE_DIM,)
-        self.mlp = MLP(dims, rng, name=f"{name}.mlp", final_activation=True)
+        self.mlp = MLP(dims, rng, name=f"{name}.mlp")
         self.proj = Linear(FEATURE_DIM, FEATURE_DIM, rng, name=f"{name}.proj")
 
     def forward(self, points):

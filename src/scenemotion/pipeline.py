@@ -112,13 +112,13 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
         pre = synthesize_clip(route_model, pose_model, bodies, cloud, k)
 
     report_weights = EnergyWeights(foot=1.0, col=1.0, cont=1.0, smooth=0.25)
-    pre_report = total_energy(template, pre, scene_field, report_weights)
+    pre_report = total_energy(template, pre.frames, scene_field, report_weights)
     if schedule is None:
         return PlanResult(sequence=pre.copy(), pre_refine=pre, goal_bodies=bodies,
                           energy_history=[], pre_report=pre_report)
     with _stage("refinement"):
         result = refine(template, pre, scene_field, schedule)
-    post_report = total_energy(template, result.sequence, scene_field, report_weights)
+    post_report = total_energy(template, result.sequence.frames, scene_field, report_weights)
     return PlanResult(sequence=result.sequence, pre_refine=pre, goal_bodies=bodies,
                       energy_history=result.history, pre_report=pre_report,
                       post_report=post_report)

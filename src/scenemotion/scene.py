@@ -29,8 +29,7 @@ class SceneMesh:
             raise MeshFormatError("face references an out-of-range vertex")
 
     def triangle_areas(self):
-        tri = self.vertices[self.faces]
-        return 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+        return _triangle_areas(self.vertices, self.faces)
 
     def bounds(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -39,15 +38,17 @@ class SceneMesh:
 @dataclass
 class PointCloud:
     points: np.ndarray             # (M, 3)
-    normals: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
 
     def __len__(self):
         return len(self.points)
+
+
+def _triangle_areas(vertices, faces):
+    tri = vertices[faces]
+    return 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
 
 
 def make_mesh(vertices, faces):
@@ -57,9 +58,7 @@ def make_mesh(vertices, faces):
     if len(faces):
         if faces.min() < 0 or faces.max() >= len(vertices):
             raise MeshFormatError("face references an out-of-range vertex")
-        tri = vertices[faces]
-        areas = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
-        keep = areas > MIN_TRIANGLE_AREA
+        keep = _triangle_areas(vertices, faces) > MIN_TRIANGLE_AREA
         dropped = int((~keep).sum())
         faces = faces[keep]
     else:
@@ -243,9 +242,7 @@ def sample_point_cloud(mesh, m, seed=0):
     w1 = r1 * (1.0 - r2)
     w2 = r1 * r2
     points = w0[:, None] * tri[:, 0] + w1[:, None] * tri[:, 1] + w2[:, None] * tri[:, 2]
-    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    return PointCloud(points=points, normals=n)
+    return PointCloud(points=points)
 
 
 # -- exact nearest-neighbor index ----------------------------------------------

@@ -11,12 +11,19 @@ import os
 
 import numpy as np
 
-from scenemotion import body
+from scenemotion import body, rotation
 from scenemotion.datagen import leg_length
 from scenemotion.energy import scene_energy
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.sdf import sample_sdf_batch
 from scenemotion.sequence import MotionSequence
+
+
+def rest_params():
+    """The rest pose: zero t, beta, p and h and the identity orientation."""
+    return body.BodyParams(t=np.zeros(3), r=rotation.IDENTITY_6D.copy(),
+                           beta=np.zeros(body.SHAPE_DIM),
+                           p=np.zeros(body.POSE_DIM), h=np.zeros(body.HAND_DIM))
 
 
 def sdf_at(grid, point):

@@ -2,13 +2,16 @@
 module lays out arrays on disk, and one module sets the process policy.
 
 A name counts as used when code in ``src/`` outside its own definition
-refers to it, when README's "Library API" section lists it, or when the
-benchmark's tracer (``perfbench/tracing.targets()``) binds it. The tracer's
+refers to it (a method only through an attribute read such as ``x.rest``,
+never through a bare variable of the same name), when README's "Library API"
+section lists it, or when the benchmark's tracer
+(``perfbench/tracing.targets()``) binds it. The tracer's
 list is imported, not copied, so its exemptions lapse once it binds other
 names.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -54,16 +57,17 @@ def src_trees():
 
 
 def src_references():
-    """Each name read as a variable or an attribute anywhere in ``src/``; a
-    name is not counted by its own ``def``, an assignment or an import."""
-    names = set()
+    """(names read as a variable, names read as an attribute) anywhere in
+    ``src/``; a name is not counted by its own ``def``, an assignment or an
+    import."""
+    names, attrs = set(), set()
     for _, tree in src_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
-    return names
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def readme_api():
@@ -80,9 +84,10 @@ def traced():
 
 
 def test_every_public_name_has_a_use():
-    refs, listed, bound = src_references(), readme_api(), traced()
+    (names, attrs), listed, bound = src_references(), readme_api(), traced()
     unused = [qual for owner, qual, attr in public_names()
-              if attr not in refs and (owner, attr) not in bound
+              if attr not in (names | attrs if inspect.ismodule(owner) else attrs)
+              and (owner, attr) not in bound
               and not any(qual == e or qual.endswith("." + e) for e in listed)]
     assert unused == [], (
         f"public names with no caller in src/, no README 'Library API' entry and no "
@@ -98,6 +103,29 @@ def test_refinement_has_no_test_only_hooks():
         "template", "frames", "scene_field", "weights", "segmentation"]
     assert list(inspect.signature(energy.scene_energy).parameters) == [
         "template", "vertices", "scene_field", "weights", "segmentation", "want_grad"]
+
+
+def parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_fixed_settings_are_not_parameters():
+    """What every caller holds fixed is a constant or gone, not an option:
+    the body gradient has one layout, and the thresholds, the activation of
+    the point MLP and the latent fit's step size are set in code."""
+    body = importlib.import_module("scenemotion.body")
+    cvae = importlib.import_module("scenemotion.cvae")
+    energy = importlib.import_module("scenemotion.energy")
+    metrics = importlib.import_module("scenemotion.metrics")
+    scene = importlib.import_module("scenemotion.scene")
+    layers = importlib.import_module("scenemotion.nn.layers")
+    assert parameters(body.pullback_batch) == ["cache", "g_vertices"]
+    assert not hasattr(body.BodyParams, "rest")
+    assert parameters(layers.MLP) == ["dims", "rng", "name"]
+    assert parameters(energy.segment_from_centroids) == ["left", "right"]
+    assert parameters(metrics.contact_score) == ["seq", "template", "grid"]
+    assert parameters(cvae.fit_latent) == ["model", "cond", "target_ph", "steps", "seed"]
+    assert [f.name for f in dataclasses.fields(scene.PointCloud)] == ["points"]
 
 
 _TERMS = {"_foot_term", "_col_term", "_cont_term", "_smooth_term"}

@@ -6,6 +6,7 @@ import pytest
 from scenemotion import body
 from scenemotion.errors import InvalidRotationError, NumericError
 from scenemotion.rotation import axis_angle_to_matrix_with_cache, rot6d_to_matrix
+from helpers import rest_params
 
 
 def test_template_invariants(template):
@@ -24,7 +25,7 @@ def test_template_invariants(template):
 
 
 def test_rest_pose_reproduces_template_bit_exactly(template):
-    mesh, _ = body.forward_with_cache(template, body.BodyParams.rest())
+    mesh, _ = body.forward_with_cache(template, rest_params())
     assert np.array_equal(mesh.vertices, template.rest_vertices)
     assert np.array_equal(mesh.joints, template.joints)
 
@@ -103,7 +104,7 @@ def test_unit_latent_rotation_bound(template):
 
 def test_jacobian_translation_block_is_identity(template):
     rng = np.random.default_rng(3)
-    params = body.BodyParams.rest()
+    params = rest_params()
     _, cache = body.forward_with_cache(template, params)
     cot = rng.standard_normal((template.num_vertices, 3))
     grads = body.pullback(cache, cot)
@@ -134,7 +135,7 @@ def test_pullback_matches_fd_on_every_block(template):
         return float((body.forward_with_cache(template, pr)[0].vertices * cot).sum())
 
     h = 1e-4
-    for name in ("t", "r", "beta", "p", "h"):
+    for name in ("t", "r", "p", "h"):
         vec = getattr(params, name)
         direction = rng.standard_normal(vec.shape)
         direction /= np.linalg.norm(direction)
@@ -162,14 +163,14 @@ def test_blocked_batch_matches_frames_posed_one_at_a_time(template):
     frames = random_frames(rng, 2 * body.FRAME_BLOCK + 3)
     mesh, cache = body.forward_batch_with_cache(template, frames)
     cot = rng.standard_normal(mesh.vertices.shape)
-    grads = body.pullback_batch(cache, cot, shape=True)
+    grads = body.pullback_batch(cache, cot)
     plain = body.forward_batch(template, frames)
     assert np.array_equal(plain.vertices, mesh.vertices)
     assert np.array_equal(plain.joints, mesh.joints)
     for i, frame in enumerate(frames):
         one, one_cache = body.forward_with_cache(template, body.BodyParams.from_flat(frame))
         g = body.pullback(one_cache, cot[i])
-        g = np.concatenate([g[name] for name in ("t", "r", "beta", "p", "h")])
+        g = np.concatenate([g[name] for name in ("t", "r", "p", "h")])
         np.testing.assert_allclose(mesh.vertices[i], one.vertices, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mesh.joints[i], one.joints, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads[i], g, rtol=0, atol=1e-12 * np.abs(g).max())
@@ -179,7 +180,7 @@ def _kernel_outputs(template, frames, cot):
     mesh, cache = body.forward_batch_with_cache(template, frames)
     plain = body.forward_batch(template, frames)
     return [mesh.vertices, mesh.joints, plain.vertices, plain.joints, *cache[1:3],
-            body.pullback_batch(cache, cot), body.pullback_batch(cache, cot, shape=True)]
+            body.pullback_batch(cache, cot)]
 
 
 def test_kernel_blocks_on_two_threads_match_the_blocks_run_in_turn(template, monkeypatch):
@@ -199,12 +200,12 @@ def test_kernel_blocks_on_two_threads_match_the_blocks_run_in_turn(template, mon
 
     monkeypatch.setattr(body, "both", recording)
     threaded = _kernel_outputs(template, frames, cot)
-    # forward twice and pullback twice, each on the calling thread and one worker
+    # forward twice and pullback once, each on the calling thread and one worker
     caller = threading.get_ident()
     assert sorted((role, ident == caller) for role, ident in ran_on) == (
-        [("mine", True)] * 4 + [("theirs", False)] * 4)
+        [("mine", True)] * 3 + [("theirs", False)] * 3)
     _kernel_outputs(template, frames[:body.FRAME_BLOCK], cot[:body.FRAME_BLOCK])
-    assert len(ran_on) == 8   # one block: nothing to hand over
+    assert len(ran_on) == 6   # one block: nothing to hand over
     monkeypatch.setattr(body, "both", lambda mine, theirs: (mine(), theirs()))
     in_turn = _kernel_outputs(template, frames, cot)
     for got, want in zip(threaded, in_turn):
@@ -231,21 +232,20 @@ def test_pullback_batch_matches_fd_on_every_block(template):
     frames = random_frames(rng, 5)
     mesh, cache = body.forward_batch_with_cache(template, frames)
     cot = rng.standard_normal(mesh.vertices.shape)
-    grads = body.pullback_batch(cache, cot, shape=True)
-    without_shape = body.pullback_batch(cache, cot)
-    assert np.array_equal(without_shape, np.delete(grads, np.s_[9:19], axis=1))
+    grads = body.pullback_batch(cache, cot)
+    assert grads.shape == (len(frames), 65)
 
     def scalar(fr):
         return float((body.forward_batch(template, fr).vertices * cot).sum())
 
     h = 1e-4
-    for name, cols in (("t", slice(0, 3)), ("r", slice(3, 9)), ("beta", slice(9, 19)),
-                       ("p", slice(19, 51)), ("h", slice(51, 75))):
+    for name, cols in (("t", slice(0, 3)), ("r", slice(3, 9)), ("p", slice(19, 51)),
+                       ("h", slice(51, 75))):
         direction = np.zeros_like(frames)
         direction[:, cols] = rng.standard_normal(direction[:, cols].shape)
         direction /= np.linalg.norm(direction)
         numeric = (scalar(frames + h * direction) - scalar(frames - h * direction)) / (2 * h)
-        analytic = float((grads * direction).sum())
+        analytic = float((grads * np.delete(direction, np.s_[9:19], axis=1)).sum())
         assert abs(analytic - numeric) / max(abs(numeric), abs(analytic), 1e-8) < 1e-3, name
 
 

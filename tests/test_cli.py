@@ -257,6 +257,25 @@ def test_refine_bad_sequence_file_is_user_error(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+def test_refine_of_one_frame_is_user_error(tmp_path, capsys):
+    # the scene is missing, so the error shows the length check ran first
+    save_sequence(tmp_path / "seq", standing_sequence(1))
+    err = _assert_user_error(["refine", "--scene", str(tmp_path / "missing.obj"),
+                              "--seq", str(tmp_path / "seq"), "--out", str(tmp_path / "out")],
+                             capsys)
+    assert err.startswith("error: refine needs a sequence of at least 2 frames, got 1")
+
+
+@pytest.mark.parametrize("steps", ["1", "-3", "0"])
+def test_baseline_interp_with_fewer_than_2_steps_is_user_error(tmp_path, capsys, steps):
+    # the weights and scene are missing, so the error shows the check ran first
+    missing = str(tmp_path / "missing")
+    err = _assert_user_error(["baseline-interp", "--scene", missing, "--goals", missing,
+                              "--cvae", missing, "--steps", steps,
+                              "--out", str(tmp_path / "base")], capsys)
+    assert err.startswith(f"error: --steps must be >= 2, got {steps}")
+
+
 def test_baseline_interp_encodes_the_cloud_once(tmp_path, monkeypatch):
     # one pass serves both endpoint bodies and the fit of their latents
     from scenemotion.cvae import GoalCVAE

@@ -7,6 +7,7 @@ from scenemotion import body
 from scenemotion.cvae import (CVAETrainer, GoalCVAE, fit_latent, kl_grads, kl_loss)
 from scenemotion.field import SceneField
 from gradcheck import check_param_grads_directional
+from helpers import rest_params
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import PointCloud, VertexIndex
 from scenemotion.sdf import SdfGrid
@@ -218,7 +219,7 @@ def test_train_step_gradients_match_fd(template):
 
 
 def test_nan_loss_aborts(template):
-    gt = body.BodyParams.rest(beta=np.zeros(10))
+    gt = rest_params()
     field = _contact_cloud_field(template, gt)
     model = tiny_model(seed=10)
     model.dec_out.b.value[...] = np.nan
@@ -229,7 +230,7 @@ def test_nan_loss_aborts(template):
 
 
 def test_empty_batch_rejected(template):
-    gt = body.BodyParams.rest()
+    gt = rest_params()
     field = _contact_cloud_field(template, gt)
     trainer = CVAETrainer(tiny_model(), template, {0: field}, seed=0)
     with pytest.raises(ValueError):
@@ -246,7 +247,7 @@ def test_body_energies_are_the_batch_mean_of_refinement_terms(template, slab_fie
     fields = {0: slab_field, 1: box}
     rng = np.random.default_rng(15)
     scene_ids = [1, 0, 0, 1, 0, 1, 1]
-    frames = np.tile(body.BodyParams.rest(beta=np.zeros(10)).flat(), (len(scene_ids), 1))
+    frames = np.tile(rest_params().flat(), (len(scene_ids), 1))
     frames[:, 0:3] = rng.uniform([-0.2, -0.2, 0.7], [0.2, 0.2, 0.9], (len(scene_ids), 3))
     frames[:, 9:19] = rng.standard_normal((len(scene_ids), 10)) * 0.2
     frames[:, 19:] += rng.standard_normal((len(scene_ids), 56)) * 0.2
@@ -277,7 +278,7 @@ def test_body_energies_are_the_batch_mean_of_refinement_terms(template, slab_fie
 def test_run_epochs_matches_a_hand_loop_of_train_steps(template, slab_field):
     # two scenes with the scene terms on, batches that mix them, a short last batch
     rng = np.random.default_rng(13)
-    rest = body.BodyParams.rest(beta=np.zeros(10))
+    rest = rest_params()
     fields = {0: slab_field, 1: _contact_cloud_field(template, rest)}
     vecs = np.tile(rest.flat(), (7, 1))
     vecs[:, 0:3] += rng.uniform(-0.5, 0.5, (7, 3))
@@ -305,7 +306,7 @@ def test_fit_latent_reconstructs_decodable_target():
     cond = rng.standard_normal(16)
     z_true = rng.standard_normal(32)
     target, _ = model.decode(z_true, cond)
-    z_fit = fit_latent(model, cond, target[0], steps=400, lr=1e-2, seed=0)
+    z_fit = fit_latent(model, cond, target[0], steps=400, seed=0)
     fitted, _ = model.decode(z_fit, cond)
     assert np.abs(fitted - target).sum() < 0.5 * np.abs(target).sum()
 

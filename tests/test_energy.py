@@ -89,6 +89,26 @@ def test_short_runs_absorbed_by_hysteresis():
     assert all(s.end - s.start >= 3 or s is seg.segments[-1] for s in seg.segments)
 
 
+# per-pair sole speeds (m/frame) on both sides of STANCE_MOVE_THRESHOLD, ties included
+_SPEEDS = st.sampled_from([0.0, 0.005, 0.01, 0.02, 0.021, 0.05])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SPEEDS, _SPEEDS), min_size=1, max_size=40))
+def test_segments_tile_alternate_and_are_long(steps):
+    left, right = (np.zeros((len(steps) + 1, 3)) for _ in range(2))
+    left[1:, 0] = np.cumsum([dl for dl, _ in steps])
+    right[1:, 1] = np.cumsum([dr for _, dr in steps])
+    segments = segment_from_centroids(left, right).segments
+    assert segments[0].start == 0 and segments[-1].end == len(left)
+    for a, b in zip(segments, segments[1:]):
+        assert a.end == b.start
+        assert a.side != b.side
+    if len(segments) > 1:
+        assert all(s.end - s.start >= energy.STANCE_HYSTERESIS for s in segments)
+    assert all(s.end > s.start for s in segments)
+
+
 def test_segmentation_needs_two_frames(template):
     with pytest.raises(ValueError):
         segment_stable_foot(template, np.zeros((1, 75)))
@@ -200,16 +220,14 @@ def test_e_smooth_needs_two_frames():
 
 def test_total_energy_zero_weights(template, slab_field):
     frames = standing_frames(template, [(0.0, 0.0), (0.1, 0.0)])
-    seq = MotionSequence(frames=frames)
-    report = total_energy(template, seq, slab_field, EnergyWeights(0, 0, 0, 0))
+    report = total_energy(template, frames, slab_field, EnergyWeights(0, 0, 0, 0))
     assert report.total == 0.0
 
 
 def test_total_energy_is_weighted_dot_product(template, slab_field):
     frames = standing_frames(template, [(0.0, 0.0), (0.15, 0.05), (0.32, 0.1)])
-    seq = MotionSequence(frames=frames)
     w = EnergyWeights(0.0, 1.0, 1.0, 0.25)  # first refinement stage
-    report = total_energy(template, seq, slab_field, w)
+    report = total_energy(template, frames, slab_field, w)
     manual = (w.foot * report.foot + w.col * report.col + w.cont * report.cont
               + w.smooth * report.smooth)
     assert report.total == pytest.approx(manual, abs=1e-9)
@@ -531,10 +549,12 @@ def test_block_smooth_term_matches_loop_over_frame_pairs(template):
     assert _smooth_term(verts[:1], False) == 0.0
 
 
-def test_vectorized_foot_term_matches_loop_over_frames(template):
+def test_vectorized_foot_term_matches_loop_over_frames(template, monkeypatch):
     verts = _sinking_vertices(template)
     T = len(verts)
-    segmentation = segment_from_centroids(*sole_centroids(template, verts), move_threshold=0.1)
+    # the shuffle moves both soles faster than the fixed 0.02 m/frame threshold
+    monkeypatch.setattr(energy, "STANCE_MOVE_THRESHOLD", 0.1)
+    segmentation = segment_from_centroids(*sole_centroids(template, verts))
     assert {seg.side for seg in segmentation.segments} >= {"left", "right"}
     left = sole_centroids(template, verts)[0]
     hand = FootSegmentation(segments=[                      # a zero-distance frame, a

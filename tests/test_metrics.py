@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from scenemotion import body
+from scenemotion import body, metrics
 from scenemotion.metrics import (contact_score, evaluate, mpjpe, mpvpe,
                                  neighbour_v2v, non_collision_score, reconstruction_errors)
 from scenemotion.sdf import SdfGrid
@@ -147,12 +147,14 @@ def test_contact_threshold_is_strict():
     assert non_collision_score(seq_at, puppet, grid) == 100.0
 
 
-def test_contact_score_monotone_in_threshold(template):
+def test_contact_score_monotone_in_threshold(template, monkeypatch):
     grid = plane_grid()
     rng = np.random.default_rng(1)
     seq = seq_of_translations([[0, 0, 0.9 + 0.2 * rng.random()] for _ in range(5)])
-    scores = [contact_score(seq, template, grid, threshold=th)
-              for th in (0.001, 0.01, 0.05, 0.2)]
+    scores = []
+    for th in (0.001, 0.01, 0.05, 0.2):
+        monkeypatch.setattr(metrics, "CONTACT_SDF_THRESHOLD", th)
+        scores.append(contact_score(seq, template, grid))
     assert all(a <= b for a, b in zip(scores, scores[1:]))
 
 

@@ -16,7 +16,7 @@ from scenemotion.motion_nets import (PoseNet, RouteNet, pose_loss, pose_loss_gra
 from scenemotion.nn.adam import AdamState
 from scenemotion.nn.layers import leaky_relu, leaky_relu_backward
 from gradcheck import check_param_grads_directional
-from helpers import shares_beta
+from helpers import rest_params, shares_beta
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import PointCloud, VertexIndex
 from test_cvae import far_slab_grid, tiny_model
@@ -355,7 +355,7 @@ def test_synthesize_clip_rejects_beta_mismatch(template):
     rng = np.random.default_rng(11)
     route, pose = small_route(), small_pose()
     cloud = rng.standard_normal((10, 3))
-    start = body.BodyParams.rest()
+    start = rest_params()
     end = body.BodyParams(t=np.ones(3), r=IDENTITY_R, beta=np.ones(10),
                           p=np.zeros(32), h=np.zeros(24))
     with pytest.raises(ValueError):

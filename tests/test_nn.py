@@ -484,9 +484,19 @@ def test_parameter_walk_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_mlp_final_activation_flag():
+def test_mlp_activates_every_layer():
     rng = np.random.default_rng(14)
-    mlp = MLP((3, 4, 2), rng, final_activation=False)
+    mlp = MLP((3, 4, 2), rng)
     x = rng.standard_normal((5, 3))
     y, _ = mlp.forward(x)
+    hidden = leaky_relu(mlp.layers[0].forward(x)[0])
     assert y.shape == (5, 2)
+    assert np.array_equal(y, leaky_relu(mlp.layers[1].forward(hidden)[0]))
+    w = rng.standard_normal(y.shape)
+
+    def loss():
+        out, cache = mlp.forward(x)
+        mlp.backward(cache, w)
+        return float((out * w).sum())
+
+    assert check_param_grads_directional(loss, mlp.params(), n_cases=20, seed=3) < 1e-3

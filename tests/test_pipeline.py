@@ -14,7 +14,7 @@ from scenemotion.pipeline import (GoalSpec, cvae_interpolation_baseline, plan_lo
                                   validate_spec)
 from scenemotion.refine import RefinementSchedule
 from scenemotion.rotation import heading_to_rot6d
-from helpers import perfbench_tracing, shares_beta
+from helpers import perfbench_tracing, rest_params, shares_beta
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
@@ -253,7 +253,7 @@ def test_baseline_constant_when_endpoints_identical(random_models, small_field):
 def test_baseline_requires_two_steps_and_shared_beta(random_models, small_field):
     cvae, _, _ = random_models
     feat = cvae.point_enc.forward(small_field.cloud.points)[0]
-    a = body.BodyParams.rest()
+    a = rest_params()
     with pytest.raises(ValueError):
         cvae_interpolation_baseline(cvae, a, a, feat, steps=1)
     b = body.BodyParams(t=np.ones(3), r=IDENTITY_R, beta=np.ones(10),

@@ -197,7 +197,7 @@ def sinking_frames(rng, n=6):
 def test_total_energy_matches_refine_report_term_by_term(template, slab_field):
     frames = sinking_frames(np.random.default_rng(0))
     weights = EnergyWeights(1.0, 1.0, 1.0, 0.25)
-    report = total_energy(template, MotionSequence(frames=frames), slab_field, weights)
+    report = total_energy(template, frames, slab_field, weights)
     seg = segment_stable_foot(template, frames)
     ref, g = energy_and_gradients(template, frames, slab_field, weights, seg)
     assert g.shape == (len(frames), 65)
@@ -232,5 +232,5 @@ def test_total_energy_poses_each_frame_once(template, slab_field, monkeypatch):
             return original(template, frames)
 
         monkeypatch.setattr(body, name, counting)
-    total_energy(template, MotionSequence(frames=frames), slab_field, EnergyWeights())
+    total_energy(template, frames, slab_field, EnergyWeights())
     assert sum(posed) == len(frames)
