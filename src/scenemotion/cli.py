@@ -194,13 +194,31 @@ def _goal_spec(path):
         raise UserError(f"{path}: {e}") from None
 
 
-def _scene_field(path, cfg):
-    from .field import SceneField
+def _scene_mesh(path):
     from .scene import load_scene
-    mesh = load_scene(_require(path, "scene mesh"))
-    return SceneField.build(mesh, cloud_points=cfg.cloud_points, cloud_seed=cfg.seed,
-                            cell=cfg.sdf_cell, padding=cfg.sdf_padding,
+    return load_scene(_require(path, "scene mesh"))
+
+
+def _scene_field(path, cfg):
+    """Every structure of the scene mesh at ``path``: cloud, SDF grid and
+    nearest-point index; a command that reads one of them builds only it."""
+    from .field import SceneField
+    return SceneField.build(_scene_mesh(path), cloud_points=cfg.cloud_points,
+                            cloud_seed=cfg.seed, cell=cfg.sdf_cell, padding=cfg.sdf_padding,
                             node_budget=cfg.sdf_node_budget)
+
+
+def _scene_cloud(path, cfg):
+    """The points of the cloud ``_scene_field`` would sample."""
+    from .scene import sample_point_cloud
+    return sample_point_cloud(_scene_mesh(path), cfg.cloud_points, seed=cfg.seed).points
+
+
+def _scene_grid(path, cfg):
+    """The SDF grid ``_scene_field`` would build."""
+    from .sdf import build_sdf
+    return build_sdf(_scene_mesh(path), cell=cfg.sdf_cell, padding=cfg.sdf_padding,
+                     node_budget=cfg.sdf_node_budget)
 
 
 def _save_trained(args, cfg, log, model, kind, curve, seed, **payload):
@@ -345,7 +363,7 @@ def cmd_baseline_interp(args, cfg, log):
         raise UserError(f"--steps must be >= 2, got {steps}")
     spec = _goal_spec(args.goals)
     cvae_model, _ = load_model(_require(args.cvae, "CVAE weights"), "cvae")
-    feat = cvae_model.point_enc.forward(_scene_field(args.scene, cfg).cloud.points)[0]
+    feat = cvae_model.point_enc.forward(_scene_cloud(args.scene, cfg))[0]
     ends = [0, -1]
     start, end = cvae_model.sample_goal_bodies(spec.beta, spec.translations[ends],
                                                spec.rotations[ends], feat,
@@ -361,7 +379,7 @@ def cmd_evaluate(args, cfg, log):
     out_dir = _out_dir(args.out) if args.out else None
     pred = _load_seq(args.pred, "prediction sequence")
     gt = _load_seq(args.gt, "reference sequence")
-    grid = _scene_field(args.scene, cfg).grid if args.scene else None
+    grid = _scene_grid(args.scene, cfg) if args.scene else None
     try:
         report = evaluate(pred, gt, _template(cfg), grid=grid)
     except ValueError as e:

@@ -51,16 +51,16 @@ def sole_centroids(template, vertices):
     return left, right
 
 
-def segment_stable_foot(template, frames):
-    """Split the timeline into stable-foot segments by the nearer-foot rule.
+def segment_stable_foot(template, vertices):
+    """Split the timeline of posed vertices (T, V, 3) into stable-foot
+    segments by the nearer-foot rule.
 
     Per frame pair the foot whose sole centroid moved less is stable; frames
     where both soles move more than ``STANCE_MOVE_THRESHOLD`` have no stance.
     Runs shorter than ``STANCE_HYSTERESIS`` frames are absorbed to prevent
     label chatter.
     """
-    left, right = sole_centroids(template, body.forward_batch(template, frames).vertices)
-    return segment_from_centroids(left, right)
+    return segment_from_centroids(*sole_centroids(template, vertices))
 
 
 def segment_from_centroids(left, right):
@@ -133,6 +133,11 @@ def _foot_term(template, vertices, segmentation, want_grad, g_vertices=None, sca
             step[~pos] = 0.0
             g_vertices[frames, ids] += step[:, None, :]
     return _frame_order_sum(np.concatenate(per_frame)) if per_frame else 0.0
+
+
+def e_foot(template, vertices, segmentation):
+    """Summed distance of each stance frame's sole centroid from its segment's mean."""
+    return _foot_term(template, vertices, segmentation, want_grad=False)
 
 
 def e_col(vertices, grid):
@@ -257,6 +262,10 @@ class EnergyReport:
         self.total = (self.weights.foot * self.foot + self.weights.col * self.col +
                       self.weights.cont * self.cont + self.weights.smooth * self.smooth)
 
+    def terms(self):
+        """The unweighted terms ``[foot, col, cont, smooth]``."""
+        return [self.foot, self.col, self.cont, self.smooth]
+
     def to_dict(self):
         return {"foot": self.foot, "col": self.col, "cont": self.cont,
                 "smooth": self.smooth, "total": self.total,
@@ -299,6 +308,6 @@ def total_energy(template, frames, scene_field, weights, segmentation=None):
     with worker():
         vertices = body.forward_batch(template, frames).vertices
         if segmentation is None:
-            segmentation = segment_from_centroids(*sole_centroids(template, vertices))
+            segmentation = segment_stable_foot(template, vertices)
         report, _ = scene_energy(template, vertices, scene_field, weights, segmentation)
     return report

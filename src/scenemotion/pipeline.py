@@ -12,7 +12,7 @@ import numpy as np
 
 from . import body
 from .cvae import fit_latent
-from .energy import EnergyWeights, total_energy
+from .energy import EnergyReport, EnergyWeights, total_energy
 from .errors import InvalidRotationError, SceneMotionError
 from .motion_nets import synthesize_clip
 from .refine import refine
@@ -101,7 +101,8 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
     one batch, and RouteNet and PoseNet each fill all gaps in one pass.
     Consecutive clips share their boundary body, so the raw sequence is
     exactly continuous at every seam. Passing ``schedule=None`` skips
-    refinement.
+    refinement. The reports before and after refinement reuse the terms
+    refinement scored those frames with.
     """
     cloud = scene_field.cloud.points
     with _stage("goal-body sampling"):
@@ -112,16 +113,23 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
         pre = synthesize_clip(route_model, pose_model, bodies, cloud, k)
 
     report_weights = EnergyWeights(foot=1.0, col=1.0, cont=1.0, smooth=0.25)
-    pre_report = total_energy(template, pre.frames, scene_field, report_weights)
+
+    def report(terms, frames):
+        """The report of ``frames`` from the terms refinement scored them with,
+        or a fresh one when refinement stopped before scoring them."""
+        if terms is None:
+            return total_energy(template, frames, scene_field, report_weights)
+        return EnergyReport(*terms, weights=report_weights)
+
     if schedule is None:
         return PlanResult(sequence=pre.copy(), pre_refine=pre, goal_bodies=bodies,
-                          energy_history=[], pre_report=pre_report)
+                          energy_history=[], pre_report=report(None, pre.frames))
     with _stage("refinement"):
         result = refine(template, pre, scene_field, schedule)
-    post_report = total_energy(template, result.sequence.frames, scene_field, report_weights)
     return PlanResult(sequence=result.sequence, pre_refine=pre, goal_bodies=bodies,
-                      energy_history=result.history, pre_report=pre_report,
-                      post_report=post_report)
+                      energy_history=result.history,
+                      pre_report=report(result.first_terms, pre.frames),
+                      post_report=report(result.final_terms, result.sequence.frames))
 
 
 def cvae_interpolation_baseline(cvae_model, start, end, scene_feat, steps,

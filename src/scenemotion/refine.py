@@ -7,6 +7,16 @@ keep their given translation and orientation bit-exact; left free, the
 smoothness term would shrink the trajectory by pulling the goals together. Foot
 segmentation is recomputed at stage boundaries; the nearest-point contact
 targets are refreshed every iteration and frozen within it.
+
+Each frame set is posed and scored once. A stage's first evaluation segments
+its own posed vertices, and the same evaluation closes the stage before: that
+stage's last total is the evaluation's collision, contact and smoothness terms
+with the foot term under the earlier segmentation, in the earlier weights.
+After the last stage one value-only evaluation closes it and scores the
+refined frames under a fresh segmentation. Stages of n1, ..., nk iterations
+thus take n1 + ... + nk + 1 evaluations. The result carries the unweighted
+terms of the first and the final evaluation, the reports of the unrefined and
+the refined frames.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ import numpy as np
 from . import body
 from ._worker import worker
 from .config import _coerce
-from .energy import EnergyWeights, scene_energy, segment_stable_foot, total_energy
+from .energy import (EnergyReport, EnergyWeights, FootSegmentation, e_foot, scene_energy,
+                     segment_stable_foot)
 # The benchmark's tracer (perfbench/tracing.py) looks the contact term up
 # under this name.
 from .energy import _cont_term as _contact_value_grad  # noqa: F401
@@ -91,8 +102,10 @@ class RefinementSchedule:
 @dataclass
 class RefineResult:
     sequence: MotionSequence
-    history: list                 # per stage: dict with weights and totals per iteration
+    history: list                 # per stage: weights, lr, and totals and terms per iteration
     diagnostic: str | None = None
+    first_terms: list | None = None   # [foot, col, cont, smooth] of the unrefined frames
+    final_terms: list | None = None   # ... of the refined frames; None after an abort
 
 
 def frames_to_vars(frames):
@@ -103,16 +116,44 @@ def vars_to_frames(x, betas):
     return np.concatenate([x[:, 0:9], betas, x[:, 9:65]], axis=1)
 
 
-def energy_and_gradients(template, frames, scene_field, weights, segmentation):
-    """Weighted energy report plus dTotal/d(t,r,p,h) per frame.
+@dataclass
+class Evaluation:
+    """One posing and scoring of a frame set."""
+    report: EnergyReport              # under ``segmentation``
+    grad: np.ndarray | None           # dTotal/d(t,r,p,h) per frame; None when value-only
+    vertices: np.ndarray              # posed (T, V, 3)
+    segmentation: FootSegmentation
 
+    def closing(self, template, weights, segmentation):
+        """The report of these frames under an earlier stage's ``weights`` and
+        ``segmentation``; only the foot term is taken again."""
+        r = self.report
+        return EnergyReport(e_foot(template, self.vertices, segmentation), r.col, r.cont,
+                            r.smooth, weights)
+
+
+def energy_and_gradients(template, frames, scene_field, weights, segmentation=None):
+    """Weighted energy report plus dTotal/d(t,r,p,h) per frame, as an Evaluation.
+
+    Without a ``segmentation`` the frames' own posed vertices are segmented.
     Contact targets come from fresh exact queries, and the gradient is taken
     with those targets held fixed.
     """
     mesh, cache = body.forward_batch_with_cache(template, frames)
-    report, g_vertices = scene_energy(template, mesh.vertices, scene_field, weights,
-                                      segmentation, want_grad=True)
-    return report, body.pullback_batch(cache, g_vertices)
+    return _score(template, mesh.vertices, scene_field, weights, segmentation, cache)
+
+
+def _score(template, vertices, scene_field, weights, segmentation, cache=None):
+    """Evaluation of posed ``vertices``; with the posing's ``cache`` it has a gradient."""
+    if segmentation is None:
+        segmentation = segment_stable_foot(template, vertices)
+    report, g_vertices = scene_energy(template, vertices, scene_field, weights, segmentation,
+                                      want_grad=cache is not None)
+    grad = None if cache is None else body.pullback_batch(cache, g_vertices)
+    return Evaluation(report, grad, vertices, segmentation)
+
+
+_EVAL_ERRORS = (InvalidRotationError, NumericError, FloatingPointError)
 
 
 def refine(template, seq, scene_field, schedule):
@@ -120,8 +161,10 @@ def refine(template, seq, scene_field, schedule):
 
     The translation and orientation of every ``seq.chunk_boundaries`` frame
     are held fixed by zeroing their gradient rows before each Adam step.
-    Returns a RefineResult; on non-finite energy or gradients the loop aborts
-    and the result carries the last finite state plus a diagnostic string.
+    Returns a RefineResult; on a failed evaluation or non-finite energy or
+    gradients the loop aborts and the result carries the last finite state
+    plus a diagnostic string naming the stage and iteration. A stage whose
+    closing evaluation failed keeps one total per iteration and no closing one.
     """
     betas = seq.betas.copy()
     x = Param("refine.vars", frames_to_vars(seq.frames))
@@ -129,43 +172,67 @@ def refine(template, seq, scene_field, schedule):
     history = []
     diagnostic = None
     last_finite = x.value.copy()
+    first = final = None
+    unclosed = None  # (history record, stage, segmentation) of a stage that ran to its end
 
-    with worker():  # one worker thread for every evaluation and report below
+    def record(rec, report):
+        rec["totals"].append(report.total)
+        rec["terms"].append(report.terms())
+
+    def close(ev):
+        rec, stage, segmentation = unclosed
+        record(rec, ev.closing(template, stage.weights, segmentation))
+
+    with worker():  # one worker thread for every evaluation below
         for stage_idx, stage in enumerate(schedule.stages):
-            frames = vars_to_frames(x.value, betas)
-            segmentation = segment_stable_foot(template, frames)  # stage-frozen targets
-            totals = []
+            rec = {"stage": stage_idx, "weights": list(stage.weights.as_tuple()),
+                   "lr": stage.lr, "totals": [], "terms": []}
+            history.append(rec)
+            segmentation = None  # the first evaluation's, frozen for the stage
             for it in range(stage.iters):
-                frames = vars_to_frames(x.value, betas)
                 try:
-                    report, g_x = energy_and_gradients(template, frames, scene_field,
-                                                       stage.weights, segmentation)
-                except (InvalidRotationError, NumericError, FloatingPointError) as e:
+                    ev = energy_and_gradients(template, vars_to_frames(x.value, betas),
+                                              scene_field, stage.weights, segmentation)
+                except _EVAL_ERRORS as e:
                     diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
                     x.value[...] = last_finite
                     break
-                if not np.isfinite(report.total):
+                if it == 0:
+                    if unclosed is not None:  # the frames the stage before ended on
+                        close(ev)
+                    if stage_idx == 0:
+                        first = ev.report.terms()
+                    segmentation = ev.segmentation
+                if not np.isfinite(ev.report.total):
                     diagnostic = f"stage {stage_idx}: non-finite energy at iteration {it}"
                     x.value[...] = last_finite
                     break
                 last_finite = x.value.copy()
-                totals.append(report.total)
+                record(rec, ev.report)
                 x.zero_grad()
-                x.grad += g_x
+                x.grad += ev.grad
                 x.grad[seq.chunk_boundaries, 0:9] = 0.0  # t(3) + r(6) of the goal frames
                 try:
                     adam.step(stage.lr)
                 except NumericError as e:
                     diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
                     break
-            else:  # the energy the last step reached
-                totals.append(total_energy(template, vars_to_frames(x.value, betas),
-                                           scene_field, stage.weights, segmentation).total)
-            history.append({"stage": stage_idx, "weights": list(stage.weights.as_tuple()),
-                            "lr": stage.lr, "totals": totals})
+            else:
+                unclosed = (rec, stage, segmentation)
             if diagnostic is not None:
                 break
+        else:  # one value-only evaluation of the frames the last step reached
+            try:
+                vertices = body.forward_batch(template, vars_to_frames(x.value, betas)).vertices
+                ev = _score(template, vertices, scene_field, stage.weights, None)
+            except _EVAL_ERRORS as e:
+                diagnostic = f"stage {stage_idx}: {e} at iteration {stage.iters}"
+                x.value[...] = last_finite
+            else:
+                close(ev)
+                final = ev.report.terms()
 
     refined = MotionSequence(frames=vars_to_frames(x.value, betas), fps=seq.fps,
                              chunk_boundaries=list(seq.chunk_boundaries))
-    return RefineResult(sequence=refined, history=history, diagnostic=diagnostic)
+    return RefineResult(sequence=refined, history=history, diagnostic=diagnostic,
+                        first_terms=first, final_terms=final)

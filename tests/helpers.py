@@ -32,6 +32,22 @@ def sdf_at(grid, point):
     return float(vals[0]), grads[0]
 
 
+def record_posings(monkeypatch, fail_at=None, error=None):
+    """Frames of every call of the body kernel (``body.forward_batch`` and
+    ``forward_batch_with_cache``), one array per call, in call order; call
+    number ``fail_at`` (from 0) raises ``error`` instead."""
+    posed = []
+    for name in ("forward_batch", "forward_batch_with_cache"):
+        def recording(template, frames, original=getattr(body, name)):
+            posed.append(np.array(frames))
+            if len(posed) - 1 == fail_at:
+                raise error
+            return original(template, frames)
+
+        monkeypatch.setattr(body, name, recording)
+    return posed
+
+
 def foot_labels(segmentation, T):
     """Per-frame side ("left" | "right" | "none") of a FootSegmentation."""
     out = np.empty(T, dtype=object)

@@ -137,7 +137,7 @@ def test_c01_gradient_correctness(template, slab_field):
                                     beta=rng.standard_normal(10) * 0.2,
                                     p=rng.standard_normal(32) * 0.3,
                                     h=rng.standard_normal(24) * 0.2).flat()
-    seg = segment_stable_foot(template, frames)
+    seg = segment_stable_foot(template, body.forward_batch(template, frames).vertices)
     frozen = contact_correspondences(template, frames, slab_field)
     x0 = frames_to_vars(frames)
     betas = frames[:, 9:19]
@@ -303,7 +303,7 @@ def test_c05_foot_segmentation(template):
         end = start + np.array([np.cos(heading), np.sin(heading)]) * rng.uniform(2.0, 3.0)
         mspec = SyntheticMotionSpec(waypoints=[start, end], step_length=step, cadence=cadence)
         seq, stance = gen_motion(scene, mspec, template)
-        seg = segment_stable_foot(template, seq.frames)
+        seg = segment_stable_foot(template, body.forward_batch(template, seq.frames).vertices)
         labels = foot_labels(seg, len(seq))
         agreements.append(np.mean([a == b for a, b in zip(labels, stance)]))
     worst = min(agreements)

@@ -168,6 +168,24 @@ def test_gen_data_does_not_load_scipy_spatial(tmp_path):
     assert (tmp_path / "ds" / DATASET_FILE).exists()
 
 
+def test_evaluate_with_a_scene_does_not_load_scipy_spatial(tmp_path):
+    # the scene is read for its SDF grid alone, so no nearest-point index is built
+    for name in ("a", "b"):
+        save_sequence(tmp_path / name, standing_sequence())
+    probe = ("import json, sys; from scenemotion.cli import main; "
+             "code = main(['evaluate', '--pred', sys.argv[1] + '/a', '--gt', sys.argv[1] + '/b', "
+             "'--scene', sys.argv[1] + '/scene.obj', '--out', sys.argv[1] + '/report.json', "
+             "'--set', 'sdf_cell=0.3']); "
+             "print(json.dumps([code, 'scipy.spatial' in sys.modules]))")
+    write_floor_scene(tmp_path / "scene.obj")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], check=True,
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, False]
+    assert "non_collision_pct" in json.loads((tmp_path / "report.json").read_text())
+
+
 def test_bad_override_is_user_error(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "x"), "--set", "nonsense=1"]) == 1
 
@@ -299,6 +317,45 @@ def test_baseline_interp_encodes_the_cloud_once(tmp_path, monkeypatch):
     assert code == 0
     assert calls == [64]
     assert len(load_sequence(tmp_path / "base").frames) == 3
+
+
+def test_baseline_interp_builds_neither_an_sdf_nor_an_index(tmp_path, monkeypatch):
+    # the scene is read for its point cloud alone
+    from scenemotion import scene, sdf
+    from scenemotion.cvae import GoalCVAE
+    from scenemotion.persist import save_model
+
+    def unread(*args, **kwargs):
+        raise AssertionError("baseline-interp built a scene structure it does not read")
+
+    monkeypatch.setattr(sdf, "build_sdf", unread)
+    monkeypatch.setattr(scene.VertexIndex, "__init__", unread)
+    cvae_path = str(tmp_path / "model.cvae")
+    save_model(cvae_path, GoalCVAE(np.random.default_rng(0), hidden=8, cond_dim=8,
+                                   point_hidden=(4, 4)), "cvae")
+    code = main(["baseline-interp", "--scene", write_floor_scene(tmp_path / "scene.obj"),
+                 "--goals", write_goals(tmp_path / "goals.json"), "--cvae", cvae_path,
+                 "--steps", "3", "--out", str(tmp_path / "base"), "--set", "cloud_points=64"])
+    assert code == 0
+    assert len(load_sequence(tmp_path / "base").frames) == 3
+
+
+@pytest.mark.parametrize("command", ["synthesize", "refine"])
+def test_run_log_records_the_terms_of_every_total(valid_inputs, tmp_path, command):
+    from scenemotion.energy import EnergyReport, EnergyWeights
+    line = {"synthesize": "synthesize --scene {scene} --goals {goals} --cvae {cvae} "
+                          "--route {route} --pose {pose}",
+            "refine": "refine --seq {seq} --scene {scene}"}[command]
+    out = tmp_path / "out"
+    argv = [tok.format(**valid_inputs) for tok in line.split()]
+    assert main(argv + ["--out", str(out), "--set", "k=15", "--set", "sdf_cell=0.3",
+                        "--set", "cloud_points=64", "--set", "refine_iters=2"]) == 0
+    history = json.loads((out / "run_log.json").read_text())["energy_history"]
+    assert [len(stage["terms"]) for stage in history] == [3, 3]
+    for stage in history:
+        weights = EnergyWeights(*stage["weights"])
+        for total, terms in zip(stage["totals"], stage["terms"]):
+            assert EnergyReport(*terms, weights=weights).total == total
 
 
 def test_train_cvae_on_truncated_sdf_cache_is_user_error(tmp_path, capsys):

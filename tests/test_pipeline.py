@@ -7,6 +7,7 @@ import pytest
 from scenemotion import body
 from scenemotion.cvae import GoalCVAE
 from scenemotion.datagen import gen_scene, SyntheticSceneSpec
+from scenemotion.energy import total_energy
 from scenemotion.errors import InvalidRotationError
 from scenemotion.field import SceneField
 from scenemotion.motion_nets import PoseNet, RouteNet
@@ -14,7 +15,7 @@ from scenemotion.pipeline import (GoalSpec, cvae_interpolation_baseline, plan_lo
                                   validate_spec)
 from scenemotion.refine import RefinementSchedule
 from scenemotion.rotation import heading_to_rot6d
-from helpers import perfbench_tracing, rest_params, shares_beta
+from helpers import perfbench_tracing, record_posings, rest_params, shares_beta
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
@@ -192,6 +193,45 @@ def test_benchmark_traced_callables_run_only_on_the_calling_thread(random_models
     assert {name: threads for name, threads in ran_on.items()
             if threads != {threading.get_ident()}} == {}
     assert tracing.span_problems(tracer.spans) == []
+
+
+def test_plan_reports_come_from_refinement_evaluations(random_models, small_field, template,
+                                                      monkeypatch):
+    """With a schedule the plan poses nothing beyond refinement's n1 + n2 + 1
+    evaluations, and its reports equal fresh reports of the same frames."""
+    cvae, route, pose = random_models
+    posed = record_posings(monkeypatch)
+    plan_long_term(cvae, route, pose, template, goals(3), small_field, k=15, schedule=None)
+    unrefined = len(posed)  # the pre-refinement report's posing and the clip synthesis's
+    posed.clear()
+    result = plan_long_term(cvae, route, pose, template, goals(3), small_field, k=15,
+                            schedule=RefinementSchedule.two_stage(iters=2))
+    assert len(posed) == unrefined - 1 + 2 + 2 + 1
+    weights = result.pre_report.weights
+    assert result.pre_report.to_dict() == total_energy(template, result.pre_refine.frames,
+                                                       small_field, weights).to_dict()
+    assert result.post_report.to_dict() == total_energy(template, result.sequence.frames,
+                                                        small_field, weights).to_dict()
+
+
+@pytest.mark.parametrize("fail_at", [0, 4])
+def test_plan_reports_fall_back_when_refinement_aborts(random_models, small_field,
+                                                             template, monkeypatch, fail_at):
+    """Refinement whose first (or final) evaluation fails leaves the plan to
+    score the unrefined (or the reverted) frames itself."""
+    cvae, route, pose = random_models
+    before = record_posings(monkeypatch)
+    plan_long_term(cvae, route, pose, template, goals(3), small_field, k=15, schedule=None)
+    record_posings(monkeypatch, fail_at=len(before) - 1 + fail_at,
+                   error=InvalidRotationError("row 0: degenerate"))
+    result = plan_long_term(cvae, route, pose, template, goals(3), small_field, k=15,
+                            schedule=RefinementSchedule.two_stage(iters=2))
+    # stage 0's first evaluation, or stage 1's close: no totals, or its 2 without a close
+    assert len(result.energy_history[-1]["totals"]) == (0 if fail_at == 0 else 2)
+    weights = result.pre_report.weights
+    for report, frames in ((result.pre_report, result.pre_refine.frames),
+                           (result.post_report, result.sequence.frames)):
+        assert report.to_dict() == total_energy(template, frames, small_field, weights).to_dict()
 
 
 def test_validate_spec_diagnostics(small_field):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from scenemotion import _worker, body, energy
-from scenemotion.energy import EnergyWeights, segment_stable_foot, total_energy
+from scenemotion.energy import EnergyReport, EnergyWeights, segment_stable_foot, total_energy
+from scenemotion.errors import InvalidRotationError
 from scenemotion.refine import (RefinementSchedule, RefineStage, energy_and_gradients,
                                 frames_to_vars, refine, vars_to_frames)
 from scenemotion.sequence import MotionSequence
-from helpers import contact_correspondences, energy_value, frozen_energy_and_gradients
+from helpers import (contact_correspondences, energy_value, frozen_energy_and_gradients,
+                     record_posings)
 
 
 def walking_frames(rng, n=4, z=0.93):
@@ -73,7 +75,7 @@ def test_zero_weight_schedule_is_identity(template, slab_field):
 def test_energy_gradients_match_fd(template, slab_field):
     rng = np.random.default_rng(2)
     frames = walking_frames(rng, n=3)
-    seg = segment_stable_foot(template, frames)
+    seg = segment_stable_foot(template, body.forward_batch(template, frames).vertices)
     weights = EnergyWeights(1.0, 1.0, 1.0, 0.25)
     frozen = contact_correspondences(template, frames, slab_field)
     _, g = frozen_energy_and_gradients(template, frames, slab_field, weights, seg, frozen)
@@ -198,9 +200,9 @@ def test_total_energy_matches_refine_report_term_by_term(template, slab_field):
     frames = sinking_frames(np.random.default_rng(0))
     weights = EnergyWeights(1.0, 1.0, 1.0, 0.25)
     report = total_energy(template, frames, slab_field, weights)
-    seg = segment_stable_foot(template, frames)
-    ref, g = energy_and_gradients(template, frames, slab_field, weights, seg)
-    assert g.shape == (len(frames), 65)
+    ev = energy_and_gradients(template, frames, slab_field, weights)  # segments its own frames
+    ref = ev.report
+    assert ev.grad.shape == (len(frames), 65)
     assert min(report.foot, report.col, report.cont, report.smooth) > 0.0
     for term in ("foot", "col", "cont", "smooth", "total"):
         assert getattr(report, term) == getattr(ref, term), term
@@ -208,10 +210,11 @@ def test_total_energy_matches_refine_report_term_by_term(template, slab_field):
 
 def test_frozen_correspondences_match_fresh_queries(template, slab_field):
     frames = sinking_frames(np.random.default_rng(1))
-    seg = segment_stable_foot(template, frames)
+    seg = segment_stable_foot(template, body.forward_batch(template, frames).vertices)
     weights = EnergyWeights(1.0, 1.0, 1.0, 0.25)
     frozen = contact_correspondences(template, frames, slab_field)
-    fresh, g_fresh = energy_and_gradients(template, frames, slab_field, weights, seg)
+    ev = energy_and_gradients(template, frames, slab_field, weights, seg)
+    fresh, g_fresh = ev.report, ev.grad
     pinned, g_pinned = frozen_energy_and_gradients(template, frames, slab_field, weights, seg,
                                                    frozen)
     assert fresh.cont > 0.0
@@ -223,14 +226,80 @@ def test_frozen_correspondences_match_fresh_queries(template, slab_field):
 
 def test_total_energy_poses_each_frame_once(template, slab_field, monkeypatch):
     frames = sinking_frames(np.random.default_rng(2))
-    posed = []
-    for name in ("forward_batch", "forward_batch_with_cache"):
-        original = getattr(body, name)
-
-        def counting(template, frames, original=original):
-            posed.append(len(frames))
-            return original(template, frames)
-
-        monkeypatch.setattr(body, name, counting)
+    posed = record_posings(monkeypatch)
     total_energy(template, frames, slab_field, EnergyWeights())
-    assert sum(posed) == len(frames)
+    assert sum(map(len, posed)) == len(frames)
+
+
+# -- one evaluation per frame set -----------------------------------------------------
+
+STAGES = [RefineStage(EnergyWeights(0.0, 1.0, 1.0, 0.25), iters=3, lr=1e-2),
+          RefineStage(EnergyWeights(1.0, 1.0, 1.0, 0.25), iters=2, lr=1e-2)]
+
+
+def posed(template, frames):
+    return body.forward_batch(template, frames).vertices
+
+
+def test_refine_poses_each_frame_set_once(template, slab_field, monkeypatch):
+    """Stages of n1 and n2 iterations take n1 + n2 evaluations with gradient
+    and one value-only evaluation of the refined frames."""
+    seq = MotionSequence(frames=sinking_frames(np.random.default_rng(6)))
+    frames = record_posings(monkeypatch)
+    result = refine(template, seq, slab_field, RefinementSchedule(STAGES))
+    assert result.diagnostic is None
+    assert len(frames) == 3 + 2 + 1
+    assert np.array_equal(frames[0], seq.frames)
+    assert np.array_equal(frames[-1], result.sequence.frames)
+
+
+def test_every_recorded_total_is_its_terms_in_the_stage_weights(template, slab_field):
+    seq = MotionSequence(frames=sinking_frames(np.random.default_rng(7)))
+    result = refine(template, seq, slab_field, RefinementSchedule(STAGES))
+    for rec, stage in zip(result.history, STAGES):
+        assert len(rec["terms"]) == len(rec["totals"]) == stage.iters + 1
+        for total, terms in zip(rec["totals"], rec["terms"]):
+            assert EnergyReport(*terms, weights=stage.weights).total == total
+
+
+def test_each_closing_total_is_the_stage_end_energy(template, slab_field):
+    """The total a stage closes on is the energy of the frames it ended on,
+    under its weights and the segmentation of the frames it started on."""
+    seq = MotionSequence(frames=sinking_frames(np.random.default_rng(8)))
+    full = refine(template, seq, slab_field, RefinementSchedule(STAGES))
+    start = seq.frames
+    for s, stage in enumerate(STAGES):
+        end = refine(template, seq, slab_field, RefinementSchedule(STAGES[:s + 1])).sequence.frames
+        seg = segment_stable_foot(template, posed(template, start))
+        closing = total_energy(template, end, slab_field, stage.weights, seg)
+        assert full.history[s]["totals"][-1] == closing.total
+        assert full.history[s]["terms"][-1] == closing.terms()
+        start = end
+    assert np.array_equal(start, full.sequence.frames)
+
+
+def test_first_and_final_terms_are_fresh_reports_of_the_frames(template, slab_field):
+    seq = MotionSequence(frames=sinking_frames(np.random.default_rng(9)))
+    result = refine(template, seq, slab_field, RefinementSchedule(STAGES))
+    weights = EnergyWeights()
+    for terms, frames in ((result.first_terms, seq.frames),
+                          (result.final_terms, result.sequence.frames)):
+        assert terms == total_energy(template, frames, slab_field, weights).terms()
+
+
+@pytest.mark.parametrize("stage, fail_at", [(0, 3), (1, 5)])
+def test_failed_closing_evaluation_ends_refinement_with_a_diagnostic(
+        template, slab_field, monkeypatch, stage, fail_at):
+    """The posing after a stage's last step raises: refinement stops with a
+    diagnostic, the stage keeps one total per iteration and none for its
+    close, and the sequence reverts to the frames of the last evaluation."""
+    seq = MotionSequence(frames=sinking_frames(np.random.default_rng(10)))
+    frames = record_posings(monkeypatch, fail_at=fail_at,
+                            error=InvalidRotationError("row 0: degenerate"))
+    result = refine(template, seq, slab_field, RefinementSchedule(STAGES))
+    # stage 0's close is stage 1's first evaluation; stage 1's is the value-only one
+    iteration = 0 if stage == 0 else 2
+    assert result.diagnostic == f"stage 1: row 0: degenerate at iteration {iteration}"
+    assert [len(rec["totals"]) for rec in result.history] == ([3, 0] if stage == 0 else [4, 2])
+    assert np.array_equal(result.sequence.frames, frames[fail_at - 1])
+    assert result.final_terms is None and result.first_terms is not None
