@@ -23,7 +23,22 @@ NUM_JOINTS = NUM_BODY_JOINTS + NUM_HAND_JOINTS
 POSE_DIM = 32
 HAND_DIM = 24
 SHAPE_DIM = 10
-PARAM_DIM = 3 + 6 + SHAPE_DIM + POSE_DIM + HAND_DIM  # 75
+# The flat record of one frame: these fields in this order. Only this module
+# writes its offsets; the others index a record through these names.
+T = slice(0, 3)                               # translation
+R = slice(T.stop, T.stop + 6)                 # 6D global orientation
+BETA = slice(R.stop, R.stop + SHAPE_DIM)      # shape
+P = slice(BETA.stop, BETA.stop + POSE_DIM)    # body-pose latent
+H = slice(P.stop, P.stop + HAND_DIM)          # hand-pose latent
+PARAM_DIM = H.stop                            # 75
+ROUTE = slice(T.start, R.stop)                # t, r: what RouteNet predicts
+POSE = slice(P.start, H.stop)                 # p, h: what PoseNet predicts
+# The variable layout of refinement and pullback_batch: the record without
+# beta, which no optimisation moves; t and r keep their offsets.
+VAR_P = slice(R.stop, R.stop + POSE_DIM)
+VAR_H = slice(VAR_P.stop, VAR_P.stop + HAND_DIM)
+VAR_POSE = slice(VAR_P.start, VAR_H.stop)
+VAR_DIM = VAR_H.stop                          # 65
 
 DEFAULT_TEMPLATE_SEED = 20240117
 # vertex groups encouraged to contact the scene
@@ -46,6 +61,8 @@ _DESIGNED_POSE_AXES = [
 ]
 POSE_GAIN = 0.5  # unit-norm latent moves any joint by at most 0.5 rad
 
+_FIELDS = {"t": T, "r": R, "beta": BETA, "p": P, "h": H}  # BodyParams fields, in record order
+
 
 @dataclass(frozen=True)
 class BodyParams:
@@ -58,21 +75,21 @@ class BodyParams:
     h: np.ndarray
 
     def __post_init__(self):
-        for name, width in (("t", 3), ("r", 6), ("beta", SHAPE_DIM), ("p", POSE_DIM), ("h", HAND_DIM)):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(width)
+        for name, cols in _FIELDS.items():
+            arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(cols.stop - cols.start)
             object.__setattr__(self, name, arr)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"BodyParams.{name} contains non-finite values")
         rotation.rot6d_to_matrix(self.r)  # rejects degenerate global orientation
 
     def flat(self):
-        """Serialize to the documented 75-float order t, r, beta, p, h."""
-        return np.concatenate([self.t, self.r, self.beta, self.p, self.h])
+        """Serialize to the flat record."""
+        return np.concatenate([getattr(self, name) for name in _FIELDS])
 
     @staticmethod
     def from_flat(vec):
         vec = np.asarray(vec, dtype=np.float64).reshape(PARAM_DIM)
-        return BodyParams(t=vec[:3], r=vec[3:9], beta=vec[9:19], p=vec[19:51], h=vec[51:75])
+        return BodyParams(**{name: vec[cols] for name, cols in _FIELDS.items()})
 
 
 @dataclass
@@ -445,7 +462,7 @@ def pullback(cache, g_vertices):
         dict with keys t, r, p, h holding the parameter gradients.
     """
     g = pullback_batch(cache, np.asarray(g_vertices, dtype=np.float64)[None])[0]
-    return {"t": g[0:3], "r": g[3:9], "p": g[9:41], "h": g[41:65]}
+    return {"t": g[T], "r": g[R], "p": g[VAR_P], "h": g[VAR_H]}
 
 
 def forward_batch(template, frames):
@@ -466,10 +483,10 @@ def _pose(tpl, frames, keep_cache):
     if not np.all(np.isfinite(frames)):
         raise ValueError("body parameters contain non-finite values")
     N, J, V = len(frames), NUM_JOINTS, tpl.num_vertices
-    t, beta = frames[:, 0:3], frames[:, 9:19]
-    R_glob, glob_cache = rotation.rot6d_to_matrix_with_cache(frames[:, 3:9])
+    t, beta = frames[:, T], frames[:, BETA]
+    R_glob, glob_cache = rotation.rot6d_to_matrix_with_cache(frames[:, R])
     R_loc, loc_cache = rotation.axis_angle_to_matrix_with_cache(
-        joint_rotations(tpl, frames[:, 19:51], frames[:, 51:75]))
+        joint_rotations(tpl, frames[:, P], frames[:, H]))
 
     # FK in displacement form: dw[:, j] = posed joint - rest joint
     eye = np.eye(3)
@@ -538,15 +555,14 @@ def pullback_batch(cache, g_vertices):
         g_vertices: (N, V, 3) dL/dvertices.
 
     Returns:
-        (N, 65) dL/d(t, r, p, h), refinement's variable layout: the flat
-        record without beta, which no optimisation moves.
+        (N, VAR_DIM) dL/d(t, r, p, h) in the variable layout.
     """
     tpl, v_rest, v_skin, R_loc, loc_cache, Rw, R_glob, glob_cache = cache
     gv = np.asarray(g_vertices, dtype=np.float64)
     N, J = len(gv), NUM_JOINTS
-    out = np.empty((N, PARAM_DIM - SHAPE_DIM))
-    out[:, 0:3] = gv.sum(axis=1)
-    out[:, 3:9] = rotation.rot6d_matrix_pullback(glob_cache, gv.transpose(0, 2, 1) @ v_skin)
+    out = np.empty((N, VAR_DIM))
+    out[:, T] = gv.sum(axis=1)
+    out[:, R] = rotation.rot6d_matrix_pullback(glob_cache, gv.transpose(0, 2, 1) @ v_skin)
 
     # skinning adjoint, one block at a time: per-joint map cotangents [g_M | g_c]
     g_affine = np.empty((N, J, 3, 4))
@@ -577,8 +593,8 @@ def pullback_batch(cache, g_vertices):
         g_dw[:, par] += g_dw[:, j]
 
     g_w = rotation.axis_angle_pullback(loc_cache, g_Rloc)
-    out[:, 9:41] = g_w[:, 1:NUM_BODY_JOINTS].reshape(N, -1) @ tpl.pose_map
-    out[:, 41:65] = g_w[:, NUM_BODY_JOINTS:].reshape(N, -1) @ tpl.hand_map
+    out[:, VAR_P] = g_w[:, 1:NUM_BODY_JOINTS].reshape(N, -1) @ tpl.pose_map
+    out[:, VAR_H] = g_w[:, NUM_BODY_JOINTS:].reshape(N, -1) @ tpl.hand_map
     return out
 
 

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -327,7 +328,7 @@ def cmd_synthesize(args, cfg, log):
         log(f"warning: {diag}")
     result = plan_long_term(cvae_model, route_model, pose_model, _template(cfg), spec,
                             field, k=cfg.k, schedule=schedule)
-    save_sequence(args.out, result.sequence)
+    save_sequence(args.out, replace(result.sequence, fps=cfg.fps))
     payload = {"outputs": [args.out], "frames": len(result.sequence),
                "pre_energy": result.pre_report.to_dict(),
                "post_energy": result.post_report.to_dict() if result.post_report else None,
@@ -369,7 +370,7 @@ def cmd_baseline_interp(args, cfg, log):
                                                spec.rotations[ends], feat,
                                                [spec.seeds[i] for i in ends])
     seq = cvae_interpolation_baseline(cvae_model, start, end, feat, steps)
-    save_sequence(args.out, seq)
+    save_sequence(args.out, replace(seq, fps=cfg.fps))
     _write_log(args.out, "baseline-interp", cfg, {"outputs": [args.out], "frames": steps})
     log(f"baseline sequence of {steps} frames -> {args.out}")
 

@@ -228,8 +228,8 @@ class CVAETrainer:
         n = len(x)
         if n < 1:
             raise ValueError("batch must contain at least one body")
-        beta, t, r = x[:, 9:19], x[:, 0:3], x[:, 3:9]
-        gt_ph = x[:, 19:]
+        beta, t, r = x[:, body.BETA], x[:, body.T], x[:, body.R]
+        gt_ph = x[:, body.POSE]
 
         scene_feat, feat_caches = model.point_enc.encode_scenes(scene_ids, self.clouds)
         cond, cond_cache = model.condition_from_feature(scene_feat, beta, t, r)
@@ -247,7 +247,7 @@ class CVAETrainer:
         e_cont_val = 0.0
         if self.w_col != 0.0 or self.w_cont != 0.0:
             decoded = x.copy()
-            decoded[:, 19:] = ph
+            decoded[:, body.POSE] = ph
             e_col_val, e_cont_val, g_body = self._body_energies(decoded, scene_ids)
             g_ph += g_body
 
@@ -295,4 +295,4 @@ class CVAETrainer:
                                                FootSegmentation([]), want_grad=True)
                 col += report.col
                 cont += report.cont
-            return col / n, cont / n, body.pullback_batch(cache, g)[:, 9:]
+            return col / n, cont / n, body.pullback_batch(cache, g)[:, body.VAR_POSE]

@@ -227,12 +227,11 @@ def gen_motion(scene_spec, motion_spec, template, fps=30):
             angles[idx] = np.where(sitting, sign * bend, angles.get(idx, 0.0))
 
     frames = np.zeros((T, body.PARAM_DIM))
-    frames[:, 0:2] = pos
-    frames[:, 2] = pelvis_z
-    frames[:, 3:9] = heading_to_rot6d(heading - np.pi / 2.0)  # template faces +y
-    frames[:, 9:19] = np.reshape(beta, body.SHAPE_DIM)
-    frames[:, 19:51] = body.pose_latent_for(template, angles)
-    rot6d_to_matrix(frames[:, 3:9])  # rejects a degenerate global orientation
+    frames[:, body.T] = np.column_stack([pos, pelvis_z])
+    frames[:, body.R] = heading_to_rot6d(heading - np.pi / 2.0)  # template faces +y
+    frames[:, body.BETA] = np.reshape(beta, body.SHAPE_DIM)
+    frames[:, body.P] = body.pose_latent_for(template, angles)
+    rot6d_to_matrix(frames[:, body.R])  # rejects a degenerate global orientation
     return MotionSequence(frames=frames, fps=fps), stance
 
 
@@ -318,7 +317,7 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
                     stance = stance[:k + 1]
                 else:
                     continue
-            disp = float(np.linalg.norm(seq.frames[k, :3] - seq.frames[0, :3]))
+            disp = float(np.linalg.norm(seq.frames[k, body.T] - seq.frames[0, body.T]))
             if disp <= min_displacement:
                 rejected += 1
                 continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import body
+from .body import BETA, POSE, R, ROUTE, T
 from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
 from .nn.layers import Linear, leaky_relu, leaky_relu_backward
@@ -22,8 +23,8 @@ from .nn.pointnet import FEATURE_DIM, PointEncoder
 from .rotation import rot6d_to_matrix
 from .sequence import MotionSequence
 
-ROUTE_DIM = 9                      # t(3) + r(6)
-POSE_PAIR_DIM = body.POSE_DIM + body.HAND_DIM  # 56
+ROUTE_DIM = ROUTE.stop - ROUTE.start  # t(3) + r(6)
+POSE_PAIR_DIM = POSE.stop - POSE.start  # p(32) + h(24)
 LAMBDA_T = 1.0
 LAMBDA_R = 1.0
 LAMBDA_P = 1.0
@@ -117,26 +118,18 @@ class RouteNet(_SeqNet):
 
     @staticmethod
     def step_inputs(starts, ends, k):
-        starts = np.atleast_2d(starts)
-        ends = np.atleast_2d(ends)
-        N = len(starts)
-        xs = np.zeros((N, k + 1, ROUTE_DIM + 1))
+        """Goal records starts/ends (N, 75) -> (N, k+1, 10)."""
+        xs = np.zeros((len(starts), k + 1, ROUTE_DIM + 1))
         xs[:, :, ROUTE_DIM] = np.arange(k + 1) / k
-        xs[:, 0, :ROUTE_DIM] = starts
-        xs[:, k, :ROUTE_DIM] = ends
+        xs[:, 0, :ROUTE_DIM] = starts[:, ROUTE]
+        xs[:, k, :ROUTE_DIM] = ends[:, ROUTE]
         return xs
 
-    def forward(self, t0, r0, tk, rk, cloud_points, k):
-        """Route steps 1..k-1 between endpoints: (k-1, 9) for one pair of 1-D
-        endpoints, (N, k-1, 9) for N pairs stacked on a leading axis."""
-        r0 = np.asarray(r0, dtype=np.float64)
-        rk = np.asarray(rk, dtype=np.float64)
-        rot6d_to_matrix(r0)
-        rot6d_to_matrix(rk)
-        start = np.concatenate([t0, r0], axis=-1)
-        end = np.concatenate([tk, rk], axis=-1)
-        out = self._forward_in_scene(self.step_inputs(start, end, k), cloud_points)
-        return out if start.ndim > 1 else out[0]
+    def forward(self, starts, ends, cloud_points, k):
+        """Route steps 1..k-1 (N, k-1, 9) between N pairs of goal records (N, 75)."""
+        rot6d_to_matrix(starts[:, R])
+        rot6d_to_matrix(ends[:, R])
+        return self._forward_in_scene(self.step_inputs(starts, ends, k), cloud_points)
 
 
 class PoseNet(_SeqNet):
@@ -147,34 +140,22 @@ class PoseNet(_SeqNet):
         super().__init__(rng, hidden, fc_width, point_hidden, name="pose")
 
     @staticmethod
-    def step_inputs(start_ph, end_ph, routes, k):
-        """start/end (N, 56), routes (N, k-1, 9) -> (N, k+1, 66)."""
-        start_ph = np.atleast_2d(start_ph)
-        end_ph = np.atleast_2d(end_ph)
-        if routes.ndim == 2:
-            routes = routes[None, :, :]
-        N = len(start_ph)
-        if routes.shape[1] != k - 1:
-            raise ValueError(f"route length {routes.shape[1]} does not match k-1={k - 1}")
+    def step_inputs(starts, ends, routes, k):
+        """Goal records starts/ends (N, 75), routes (N, k-1, 9) -> (N, k+1, 66)."""
+        N, routes = len(starts), np.asarray(routes, dtype=np.float64)
+        if routes.shape != (N, k - 1, ROUTE_DIM):
+            raise ValueError(f"expected route shape {(N, k - 1, ROUTE_DIM)}, got {routes.shape}")
         xs = np.zeros((N, k + 1, POSE_PAIR_DIM + ROUTE_DIM + 1))
         xs[:, :, -1] = np.arange(k + 1) / k
-        xs[:, 0, :POSE_PAIR_DIM] = start_ph
-        xs[:, k, :POSE_PAIR_DIM] = end_ph
+        xs[:, 0, :POSE_PAIR_DIM] = starts[:, POSE]
+        xs[:, k, :POSE_PAIR_DIM] = ends[:, POSE]
         xs[:, 1:k, POSE_PAIR_DIM:POSE_PAIR_DIM + ROUTE_DIM] = routes
         return xs
 
-    def forward(self, p0, h0, pk, hk, route, cloud_points, k):
-        """Pose steps 1..k-1 along a route: (k-1, 56) for one clip of 1-D
-        endpoints and a (k-1, 9) route, (N, k-1, 56) for N clips stacked on a
-        leading axis with routes (N, k-1, 9)."""
-        start = np.concatenate([p0, h0], axis=-1)
-        end = np.concatenate([pk, hk], axis=-1)
-        route = np.asarray(route, dtype=np.float64)
-        expected = start.shape[:-1] + (k - 1, ROUTE_DIM)
-        if route.shape != expected:
-            raise ValueError(f"expected route shape {expected}, got {route.shape}")
-        out = self._forward_in_scene(self.step_inputs(start, end, route, k), cloud_points)
-        return out if start.ndim > 1 else out[0]
+    def forward(self, starts, ends, routes, cloud_points, k):
+        """Pose steps 1..k-1 (N, k-1, 56) between N pairs of goal records (N, 75)
+        along their routes (N, k-1, 9)."""
+        return self._forward_in_scene(self.step_inputs(starts, ends, routes, k), cloud_points)
 
 
 # -- losses ---------------------------------------------------------------------
@@ -186,13 +167,13 @@ def route_loss(pred, gt):
     if pred.shape != gt.shape:
         raise ValueError(f"route length mismatch: {pred.shape} vs {gt.shape}")
     diff = np.abs(pred - gt)
-    return float(LAMBDA_T * diff[..., :3].sum() + LAMBDA_R * diff[..., 3:9].sum())
+    return float(LAMBDA_T * diff[..., T].sum() + LAMBDA_R * diff[..., R].sum())
 
 
 def route_loss_grad(pred, gt):
     g = np.sign(pred - gt)
-    g[..., :3] *= LAMBDA_T
-    g[..., 3:9] *= LAMBDA_R
+    g[..., T] *= LAMBDA_T
+    g[..., R] *= LAMBDA_R
     return g
 
 
@@ -216,14 +197,10 @@ def pose_loss_grad(pred, gt):
 
 # -- training ---------------------------------------------------------------------
 
-def _endpoints(frames, cols):
-    """Columns ``cols`` of the first and of the last frame of every clip, stacked."""
-    return np.stack([f[0, cols] for f in frames]), np.stack([f[-1, cols] for f in frames])
-
-
-def _route_inputs(model, frames):
-    """RouteNet step inputs between the first and last (t, r) of each clip."""
-    return model.step_inputs(*_endpoints(frames, slice(0, 9)), len(frames[0]) - 1)
+def _endpoints(frames):
+    """The first and the last record of every clip, stacked, and the clips' k."""
+    starts, ends = np.stack([f[0] for f in frames]), np.stack([f[-1] for f in frames])
+    return starts, ends, len(frames[0]) - 1
 
 
 def _train_seq_net(model, clips, clouds, inputs, cols, loss, loss_grad, epochs, batch_size,
@@ -256,9 +233,9 @@ def _train_seq_net(model, clips, clouds, inputs, cols, loss, loss_grad, epochs, 
 def train_route_net(model, clips, clouds, epochs=20, batch_size=32, lr=1e-3, seed=0,
                     log=None):
     """Phase 1: RouteNet on ground-truth routes. Returns per-epoch mean losses."""
-    return _train_seq_net(model, clips, clouds, lambda idx, frames: _route_inputs(model, frames),
-                          slice(0, 9), route_loss, route_loss_grad, epochs, batch_size,
-                          lr, seed, log, "route")
+    return _train_seq_net(model, clips, clouds,
+                          lambda idx, frames: model.step_inputs(*_endpoints(frames)), ROUTE,
+                          route_loss, route_loss_grad, epochs, batch_size, lr, seed, log, "route")
 
 
 def _frozen_routes(route_model, clips, clouds, batch_size):
@@ -268,7 +245,7 @@ def _frozen_routes(route_model, clips, clouds, batch_size):
     for lo in range(0, len(clips), batch_size):
         chunk = clips[lo:lo + batch_size]
         feats, _ = route_model.point_enc.encode_scenes([c["scene"] for c in chunk], clouds)
-        xs = _route_inputs(route_model, [c["frames"] for c in chunk])
+        xs = route_model.step_inputs(*_endpoints([c["frames"] for c in chunk]))
         routes.extend(route_model.forward_batch(xs, feats)[0])
     return routes
 
@@ -278,13 +255,12 @@ def train_pose_net(model, route_model, clips, clouds, epochs=20, batch_size=16, 
     """Phase 2: PoseNet on RouteNet's predicted routes; RouteNet is frozen, so
     every clip's route is computed once per call."""
     routes = _frozen_routes(route_model, clips, clouds, batch_size)
-    cols = slice(19, 75)
 
     def inputs(idx, frames):
-        return model.step_inputs(*_endpoints(frames, cols), np.stack([routes[i] for i in idx]),
-                                 len(frames[0]) - 1)
+        starts, ends, k = _endpoints(frames)
+        return model.step_inputs(starts, ends, np.stack([routes[i] for i in idx]), k)
 
-    return _train_seq_net(model, clips, clouds, inputs, cols, pose_loss, pose_loss_grad, epochs,
+    return _train_seq_net(model, clips, clouds, inputs, POSE, pose_loss, pose_loss_grad, epochs,
                           batch_size, lr, seed, log, "pose")
 
 
@@ -298,16 +274,15 @@ def synthesize_clip(route_model, pose_model, bodies, cloud_points, k):
     goals = np.stack([b.flat() for b in bodies])
     if len(goals) < 2:
         raise ValueError(f"need a chain of at least two bodies, got {len(goals)}")
-    if np.any(goals[:, 9:19] != goals[0, 9:19]):
+    if np.any(goals[:, BETA] != goals[0, BETA]):
         raise ValueError("all bodies of a chain must share the shape vector")
     a, b = goals[:-1], goals[1:]
-    route = route_model.forward(a[:, 0:3], a[:, 3:9], b[:, 0:3], b[:, 3:9], cloud_points, k)
-    poses = pose_model.forward(a[:, 19:51], a[:, 51:75], b[:, 19:51], b[:, 51:75], route,
-                               cloud_points, k)
+    route = route_model.forward(a, b, cloud_points, k)
+    poses = pose_model.forward(a, b, route, cloud_points, k)
     clips = np.empty((len(a), k, body.PARAM_DIM))
     clips[:, 0] = a
-    clips[:, 1:, 0:9] = route
-    clips[:, 1:, 9:19] = goals[0, 9:19]
-    clips[:, 1:, 19:75] = poses
+    clips[:, 1:, ROUTE] = route
+    clips[:, 1:, BETA] = goals[0, BETA]
+    clips[:, 1:, POSE] = poses
     frames = np.concatenate([clips.reshape(-1, body.PARAM_DIM), goals[-1:]])
     return MotionSequence(frames=frames, chunk_boundaries=list(range(0, len(frames), k)))

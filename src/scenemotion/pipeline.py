@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import body
+from .config import _coerce
 from .cvae import fit_latent
 from .energy import EnergyReport, EnergyWeights, total_energy
 from .errors import InvalidRotationError, SceneMotionError
@@ -71,7 +72,8 @@ class GoalSpec:
             translations=np.array([g["t"] for g in goals]),
             rotations=np.array([g["r"] for g in goals]),
             beta=np.array(rec.get("beta", np.zeros(body.SHAPE_DIM))),
-            seeds=[int(g.get("seed", i)) for i, g in enumerate(goals)],
+            seeds=[_coerce(f"goal {i} 'seed'", g.get("seed", i), 0)
+                   for i, g in enumerate(goals)],
         )
 
 
@@ -112,7 +114,7 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
     with _stage("clip synthesis"):
         pre = synthesize_clip(route_model, pose_model, bodies, cloud, k)
 
-    report_weights = EnergyWeights(foot=1.0, col=1.0, cont=1.0, smooth=0.25)
+    report_weights = EnergyWeights()
 
     def report(terms, frames):
         """The report of ``frames`` from the terms refinement scored them with,

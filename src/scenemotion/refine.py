@@ -22,7 +22,7 @@ the refined frames.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .sequence import MotionSequence
 
 DEFAULT_STAGE_ITERS = 200
 DEFAULT_STAGE_LR = 1e-2
+_WEIGHT_NAMES = tuple(f.name for f in fields(EnergyWeights))  # foot, col, cont, smooth
 
 
 @dataclass
@@ -66,16 +67,15 @@ class RefinementSchedule:
 
     @staticmethod
     def two_stage(iters=DEFAULT_STAGE_ITERS, lr=DEFAULT_STAGE_LR):
-        """Environment-first stage, then foot stability joins in."""
-        return RefinementSchedule(stages=[
-            RefineStage(EnergyWeights(foot=0.0, col=1.0, cont=1.0, smooth=0.25), iters, lr),
-            RefineStage(EnergyWeights(foot=1.0, col=1.0, cont=1.0, smooth=0.25), iters, lr),
-        ])
+        """Environment-first stage, then foot stability joins in at the
+        default (report) weights."""
+        return RefinementSchedule(stages=[RefineStage(EnergyWeights(foot=0.0), iters, lr),
+                                          RefineStage(EnergyWeights(), iters, lr)])
 
     @staticmethod
     def from_json(path):
-        """Stages from a JSON list of ``{weights, iters, lr}`` records; a
-        malformed file raises ValueError naming the stage."""
+        """Stages from a JSON list of ``{weights, iters, lr}`` records, all four
+        weights given; a malformed file raises ValueError naming the stage."""
         with open(path) as f:
             records = json.load(f)
         if not isinstance(records, list):
@@ -89,6 +89,9 @@ class RefinementSchedule:
                 named = isinstance(w, dict)
                 ws = {k: _coerce(f"weight {k!r}", v, 0.0)
                       for k, v in (w.items() if named else enumerate(w))}
+                if set(ws) != set(_WEIGHT_NAMES if named else range(len(_WEIGHT_NAMES))):
+                    raise ValueError(f"weights need all four terms {list(_WEIGHT_NAMES)}, "
+                                     f"got {w!r}")
                 weights = EnergyWeights(**ws) if named else EnergyWeights(*ws.values())
                 iters = _coerce("'iters'", rec.get("iters", DEFAULT_STAGE_ITERS),
                                 DEFAULT_STAGE_ITERS)
@@ -109,11 +112,11 @@ class RefineResult:
 
 
 def frames_to_vars(frames):
-    return np.concatenate([frames[:, 0:9], frames[:, 19:75]], axis=1)
+    return np.concatenate([frames[:, body.ROUTE], frames[:, body.POSE]], axis=1)
 
 
 def vars_to_frames(x, betas):
-    return np.concatenate([x[:, 0:9], betas, x[:, 9:65]], axis=1)
+    return np.concatenate([x[:, body.ROUTE], betas, x[:, body.VAR_POSE]], axis=1)
 
 
 @dataclass
@@ -211,7 +214,7 @@ def refine(template, seq, scene_field, schedule):
                 record(rec, ev.report)
                 x.zero_grad()
                 x.grad += ev.grad
-                x.grad[seq.chunk_boundaries, 0:9] = 0.0  # t(3) + r(6) of the goal frames
+                x.grad[seq.chunk_boundaries, body.ROUTE] = 0.0  # t and r of the goal frames
                 try:
                     adam.step(stage.lr)
                 except NumericError as e:

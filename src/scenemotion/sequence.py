@@ -39,19 +39,19 @@ class MotionSequence:
 
     @property
     def translations(self):
-        return self.frames[:, 0:3]
+        return self.frames[:, body.T]
 
     @property
     def rotations(self):
-        return self.frames[:, 3:9]
+        return self.frames[:, body.R]
 
     @property
     def betas(self):
-        return self.frames[:, 9:19]
+        return self.frames[:, body.BETA]
 
     @property
     def poses(self):
-        return self.frames[:, 19:51]
+        return self.frames[:, body.P]
 
     def copy(self):
         return MotionSequence(frames=self.frames.copy(), fps=self.fps,

@@ -330,9 +330,7 @@ def test_c06_training_regressions(trained_stack, dataset):
     def mean_l1(model):
         total = 0.0
         for c in dataset["clips"]:
-            pred = model.forward(c["frames"][0, 0:3], c["frames"][0, 3:9],
-                                 c["frames"][k, 0:3], c["frames"][k, 3:9],
-                                 clouds[c["scene"]], k)
+            pred = model.forward(c["frames"][[0]], c["frames"][[k]], clouds[c["scene"]], k)[0]
             total += np.abs(pred - c["frames"][1:k, 0:9]).mean()
         return total / len(dataset["clips"])
 

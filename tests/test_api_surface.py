@@ -177,6 +177,27 @@ def test_only_the_artefact_module_writes_raw_arrays():
     assert found == [], f"raw binary array I/O outside scenemotion.artefact: {found}"
 
 
+# offsets of the flat body record and of the variable layout; 0 and 3 are left
+# out, as they also bound short arrays of other kinds
+_RECORD_OFFSETS = {9, 19, 41, 51, 65, 75}
+
+
+def record_offsets(tree):
+    """``line bound`` of each constant slice bound that is a body record offset."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Slice):
+            for bound in (node.lower, node.upper):
+                if isinstance(bound, ast.Constant) and bound.value in _RECORD_OFFSETS:
+                    yield f"{node.lineno} {bound.value}"
+
+
+def test_only_the_body_module_writes_record_offsets():
+    """Every other module indexes a body record through ``body``'s field names."""
+    found = [f"{path}:{hit}" for path, tree in src_trees() if path != "body.py"
+             for hit in record_offsets(tree)]
+    assert found == [], f"body record offsets outside scenemotion.body: {found}"
+
+
 _ENV_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 
 

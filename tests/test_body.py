@@ -281,3 +281,27 @@ def test_bodyparams_rejects_nonfinite_and_degenerate():
     with pytest.raises(ValueError):
         body.BodyParams(t=np.zeros(3), r=np.zeros(6),
                         beta=np.zeros(10), p=np.zeros(32), h=np.zeros(24))
+
+
+def test_record_fields_tile_the_record_in_order(template):
+    fields = [body.T, body.R, body.BETA, body.P, body.H]
+    assert [f.stop - f.start for f in fields] == [3, 6, body.SHAPE_DIM, body.POSE_DIM,
+                                                  body.HAND_DIM]
+    assert [f.start for f in fields] == [0] + [f.stop for f in fields[:-1]]
+    assert fields[-1].stop == body.PARAM_DIM == 75
+    assert all(f.step is None for f in fields)
+    cols = np.arange(body.PARAM_DIM)
+    assert np.array_equal(cols[body.ROUTE], np.r_[cols[body.T], cols[body.R]])
+    assert np.array_equal(cols[body.POSE], np.r_[cols[body.P], cols[body.H]])
+    # the variable layout is the record without beta, as pullback_batch writes it
+    var_cols = np.delete(cols, cols[body.BETA])
+    assert len(var_cols) == body.VAR_DIM == 65
+    for var, rec in ((body.T, body.T), (body.R, body.R), (body.ROUTE, body.ROUTE),
+                     (body.VAR_P, body.P), (body.VAR_H, body.H), (body.VAR_POSE, body.POSE)):
+        assert np.array_equal(var_cols[var], cols[rec])
+    _, cache = body.forward_batch_with_cache(template, rest_params().flat()[None])
+    grad = body.pullback_batch(cache, np.zeros((1, template.num_vertices, 3)))
+    assert grad.shape == (1, body.VAR_DIM)
+    vec = np.random.default_rng(6).standard_normal(body.PARAM_DIM)
+    vec[body.R] = [1, 0, 0, 0, 1, 0]
+    assert np.array_equal(body.BodyParams.from_flat(vec).flat(), vec)

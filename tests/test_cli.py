@@ -385,6 +385,9 @@ def test_train_cvae_on_truncated_sdf_cache_is_user_error(tmp_path, capsys):
     ({"weights": [0.0, 1.0, 1.0, 0.25], "lr": True}, "'lr' takes a number"),
     ({"weights": {"foot": 0.0, "col": True}}, "weight 'col' takes a number"),
     ({"weights": [0.0, 1.0, True, 0.25]}, "weight 2 takes a number"),
+    ({"weights": [1, 1, 1]}, "all four terms"),
+    ({"weights": []}, "all four terms"),
+    ({"weights": {"col": 2}}, "all four terms"),
 ])
 def test_refine_bad_schedule_is_user_error(tmp_path, capsys, monkeypatch, stage, message):
     from scenemotion import cli
@@ -434,7 +437,14 @@ def test_bad_refine_config_is_user_error(tmp_path, capsys, monkeypatch, command,
                {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
     {"goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0))},
                {"t": [1, 0, 0.93], "r": [1.0, 0.0, 0.0, 2.0, 0.0, 0.0]}]},
-], ids=["one-goal", "no-goals", "short-r", "infinite-seed", "degenerate-r"])
+    {"goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0)), "seed": True},
+               {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
+    {"goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0)), "seed": 2.9},
+               {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
+    {"goals": [{"t": [0, 0, 0.93], "r": list(heading_to_rot6d(0.0)), "seed": "3"},
+               {"t": [1, 0, 0.93], "r": list(heading_to_rot6d(0.0))}]},
+], ids=["one-goal", "no-goals", "short-r", "infinite-seed", "degenerate-r", "bool-seed",
+        "fractional-seed", "string-seed"])
 def test_bad_goal_spec_is_user_error(tmp_path, capsys, monkeypatch, command, spec):
     from scenemotion import cli
     built = []
@@ -528,6 +538,20 @@ def test_damaged_cvae_weights_are_user_error(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: "), name
         assert "Traceback" not in err, name
+
+
+@pytest.mark.parametrize("command", ["synthesize", "baseline-interp"])
+def test_generated_sequences_carry_the_config_fps(valid_inputs, tmp_path, command):
+    line = {"synthesize": "synthesize --scene {scene} --goals {goals} --cvae {cvae} "
+                          "--route {route} --pose {pose}",
+            "baseline-interp": "baseline-interp --scene {scene} --goals {goals} --cvae {cvae}"
+            }[command]
+    out = tmp_path / "out"
+    argv = [tok.format(**valid_inputs) for tok in line.split()]
+    assert main(argv + ["--out", str(out), "--set", "fps=24", "--set", "k=15",
+                        "--set", "sdf_cell=0.3", "--set", "cloud_points=64",
+                        "--set", "refine_iters=1"]) == 0
+    assert load_sequence(out).fps == 24
 
 
 def _assert_user_error(argv, capsys):

@@ -25,6 +25,14 @@ from test_nn import oracle_bilstm, rel_err
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
 
+def records(n=1, **fields):
+    """(n, 75) goal records, zero but for the named ``body`` fields (T, R, ...)."""
+    x = np.zeros((n, body.PARAM_DIM))
+    for name, value in fields.items():
+        x[:, getattr(body, name)] = value
+    return x
+
+
 def small_route(seed=0):
     return RouteNet(np.random.default_rng(seed), hidden=16, fc_width=24, point_hidden=(6, 8))
 
@@ -36,8 +44,8 @@ def small_pose(seed=1):
 def test_route_forward_length_at_default_k():
     model = small_route()
     cloud = np.random.default_rng(2).standard_normal((40, 3))
-    out = model.forward(np.zeros(3), IDENTITY_R, np.array([1.0, 1.0, 0.0]), IDENTITY_R,
-                        cloud, k=61)
+    out = model.forward(records(R=IDENTITY_R), records(T=[1.0, 1.0, 0.0], R=IDENTITY_R),
+                        cloud, k=61)[0]
     assert out.shape == (60, 9)
 
 
@@ -47,7 +55,7 @@ def test_route_zero_weight_network_outputs_head_bias():
         p.value[...] = 0.0
     model.head.fc2.b.value[...] = np.arange(9) * 0.5
     cloud = np.random.default_rng(3).standard_normal((20, 3))
-    out = model.forward(np.zeros(3), IDENTITY_R, np.ones(3), IDENTITY_R, cloud, k=10)
+    out = model.forward(records(R=IDENTITY_R), records(T=1.0, R=IDENTITY_R), cloud, k=10)[0]
     for step in out:
         np.testing.assert_array_equal(step, np.arange(9) * 0.5)
 
@@ -56,15 +64,14 @@ def test_route_rejects_degenerate_rotation():
     model = small_route()
     cloud = np.zeros((5, 3)) + [0, 0, 1.0]
     with pytest.raises(InvalidRotationError):
-        model.forward(np.zeros(3), np.zeros(6), np.ones(3), IDENTITY_R, cloud, k=8)
+        model.forward(records(), records(T=1.0, R=IDENTITY_R), cloud, k=8)
 
 
 def test_pose_forward_length_matches_route():
     model = small_pose()
     cloud = np.random.default_rng(4).standard_normal((20, 3))
-    route = np.zeros((9, 9))
-    out = model.forward(np.zeros(32), np.zeros(24), np.zeros(32), np.zeros(24),
-                        route, cloud, k=10)
+    route = np.zeros((1, 9, 9))
+    out = model.forward(records(), records(), route, cloud, k=10)[0]
     assert out.shape == (9, 56)
 
 
@@ -72,8 +79,7 @@ def test_pose_route_length_mismatch_rejected():
     model = small_pose()
     cloud = np.zeros((5, 3)) + [0, 0, 1.0]
     with pytest.raises(ValueError):
-        model.forward(np.zeros(32), np.zeros(24), np.zeros(32), np.zeros(24),
-                      np.zeros((5, 9)), cloud, k=10)
+        model.forward(records(), records(), np.zeros((1, 5, 9)), cloud, k=10)
 
 
 def test_route_loss_identities():
@@ -139,8 +145,8 @@ def test_seqnet_gradients_match_fd():
     rng = np.random.default_rng(9)
     model = small_route()
     cloud = rng.standard_normal((15, 3))
-    starts = rng.standard_normal((2, 9))
-    ends = rng.standard_normal((2, 9))
+    starts = records(2, ROUTE=rng.standard_normal((2, 9)))
+    ends = records(2, ROUTE=rng.standard_normal((2, 9)))
     gt = rng.standard_normal((2, 7, 9))
 
     def loss():
@@ -219,8 +225,8 @@ def oracle_train_route_net(model, clips, clouds, epochs, batch_size, lr, seed):
             sids = [c["scene"] for c in batch]
             gt = np.stack([c["frames"][1:k, 0:9] for c in batch])
             feats, feat_caches = model.point_enc.encode_scenes(sids, clouds)
-            xs = model.step_inputs(np.stack([c["frames"][0, 0:9] for c in batch]),
-                                   np.stack([c["frames"][k, 0:9] for c in batch]), k)
+            xs = model.step_inputs(np.stack([c["frames"][0] for c in batch]),
+                                   np.stack([c["frames"][k] for c in batch]), k)
             out, cache = model.forward_batch(xs, feats)
             losses.append(sum(route_loss(out[i], gt[i]) for i in range(n)) / n)
             model.zero_grad()
@@ -293,15 +299,14 @@ def oracle_train_pose_net(model, route_model, clips, clouds, epochs, batch_size,
             batch = [clips[i] for i in order[lo:lo + batch_size]]
             n = len(batch)
             sids = [c["scene"] for c in batch]
-            starts = np.stack([c["frames"][0, 0:9] for c in batch])
-            ends = np.stack([c["frames"][k, 0:9] for c in batch])
+            starts = np.stack([c["frames"][0] for c in batch])
+            ends = np.stack([c["frames"][k] for c in batch])
             rfeats, _ = route_model.point_enc.encode_scenes(sids, clouds)
             routes = route_model.forward_batch(route_model.step_inputs(starts, ends, k),
                                                rfeats)[0]
             gt = np.stack([c["frames"][1:k, 19:75] for c in batch])
             feats, feat_caches = model.point_enc.encode_scenes(sids, clouds)
-            xs = model.step_inputs(np.stack([c["frames"][0, 19:75] for c in batch]),
-                                   np.stack([c["frames"][k, 19:75] for c in batch]), routes, k)
+            xs = model.step_inputs(starts, ends, routes, k)
             out, cache = model.forward_batch(xs, feats)
             losses.append(sum(pose_loss(out[i], gt[i]) for i in range(n)) / n)
             model.zero_grad()
@@ -369,13 +374,13 @@ def test_batched_forwards_check_every_row():
     r0 = np.tile(IDENTITY_R, (4, 1))
     r0[2] = 0.0
     with pytest.raises(InvalidRotationError, match="^row 2: "):
-        route.forward(np.zeros((4, 3)), r0, np.ones((4, 3)), np.tile(IDENTITY_R, (4, 1)),
-                      cloud, k=8)
-    assert pose.forward(np.zeros((3, 32)), np.zeros((3, 24)), np.zeros((3, 32)),
-                        np.zeros((3, 24)), np.zeros((3, 9, 9)), cloud, k=10).shape == (3, 9, 56)
+        route.forward(records(4, R=r0), records(4, T=1.0, R=IDENTITY_R), cloud, k=8)
+    assert pose.forward(records(3), records(3), np.zeros((3, 9, 9)), cloud,
+                        k=10).shape == (3, 9, 56)
     with pytest.raises(ValueError, match="route shape"):
-        pose.forward(np.zeros((3, 32)), np.zeros((3, 24)), np.zeros((3, 32)),
-                     np.zeros((3, 24)), np.zeros((2, 9, 9)), cloud, k=10)
+        pose.forward(records(3), records(3), np.zeros((2, 9, 9)), cloud, k=10)
+    with pytest.raises(ValueError, match="route shape"):  # training builds its inputs here
+        PoseNet.step_inputs(records(3), records(3), np.zeros((3, 8, 9)), 10)
 
 
 def test_chain_matches_its_two_body_clips():
@@ -420,14 +425,12 @@ def test_trained_pose_net_is_route_sensitive(trained_stack, dataset):
     clip = dataset["clips"][0]
     k = dataset["k"]
     route_gt = clip["frames"][1:k, 0:9]
-    out1 = pose.forward(clip["frames"][0, 19:51], clip["frames"][0, 51:75],
-                        clip["frames"][k, 19:51], clip["frames"][k, 51:75],
-                        route_gt, clouds[clip["scene"]], k)
+    out1 = pose.forward(clip["frames"][[0]], clip["frames"][[k]], route_gt[None],
+                        clouds[clip["scene"]], k)[0]
     shifted = route_gt.copy()
     shifted[:, 0] += 0.5
-    out2 = pose.forward(clip["frames"][0, 19:51], clip["frames"][0, 51:75],
-                        clip["frames"][k, 19:51], clip["frames"][k, 51:75],
-                        shifted, clouds[clip["scene"]], k)
+    out2 = pose.forward(clip["frames"][[0]], clip["frames"][[k]], shifted[None],
+                        clouds[clip["scene"]], k)[0]
     assert np.abs(out1 - out2).max() > 1e-9
 
 
