@@ -1,14 +1,15 @@
 """Procedural scenes and gait motion standing in for captured training data.
 
-Scenes are a floor rectangle plus axis-aligned furniture boxes. Motions put
-the pelvis on a waypoint path at a fixed cadence and drive the legs through
-the designed latent axes, so the alternating stance schedule is known by
-construction and is emitted alongside the frames as a segmentation oracle.
+Scenes are a floor rectangle plus axis-aligned furniture boxes. Motions walk
+the pelvis in a straight line between two floor points at a fixed cadence and
+drive the legs through the designed latent axes, so the alternating stance
+schedule is known by construction and is emitted alongside the frames as a
+segmentation oracle.
 
-A clip is computed as whole (T,) and (T, 75) arrays: frame times, path
-position and heading, gait swing, stance labels and the sit blend. Its
-frames are checked once, by ``MotionSequence`` for finiteness and by one
-batched ``rot6d_to_matrix`` for the global orientations, not frame by frame.
+A clip is computed as whole (T,) and (T, 75) arrays: frame times, position on
+the walk, gait swing and stance labels. Its frames are checked once, by
+``MotionSequence`` for finiteness and by one batched ``rot6d_to_matrix`` for
+the global orientations, not frame by frame.
 """
 
 from __future__ import annotations
@@ -50,25 +51,23 @@ class SyntheticSceneSpec:
 
 @dataclass
 class SyntheticMotionSpec:
-    waypoints: list                       # (x, y) floor points
+    waypoints: list                       # the walk's start and end: two (x, y) floor points
     step_length: float = 0.55
     cadence: float = 1.8                  # steps per second
     pelvis_height: float = 0.93
-    sit_box: tuple | None = None          # (center xyz, size xyz) to sit on
-    sit_duration: float = 1.0
-    duration: float | None = None         # only used for zero-length paths
     beta: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.waypoints, dtype=np.float64)
-        if pts.size == 0:
-            raise ValueError("waypoints: a path needs at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError(f"waypoints must be finite, got {self.waypoints!r}")
-        for name in ("step_length", "cadence", "sit_duration", "duration"):
+        try:
+            pts = np.asarray(self.waypoints, dtype=np.float64)
+        except (TypeError, ValueError):
+            pts = None
+        if (pts is None or pts.shape != (2, 2) or not np.all(np.isfinite(pts))
+                or np.array_equal(pts[0], pts[1])):
+            raise ValueError(f"waypoints must be two distinct finite (x, y) points, "
+                             f"got {self.waypoints!r}")
+        for name in ("step_length", "cadence"):
             value = getattr(self, name)
-            if value is None and name == "duration":
-                continue
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not math.isfinite(self.pelvis_height):
@@ -127,27 +126,6 @@ def random_scene_spec(seed):
 
 # -- gait generation -------------------------------------------------------------
 
-def _polyline(waypoints):
-    pts = np.asarray(waypoints, dtype=np.float64).reshape(-1, 2)
-    if len(pts) == 1:
-        return pts, np.array([0.0])
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return pts, np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def _point_on_path(pts, cum, s):
-    """Positions (T, 2) and headings (T,) at arc lengths ``s`` (T,) along the
-    polyline; a zero-length path is one point with heading 0."""
-    if cum[-1] == 0.0:
-        return np.broadcast_to(pts[0], s.shape + (2,)), np.zeros(s.shape)
-    s = np.clip(s, 0.0, cum[-1])
-    i = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(pts) - 2)
-    seg = cum[i + 1] - cum[i]
-    alpha = np.divide(s - cum[i], seg, out=np.zeros_like(s), where=seg != 0.0)
-    d = pts[i + 1] - pts[i]
-    return pts[i] + alpha[:, None] * d, np.arctan2(d[:, 1], d[:, 0])
-
-
 def leg_length(template):
     j = {n: template.joints[i] for i, n in enumerate(body.JOINT_NAMES)}
     return (np.linalg.norm(j["l_knee"] - j["l_hip"])
@@ -173,27 +151,22 @@ _GAIT_AXES = (("l_hip", 1.0), ("r_hip", -1.0), ("l_ankle", -1.0), ("r_ankle", 1.
 
 
 def gen_motion(scene_spec, motion_spec, template, fps=30):
-    """Procedural gait along the waypoint path.
+    """Procedural gait in a straight line from the first waypoint to the second.
 
     Returns (MotionSequence, stance schedule) where the schedule holds one of
     "left"/"right"/"none" per frame, known from the gait phase by construction.
     """
     if not (math.isfinite(fps) and fps > 0):
         raise ValueError(f"fps must be finite and positive, got {fps!r}")
-    pts, cum = _polyline(motion_spec.waypoints)
+    pts = np.asarray(motion_spec.waypoints, dtype=np.float64)
     half = scene_spec.floor_extent / 2.0
     if np.abs(pts).max() > half + 1e-9:
         raise ValueError("path leaves the floor extent")
 
     speed = motion_spec.step_length * motion_spec.cadence
-    length = cum[-1]
-    if length > 0.0:
-        walk_time = length / speed
-    else:
-        walk_time = motion_spec.duration if motion_spec.duration else 1.0
-    sit = motion_spec.sit_box is not None
-    total_time = walk_time + (motion_spec.sit_duration if sit else 0.0)
-    T = int(round(total_time * fps)) + 1
+    length = np.linalg.norm(np.diff(pts, axis=0), axis=1)[0]
+    walk_time = length / speed
+    T = int(round(walk_time * fps)) + 1
 
     beta = np.zeros(body.SHAPE_DIM) if motion_spec.beta is None else np.asarray(motion_spec.beta)
     amp = np.clip(motion_spec.step_length / (2.0 * leg_length(template)), 0.0, 0.9)
@@ -202,8 +175,11 @@ def gen_motion(scene_spec, motion_spec, template, fps=30):
 
     t = np.arange(T) / fps
     walk_t = np.minimum(t, walk_time)
-    pos, heading = _point_on_path(pts, cum, walk_t * speed)
-    walking = (t <= walk_time) & (length > 0.0)
+    d = pts[1] - pts[0]
+    # walk_time * speed may round past the length
+    pos = pts[0] + (np.minimum(walk_t * speed, length) / length)[:, None] * d
+    heading = np.full(T, np.arctan2(d[1], d[0]))
+    walking = t <= walk_time
     swing = amp * _tri_wave(omega * walk_t + phi0)
     ax = body.DESIGNED_AXIS_INDEX
     angles = {ax[(joint, 0)]: np.where(walking, gain * swing, 0.0) for joint, gain in _GAIT_AXES}
@@ -212,22 +188,8 @@ def gen_motion(scene_spec, motion_spec, template, fps=30):
     mid = np.mod(omega * np.minimum(t + 0.5 / fps, walk_time) + phi0, 2.0 * np.pi)
     stance = np.where(walking, np.where(mid < np.pi, "left", "right"), "none").tolist()
 
-    pelvis_z = np.full(T, motion_spec.pelvis_height, dtype=np.float64)
-    if sit:
-        sitting = t > walk_time
-        alpha = np.clip((t - walk_time) / motion_spec.sit_duration, 0.0, 1.0)
-        alpha = alpha * alpha * (3.0 - 2.0 * alpha)
-        center, size = motion_spec.sit_box
-        seat_z = center[2] + size[2] / 2.0 + 0.16
-        pelvis_z = np.where(sitting, (1.0 - alpha) * motion_spec.pelvis_height + alpha * seat_z,
-                            pelvis_z)
-        bend = alpha * 0.45 * np.pi
-        for joint, sign in (("l_hip", 1.0), ("r_hip", 1.0), ("l_knee", -1.0), ("r_knee", -1.0)):
-            idx = ax[(joint, 0)]
-            angles[idx] = np.where(sitting, sign * bend, angles.get(idx, 0.0))
-
     frames = np.zeros((T, body.PARAM_DIM))
-    frames[:, body.T] = np.column_stack([pos, pelvis_z])
+    frames[:, body.T] = np.column_stack([pos, np.full(T, motion_spec.pelvis_height)])
     frames[:, body.R] = heading_to_rot6d(heading - np.pi / 2.0)  # template faces +y
     frames[:, body.BETA] = np.reshape(beta, body.SHAPE_DIM)
     frames[:, body.P] = body.pose_latent_for(template, angles)
@@ -310,13 +272,6 @@ def build_dataset(out_dir, template, n_scenes=8, clips_per_scene=125, k=61, fps=
             if mspec is None:
                 continue
             seq, stance = gen_motion(spec, mspec, template, fps=fps)
-            if len(seq) != k + 1:
-                # duration rounding can land off by one frame; trim or skip
-                if len(seq) > k + 1:
-                    seq = MotionSequence(frames=seq.frames[:k + 1], fps=fps)
-                    stance = stance[:k + 1]
-                else:
-                    continue
             disp = float(np.linalg.norm(seq.frames[k, body.T] - seq.frames[0, body.T]))
             if disp <= min_displacement:
                 rejected += 1

@@ -16,7 +16,6 @@ MIN_TRIANGLE_AREA = 1e-12  # m^2
 class SceneMesh:
     vertices: np.ndarray  # (N, 3)
     faces: np.ndarray     # (F, 3) int
-    dropped_faces: int = 0  # degenerate faces removed at load/construction
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -58,18 +57,14 @@ def make_mesh(vertices, faces):
     if len(faces):
         if faces.min() < 0 or faces.max() >= len(vertices):
             raise MeshFormatError("face references an out-of-range vertex")
-        keep = _triangle_areas(vertices, faces) > MIN_TRIANGLE_AREA
-        dropped = int((~keep).sum())
-        faces = faces[keep]
-    else:
-        dropped = 0
-    return SceneMesh(vertices=vertices, faces=faces, dropped_faces=dropped)
+        faces = faces[_triangle_areas(vertices, faces) > MIN_TRIANGLE_AREA]
+    return SceneMesh(vertices=vertices, faces=faces)
 
 
 # -- file readers -------------------------------------------------------------
 
 def load_scene(path):
-    """Load an OBJ or PLY mesh; degenerate faces are dropped and counted."""
+    """Load an OBJ or PLY mesh; degenerate faces are dropped, as ``make_mesh`` does."""
     path = str(path)
     lower = path.lower()
     if lower.endswith(".obj"):

@@ -119,35 +119,22 @@ def frozen_energy_and_gradients(template, frames, scene_field, weights, segmenta
 
 def gen_motion_per_frame(scene_spec, motion_spec, template, fps=30):
     """``datagen.gen_motion`` one frame at a time: the pelvis placed on the
-    polyline and each frame's gait angles built as a ``body.BodyParams``."""
-    pts = np.asarray(motion_spec.waypoints, dtype=np.float64).reshape(-1, 2)
-    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    straight walk and each frame's gait angles built as a ``body.BodyParams``."""
+    pts = np.asarray(motion_spec.waypoints, dtype=np.float64)
     if np.abs(pts).max() > scene_spec.floor_extent / 2.0 + 1e-9:
         raise ValueError("path leaves the floor extent")
-
-    def point_on_path(s):
-        if cum[-1] == 0.0:
-            return pts[0], 0.0
-        s = min(max(s, 0.0), cum[-1])
-        i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(pts) - 2)
-        seg = cum[i + 1] - cum[i]
-        alpha = 0.0 if seg == 0.0 else (s - cum[i]) / seg
-        d = pts[i + 1] - pts[i]
-        return pts[i] + alpha * d, np.arctan2(d[1], d[0])
+    start, end = pts
+    d = end - start
+    length = float(np.linalg.norm(np.diff(pts, axis=0), axis=1)[0])
+    heading = np.arctan2(d[1], d[0])
 
     def tri_wave(phi):
         m = np.mod(phi, 2.0 * np.pi)
         return 1.0 - 2.0 * m / np.pi if m < np.pi else -3.0 + 2.0 * m / np.pi
 
     speed = motion_spec.step_length * motion_spec.cadence
-    length = cum[-1]
-    if length > 0.0:
-        walk_time = length / speed
-    else:
-        walk_time = motion_spec.duration if motion_spec.duration else 1.0
-    sit = motion_spec.sit_box is not None
-    total_time = walk_time + (motion_spec.sit_duration if sit else 0.0)
-    T = int(round(total_time * fps)) + 1
+    walk_time = length / speed
+    T = int(round(walk_time * fps)) + 1
 
     beta = np.zeros(body.SHAPE_DIM) if motion_spec.beta is None else np.asarray(motion_spec.beta)
     amp = np.clip(motion_spec.step_length / (2.0 * leg_length(template)), 0.0, 0.9)
@@ -159,10 +146,9 @@ def gen_motion_per_frame(scene_spec, motion_spec, template, fps=30):
     stance = []
     for i in range(T):
         ti = i / fps
-        walking = length > 0.0 and ti <= walk_time
-        pos, heading = point_on_path(min(ti, walk_time) * speed)
+        pos = start + (min(min(ti, walk_time) * speed, length) / length) * d
         coeffs = {}
-        if walking:
+        if ti <= walk_time:
             swing = amp * tri_wave(omega * min(ti, walk_time) + phi0)
             coeffs[ax[("l_hip", 0)]] = swing
             coeffs[ax[("r_hip", 0)]] = -swing
@@ -174,19 +160,7 @@ def gen_motion_per_frame(scene_spec, motion_spec, template, fps=30):
             stance.append("left" if mid < np.pi else "right")
         else:
             stance.append("none")
-        pelvis_z = motion_spec.pelvis_height
-        if sit and ti > walk_time:
-            alpha = np.clip((ti - walk_time) / motion_spec.sit_duration, 0.0, 1.0)
-            alpha = alpha * alpha * (3.0 - 2.0 * alpha)
-            center, size = motion_spec.sit_box
-            seat_z = center[2] + size[2] / 2.0 + 0.16
-            pelvis_z = (1.0 - alpha) * motion_spec.pelvis_height + alpha * seat_z
-            bend = alpha * 0.45 * np.pi
-            coeffs[ax[("l_hip", 0)]] = bend
-            coeffs[ax[("r_hip", 0)]] = bend
-            coeffs[ax[("l_knee", 0)]] = -bend
-            coeffs[ax[("r_knee", 0)]] = -bend
-        params = body.BodyParams(t=np.array([pos[0], pos[1], pelvis_z]),
+        params = body.BodyParams(t=np.array([pos[0], pos[1], motion_spec.pelvis_height]),
                                  r=heading_to_rot6d(heading - np.pi / 2.0),
                                  beta=beta, p=body.pose_latent_for(template, coeffs),
                                  h=np.zeros(body.HAND_DIM))
@@ -209,11 +183,20 @@ def segment_clear_of_boxes_per_point(a, b, boxes, margin=0.35):
     return True
 
 
+def _load_script(name, *path):
+    """The script at ``path`` under the repository root, loaded as module ``name``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(name, os.path.join(root, *path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_tracing():
     """The benchmark's ``perfbench/tracing.py``, loaded as a module."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "_perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load_script("_perfbench_tracing", "perfbench", "tracing.py")
+
+
+def identity_script():
+    """The output identity check ``tests/identity.py``, loaded as a module."""
+    return _load_script("_identity", "tests", "identity.py")

@@ -111,10 +111,12 @@ def parameters(fn):
 
 def test_fixed_settings_are_not_parameters():
     """What every caller holds fixed is a constant or gone, not an option:
-    the body gradient has one layout, and the thresholds, the activation of
-    the point MLP and the latent fit's step size are set in code."""
+    the body gradient has one layout, the thresholds, the activation of the
+    point MLP and the latent fit's step size are set in code, and a
+    generated motion is a straight walk."""
     body = importlib.import_module("scenemotion.body")
     cvae = importlib.import_module("scenemotion.cvae")
+    datagen = importlib.import_module("scenemotion.datagen")
     energy = importlib.import_module("scenemotion.energy")
     metrics = importlib.import_module("scenemotion.metrics")
     scene = importlib.import_module("scenemotion.scene")
@@ -126,6 +128,8 @@ def test_fixed_settings_are_not_parameters():
     assert parameters(metrics.contact_score) == ["seq", "template", "grid"]
     assert parameters(cvae.fit_latent) == ["model", "cond", "target_ph", "steps", "seed"]
     assert [f.name for f in dataclasses.fields(scene.PointCloud)] == ["points"]
+    assert [f.name for f in dataclasses.fields(datagen.SyntheticMotionSpec)] == [
+        "waypoints", "step_length", "cadence", "pelvis_height", "beta"]
 
 
 _TERMS = {"_foot_term", "_col_term", "_cont_term", "_smooth_term"}

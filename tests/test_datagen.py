@@ -12,7 +12,6 @@ from scenemotion.datagen import (SyntheticMotionSpec, SyntheticSceneSpec, _sampl
                                  _segment_clear_of_boxes, box_mesh_arrays, build_dataset,
                                  dataset_bodies, gen_motion, gen_scene, load_dataset,
                                  random_scene_spec)
-from scenemotion.energy import e_smooth
 from scenemotion.errors import EmptyDatasetError
 
 
@@ -51,16 +50,6 @@ def test_same_seed_same_scene():
     assert np.array_equal(a.faces, b.faces)
 
 
-def test_zero_length_path_is_static(template):
-    spec = SyntheticSceneSpec(floor_extent=6.0)
-    mspec = SyntheticMotionSpec(waypoints=[(0.0, 0.0)], duration=1.0)
-    seq, stance = gen_motion(spec, mspec, template)
-    assert len(seq) == 31
-    assert np.ptp(seq.frames, axis=0).max() == 0.0
-    assert e_smooth(seq.meshes(template)) == 0.0
-    assert set(stance) == {"none"}
-
-
 def test_straight_walk_two_meters_at_one_mps(template):
     spec = SyntheticSceneSpec(floor_extent=6.0)
     mspec = SyntheticMotionSpec(waypoints=[(0.0, -1.0), (0.0, 1.0)],
@@ -80,10 +69,10 @@ def test_path_outside_floor_rejected(template):
 
 
 def test_motion_spec_validation():
-    with pytest.raises(ValueError):
-        SyntheticMotionSpec(waypoints=[(0, 0)], cadence=0.0)
-    with pytest.raises(ValueError):
-        SyntheticMotionSpec(waypoints=[(0, 0)], step_length=-0.1)
+    with pytest.raises(ValueError, match="cadence"):
+        SyntheticMotionSpec(waypoints=[(0, 0), (1, 0)], cadence=0.0)
+    with pytest.raises(ValueError, match="step_length"):
+        SyntheticMotionSpec(waypoints=[(0, 0), (1, 0)], step_length=-0.1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -91,11 +80,10 @@ def test_motion_spec_validation():
     ("waypoints", [(0.0, 0.0), (np.nan, 1.0)]),
     ("step_length", np.nan),
     ("cadence", np.nan),
-    ("sit_duration", -1.0),
-    ("sit_duration", 0.0),
-    ("duration", np.nan),
-    ("duration", -1.0),
     ("pelvis_height", np.inf),
+    ("waypoints", [(0.0, 0.0)]),                          # one point
+    ("waypoints", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]),  # three points
+    ("waypoints", [(0.5, 0.5), (0.5, 0.5)]),              # two equal points
 ])
 def test_motion_spec_rejects_bad_field(field, value):
     kwargs = {"waypoints": [(0.0, 0.0), (1.0, 0.0)], field: value}
@@ -130,20 +118,12 @@ def test_sampled_clips_match_the_per_frame_loop(template):
             checked += 1
 
 
-SIT_BOX = (np.array([0.0, 1.5, 0.25]), np.array([0.8, 0.8, 0.5]))
-
-
 @pytest.mark.parametrize("mspec, fps", [
-    # a repeated waypoint mid-path and at its end: zero-length segments
-    (SyntheticMotionSpec(waypoints=[(-1.0, -1.0), (0.5, -1.0), (0.5, -1.0), (0.5, 1.2),
-                                    (-0.7, 0.3), (-0.7, 0.3)], step_length=0.5,
-                         cadence=2.1, beta=np.linspace(-0.5, 0.5, body.SHAPE_DIM)), 30),
-    (SyntheticMotionSpec(waypoints=[(0.4, -0.2), (0.4, -0.2)], duration=0.7), 30),
     # 1 m/s over 2 m: the last walking frame falls exactly on the walk's end
     (SyntheticMotionSpec(waypoints=[(0.0, -1.0), (0.0, 1.0)], step_length=0.5, cadence=2.0,
-                         sit_box=SIT_BOX, sit_duration=0.5), 30),
+                         beta=np.linspace(-0.5, 0.5, body.SHAPE_DIM)), 30),
     (SyntheticMotionSpec(waypoints=[(1.0, 1.0), (-1.5, 0.2)], cadence=1.7), 24),
-], ids=["zero-length-segment", "static", "sit", "fps24"])
+], ids=["ends-on-a-frame", "fps24"])
 def test_path_cases_match_the_per_frame_loop(template, mspec, fps):
     assert_same_as_per_frame(SyntheticSceneSpec(floor_extent=6.0), mspec, template, fps=fps)
 
@@ -167,15 +147,18 @@ def test_segment_clearance_matches_the_per_point_loop(a, b, boxes, margin):
     assert got is segment_clear_of_boxes_per_point(a, b, boxes, margin)
 
 
-def test_sit_motion_lowers_pelvis(template):
-    spec = SyntheticSceneSpec(floor_extent=6.0,
-                              boxes=[(np.array([0.0, 1.5, 0.25]), np.array([0.8, 0.8, 0.5]))])
-    mspec = SyntheticMotionSpec(waypoints=[(0.0, -1.0), (0.0, 1.0)],
-                                sit_box=(np.array([0.0, 1.5, 0.25]), np.array([0.8, 0.8, 0.5])),
-                                sit_duration=0.5)
-    seq, stance = gen_motion(spec, mspec, template)
-    assert seq.frames[-1, 2] < seq.frames[0, 2] - 0.2  # pelvis dropped
-    assert stance[-1] == "none"
+@pytest.mark.parametrize("k, fps", [(15, 30), (61, 30), (40, 24), (7, 60)])
+def test_sampled_clips_have_k_plus_one_frames(template, k, fps):
+    """``build_dataset`` stores every clip it draws as k + 1 frames, untrimmed."""
+    rng = np.random.default_rng(k + fps)
+    checked = 0
+    while checked < 10:
+        spec = random_scene_spec(int(rng.integers(2**31)))
+        mspec = _sample_clip_spec(rng, spec, k / fps)
+        if mspec is not None:
+            seq, stance = gen_motion(spec, mspec, template, fps=fps)
+            assert len(seq) == len(stance) == k + 1
+            checked += 1
 
 
 def _dir_digest(root):

@@ -24,7 +24,6 @@ f 1 3 4
     mesh = load_scene(path)
     assert len(mesh.vertices) == 4
     assert len(mesh.faces) == 2
-    assert mesh.dropped_faces == 0
 
 
 def test_obj_face_with_slashes_and_polygons(tmp_path):
@@ -50,7 +49,6 @@ f 1 2 4
 """.lstrip())
     mesh = load_scene(path)
     assert len(mesh.faces) == 1
-    assert mesh.dropped_faces == 1
 
 
 def test_obj_parse_error_reports_line(tmp_path):
