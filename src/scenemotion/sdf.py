@@ -18,8 +18,20 @@ The build is exact, node for node, and avoids most node-triangle pairs:
   inside a triangle depends only on the node's column, not on its depth. The
   projected-inside test runs once per column and triangle, and the crossing
   depth only on the nodes of the columns it passes.
+- Kernel. ``_point_triangle_dist2`` measures many points against one
+  triangle through Ericson's seven Voronoi regions. Each elementwise step
+  runs one coordinate column against a scalar, into one reused (N, 3)
+  buffer: numpy loops over a column several times faster than over rows
+  broadcast against a (3,) vector. Two operations fix the bits, and stay as
+  they are: the six dot products are ``(N, 3) @ (3,)`` BLAS calls on
+  row-major offsets, whose result for a row depends neither on N nor on the
+  row's position, and the squared norm is ``einsum``. An elementwise sum of
+  products rounds differently from either. Every other step is one IEEE
+  operation per element, so the columns give the bits the rows gave.
 
-Both passes hold at most ``_CHUNK_NODES`` node coordinates at a time.
+Both passes hold at most ``_CHUNK_NODES`` node coordinates at a time. A
+grid holds finite values only, and sampling takes finite points only: either
+breach raises.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artefact
-from .errors import ArtefactError, ResourceLimitError
+from .errors import ArtefactError, NumericError, ResourceLimitError
 
 DEFAULT_CELL = 0.05      # m
 DEFAULT_PADDING = 0.5    # m
@@ -54,6 +66,9 @@ class SdfGrid:
             raise ValueError(f"grid needs >= 2 nodes per axis, got {self.values.shape}")
         if self.cell <= 0.0:
             raise ValueError(f"cell size must be positive, got {self.cell}")
+        bad = self.values.size - np.count_nonzero(np.isfinite(self.values))
+        if bad:
+            raise ValueError(f"{bad} of {self.values.size} grid node values are not finite")
         # One flag per node: entry (i, j, k) below the last layer on every axis
         # says whether cell (i, j, k) has a negative corner; the last layer
         # stands for points on or past the far faces and is always set.
@@ -80,7 +95,8 @@ class SdfGrid:
 
     def may_be_negative(self, points):
         """Mask over ``points`` (N, 3): False where :func:`sample_sdf_batch`
-        certainly reads >= 0 or NaN there.
+        certainly reads >= 0 there. A non-finite point raises
+        :class:`NumericError`, as it does in the sampler.
 
         A point whose floored cell coordinates stay below ``dims - 1`` on
         every axis is in the sampler's cell with fractions in [0, 1), so its
@@ -164,18 +180,21 @@ def unsigned_distance(axes, dims, triangles):
 
 
 def _point_triangle_dist2(p, a, b, c):
-    """Squared distances from points (N,3) to one triangle (Ericson's regions)."""
+    """Squared distances from points (N,3) to one triangle (Ericson's
+    regions), column by column; the module docstring says which operations
+    fix the bits."""
     ab = b - a
     ac = c - a
-    ap = p - a
-    d1 = ap @ ab
-    d2 = ap @ ac
-    bp = p - b
-    d3 = bp @ ab
-    d4 = bp @ ac
-    cp = p - c
-    d5 = cp @ ab
-    d6 = cp @ ac
+    off = np.empty(p.shape)    # p minus a vertex; then the closest points; then p minus those
+
+    def dots(v):
+        for k in range(3):
+            np.subtract(p[:, k], v[k], out=off[:, k])
+        return off @ ab, off @ ac
+
+    d1, d2 = dots(a)
+    d3, d4 = dots(b)
+    d5, d6 = dots(c)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
@@ -183,7 +202,6 @@ def _point_triangle_dist2(p, a, b, c):
 
     # each point takes the first Voronoi region that claims it; a region's
     # closest point is computed only on the points it takes
-    closest = np.empty_like(p)
     todo = np.ones(len(p), dtype=bool)
 
     def take(mask):
@@ -191,40 +209,50 @@ def _point_triangle_dist2(p, a, b, c):
         todo[m] = False
         return m
 
-    closest[take((d1 <= 0) & (d2 <= 0))] = a
-    closest[take((d3 >= 0) & (d4 <= d3))] = b
+    def put(m, origin, *steps):
+        """closest[m] = origin + t0 * e0 + t1 * e1 ..., column by column, summed
+        left to right as the row form summed it."""
+        for k in range(3):
+            col = origin[k]
+            for t, e in steps:
+                col = col + t * e[k]
+            off[m, k] = col
+
+    put(take((d1 <= 0) & (d2 <= 0)), a)
+    put(take((d3 >= 0) & (d4 <= d3)), b)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = take((vc <= 0) & (d1 >= 0) & (d3 <= 0))
         x, y = d1[m], d3[m]
-        closest[m] = a + np.clip(np.where(x != y, x / (x - y), 0.0), 0, 1)[:, None] * ab
-        closest[take((d6 >= 0) & (d5 <= d6))] = c
+        put(m, a, (np.clip(np.where(x != y, x / (x - y), 0.0), 0, 1), ab))
+        put(take((d6 >= 0) & (d5 <= d6)), c)
         m = take((vb <= 0) & (d2 >= 0) & (d6 <= 0))
         x, y = d2[m], d6[m]
-        closest[m] = a + np.clip(np.where(x != y, x / (x - y), 0.0), 0, 1)[:, None] * ac
+        put(m, a, (np.clip(np.where(x != y, x / (x - y), 0.0), 0, 1), ac))
         e1 = d4 - d3
         e2 = d5 - d6
         m = take((va <= 0) & (e1 >= 0) & (e2 >= 0))
         x, y = e1[m], e2[m]
-        closest[m] = b + np.clip(np.where((x + y) != 0, x / (x + y), 0.0), 0, 1)[:, None] * (c - b)
+        put(m, b, (np.clip(np.where((x + y) != 0, x / (x + y), 0.0), 0, 1), c - b))
         m = np.flatnonzero(todo)
         denom = va[m] + vb[m] + vc[m]
         v = np.where(denom != 0, vb[m] / denom, 1.0 / 3.0)
         w = np.where(denom != 0, vc[m] / denom, 1.0 / 3.0)
-        closest[m] = a + v[:, None] * ab + w[:, None] * ac
-    diff = p - closest
-    return np.einsum("ij,ij->i", diff, diff)
+        put(m, a, (v, ab), (w, ac))
+    np.subtract(p, off, out=off)
+    return np.einsum("ij,ij->i", off, off)
 
 
 def inside_mask(axes, triangles):
     """Majority vote of +x/+y/+z ray-crossing parity tests over the grid
     whose node coordinates per axis are ``axes``."""
     votes = np.zeros(tuple(len(ax) for ax in axes), dtype=np.int8)
+    normals = np.cross(triangles[:, 1] - triangles[:, 0], triangles[:, 2] - triangles[:, 0])
     for axis in range(3):
-        votes += _ray_parity(axes, triangles, axis)
+        votes += _ray_parity(axes, triangles, normals, axis)
     return votes >= 2
 
 
-def _ray_parity(axes, triangles, axis):
+def _ray_parity(axes, triangles, normals, axis):
     # Queries exactly on a projected edge are resolved by symbolically
     # perturbing the query by (eps^2, eps) in the projection plane, so a
     # shared edge or vertex is claimed by exactly one triangle and grid
@@ -234,8 +262,7 @@ def _ray_parity(axes, triangles, axis):
     depth = axes[axis]
     parity = np.zeros((len(qu), len(depth)), dtype=bool)   # one row per column
     step = max(1, _CHUNK_NODES // len(depth))
-    for a, b, c in triangles:
-        n = np.cross(b - a, c - a)
+    for (a, b, c), n in zip(triangles, normals):
         if abs(n[axis]) < 1e-12:
             continue  # ray parallel to the triangle plane
         cols = np.flatnonzero(_projected_inside(qu, qw, (a[u], a[w]), (b[u], b[w]), (c[u], c[w])))
@@ -273,7 +300,11 @@ def _cell_coords(grid, points):
     """Points (N, 3) clamped to the grid box, and their coordinates in cells
     from the origin, ``(q - origin) / cell``. Each axis runs as one column
     against scalar bounds, which numpy loops over far faster than a
-    broadcast (3,) bound."""
+    broadcast (3,) bound. A non-finite point has no cell: NumericError."""
+    finite = np.isfinite(points)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise NumericError(f"sample point {row} is not finite: {points[row].tolist()}")
     lo, hi = grid.origin, grid.upper
     q = np.empty_like(points)
     local = np.empty_like(points)
@@ -293,10 +324,11 @@ def _floor_cells(local, top):
 
 
 def sample_sdf_batch(grid, points):
-    """Trilinear values (N,) and analytic gradients (N, 3) at points (N, 3); a
-    total function. Out-of-grid points get the clamped boundary value plus the
-    Euclidean distance to the grid box, with the gradient pointing away from
-    the box."""
+    """Trilinear values (N,) and analytic gradients (N, 3) at points (N, 3),
+    defined at every finite point. Out-of-grid points get the clamped boundary
+    value plus the Euclidean distance to the grid box, with the gradient
+    pointing away from the box. A non-finite point raises
+    :class:`NumericError` naming its row."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     q, local = _cell_coords(grid, points)
     delta = points - q

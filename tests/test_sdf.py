@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from scenemotion.datagen import box_mesh_arrays, dataset_scene_fields
-from scenemotion.errors import ArtefactError, ResourceLimitError, SceneMotionError
+from scenemotion.datagen import box_mesh_arrays, dataset_scene_fields, gen_scene, random_scene_spec
+from scenemotion.errors import ArtefactError, NumericError, ResourceLimitError, SceneMotionError
 from scenemotion.scene import make_mesh
 from scenemotion.sdf import (BRICK, SdfGrid, _point_triangle_dist2, _projected_inside, build_sdf,
                              load_sdf, sample_sdf_batch, save_sdf, unsigned_distance)
@@ -55,31 +57,33 @@ def oracle_signed_distance(p, tris):
 
 
 def _oracle_point_tri(p, a, b, c):
+    return float(np.linalg.norm(p - _oracle_closest(p, a, b, c)[1]))
+
+
+def _oracle_closest(p, a, b, c):
+    """(Voronoi region, closest point) of a non-degenerate triangle to p."""
     ab, ac, ap = b - a, c - a, p - a
     d1, d2 = ap @ ab, ap @ ac
     bp, cp = p - b, p - c
     d3, d4 = bp @ ab, bp @ ac
     d5, d6 = cp @ ab, cp @ ac
     if d1 <= 0 and d2 <= 0:
-        q = a
-    elif d3 >= 0 and d4 <= d3:
-        q = b
-    elif d6 >= 0 and d5 <= d6:
-        q = c
-    else:
-        vc = d1 * d4 - d3 * d2
-        vb = d5 * d2 - d1 * d6
-        va = d3 * d6 - d5 * d4
-        if vc <= 0 and d1 >= 0 and d3 <= 0:
-            q = a + ab * (d1 / (d1 - d3))
-        elif vb <= 0 and d2 >= 0 and d6 <= 0:
-            q = a + ac * (d2 / (d2 - d6))
-        elif va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-            q = b + (c - b) * ((d4 - d3) / ((d4 - d3) + (d5 - d6)))
-        else:
-            den = va + vb + vc
-            q = a + ab * (vb / den) + ac * (vc / den)
-    return float(np.linalg.norm(p - q))
+        return "a", a
+    if d3 >= 0 and d4 <= d3:
+        return "b", b
+    if d6 >= 0 and d5 <= d6:
+        return "c", c
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        return "ab", a + ab * (d1 / (d1 - d3))
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        return "ac", a + ac * (d2 / (d2 - d6))
+    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
+        return "bc", b + (c - b) * ((d4 - d3) / ((d4 - d3) + (d5 - d6)))
+    den = va + vb + vc
+    return "face", a + ab * (vb / den) + ac * (vc / den)
 
 
 def test_cube_center_and_outside_nodes():
@@ -144,6 +148,16 @@ def test_every_node_matches_oracle(make, cell, padding):
         p = np.array([xs[i], ys[j], zs[k]])
         assert abs(grid.values[i, j, k] - oracle_signed_distance(p, tris)) < 1e-12, (i, j, k)
     assert np.array_equal(grid.values, _every_pair_sdf(grid, tris))
+
+
+def test_every_node_of_a_generated_room_matches_every_pair():
+    # the floor-plus-boxes rooms the program builds, not a hand-made mesh
+    spec = random_scene_spec(1)
+    assert len(spec.boxes) == 3
+    mesh = gen_scene(spec)
+    grid = build_sdf(mesh, cell=0.15, padding=0.3)
+    assert grid.values.min() < 0.0 < grid.values.max()
+    assert np.array_equal(grid.values, _every_pair_sdf(grid, mesh.vertices[mesh.faces]))
 
 
 def test_oracle_counts_a_ray_through_a_shared_edge_once():
@@ -212,6 +226,56 @@ def test_brick_bound_keeps_a_triangle_nearest_by_a_hair():
         expect = min(_oracle_point_tri(p, a, b, c) for a, b, c in tris)
         assert abs(dist[ijk] - expect) < 1e-12, ijk
     assert dist[0, 0, 0] == pytest.approx(1.0 + rho - eps, abs=1e-9)
+
+
+def test_kernel_matches_oracle_in_every_voronoi_region():
+    # Each of the kernel's seven regions computes its closest point in a
+    # branch of its own: points in every region, exactly on a vertex and on
+    # an edge, in one call, in random frames.
+    rng = np.random.default_rng(21)
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.9, 0.0]])
+    pts = np.array([[-0.3, -0.2, 0.4], [1.4, -0.3, -0.2], [0.1, 1.5, 0.3],    # a, b, c
+                    [0.5, -0.4, 0.2], [-0.4, 0.5, -0.1], [0.9, 0.7, 0.5],     # ab, ac, bc
+                    [0.3, 0.3, 0.6], [0.4, 0.2, -0.3]])                       # face, both sides
+    hit = set()
+    for _ in range(25):
+        rot, shift = np.linalg.qr(rng.standard_normal((3, 3)))[0], rng.uniform(-3.0, 3.0, 3)
+        a, b, c = tri @ rot.T + shift
+        p = np.vstack([pts @ rot.T + shift + rng.normal(scale=0.02, size=pts.shape),
+                       b, a + 0.5 * (c - a)])
+        dist = np.sqrt(_point_triangle_dist2(p, a, b, c))
+        for q, d in zip(p, dist):
+            hit.add(_oracle_closest(q, a, b, c)[0])
+            assert abs(d - _oracle_point_tri(q, a, b, c)) < 1e-12
+        assert dist[-2] == 0.0
+    assert hit == {"a", "b", "c", "ab", "ac", "bc", "face"}
+
+
+def _segment_distance(p, a, b):
+    ab = b - a
+    t = np.clip((p - a) @ ab / (ab @ ab), 0.0, 1.0)
+    return np.linalg.norm(p - (a + t[:, None] * ab), axis=1)
+
+
+_X0, _X1, _X2 = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.3, -0.2]), np.array([2.0, 0.6, -0.4])
+
+
+@pytest.mark.parametrize("tri, ends", [
+    ((_X0, _X1, _X2), (_X0, _X2)),
+    ((_X1, _X0, _X2), (_X0, _X2)),
+    ((_X0, _X2, _X1), (_X0, _X2)),
+    ((_X0, _X2, _X2), (_X0, _X2)),
+    ((_X0, _X2, _X0), (_X0, _X2)),
+    ((_X1, _X1, _X1), (_X1, _X1)),
+], ids=["collinear-b-middle", "collinear-a-middle", "collinear-c-middle",
+        "c-repeats-b", "c-repeats-a", "one-point"])
+def test_kernel_on_degenerate_triangles_is_the_segment_distance(tri, ends):
+    rng = np.random.default_rng(22)
+    p = np.vstack([rng.normal(scale=2.0, size=(400, 3)), *tri])
+    ab = ends[1] - ends[0]
+    want = (_segment_distance(p, *ends) if ab @ ab > 0.0
+            else np.linalg.norm(p - ends[0], axis=1))
+    np.testing.assert_allclose(np.sqrt(_point_triangle_dist2(p, *tri)), want, rtol=0.0, atol=1e-12)
 
 
 def test_node_exact_sampling():
@@ -375,6 +439,33 @@ def test_batch_matches_scalar():
         assert np.array_equal(g, g1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_sample_point_is_a_numeric_error(bad):
+    grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
+    pts = np.full((4, 3), 0.3)
+    pts[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (lambda q: sample_sdf_batch(grid, q), grid.may_be_negative):
+            with pytest.raises(NumericError, match="sample point 2 is not finite"):
+                read(pts)
+
+
+def test_non_finite_node_values_are_rejected(tmp_path):
+    values = np.ones((3, 4, 5))
+    values[1, 2, 3] = np.nan
+    values[0, 0, 0] = -np.inf
+    with pytest.raises(ValueError, match="2 of 60 grid node values are not finite"):
+        SdfGrid(origin=np.zeros(3), cell=0.1, values=values)
+    # a cache written with one NaN node does not load
+    grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
+    grid.values[1, 2, 3] = np.nan
+    path = tmp_path / "cube.sdf"
+    save_sdf(path, grid, unit_cube(), 0.5)
+    with pytest.raises(ArtefactError, match="1 of .* grid node values are not finite"):
+        load_sdf(path)
+
+
 def _trilinear_oracle(grid, p):
     """Direct 3-D-indexed trilinear value and gradient at one point, plus the
     distance to the grid box and a unit gradient on every axis it exits."""
@@ -438,7 +529,6 @@ def test_may_be_negative_is_false_only_where_the_sample_is_not_negative():
     values = rng.uniform(0.0, 2.0, size=(6, 5, 7))
     values[rng.random(values.shape) < 0.05] *= -1.0
     values[0, 0, 0] = values[-1, -1, -1] = -0.5           # negative corner nodes
-    values[2, 2, 2] = np.nan
     grid = SdfGrid(origin=np.array([-0.3, 0.2, -1.1]), cell=0.25, values=values)
     lo, hi = grid.origin, grid.upper
     nodes = np.stack(np.meshgrid(*grid.node_positions(), indexing="ij"), axis=-1).reshape(-1, 3)
