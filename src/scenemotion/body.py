@@ -423,9 +423,11 @@ DESIGNED_AXIS_INDEX = {name_axis: i for i, name_axis in enumerate(_DESIGNED_POSE
 # [Rw - I | dw - (Rw - I) J] in blocks of FRAME_BLOCK frames. Both parts of
 # the map vanish identically at rest, so the rest template is reproduced
 # bit-for-bit (no a + (b - a) rounding). The blocks of skinning and of its
-# adjoint are split between the calling thread and a worker; everything else
-# runs on the calling thread. The pullback stops at t, r, p and h: every
-# optimisation holds the shape beta fixed, so nothing asks for dL/dbeta.
+# adjoint (with the adjoint's vertex sum for t and vertex product for the
+# global rotation) are split between the calling thread and a worker;
+# everything else runs on the calling thread. The pullback stops at t, r, p
+# and h: every optimisation holds the shape beta fixed, so nothing asks for
+# dL/dbeta.
 
 FRAME_BLOCK = 32  # frames skinned together; bounds the (B, V, 12) transients
 
@@ -561,14 +563,16 @@ def pullback_batch(cache, g_vertices):
     gv = np.asarray(g_vertices, dtype=np.float64)
     N, J = len(gv), NUM_JOINTS
     out = np.empty((N, VAR_DIM))
-    out[:, T] = gv.sum(axis=1)
-    out[:, R] = rotation.rot6d_matrix_pullback(glob_cache, gv.transpose(0, 2, 1) @ v_skin)
+    g_glob = np.empty((N, 3, 3))
 
-    # skinning adjoint, one block at a time: per-joint map cotangents [g_M | g_c]
+    # one block at a time: the translation and global-rotation cotangents, and
+    # the skinning adjoint's per-joint map cotangents [g_M | g_c]
     g_affine = np.empty((N, J, 3, 4))
     W_T = tpl.skin_weights.T
 
     def skin_adjoint(b):
+        out[b, T] = gv[b].sum(axis=1)
+        g_glob[b] = gv[b].transpose(0, 2, 1) @ v_skin[b]
         g_skin = gv[b] @ R_glob[b]
         rest = v_rest[b]
         B, V = rest.shape[:2]
@@ -578,6 +582,7 @@ def pullback_batch(cache, g_vertices):
         g_affine[b] = (W_T @ outer.reshape(B, V, 12)).reshape(B, J, 3, 4)
 
     _each_block(N, skin_adjoint)
+    out[:, R] = rotation.rot6d_matrix_pullback(glob_cache, g_glob)
 
     # c = dw - M J and M = Rw - I
     g_dw = g_affine[..., 3].copy()

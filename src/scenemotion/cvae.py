@@ -169,17 +169,18 @@ def fit_latent(model, cond, target_ph, steps=500, seed=0):
     z = Param("fit.z", 0.1 * rng.standard_normal(LATENT_DIM))
     adam = AdamState([z])
     target = np.asarray(target_ph, dtype=np.float64).reshape(1, PH_DIM)
-    for _ in range(steps):
-        ph, cache = model.decode(z.value, cond)
-        resid = ph - target
-        loss = np.abs(resid).sum()
-        if not np.isfinite(loss):
-            raise NumericError("latent fit diverged to a non-finite loss")
-        model.zero_grad()
-        z.zero_grad()
-        g_z, _ = model.decode_backward(cache, np.sign(resid))
-        z.grad += g_z[0]
-        adam.step(FIT_LR)
+    with worker():  # one worker thread for every backward pass
+        for _ in range(steps):
+            ph, cache = model.decode(z.value, cond)
+            resid = ph - target
+            loss = np.abs(resid).sum()
+            if not np.isfinite(loss):
+                raise NumericError("latent fit diverged to a non-finite loss")
+            model.zero_grad()
+            z.zero_grad()
+            g_z, _ = model.decode_backward(cache, np.sign(resid))
+            z.grad += g_z[0]
+            adam.step(FIT_LR)
     return z.value.copy()
 
 
@@ -216,8 +217,9 @@ class CVAETrainer:
         """One Adam update on a batch of flat 75-float body records."""
         x = np.asarray(batch_vecs, dtype=np.float64).reshape(-1, BODY_VEC_DIM)
         eps = self.rng.standard_normal((len(x), LATENT_DIM))
-        stats = self.forward_backward(x, scene_ids, eps)
-        self.adam.step(lr)
+        with worker():  # one worker thread for the pass and the update
+            stats = self.forward_backward(x, scene_ids, eps)
+            self.adam.step(lr)
         self.step_count += 1
         return stats
 
@@ -273,8 +275,10 @@ class CVAETrainer:
         def step(epoch, idx):
             return self.train_step(vecs[idx], [scene_ids[i] for i in idx], lr=lr)["total"]
 
-        return minibatch_epochs(len(vecs), epochs, batch_size,
-                                np.random.default_rng(self.rng.integers(2**31)), step, log, "cvae")
+        seed = self.rng.integers(2**31)
+        with worker():  # one worker thread for every step
+            return minibatch_epochs(len(vecs), epochs, batch_size, np.random.default_rng(seed),
+                                    step, log, "cvae")
 
     def _body_energies(self, frames, scene_ids):
         """Batch-mean collision and contact of decoded bodies (n, 75), plus the
@@ -284,15 +288,14 @@ class CVAETrainer:
         of one sequence, with the foot and smoothness terms weighted 0."""
         n = len(frames)
         weights = EnergyWeights(foot=0.0, col=self.w_col / n, cont=self.w_cont / n, smooth=0.0)
-        with worker():
-            mesh, cache = body.forward_batch_with_cache(self.template, frames)
-            g = np.zeros(mesh.vertices.shape)
-            col = cont = 0.0
-            for sid in dict.fromkeys(scene_ids):
-                rows = np.array([i for i, s in enumerate(scene_ids) if s == sid])
-                report, g[rows] = scene_energy(self.template, mesh.vertices[rows],
-                                               self.scene_fields[sid], weights,
-                                               FootSegmentation([]), want_grad=True)
-                col += report.col
-                cont += report.cont
-            return col / n, cont / n, body.pullback_batch(cache, g)[:, body.VAR_POSE]
+        mesh, cache = body.forward_batch_with_cache(self.template, frames)
+        g = np.zeros(mesh.vertices.shape)
+        col = cont = 0.0
+        for sid in dict.fromkeys(scene_ids):
+            rows = np.array([i for i, s in enumerate(scene_ids) if s == sid])
+            report, g[rows] = scene_energy(self.template, mesh.vertices[rows],
+                                           self.scene_fields[sid], weights,
+                                           FootSegmentation([]), want_grad=True)
+            col += report.col
+            cont += report.cont
+        return col / n, cont / n, body.pullback_batch(cache, g)[:, body.VAR_POSE]

@@ -10,13 +10,16 @@ feature. The two networks use separate point encoders.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import body
+from ._worker import both, worker
 from .body import BETA, POSE, R, ROUTE, T
 from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
-from .nn.layers import Linear, leaky_relu, leaky_relu_backward
+from .nn.layers import Linear, add_product, leaky_relu, leaky_relu_backward
 from .nn.lstm import BiLSTM
 from .nn.params import Module
 from .nn.pointnet import FEATURE_DIM, PointEncoder
@@ -37,6 +40,13 @@ class _SeqHead(Module):
     The scene feature is the same at every step of a clip, so fc1's scene
     columns are applied once per clip and broadcast over the steps. fc1.W
     keeps its (fc_width, lstm_dim + scene_dim) shape.
+
+    The backward computes fc1's step-column weight gradient on the worker
+    thread (``scenemotion._worker``), as ``Linear.backward`` does for fc2.
+    The forward's step product stays one GEMM: a BLAS may compute a block of
+    its rows with another kernel than the whole (OpenBLAS takes gemv for one
+    row and its small-matrix kernel for a short block), so row halves would
+    not keep the bits.
     """
 
     def __init__(self, lstm_dim, scene_dim, fc_width, out_dim, rng, name):
@@ -64,10 +74,14 @@ class _SeqHead(Module):
         g_pre = leaky_relu_backward(h_pre, self.fc2.backward(c2, gy))
         g_clip = g_pre.sum(axis=0)
         g_pre = g_pre.reshape(S * N, F)
-        gW[:, :L] += g_pre.T @ y
-        gW[:, L:] += g_clip.T @ feats
-        self.fc1.b.grad += g_clip.sum(axis=0)
-        return (g_pre @ W[:, :L]).reshape(S, N, L), g_clip @ W[:, L:]
+
+        def rest():
+            gW[:, L:] += g_clip.T @ feats
+            self.fc1.b.grad += g_clip.sum(axis=0)
+            return (g_pre @ W[:, :L]).reshape(S, N, L), g_clip @ W[:, L:]
+
+        # fc1's step columns: the weight gradient on the worker, the rest here
+        return both(rest, partial(add_product, gW[:, :L], g_pre.T, y))[0]
 
 
 class _SeqNet(Module):
@@ -226,8 +240,9 @@ def _train_seq_net(model, clips, clouds, inputs, cols, loss, loss_grad, epochs, 
         adam.step(lr)
         return value
 
-    return minibatch_epochs(len(clips), epochs, batch_size, np.random.default_rng(seed), step,
-                            log, tag)
+    with worker():  # one worker thread for every fan-out of the epochs
+        return minibatch_epochs(len(clips), epochs, batch_size, np.random.default_rng(seed),
+                                step, log, tag)
 
 
 def train_route_net(model, clips, clouds, epochs=20, batch_size=32, lr=1e-3, seed=0,
@@ -254,14 +269,14 @@ def train_pose_net(model, route_model, clips, clouds, epochs=20, batch_size=16, 
                    seed=0, log=None):
     """Phase 2: PoseNet on RouteNet's predicted routes; RouteNet is frozen, so
     every clip's route is computed once per call."""
-    routes = _frozen_routes(route_model, clips, clouds, batch_size)
-
     def inputs(idx, frames):
         starts, ends, k = _endpoints(frames)
         return model.step_inputs(starts, ends, np.stack([routes[i] for i in idx]), k)
 
-    return _train_seq_net(model, clips, clouds, inputs, POSE, pose_loss, pose_loss_grad, epochs,
-                          batch_size, lr, seed, log, "pose")
+    with worker():  # the frozen routes and the epochs share one worker thread
+        routes = _frozen_routes(route_model, clips, clouds, batch_size)
+        return _train_seq_net(model, clips, clouds, inputs, POSE, pose_loss, pose_loss_grad,
+                              epochs, batch_size, lr, seed, log, "pose")
 
 
 def synthesize_clip(route_model, pose_model, bodies, cloud_points, k):

@@ -3,12 +3,20 @@
 All forwards return ``(output, cache)``; the matching backward consumes the
 cache and a cotangent, accumulates parameter gradients into the grad slots
 and returns the input cotangent. Everything is float64.
+
+A linear backward is two independent GEMMs: the weight gradient and the input
+cotangent. The weight gradient runs on the worker thread
+(``scenemotion._worker``) while the calling thread computes the cotangent,
+each as the one GEMM it was, so the results are bit-identical.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from .._worker import both
 from .params import Module, Param, uniform_init
 
 LEAKY_SLOPE = 0.01
@@ -19,6 +27,11 @@ def leaky_relu(x):
     y = LEAKY_SLOPE * x
     np.maximum(x, y, out=y)
     return y
+
+
+def add_product(acc, a, b):
+    """``acc += a @ b``: a weight-gradient GEMM, in a form the worker can run."""
+    acc += a @ b
 
 
 def leaky_relu_backward(x, gy):
@@ -51,9 +64,12 @@ class Linear(Module):
         gy = np.asarray(gy, dtype=np.float64)
         gy2 = gy.reshape(-1, self.out_dim)
         x2 = x.reshape(-1, self.in_dim)
-        self.W.grad += gy2.T @ x2
-        self.b.grad += gy2.sum(axis=0)
-        return gy @ self.W.value
+
+        def cotangent():
+            self.b.grad += gy2.sum(axis=0)
+            return gy @ self.W.value
+
+        return both(cotangent, partial(add_product, self.W.grad, gy2.T, x2))[0]
 
 
 class ResidualBlock(Module):

@@ -182,7 +182,13 @@ def unsigned_distance(axes, dims, triangles):
 def _point_triangle_dist2(p, a, b, c):
     """Squared distances from points (N,3) to one triangle (Ericson's
     regions), column by column; the module docstring says which operations
-    fix the bits."""
+    fix the bits.
+
+    A triangle whose first two vertices coincide is measured as (a, c, a):
+    the regions take a repeated c, but a repeated b would give every point
+    its distance to a."""
+    if np.array_equal(a, b):
+        b, c = c, a
     ab = b - a
     ac = c - a
     off = np.empty(p.shape)    # p minus a vertex; then the closest points; then p minus those

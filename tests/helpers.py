@@ -6,12 +6,14 @@ The package keeps only the batched forms; these wrap or unroll them for readabil
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.util
 import os
+import threading
 
 import numpy as np
 
-from scenemotion import body, rotation
+from scenemotion import _worker, body, rotation
 from scenemotion.datagen import leg_length
 from scenemotion.energy import scene_energy
 from scenemotion.rotation import heading_to_rot6d
@@ -195,6 +197,37 @@ def _load_script(name, *path):
 def perfbench_tracing():
     """The benchmark's ``perfbench/tracing.py``, loaded as a module."""
     return _load_script("_perfbench_tracing", "perfbench", "tracing.py")
+
+
+def thread_recording_tracer():
+    """The benchmark's ``Tracer`` whose wrappers also record the threads each
+    traced callable ran on; returns (tracing module, tracer, {span name: thread ids})."""
+    tracing = perfbench_tracing()
+    ran_on = {}
+
+    class ThreadRecorder(tracing.Tracer):
+        def _wrap(self, name, fn, work):
+            traced = super()._wrap(name, fn, work)
+
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                ran_on.setdefault(name, set()).add(threading.get_ident())
+                return traced(*args, **kwargs)
+            return recorded
+
+    return tracing, ThreadRecorder(), ran_on
+
+
+def count_pools(monkeypatch):
+    """Every thread pool ``scenemotion._worker`` opens from now on, in order."""
+    pools = []
+
+    def counting(*args, real=_worker.ThreadPoolExecutor, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(_worker, "ThreadPoolExecutor", counting)
+    return pools
 
 
 def identity_script():

@@ -5,7 +5,8 @@ import pytest
 
 from scenemotion import body
 from scenemotion.errors import InvalidRotationError, NumericError
-from scenemotion.rotation import axis_angle_to_matrix_with_cache, rot6d_to_matrix
+from scenemotion.rotation import (axis_angle_to_matrix_with_cache, rot6d_matrix_pullback,
+                                  rot6d_to_matrix)
 from helpers import rest_params
 
 
@@ -210,6 +211,21 @@ def test_kernel_blocks_on_two_threads_match_the_blocks_run_in_turn(template, mon
     in_turn = _kernel_outputs(template, frames, cot)
     for got, want in zip(threaded, in_turn):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 2 * body.FRAME_BLOCK + 6])
+def test_pullback_t_and_r_columns_are_the_whole_batch_expressions(template, n):
+    """Each block sums its own frames' vertex cotangents for t and takes their
+    product with the skinned vertices for r; the columns keep the bytes of
+    those expressions over the whole batch."""
+    rng = np.random.default_rng(25)
+    mesh, cache = body.forward_batch_with_cache(template, random_frames(rng, n))
+    gv = rng.standard_normal(mesh.vertices.shape)
+    grads = body.pullback_batch(cache, gv)
+    v_skin, glob_cache = cache[2], cache[7]
+    want_r = rot6d_matrix_pullback(glob_cache, gv.transpose(0, 2, 1) @ v_skin)
+    assert grads[:, body.T].tobytes() == gv.sum(axis=1).tobytes()
+    assert grads[:, body.R].tobytes() == want_r.tobytes()
 
 
 def test_kernel_error_on_the_worker_reaches_the_caller(template, monkeypatch):

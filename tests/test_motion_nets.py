@@ -1,22 +1,24 @@
 import copy
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenemotion import body
+from scenemotion import body, motion_nets
 from scenemotion.cvae import CVAETrainer
 from scenemotion.errors import InvalidRotationError
 from scenemotion.field import SceneField
-from scenemotion.motion_nets import (PoseNet, RouteNet, pose_loss, pose_loss_grad, route_loss,
-                                     route_loss_grad, synthesize_clip, train_pose_net,
-                                     train_route_net)
+from scenemotion.motion_nets import (PoseNet, RouteNet, _SeqHead, pose_loss, pose_loss_grad,
+                                     route_loss, route_loss_grad, synthesize_clip,
+                                     train_pose_net, train_route_net)
 from scenemotion.nn.adam import AdamState
+from scenemotion.nn import layers
 from scenemotion.nn.layers import leaky_relu, leaky_relu_backward
 from gradcheck import check_param_grads_directional
-from helpers import rest_params, shares_beta
+from helpers import count_pools, rest_params, shares_beta
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import PointCloud, VertexIndex
 from test_cvae import far_slab_grid, tiny_model
@@ -205,6 +207,53 @@ def test_seqnet_matches_concatenated_head_oracle(make):
         assert rel_err(p.grad, grads_ref[p.name]) < 1e-12, p.name
 
 
+def test_seq_head_has_the_bytes_of_the_serial_expressions(monkeypatch):
+    """The head's backward hands fc1's and fc2's step weight gradients to the
+    worker; its outputs and gradients keep the bytes of the serial head. (At
+    14 rows of width 128 OpenBLAS computes a 7-row half of fc1's product with
+    another kernel than the whole, so row halves would not keep them.)"""
+    rng = np.random.default_rng(19)
+    S, N, L, D, F, O = 7, 2, 128, 7, 128, 5
+    head = _SeqHead(L, D, F, O, rng, name="head")
+    y, feats, gy = (rng.standard_normal(shape) for shape in ((S, N, L), (N, D), (S, N, O)))
+    for p in head.params():
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    W1, b1, W2, b2 = (p.value for p in (head.fc1.W, head.fc1.b, head.fc2.W, head.fc2.b))
+    gW1, gb1, gW2, gb2 = (p.grad.copy() for p in (head.fc1.W, head.fc1.b, head.fc2.W,
+                                                  head.fc2.b))
+    h_pre = (y.reshape(S * N, L) @ W1[:, :L].T).reshape(S, N, -1)
+    h_pre += feats @ W1[:, L:].T + b1
+    act = leaky_relu(h_pre)
+    want_out = act @ W2.T
+    want_out += b2
+    gy2 = gy.reshape(-1, O)
+    gW2 += gy2.T @ act.reshape(-1, F)
+    gb2 += gy2.sum(axis=0)
+    g_pre = leaky_relu_backward(h_pre, gy @ W2)
+    g_clip = g_pre.sum(axis=0)
+    g_pre = g_pre.reshape(S * N, F)
+    gW1[:, :L] += g_pre.T @ y.reshape(S * N, L)
+    gW1[:, L:] += g_clip.T @ feats
+    gb1 += g_clip.sum(axis=0)
+    want = [(g_pre @ W1[:, :L]).reshape(S, N, L), g_clip @ W1[:, L:], gW1, gb1, gW2, gb2]
+
+    ran_on = []
+
+    def recording(acc, a, b, real=layers.add_product):
+        ran_on.append(threading.get_ident())
+        real(acc, a, b)
+
+    monkeypatch.setattr(layers, "add_product", recording)
+    monkeypatch.setattr(motion_nets, "add_product", recording)
+    out, cache = head.forward(y, feats)
+    g_y, g_feats = head.backward(cache, gy)
+    got = [g_y, g_feats] + [p.grad for p in (head.fc1.W, head.fc1.b, head.fc2.W, head.fc2.b)]
+    assert out.tobytes() == want_out.tobytes()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert len(ran_on) == 2 and threading.get_ident() not in ran_on
+
+
 def _random_clips(rng, n, k, scenes):
     return [{"scene": int(rng.integers(scenes)),
              "frames": rng.standard_normal((k + 1, body.PARAM_DIM)) * 0.3} for _ in range(n)]
@@ -250,8 +299,8 @@ def test_route_training_matches_the_hand_loop():
         assert np.array_equal(p.value, q.value), p.name
 
 
-@pytest.mark.parametrize("tag", ["cvae", "route", "pose"])
-def test_trainers_log_each_epoch_and_reject_an_empty_set(template, tag):
+def _trainer(tag, template):
+    """(items, train(items, log)) for two epochs of the trainer named ``tag``."""
     rng = np.random.default_rng(18)
     clips = _random_clips(rng, 3, 8, scenes=1)
     clouds = {0: rng.standard_normal((12, 3))}
@@ -259,22 +308,25 @@ def test_trainers_log_each_epoch_and_reject_an_empty_set(template, tag):
         field = SceneField(mesh=None, cloud=PointCloud(points=clouds[0]), grid=far_slab_grid(),
                            index=VertexIndex(clouds[0]))
         trainer = CVAETrainer(tiny_model(), template, {0: field}, w_col=0.0, w_cont=0.0)
-        items = np.stack([c["frames"][0] for c in clips])
 
         def train(data, log):
             return trainer.run_epochs(data, [0] * len(data), epochs=2, batch_size=2, lr=1e-3,
                                       log=log)
-    elif tag == "route":
-        items = clips
-
+        return np.stack([c["frames"][0] for c in clips]), train
+    if tag == "route":
         def train(data, log):
             return train_route_net(small_route(), data, clouds, epochs=2, batch_size=2, log=log)
-    else:
-        items = clips
+        return clips, train
 
-        def train(data, log):
-            return train_pose_net(small_pose(), small_route(), data, clouds, epochs=2,
-                                  batch_size=2, log=log)
+    def train(data, log):
+        return train_pose_net(small_pose(), small_route(), data, clouds, epochs=2,
+                              batch_size=2, log=log)
+    return clips, train
+
+
+@pytest.mark.parametrize("tag", ["cvae", "route", "pose"])
+def test_trainers_log_each_epoch_and_reject_an_empty_set(template, tag):
+    items, train = _trainer(tag, template)
     lines = []
     curve = train(items, lines.append)
     assert len(curve) == 2
@@ -284,6 +336,16 @@ def test_trainers_log_each_epoch_and_reject_an_empty_set(template, tag):
     with pytest.raises(ValueError, match="^empty training set$"):
         train(items[:0], lines.append)
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("tag", ["cvae", "route", "pose"])
+def test_a_training_call_opens_one_worker_and_leaves_no_thread(template, tag, monkeypatch):
+    items, train = _trainer(tag, template)
+    pools = count_pools(monkeypatch)
+    threads = threading.active_count()
+    train(items, None)
+    assert len(pools) == 1
+    assert threading.active_count() == threads
 
 
 def oracle_train_pose_net(model, route_model, clips, clouds, epochs, batch_size, lr, seed):

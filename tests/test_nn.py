@@ -1,3 +1,4 @@
+import copy
 import gc
 import struct
 import threading
@@ -13,6 +14,8 @@ from scenemotion.errors import ArtefactError, NumericError, SceneMotionError, St
 from scenemotion.nn import (AdamState, BiLSTM, Linear, MLP, Param, PointEncoder,
                             ResidualBlock, leaky_relu, leaky_relu_backward)
 from gradcheck import check_param_grads, check_param_grads_directional
+from helpers import count_pools
+from scenemotion.nn import adam, layers
 from scenemotion.nn.adam import BETA1, BETA2, EPS
 from scenemotion.nn.layers import LEAKY_SLOPE
 from scenemotion.nn.lstm import LSTMCell
@@ -29,6 +32,32 @@ def test_linear_identity_and_bias():
     layer.b.value[...] = [1.0, 2.0, 3.0]
     y, _ = layer.forward(np.zeros((2, 3)))
     assert np.array_equal(y, np.tile([1.0, 2.0, 3.0], (2, 1)))
+
+
+def test_linear_backward_has_the_bytes_of_the_serial_expressions(monkeypatch):
+    """The weight-gradient GEMM runs on the worker while the calling thread
+    computes the input cotangent."""
+    rng = np.random.default_rng(24)
+    lin = Linear(12, 7, rng)
+    x, gy = rng.standard_normal((5, 4, 12)), rng.standard_normal((5, 4, 7))
+    lin.W.grad[...] = rng.standard_normal(lin.W.grad.shape)
+    lin.b.grad[...] = rng.standard_normal(lin.b.grad.shape)
+    want_W, want_b = lin.W.grad.copy(), lin.b.grad.copy()
+    want_W += gy.reshape(-1, 7).T @ x.reshape(-1, 12)
+    want_b += gy.reshape(-1, 7).sum(axis=0)
+    want_gx = gy @ lin.W.value
+    ran_on = []
+
+    def recording(acc, a, b, real=layers.add_product):
+        ran_on.append(threading.get_ident())
+        real(acc, a, b)
+
+    monkeypatch.setattr(layers, "add_product", recording)
+    gx = lin.backward(lin.forward(x)[1], gy)
+    assert gx.tobytes() == want_gx.tobytes()
+    assert lin.W.grad.tobytes() == want_W.tobytes()
+    assert lin.b.grad.tobytes() == want_b.tobytes()
+    assert len(ran_on) == 1 and ran_on[0] != threading.get_ident()
 
 
 def test_linear_shape_mismatch():
@@ -400,6 +429,62 @@ def test_adam_step_is_bit_identical_to_the_textbook_update():
             assert p.value.tobytes() == ref[i].tobytes(), (t, p.name)
             assert state.m[i].tobytes() == m[i].tobytes(), (t, p.name)
             assert state.v[i].tobytes() == v[i].tobytes(), (t, p.name)
+
+
+def test_adam_updates_two_balanced_groups_with_the_bytes_of_one_thread(monkeypatch):
+    rng = np.random.default_rng(6)
+    params = _mixed_params(rng) + [Param("big", rng.standard_normal((9, 4)))]
+    twin = copy.deepcopy(params)
+    state, in_turn = AdamState(params), AdamState(twin)
+    sizes = [p.value.size for p in params]
+    groups = [group for group, _ in state._groups]
+    loads = [sum(sizes[i] for i in group) for group in groups]
+    assert sorted(groups[0] + groups[1]) == list(range(len(params)))
+    assert abs(loads[0] - loads[1]) <= max(sizes)
+    ran_on = []
+
+    def recording(entries, *args, real=adam._update):
+        ran_on.append(threading.get_ident())
+        real(entries, *args)
+
+    monkeypatch.setattr(adam, "_update", recording)
+    caller = threading.get_ident()
+    for _ in range(3):
+        for p, q in zip(params, twin):
+            p.grad[...] = q.grad[...] = rng.standard_normal(p.grad.shape)
+        state.step(3e-3)
+        assert len(ran_on) == 2 and caller in ran_on and len(set(ran_on)) == 2
+        ran_on.clear()
+        with monkeypatch.context() as m:
+            m.setattr(adam, "both", lambda *updates: [update() for update in updates])
+            in_turn.step(3e-3)
+        ran_on.clear()
+    for i, (p, q) in enumerate(zip(params, twin)):
+        assert p.value.tobytes() == q.value.tobytes(), p.name
+        assert state.m[i].tobytes() == in_turn.m[i].tobytes(), p.name
+        assert state.v[i].tobytes() == in_turn.v[i].tobytes(), p.name
+
+
+def test_adam_with_one_parameter_starts_no_thread(monkeypatch):
+    pools = count_pools(monkeypatch)
+    p = Param("x", np.ones(4))
+    state = AdamState([p])
+    p.grad[...] = 1.0
+    state.step(0.1)
+    assert pools == [] and state.t == 1
+
+
+def test_adam_checks_every_gradient_before_any_parameter_moves():
+    rng = np.random.default_rng(7)
+    params = _mixed_params(rng)
+    before = [p.value.copy() for p in params]
+    for p in params:
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    params[-3].grad[...] = np.inf
+    with pytest.raises(NumericError, match="p3"):
+        AdamState(params).step(0.1)
+    for p, value in zip(params, before):
+        assert p.value.tobytes() == value.tobytes()
 
 
 def test_adam_step_allocates_no_parameter_sized_array():

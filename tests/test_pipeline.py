@@ -1,21 +1,20 @@
-import functools
 import threading
 
 import numpy as np
 import pytest
 
 from scenemotion import body
-from scenemotion.cvae import GoalCVAE
+from scenemotion.cvae import CVAETrainer, GoalCVAE
 from scenemotion.datagen import gen_scene, SyntheticSceneSpec
 from scenemotion.energy import total_energy
 from scenemotion.errors import InvalidRotationError
 from scenemotion.field import SceneField
-from scenemotion.motion_nets import PoseNet, RouteNet
+from scenemotion.motion_nets import PoseNet, RouteNet, train_pose_net, train_route_net
 from scenemotion.pipeline import (GoalSpec, cvae_interpolation_baseline, plan_long_term,
                                   validate_spec)
 from scenemotion.refine import RefinementSchedule
 from scenemotion.rotation import heading_to_rot6d
-from helpers import perfbench_tracing, record_posings, rest_params, shares_beta
+from helpers import record_posings, rest_params, shares_beta, thread_recording_tracer
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
@@ -171,25 +170,42 @@ def test_benchmark_traced_callables_run_only_on_the_calling_thread(random_models
                                                                    template):
     """The benchmark's tracer keeps one span stack for the process, so nothing
     it wraps may run on the worker thread that refinement and the BiLSTM use."""
-    tracing = perfbench_tracing()
-    ran_on = {}
-
-    class ThreadRecorder(tracing.Tracer):
-        def _wrap(self, name, fn, work):
-            traced = super()._wrap(name, fn, work)
-
-            @functools.wraps(fn)
-            def recorded(*args, **kwargs):
-                ran_on.setdefault(name, set()).add(threading.get_ident())
-                return traced(*args, **kwargs)
-            return recorded
-
+    tracing, tracer, ran_on = thread_recording_tracer()
     cvae, route, pose = random_models
-    tracer = ThreadRecorder()
     with tracer.op(0):   # 46 frames: two body-kernel blocks
         plan_long_term(cvae, route, pose, template, goals(4), small_field, k=15,
                        schedule=RefinementSchedule.two_stage(iters=2))
     assert {"refine.energy_and_gradients", "energy.terms", "nn.lstm.forward"} <= set(ran_on)
+    assert {name: threads for name, threads in ran_on.items()
+            if threads != {threading.get_ident()}} == {}
+    assert tracing.span_problems(tracer.spans) == []
+
+
+def test_benchmark_traced_callables_run_only_on_the_calling_thread_in_training(small_field,
+                                                                               template):
+    """The same holds for one CVAE, one RouteNet and one PoseNet training step,
+    which hand weight gradients and half of each Adam update to the worker."""
+    tracing, tracer, ran_on = thread_recording_tracer()
+    cvae = GoalCVAE(np.random.default_rng(0), hidden=32, cond_dim=24, point_hidden=(8, 12))
+    route = RouteNet(np.random.default_rng(1), hidden=24, fc_width=32, point_hidden=(8, 12))
+    pose = PoseNet(np.random.default_rng(2), hidden=24, fc_width=32, point_hidden=(8, 12))
+    rng = np.random.default_rng(3)
+    k = 15
+    clips = []
+    for _ in range(4):
+        frames = np.tile(rest_params().flat(), (k + 1, 1))
+        frames[:, body.T] = np.linspace([-1.0, 0.0, 0.93], [0.0, 0.5, 0.93], k + 1)
+        frames[:, body.POSE] += rng.standard_normal((k + 1, 56)) * 0.1
+        clips.append({"scene": 0, "frames": frames})
+    clouds = {0: small_field.cloud.points}
+    trainer = CVAETrainer(cvae, template, {0: small_field}, seed=0)
+    with tracer.op(0):
+        trainer.train_step(np.stack([c["frames"][0] for c in clips]), [0] * len(clips))
+        train_route_net(route, clips, clouds, epochs=1, batch_size=len(clips))
+        train_pose_net(pose, route, clips, clouds, epochs=1, batch_size=len(clips))
+    assert {"cvae.forward_backward", "cvae.body_energies", "nn.linear.backward",
+            "nn.pointnet.backward", "nn.lstm.backward", "nn.adam.step",
+            "motion_nets.backward_batch"} <= set(ran_on)
     assert {name: threads for name, threads in ran_on.items()
             if threads != {threading.get_ident()}} == {}
     assert tracing.span_problems(tracer.spans) == []

@@ -4,14 +4,14 @@ import threading
 import numpy as np
 import pytest
 
-from scenemotion import _worker, body, energy
+from scenemotion import body, energy
 from scenemotion.energy import EnergyReport, EnergyWeights, segment_stable_foot, total_energy
 from scenemotion.errors import InvalidRotationError
 from scenemotion.refine import (RefinementSchedule, RefineStage, energy_and_gradients,
                                 frames_to_vars, refine, vars_to_frames)
 from scenemotion.sequence import MotionSequence
-from helpers import (contact_correspondences, energy_value, frozen_energy_and_gradients,
-                     record_posings)
+from helpers import (contact_correspondences, count_pools, energy_value,
+                     frozen_energy_and_gradients, record_posings)
 
 
 def walking_frames(rng, n=4, z=0.93):
@@ -142,13 +142,7 @@ def test_nonfinite_energy_aborts_with_diagnostic(template, slab_field):
 
 def test_refine_opens_one_worker_and_leaves_no_thread_when_it_aborts(template, slab_field,
                                                                      monkeypatch):
-    pools = []
-
-    def counting(*args, real=_worker.ThreadPoolExecutor, **kwargs):
-        pools.append(real(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(_worker, "ThreadPoolExecutor", counting)
+    pools = count_pools(monkeypatch)
     threads = threading.active_count()
     seq = MotionSequence(frames=walking_frames(np.random.default_rng(9),
                                                n=2 * body.FRAME_BLOCK + 6))

@@ -266,9 +266,10 @@ _X0, _X1, _X2 = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.3, -0.2]), np.array(
     ((_X0, _X2, _X1), (_X0, _X2)),
     ((_X0, _X2, _X2), (_X0, _X2)),
     ((_X0, _X2, _X0), (_X0, _X2)),
+    ((_X0, _X0, _X2), (_X0, _X2)),
     ((_X1, _X1, _X1), (_X1, _X1)),
 ], ids=["collinear-b-middle", "collinear-a-middle", "collinear-c-middle",
-        "c-repeats-b", "c-repeats-a", "one-point"])
+        "c-repeats-b", "c-repeats-a", "b-repeats-a", "one-point"])
 def test_kernel_on_degenerate_triangles_is_the_segment_distance(tri, ends):
     rng = np.random.default_rng(22)
     p = np.vstack([rng.normal(scale=2.0, size=(400, 3)), *tri])

@@ -1,4 +1,4 @@
-"""The worker thread that the BiLSTM, the body kernel and the energy share
+"""The worker thread that the BiLSTM, the body kernel, the energy and training share
 (``scenemotion._worker``)."""
 
 import json
@@ -10,8 +10,8 @@ import threading
 import numpy as np
 import pytest
 
-from scenemotion import _worker
 from scenemotion._worker import both, worker
+from helpers import count_pools
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -38,14 +38,7 @@ def test_worker_error_reaches_the_caller_ahead_of_the_callers():
 
 
 def test_work_runs_on_one_other_thread_shared_inside_a_block(monkeypatch):
-    pools = []
-    real = _worker.ThreadPoolExecutor
-
-    def counting(*args, **kwargs):
-        pools.append(real(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(_worker, "ThreadPoolExecutor", counting)
+    pools = count_pools(monkeypatch)
     caller = threading.get_ident()
     with worker():
         idents = [both(threading.get_ident, threading.get_ident) for _ in range(3)]
