@@ -157,7 +157,7 @@ def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
         rows = np.flatnonzero(grid.may_be_negative(points))
         depth = np.zeros(len(points))
         if len(rows):
-            vals, grads = sample_sdf_batch(grid, points.take(rows, axis=0))
+            vals, grads = sample_sdf_batch(grid, points.take(rows, axis=0), want_grad)
             hit = vals < 0.0
             rows = rows[hit]
             depth[rows] = vals[hit]

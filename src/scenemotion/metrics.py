@@ -112,8 +112,8 @@ def _sdf_values(vertices, grid):
     vals = np.empty(vertices.shape[:2])
     for lo in range(0, len(vertices), body.FRAME_BLOCK):
         block = vertices[lo:lo + body.FRAME_BLOCK]
-        vals[lo:lo + len(block)] = sample_sdf_batch(grid, block.reshape(-1, 3))[0].reshape(
-            block.shape[:2])
+        vals[lo:lo + len(block)] = sample_sdf_batch(
+            grid, block.reshape(-1, 3), want_grad=False)[0].reshape(block.shape[:2])
     return vals
 
 

@@ -18,16 +18,23 @@ The build is exact, node for node, and avoids most node-triangle pairs:
   inside a triangle depends only on the node's column, not on its depth. The
   projected-inside test runs once per column and triangle, and the crossing
   depth only on the nodes of the columns it passes.
-- Kernel. ``_point_triangle_dist2`` measures many points against one
-  triangle through Ericson's seven Voronoi regions. Each elementwise step
-  runs one coordinate column against a scalar, into one reused (N, 3)
-  buffer: numpy loops over a column several times faster than over rows
-  broadcast against a (3,) vector. Two operations fix the bits, and stay as
-  they are: the six dot products are ``(N, 3) @ (3,)`` BLAS calls on
-  row-major offsets, whose result for a row depends neither on N nor on the
-  row's position, and the squared norm is ``einsum``. An elementwise sum of
-  products rounds differently from either. Every other step is one IEEE
-  operation per element, so the columns give the bits the rows gave.
+- Kernel. ``_point_triangle_dist2`` measures a point set against one
+  triangle, or against a tile of nt triangles in one call, through
+  Ericson's seven Voronoi regions. Each elementwise step runs one coordinate
+  column against a triangle's scalar, broadcast over (nt, 1) in a tile, into
+  one reused (nt, N, 3) buffer: numpy loops over a column several times
+  faster than over rows broadcast against a (3,) vector. Two operations fix
+  the bits, and stay as they are: the six dot products are stacked
+  ``(nt, N, 3) @ (nt, 3, 1)`` matmuls, one BLAS gemv per triangle on
+  row-major offsets, whose result for a row depends neither on N, nt nor
+  the row's position; and the squared norm is ``einsum`` over the rows. An
+  elementwise sum of products rounds differently from either. Every other
+  step is one IEEE operation per element, so each row of a tile has the bits
+  of its one-triangle call, and the columns the bits the rows gave.
+- Tiles. The culling pass measures the brick centres, and the sign pass
+  tests the columns, against tiles of triangles of at most ``_TILE_PAIRS``
+  pairs per call. The node pass calls the kernel once per triangle: its
+  triangles keep different brick sets.
 
 Both passes hold at most ``_CHUNK_NODES`` node coordinates at a time. A
 grid holds finite values only, and sampling takes finite points only: either
@@ -51,6 +58,7 @@ BRICK = 4                # nodes per brick edge in the distance pass
 
 _CHUNK_NODES = 262_144   # node coordinates held at once
 _PAIR_BUDGET = 1 << 22   # brick-triangle distances held at once
+_TILE_PAIRS = 1 << 15    # point-triangle pairs per call of a culling or sign kernel
 
 
 @dataclass
@@ -162,7 +170,11 @@ def unsigned_distance(axes, dims, triangles):
         ids = np.unravel_index(np.arange(start, min(start + per_chunk, n_bricks)), nb)
         coords = [ax[i] for ax, i in zip(brick_axes, ids)]      # (m, BRICK) per axis
         centres = np.stack([0.5 * (c[:, 0] + c[:, -1]) for c in coords], axis=1)
-        near = np.sqrt(np.stack([_point_triangle_dist2(centres, a, b, c) for a, b, c in triangles]))
+        near = np.empty((len(triangles), len(centres)))
+        tile = max(1, _TILE_PAIRS // len(centres))
+        for t in range(0, len(triangles), tile):
+            near[t:t + tile] = _point_triangle_dist2(centres, *triangles[t:t + tile].transpose(1, 0, 2))
+        np.sqrt(near, out=near)
         candidate = near <= near.min(axis=0) + reach                # (faces, m)
         m = len(centres)
         nodes = np.empty((m, BRICK, BRICK, BRICK, 3))
@@ -180,23 +192,29 @@ def unsigned_distance(axes, dims, triangles):
 
 
 def _point_triangle_dist2(p, a, b, c):
-    """Squared distances from points (N,3) to one triangle (Ericson's
-    regions), column by column; the module docstring says which operations
-    fix the bits.
+    """Squared distances from points ``p`` (m, 3) to one triangle, with
+    ``a``, ``b``, ``c`` of shape (3,), as (m,); or to a tile of nt triangles,
+    each vertex array of shape (nt, 3), as (nt, m). Ericson's regions, column
+    by column; the module docstring says which operations fix the bits.
 
     A triangle whose first two vertices coincide is measured as (a, c, a):
     the regions take a repeated c, but a repeated b would give every point
     its distance to a."""
-    if np.array_equal(a, b):
-        b, c = c, a
+    one = np.ndim(a) == 1
+    a, b, c = (np.reshape(v, (-1, 3)) for v in (a, b, c))
+    same = (a == b).all(axis=1, keepdims=True)
+    if same.any():
+        b, c = np.where(same, c, b), np.where(same, a, c)
     ab = b - a
     ac = c - a
-    off = np.empty(p.shape)    # p minus a vertex; then the closest points; then p minus those
+    nt, n = len(a), len(p)
+    off = np.empty((nt, n, 3))    # p minus a vertex; then the closest points; then p minus those
+    rows = off.reshape(-1, 3)     # row t * n + i is point i against triangle t
 
     def dots(v):
         for k in range(3):
-            np.subtract(p[:, k], v[k], out=off[:, k])
-        return off @ ab, off @ ac
+            np.subtract(p[:, k], v[:, k, None], out=off[:, :, k])
+        return (off @ ab[:, :, None]).ravel(), (off @ ac[:, :, None]).ravel()
 
     d1, d2 = dots(a)
     d3, d4 = dots(b)
@@ -206,9 +224,9 @@ def _point_triangle_dist2(p, a, b, c):
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
-    # each point takes the first Voronoi region that claims it; a region's
-    # closest point is computed only on the points it takes
-    todo = np.ones(len(p), dtype=bool)
+    # each pair takes the first Voronoi region that claims it; a region's
+    # closest point is computed only on the pairs it takes
+    todo = np.ones(nt * n, dtype=bool)
 
     def take(mask):
         m = np.flatnonzero(mask & todo)
@@ -217,12 +235,14 @@ def _point_triangle_dist2(p, a, b, c):
 
     def put(m, origin, *steps):
         """closest[m] = origin + t0 * e0 + t1 * e1 ..., column by column, summed
-        left to right as the row form summed it."""
+        left to right as the row form summed it; a lone triangle's vertex and
+        edge coordinates are scalars, a tile's are gathered per pair."""
+        tri = 0 if nt == 1 else m // n
         for k in range(3):
-            col = origin[k]
+            col = origin[tri, k]
             for t, e in steps:
-                col = col + t * e[k]
-            off[m, k] = col
+                col = col + t * e[tri, k]
+            rows[m, k] = col
 
     put(take((d1 <= 0) & (d2 <= 0)), a)
     put(take((d3 >= 0) & (d4 <= d3)), b)
@@ -245,7 +265,8 @@ def _point_triangle_dist2(p, a, b, c):
         w = np.where(denom != 0, vc[m] / denom, 1.0 / 3.0)
         put(m, a, (v, ab), (w, ac))
     np.subtract(p, off, out=off)
-    return np.einsum("ij,ij->i", off, off)
+    dist2 = np.einsum("ij,ij->i", rows, rows)
+    return dist2 if one else dist2.reshape(nt, n)
 
 
 def inside_mask(axes, triangles):
@@ -268,36 +289,40 @@ def _ray_parity(axes, triangles, normals, axis):
     depth = axes[axis]
     parity = np.zeros((len(qu), len(depth)), dtype=bool)   # one row per column
     step = max(1, _CHUNK_NODES // len(depth))
-    for (a, b, c), n in zip(triangles, normals):
-        if abs(n[axis]) < 1e-12:
-            continue  # ray parallel to the triangle plane
-        cols = np.flatnonzero(_projected_inside(qu, qw, (a[u], a[w]), (b[u], b[w]), (c[u], c[w])))
-        for start in range(0, len(cols), step):
-            sel = cols[start:start + step]
-            pts = np.empty((len(sel), len(depth), 3))
-            pts[..., u] = qu[sel, None]
-            pts[..., w] = qw[sel, None]
-            pts[..., axis] = depth
-            s = (n @ a - pts.reshape(-1, 3) @ n) / n[axis]
-            parity[sel] ^= (s > 0).reshape(len(sel), -1)
+    crossed = np.flatnonzero(~(np.abs(normals[:, axis]) < 1e-12))  # rays not parallel to the plane
+    tile = max(1, _TILE_PAIRS // len(qu))
+    for start in range(0, len(crossed), tile):
+        ids = crossed[start:start + tile]
+        a2, b2, c2 = ((v[:, u], v[:, w]) for v in triangles[ids].transpose(1, 0, 2))
+        for t, inside in zip(ids, _projected_inside(qu, qw, a2, b2, c2)):
+            a, n = triangles[t, 0], normals[t]
+            cols = np.flatnonzero(inside)
+            for lo in range(0, len(cols), step):
+                sel = cols[lo:lo + step]
+                pts = np.empty((len(sel), len(depth), 3))
+                pts[..., u] = qu[sel, None]
+                pts[..., w] = qw[sel, None]
+                pts[..., axis] = depth
+                s = (n @ a - pts.reshape(-1, 3) @ n) / n[axis]
+                parity[sel] ^= (s > 0).reshape(len(sel), -1)
     shape = (len(axes[u]), len(axes[w]), len(depth))
     return parity.reshape(shape).transpose(np.argsort((u, w, axis)))
 
 
 def _projected_inside(qu, qw, a2, b2, c2):
-    sign = None
+    """Whether the columns (qu, qw) fall inside a triangle projected to the
+    (u, w) plane, with vertices ``a2``, ``b2``, ``c2`` given as (u, w) pairs:
+    of scalars for one triangle, as (ncols,), or of (nt,) arrays for a tile
+    of triangles, as (nt, ncols)."""
+    side = []
     for p1, p2 in ((a2, b2), (b2, c2), (c2, a2)):
-        eu, ew = p2[0] - p1[0], p2[1] - p1[1]
-        wv = eu * (qw - p1[1]) - ew * (qu - p1[0])
-        # tie sign for wv == 0: sign of the edge function at q + (eps^2, eps)
-        tie = 1.0 if (eu > 0 or (eu == 0 and ew < 0)) else -1.0
-        es = np.where(wv > 0, 1.0, np.where(wv < 0, -1.0, tie))
-        if sign is None:
-            sign = es
-            ok = np.ones(len(qu), dtype=bool)
-        else:
-            ok &= es == sign
-    return ok
+        p1u, p1w, p2u, p2w = (np.asarray(x)[..., None] for x in (*p1, *p2))
+        eu, ew = p2u - p1u, p2w - p1w
+        wv = eu * (qw - p1w) - ew * (qu - p1u)
+        # wv == 0 takes the side of the edge function at q + (eps^2, eps)
+        tie = (eu > 0) | ((eu == 0) & (ew < 0))
+        side.append((wv > 0) | (tie & ~(wv < 0)))
+    return (side[0] == side[1]) & (side[1] == side[2])
 
 
 # -- sampling ------------------------------------------------------------------
@@ -329,12 +354,13 @@ def _floor_cells(local, top):
     return idx
 
 
-def sample_sdf_batch(grid, points):
+def sample_sdf_batch(grid, points, want_grad=True):
     """Trilinear values (N,) and analytic gradients (N, 3) at points (N, 3),
     defined at every finite point. Out-of-grid points get the clamped boundary
     value plus the Euclidean distance to the grid box, with the gradient
-    pointing away from the box. A non-finite point raises
-    :class:`NumericError` naming its row."""
+    pointing away from the box. With ``want_grad`` False the gradient is not
+    computed and comes back as None; the values are the same. A non-finite
+    point raises :class:`NumericError` naming its row."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     q, local = _cell_coords(grid, points)
     delta = points - q
@@ -364,6 +390,12 @@ def sample_sdf_batch(grid, points):
              c110 * fx * fy * gz + c001 * gx * gy * fz + c101 * fx * gy * fz +
              c011 * gx * fy * fz + c111 * fx * fy * fz)
 
+    outside = bool((outside_dist > 0.0).any())
+    if outside:
+        value = value + outside_dist
+    if not want_grad:
+        return value, None
+
     dx = ((c100 - c000) * gy * gz + (c110 - c010) * fy * gz +
           (c101 - c001) * gy * fz + (c111 - c011) * fy * fz) / grid.cell
     dy = ((c010 - c000) * gx * gz + (c110 - c100) * fx * gz +
@@ -371,10 +403,7 @@ def sample_sdf_batch(grid, points):
     dz = ((c001 - c000) * gx * gy + (c101 - c100) * fx * gy +
           (c011 - c010) * gx * fy + (c111 - c110) * fx * fy) / grid.cell
     grad = np.stack([dx, dy, dz], axis=1)
-
-    out = outside_dist > 0.0
-    if out.any():
-        value = value + outside_dist
+    if outside:
         with np.errstate(divide="ignore", invalid="ignore"):
             away = np.where(outside_dist[:, None] > 0, delta / np.maximum(outside_dist, 1e-300)[:, None], 0.0)
         outside_axis = delta != 0.0

@@ -360,9 +360,9 @@ def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatc
     sample = energy.sample_sdf_batch
     nearest = VertexIndex._nearest
 
-    def counting_sample(grid, points):
+    def counting_sample(grid, points, want_grad=True):
         sampled.append(len(points))
-        return sample(grid, points)
+        return sample(grid, points, want_grad)
 
     def counting_nearest(self, query):
         queried.append(len(query))
@@ -486,9 +486,9 @@ def test_culled_col_term_on_an_all_positive_grid_is_zero(monkeypatch):
     g = g0.copy()
     sampled = []
 
-    def counting_sample(grid, points):
+    def counting_sample(grid, points, want_grad=True):
         sampled.append(len(points))
-        return sample_sdf_batch(grid, points)
+        return sample_sdf_batch(grid, points, want_grad)
 
     monkeypatch.setattr(energy, "sample_sdf_batch", counting_sample)
     assert _col_term(verts, grid, True, g, scale=0.7) == 0.0

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scenemotion import sdf
 from scenemotion.datagen import box_mesh_arrays, dataset_scene_fields, gen_scene, random_scene_spec
 from scenemotion.errors import ArtefactError, NumericError, ResourceLimitError, SceneMotionError
 from scenemotion.scene import make_mesh
@@ -191,6 +192,62 @@ def _every_pair_sdf(grid, tris):
     return np.where(votes >= 2, -dist, dist).reshape(grid.dims)
 
 
+def test_a_room_over_many_chunks_and_tiles_matches_every_pair(monkeypatch):
+    # Bounds cut so far down that the culling pass runs five chunks, four of
+    # 24 bricks in two tiles each, and the sign pass runs tiles of 3
+    # triangles across x and y and of 1 along z: every node still equals
+    # the one every pair gives.
+    monkeypatch.setattr(sdf, "_CHUNK_NODES", 24 * BRICK**3)
+    monkeypatch.setattr(sdf, "_TILE_PAIRS", 600)
+    mesh = gen_scene(random_scene_spec(4))
+    tris = mesh.vertices[mesh.faces]
+    culls, signs = [], []
+    kernel, inside = sdf._point_triangle_dist2, sdf._projected_inside
+
+    def counting_kernel(p, a, b, c):
+        if np.ndim(a) == 2:
+            culls.append((len(a), len(p)))
+        return kernel(p, a, b, c)
+
+    def counting_inside(qu, qw, a2, b2, c2):
+        signs.append(np.size(a2[0]))
+        return inside(qu, qw, a2, b2, c2)
+
+    monkeypatch.setattr(sdf, "_point_triangle_dist2", counting_kernel)
+    monkeypatch.setattr(sdf, "_projected_inside", counting_inside)
+    grid = build_sdf(mesh, cell=0.3, padding=0.3)
+    assert culls == [(25, 24), (13, 24)] * 4 + [(len(tris), 2)]
+    assert sorted(set(signs)) == [1, 3]
+    assert grid.values.min() < 0.0 < grid.values.max()
+    assert np.array_equal(grid.values, _every_pair_sdf(grid, tris))
+
+
+def test_the_culling_pass_makes_one_kernel_call_per_tile(monkeypatch):
+    mesh = gen_scene(random_scene_spec(1))
+    faces = len(mesh.faces)
+    calls = []
+    kernel = sdf._point_triangle_dist2
+
+    def counting(p, a, b, c):
+        if np.ndim(a) == 2:
+            calls.append((len(a), len(p)))
+        return kernel(p, a, b, c)
+
+    monkeypatch.setattr(sdf, "_point_triangle_dist2", counting)
+    grid = build_sdf(mesh, cell=0.15, padding=0.3)
+    bricks = int(np.prod([-(-n // BRICK) for n in grid.dims]))
+    assert bricks <= sdf._CHUNK_NODES // BRICK**3        # one chunk
+    tile = sdf._TILE_PAIRS // bricks
+    assert len(calls) == -(-faces // tile) < faces
+    assert [nt for nt, _ in calls] == [tile] * (faces // tile) + [faces % tile] * (faces % tile > 0)
+    assert all(m == bricks for _, m in calls)
+    # with the bound a multiple of the bricks, that is ceil(faces * bricks / bound) calls
+    calls.clear()
+    monkeypatch.setattr(sdf, "_TILE_PAIRS", 5 * bricks)
+    assert np.array_equal(build_sdf(mesh, cell=0.15, padding=0.3).values, grid.values)
+    assert len(calls) == -(-faces * bricks // (5 * bricks)) == -(-faces // 5)
+
+
 def test_culled_build_cases_cover_their_geometry():
     on_nodes = build_sdf(unit_cube(), cell=0.25, padding=1.0)
     assert np.sum(on_nodes.values == 0.0) == 98     # every surface node of the 5^3 lattice
@@ -277,6 +334,76 @@ def test_kernel_on_degenerate_triangles_is_the_segment_distance(tri, ends):
     want = (_segment_distance(p, *ends) if ab @ ab > 0.0
             else np.linalg.norm(p - ends[0], axis=1))
     np.testing.assert_allclose(np.sqrt(_point_triangle_dist2(p, *tri)), want, rtol=0.0, atol=1e-12)
+
+
+def _tile_cases(rng, nt):
+    """nt random triangles, the degenerate relabelled ones among them, as (nt, 3, 3)."""
+    tris = rng.normal(size=(nt, 3, 3))
+    kinds = rng.integers(0, 6, size=nt)   # 0-1 generic; b = a; c = b; c = a; a = b = c
+    tris[kinds == 2, 1] = tris[kinds == 2, 0]
+    tris[kinds == 3, 2] = tris[kinds == 3, 1]
+    tris[kinds == 4, 2] = tris[kinds == 4, 0]
+    tris[kinds == 5, 1:] = tris[kinds == 5, :1]
+    return tris
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_each_row_of_a_tile_call_is_bit_equal_to_its_one_triangle_call(seed):
+    rng = np.random.default_rng(40 + seed)
+    nt, m = rng.integers(1, 40), rng.integers(1, 300)
+    tris = _tile_cases(rng, nt)
+    tris[:4] = [[_X0, _X0, _X2], [_X0, _X2, _X2], [_X0, _X2, _X0], [_X1, _X1, _X1]][:nt]
+    # points on the vertices and edges as well as around them
+    p = np.vstack([rng.normal(scale=1.5, size=(m, 3)), tris[0], 0.5 * (tris[0, 0] + tris[0, 1])])
+    whole = _point_triangle_dist2(p, *tris.transpose(1, 0, 2))
+    assert whole.shape == (nt, len(p))
+    for t, (a, b, c) in enumerate(tris):
+        one = _point_triangle_dist2(p, a, b, c)
+        assert one.shape == (len(p),)
+        assert np.array_equal(whole[t], one), t
+    # split at any tile boundary, the rows do not change
+    cut = rng.integers(0, nt + 1)
+    halves = [_point_triangle_dist2(p, *part.transpose(1, 0, 2)) for part in (tris[:cut], tris[cut:])]
+    assert np.array_equal(np.vstack(halves), whole)
+    assert np.array_equal(_point_triangle_dist2(p, *tris[:1].transpose(1, 0, 2))[0], whole[0])
+
+
+def _square_tiling():
+    """Eight triangles tiling [0, 2]^2: four unit squares, each cut along a
+    diagonal, so they share vertical, horizontal and diagonal edges and one
+    vertex six of them meet at."""
+    tris = []
+    for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        tris += [[[x, y], [x + 1, y], [x + 1, y + 1]], [[x, y], [x + 1, y + 1], [x, y + 1]]]
+    return np.array(tris, dtype=float)
+
+
+def test_projected_inside_of_a_tile_equals_its_one_triangle_calls():
+    # Columns on a lattice the triangles' vertices lie on, so many columns sit
+    # exactly on a projected edge or vertex and take the tie rule.
+    rng = np.random.default_rng(23)
+    qu, qw = (q.ravel() for q in np.meshgrid(np.arange(-4, 13) * 0.25, np.arange(-4, 13) * 0.25,
+                                             indexing="ij"))
+    tris = np.vstack([_square_tiling(), [[[0, 0], [0, 0], [1, 0]]],
+                      rng.integers(-4, 13, size=(50, 3, 2)) * 0.25])
+    a2, b2, c2 = ((v[:, 0], v[:, 1]) for v in tris.transpose(1, 0, 2))
+    tile = _projected_inside(qu, qw, a2, b2, c2)
+    assert tile.shape == (len(tris), len(qu))
+    for t, (a, b, c) in enumerate(tris):
+        one = _projected_inside(qu, qw, tuple(a), tuple(b), tuple(c))
+        assert one.shape == qu.shape
+        assert np.array_equal(tile[t], one), t
+    # the tie rule: the tiling claims each column inside [0, 2]^2, on its
+    # shared edges and vertices too, exactly once, and none outside it; the
+    # claimant is the triangle that holds the column moved by (eps^2, eps)
+    claims = tile[:8].sum(axis=0)
+    inner = (qu > 0) & (qu < 2) & (qw > 0) & (qw < 2)
+    assert np.all(claims[inner] == 1)
+    moved = _projected_inside(qu + 1e-6, qw + 1e-3,
+                              *((v[:8, 0], v[:8, 1]) for v in tris.transpose(1, 0, 2)))
+    assert np.array_equal(tile[:8, inner], moved[:, inner])
+    assert np.all(claims[(qu < 0) | (qu > 2) | (qw < 0) | (qw > 2)] == 0)
+    assert not tile[8].any()      # a degenerate triangle covers no column
 
 
 def test_node_exact_sampling():
@@ -438,6 +565,19 @@ def test_batch_matches_scalar():
         v1, g1 = sdf_at(grid, p)
         assert v == v1
         assert np.array_equal(g, g1)
+
+
+def test_value_only_sampling_reads_the_same_values():
+    grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
+    rng = np.random.default_rng(9)
+    inside = rng.uniform(-0.4, 0.4, size=(50, 3))
+    past = grid.upper + rng.uniform(0.0, 2.0, size=(50, 3)) * rng.choice([0.0, 1.0], size=(50, 3))
+    pts = np.vstack([inside, past, grid.origin - 1.0, rng.uniform(-1.5, 2.5, size=(50, 3))])
+    assert grid.may_be_negative(inside).all() and sample_sdf_batch(grid, inside)[0].max() < 0.0
+    vals, grads = sample_sdf_batch(grid, pts)
+    only, none = sample_sdf_batch(grid, pts, want_grad=False)
+    assert none is None and grads.shape == (len(pts), 3)
+    assert np.array_equal(only, vals)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
