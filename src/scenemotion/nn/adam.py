@@ -35,10 +35,19 @@ class AdamState:
     updates the other; each group has its own scratch pair, sized to its
     largest parameter. A state of one parameter, such as refinement's, has one
     group and updates it on the calling thread.
+
+    The optimizer owns the gradient slots it reads (``Param.grad``, which a
+    model that is only run never creates): it creates every parameter's slot
+    here, before the moments, so a trainer's slots and moments are allocated
+    together, outside its steps. Refinement (``AdamState([x])``) and
+    ``cvae.fit_latent`` train one parameter each, which their first ``grad``
+    write would create anyway, so they behave as before.
     """
 
     def __init__(self, params):
         self.params = list(params)
+        for p in self.params:
+            p.grad  # noqa: B018 -- the first read creates the slot
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]

@@ -1,5 +1,12 @@
 """Named parameter tensors with gradient slots and init. Weights persist
-through ``scenemotion.artefact``."""
+through ``scenemotion.artefact``.
+
+A parameter's gradient slot is allocated on its first read, not with the
+parameter. Inference (goal sampling, clip synthesis, refinement against the
+scene) reads no network gradient, so a model that is only run holds its
+weights alone; a backward pass or an optimizer (``nn.adam.AdamState``)
+creates the slots it uses.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +14,34 @@ import numpy as np
 
 
 class Param:
-    """A trainable array plus its gradient slot."""
+    """A trainable array plus its gradient slot.
 
-    __slots__ = ("name", "value", "grad")
+    The slot does not exist until ``grad`` is first read: that read creates
+    it as zeros of the value's shape, so ``p.grad += g`` and
+    ``p.grad[...] = g`` work on a fresh parameter as on a used one.
+    ``zero_grad`` clears a slot that exists and creates none.
+    """
+
+    __slots__ = ("name", "value", "_grad")
 
     def __init__(self, name, value):
         self.name = name
         self.value = np.array(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
+
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, g):
+        self._grad = g
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self):
         return f"Param({self.name}, shape={self.value.shape})"
@@ -68,6 +92,8 @@ class Module:
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != param.value.shape:
                 raise ValueError(f"{name}: stored shape {arr.shape} != model shape {param.value.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name}: stored tensor holds non-finite values")
             param.value[...] = arr
 
     def checksum(self):

@@ -366,6 +366,54 @@ def test_point_encoder_rejects_empty_cloud():
         enc.forward(np.zeros((0, 3)))
 
 
+def _holds_grad(p):
+    return p._grad is not None
+
+
+def test_fresh_param_holds_no_grad_slot_until_its_first_read():
+    value = np.random.default_rng(12).standard_normal((4, 3)).astype(np.float32)
+    p = Param("w", value)
+    assert not _holds_grad(p)
+    p.zero_grad()  # clears a slot that exists, creates none
+    assert not _holds_grad(p)
+    g = p.grad
+    assert _holds_grad(p)
+    assert g.dtype == np.float64 and g.shape == (4, 3)
+    assert g.tobytes() == np.zeros((4, 3)).tobytes()
+    assert p.grad is g
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (3,), ()])
+def test_grad_accumulation_and_zero_grad_keep_the_eager_slot_bytes(shape):
+    """A slot created on first use takes ``+=``, ``[...] =`` and ``zero_grad``
+    exactly as a zero-filled slot allocated with the parameter did."""
+    rng = np.random.default_rng(13)
+    value, g1, g2 = (rng.standard_normal(shape) for _ in range(3))
+    eager = np.zeros_like(value)
+    eager += g1
+    eager += g2
+    p = Param("w", value)
+    p.grad += g1
+    p.grad += g2
+    assert p.grad.tobytes() == eager.tobytes()
+    slot = p.grad
+    p.zero_grad()
+    assert p.grad is slot and p.grad.tobytes() == np.zeros(shape).tobytes()
+    q = Param("w", value)
+    q.grad[...] = g1
+    assert q.grad.tobytes() == np.asarray(g1, dtype=np.float64).tobytes()
+
+
+def test_adam_state_creates_the_slot_of_every_param():
+    rng = np.random.default_rng(14)
+    model = [Linear(6, 4, rng), BiLSTM(4, 3, rng)]
+    params = [p for m in model for p in m.params()] + _mixed_params(rng)
+    assert not any(_holds_grad(p) for p in params)
+    AdamState(params)
+    assert all(_holds_grad(p) for p in params)
+    assert all(p.grad.tobytes() == np.zeros(p.value.shape).tobytes() for p in params)
+
+
 def test_adam_zero_gradient_keeps_params():
     p = Param("x", np.array([1.0, 2.0]))
     state = AdamState([p])

@@ -1,15 +1,17 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scenemotion import body
+from scenemotion import RunConfig, body
 from scenemotion.cvae import CVAETrainer, GoalCVAE
 from scenemotion.datagen import gen_scene, SyntheticSceneSpec
 from scenemotion.energy import total_energy
-from scenemotion.errors import InvalidRotationError
+from scenemotion.errors import ArtefactError, InvalidRotationError
 from scenemotion.field import SceneField
 from scenemotion.motion_nets import PoseNet, RouteNet, train_pose_net, train_route_net
+from scenemotion.persist import load_model, save_model
 from scenemotion.pipeline import (GoalSpec, cvae_interpolation_baseline, plan_long_term,
                                   validate_spec)
 from scenemotion.refine import RefinementSchedule
@@ -316,3 +318,68 @@ def test_baseline_requires_two_steps_and_shared_beta(random_models, small_field)
                         p=np.zeros(32), h=np.zeros(24))
     with pytest.raises(ValueError):
         cvae_interpolation_baseline(cvae, a, b, feat, steps=4)
+
+
+def _small_models():
+    return (GoalCVAE(np.random.default_rng(0), hidden=32, cond_dim=24, point_hidden=(8, 12)),
+            RouteNet(np.random.default_rng(1), hidden=24, fc_width=32, point_hidden=(8, 12)),
+            PoseNet(np.random.default_rng(2), hidden=24, fc_width=32, point_hidden=(8, 12)))
+
+
+def _grad_slots(*models):
+    return [name for m in models for name, p in m.named_params().items()
+            if p._grad is not None]
+
+
+@pytest.mark.parametrize("schedule", [None, RefinementSchedule.two_stage(iters=2)])
+def test_planning_creates_no_network_grad_slot(small_field, template, schedule):
+    models = _small_models()
+    result = plan_long_term(*models, template, goals(3), small_field, k=15, schedule=schedule)
+    assert (result.post_report is None) == (schedule is None)
+    assert _grad_slots(*models) == []
+
+
+@pytest.mark.parametrize("kind", ["cvae", "route", "pose"])
+def test_loaded_model_holds_no_grad_slot(tmp_path, kind):
+    model = dict(zip(("cvae", "route", "pose"), _small_models()))[kind]
+    path = str(tmp_path / f"{kind}.npz")
+    save_model(path, model, kind)
+    loaded, _ = load_model(path, kind)
+    assert loaded.checksum() == model.checksum()
+    assert _grad_slots(loaded) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_loading_weights_with_a_non_finite_tensor_names_file_and_tensor(tmp_path, bad):
+    model = _small_models()[0]
+    name, param = next(iter(model.named_params().items()))
+    param.value.flat[3] = bad
+    path = str(tmp_path / "cvae.npz")
+    save_model(path, model, "cvae")
+    with pytest.raises(ArtefactError, match="non-finite") as err:
+        load_model(path, "cvae")
+    assert path in str(err.value) and name in str(err.value)
+
+
+def test_reference_width_models_hold_their_weights_alone():
+    """Building the three models at the reference widths leaves their weights
+    live and little else: no gradient slot, which would double it."""
+    cfg = RunConfig()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        models = (GoalCVAE(np.random.default_rng(0), hidden=cfg.hidden, cond_dim=cfg.cond_dim,
+                           point_hidden=cfg.point_hidden),
+                  RouteNet(np.random.default_rng(1), hidden=cfg.hidden, fc_width=cfg.fc_width,
+                           point_hidden=cfg.point_hidden),
+                  PoseNet(np.random.default_rng(2), hidden=cfg.hidden, fc_width=cfg.fc_width,
+                          point_hidden=cfg.point_hidden))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    weights = sum(p.value.nbytes for m in models for p in m.params())
+    assert weights > 20 * 2**20
+    assert held - weights < 2**20, f"{held / 2**20:.1f} MiB live, {weights / 2**20:.1f} weights"
