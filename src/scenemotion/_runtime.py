@@ -6,10 +6,10 @@ it before anything else, so numpy has not loaded yet unless the caller
 imported it first.
 
 - BLAS threads: ``THREAD_VARS`` default to "1". The BiLSTM runs its two
-  directions on two threads, and refinement and energy reports give a
-  second thread part of the body kernel's frame blocks and the contact
-  query (``_worker``); a multi-threaded BLAS under them competes for the
-  same cores. A value the user set wins; none has an effect once numpy has
+  directions on two threads, the body kernel gives a second thread every
+  other frame block, and training gives it weight-gradient GEMMs and half
+  of each Adam update (``_worker``); a multi-threaded BLAS under them
+  competes for the same cores. A value the user set wins; none has an effect once numpy has
   loaded its BLAS.
 - Freed memory: on glibc, large blocks are taken from the heap, not from
   ``mmap``, and the heap is not trimmed, so the arrays a training or

@@ -41,8 +41,9 @@ VAR_POSE = slice(VAR_P.start, VAR_H.stop)
 VAR_DIM = VAR_H.stop                          # 65
 
 DEFAULT_TEMPLATE_SEED = 20240117
-# vertex groups encouraged to contact the scene
-CONTACT_GROUPS = ("left_sole", "right_sole", "buttocks", "thigh_back", "palm")
+# vertex groups encouraged to contact the scene: the soles, the only part of
+# the body that touches the scene in a walk, which is all the data holds
+CONTACT_GROUPS = ("left_sole", "right_sole")
 
 JOINT_NAMES = [
     "pelvis", "l_hip", "r_hip", "spine1", "l_knee", "r_knee", "spine2",
@@ -146,7 +147,7 @@ class BodyTemplate:
         return self
 
     def contact_vertex_ids(self):
-        """Vertex ids encouraged to contact the scene."""
+        """Vertex ids encouraged to contact the scene: those of ``CONTACT_GROUPS``."""
         return np.concatenate([self.vertex_groups[g] for g in CONTACT_GROUPS])
 
     def sole_vertex_ids(self, side):
@@ -275,13 +276,6 @@ def build_template(seed=DEFAULT_TEMPLATE_SEED):
             groups["left_sole"].extend(vs[coords[:, 2] < joints[jindex["l_toe"]][2] + 0.01])
         elif prox_name == "r_ankle":
             groups["right_sole"].extend(vs[coords[:, 2] < joints[jindex["r_toe"]][2] + 0.01])
-        elif prox_name == "pelvis":
-            low_back = (coords[:, 1] < -0.08) & (coords[:, 2] < 0.05)
-            groups["buttocks"].extend(vs[low_back])
-        elif prox_name in ("l_hip", "r_hip"):
-            groups["thigh_back"].extend(vs[(coords[:, 1] < -0.05) & (coords[:, 2] > -0.40)])
-        elif prox_name in ("l_wrist", "r_wrist"):
-            groups["palm"].extend(vs)
 
     # head blob
     head_center = joints[jindex["head"]] + np.array([0.0, 0.0, 0.05])

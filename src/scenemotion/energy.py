@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import body
-from ._worker import both, worker
 from .sdf import sample_sdf_batch
 
 CONTACT_SIGMA = 0.2       # m, Geman-McClure scale
@@ -192,7 +190,7 @@ def _cont_term(vertices, contact_ids, index, nearest, want_grad, g_vertices=None
 
 def _contact_query(vertices, contact_ids, index):
     """One exact nearest-point query over every frame's contact vertices."""
-    return index._nearest(vertices[:, contact_ids].reshape(-1, 3))
+    return index.nearest(vertices[:, contact_ids].reshape(-1, 3))
 
 
 def _frame_order_sum(per_frame):
@@ -276,24 +274,18 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, want_gr
     """Weighted four-term energy of posed vertices (T, V, 3).
 
     Returns the EnergyReport and, with ``want_grad``, dTotal/dvertices
-    (T, V, 3), else None; a zero-weight term adds no gradient. The contact
-    query (``_contact_query``) runs on the worker (``_worker.both``) while
-    the calling thread takes the foot and collision terms. The terms add
-    their gradients in the order foot, col, cont, smooth.
+    (T, V, 3), else None; a zero-weight term adds no gradient. The terms run
+    in turn on the calling thread and add their gradients in the order foot,
+    col, cont, smooth.
     """
     g = np.zeros(vertices.shape) if want_grad else None
     contact_ids, index = template.contact_vertex_ids(), scene_field.index
-
-    def foot_and_col():
-        foot = _foot_term(template, vertices, segmentation, want_grad and weights.foot != 0.0,
-                          g, scale=weights.foot)
-        return foot, _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0,
-                               g, scale=weights.col)
-
-    (foot, col), nearest = both(foot_and_col,
-                                partial(_contact_query, vertices, contact_ids, index))
-    cont = _cont_term(vertices, contact_ids, index, nearest, want_grad and weights.cont != 0.0,
-                      g, scale=weights.cont)
+    foot = _foot_term(template, vertices, segmentation, want_grad and weights.foot != 0.0, g,
+                      scale=weights.foot)
+    col = _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0, g,
+                    scale=weights.col)
+    cont = _cont_term(vertices, contact_ids, index, _contact_query(vertices, contact_ids, index),
+                      want_grad and weights.cont != 0.0, g, scale=weights.cont)
     smooth = _smooth_term(vertices, want_grad and weights.smooth != 0.0, g,
                           scale=weights.smooth)
     return EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights), g
@@ -301,13 +293,9 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, want_gr
 
 def total_energy(template, frames, scene_field, weights, segmentation=None):
     """Evaluate all four terms of flat records ``frames`` (T, 75); the
-    segmentation is recomputed unless supplied.
-
-    The posing and the energy share one worker thread (``_worker.worker``).
-    """
-    with worker():
-        vertices = body.forward_batch(template, frames).vertices
-        if segmentation is None:
-            segmentation = segment_stable_foot(template, vertices)
-        report, _ = scene_energy(template, vertices, scene_field, weights, segmentation)
+    segmentation is recomputed unless supplied."""
+    vertices = body.forward_batch(template, frames).vertices
+    if segmentation is None:
+        segmentation = segment_stable_foot(template, vertices)
+    report, _ = scene_energy(template, vertices, scene_field, weights, segmentation)
     return report

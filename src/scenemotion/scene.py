@@ -243,7 +243,8 @@ def sample_point_cloud(mesh, m, seed=0):
 # -- exact nearest-neighbor index ----------------------------------------------
 
 class VertexIndex:
-    """Exact nearest-neighbor queries over a fixed point set (k-d tree)."""
+    """Exact nearest-neighbor queries over a fixed point set (k-d tree). The
+    contact term makes one query per evaluation, on the calling thread."""
 
     def __init__(self, points):
         # imported here, not with the package: most commands build no index
@@ -256,10 +257,5 @@ class VertexIndex:
 
     def nearest(self, query):
         """(indices (Q,), distances (Q,)) of the nearest point to each query row (Q, 3)."""
-        return self._nearest(query)
-
-    def _nearest(self, query):
-        """:meth:`nearest`, for a worker thread: the benchmark's tracer wraps
-        ``nearest``, and its span stack belongs to the calling thread."""
         d, i = self._tree.query(np.asarray(query, dtype=np.float64).reshape(-1, 3), k=1)
         return i.astype(np.int64), d

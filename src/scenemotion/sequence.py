@@ -30,6 +30,10 @@ class MotionSequence:
         self.frames = np.asarray(self.frames, dtype=np.float64).reshape(-1, body.PARAM_DIM)
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("sequence contains non-finite parameters")
+        if not all(isinstance(b, numbers.Integral) and not isinstance(b, bool)
+                   for b in self.chunk_boundaries):
+            raise ValueError(f"chunk boundaries {self.chunk_boundaries} must be frame "
+                             f"indices (integers)")
         if not all(0 <= b < len(self.frames) for b in self.chunk_boundaries):
             raise ValueError(f"chunk boundaries {self.chunk_boundaries} fall outside "
                              f"{len(self.frames)} frames")

@@ -76,11 +76,9 @@ class PinnedIndex:
         self.points = points
         self.indices = np.asarray(indices).reshape(-1)
 
-    def _nearest(self, query):
+    def nearest(self, query):
         query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
         return self.indices, np.linalg.norm(query - self.points[self.indices], axis=1)
-
-    nearest = _nearest
 
 
 def pinned_field(scene_field, correspondences):

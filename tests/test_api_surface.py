@@ -105,6 +105,16 @@ def test_refinement_has_no_test_only_hooks():
         "template", "vertices", "scene_field", "weights", "segmentation", "want_grad"]
 
 
+def test_the_contact_query_has_one_path():
+    """``VertexIndex`` has one query method, and the energy terms run in turn
+    on the calling thread: ``energy`` hands nothing to the worker."""
+    scene = importlib.import_module("scenemotion.scene")
+    energy = importlib.import_module("scenemotion.energy")
+    assert not hasattr(scene.VertexIndex, "_nearest")
+    assert [m for m in vars(scene.VertexIndex) if "nearest" in m] == ["nearest"]
+    assert not {"both", "partial", "worker"} & set(vars(energy))
+
+
 def parameters(fn):
     return list(inspect.signature(fn).parameters)
 

@@ -25,6 +25,16 @@ def test_template_invariants(template):
         seen.update(ids.tolist())
 
 
+def test_contact_groups_are_the_two_soles(template):
+    """A walk touches the scene with its soles only, so no other group is
+    pulled toward it."""
+    assert body.CONTACT_GROUPS == ("left_sole", "right_sole")
+    assert set(template.vertex_groups) == set(body.CONTACT_GROUPS)
+    soles = np.concatenate([template.sole_vertex_ids("left"), template.sole_vertex_ids("right")])
+    assert np.array_equal(template.contact_vertex_ids(), soles)
+    assert len(soles) == 18
+
+
 def test_rest_pose_reproduces_template_bit_exactly(template):
     mesh, _ = body.forward_with_cache(template, rest_params())
     assert np.array_equal(mesh.vertices, template.rest_vertices)

@@ -255,6 +255,26 @@ def test_sequence_rejects_out_of_range_boundaries(tmp_path, boundaries):
         load_sequence(tmp_path / "seq")
 
 
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0), "1"], ids=repr)
+def test_sequence_chunk_boundaries_must_be_integers(bad):
+    with pytest.raises(ValueError, match="chunk boundaries .* must be frame indices"):
+        MotionSequence(frames=np.zeros((3, 75)), chunk_boundaries=[0, bad])
+    seq = MotionSequence(frames=np.zeros((3, 75)), chunk_boundaries=[np.int64(0), np.int64(2)])
+    assert seq.chunk_boundaries == [0, 2]
+
+
+@pytest.mark.parametrize("boundaries", [[0, 1.5], [0, True]], ids=repr)
+def test_refine_of_a_non_integer_goal_frame_is_user_error(tmp_path, capsys, boundaries):
+    save_sequence(tmp_path / "seq", standing_sequence(4))
+    path = tmp_path / "seq" / SEQUENCE_FILE
+    arrays, meta = artefact.load(path, "sequence")
+    artefact.save(path, arrays, {**meta, "chunk_boundaries": boundaries})
+    err = _assert_user_error(["refine", "--scene", write_floor_scene(tmp_path / "scene.obj"),
+                              "--seq", str(tmp_path / "seq"), "--out", str(tmp_path / "out")],
+                             capsys)
+    assert err.startswith(f"error: {path}: chunk boundaries")
+
+
 @pytest.mark.parametrize("key, value", [("chunk_boundaries", [0, 9]), ("version", 99)])
 def test_refine_bad_sequence_file_is_user_error(tmp_path, capsys, key, value):
     save_sequence(tmp_path / "seq", standing_sequence(4))

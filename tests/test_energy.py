@@ -12,7 +12,7 @@ from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, Foot
 from scenemotion.sdf import SdfGrid, sample_sdf_batch
 from scenemotion.scene import VertexIndex
 from scenemotion.sequence import MotionSequence
-from helpers import PinnedIndex, foot_labels, pinned_field, sdf_at
+from helpers import PinnedIndex, count_pools, foot_labels, pinned_field, sdf_at
 
 
 def standing_frames(template, positions, pelvis_z=0.93):
@@ -311,8 +311,7 @@ def test_cont_term_equals_its_one_frame_evaluations(template, slab_field, frozen
 
 
 def test_scene_energy_is_its_terms_added_in_order(template, slab_field):
-    """The contact query runs on the worker while the calling thread takes the
-    foot and collision terms; the bytes match the four terms called in turn."""
+    """The bytes match the four terms called in turn."""
     verts = _sinking_vertices(template, n=2 * body.FRAME_BLOCK + 6)
     left, _ = sole_centroids(template, verts)
     seg = FootSegmentation([FootSegment(0, 30, "left", left[:30].mean(axis=0)),
@@ -331,6 +330,41 @@ def test_scene_energy_is_its_terms_added_in_order(template, slab_field):
     assert g.tobytes() == g_want.tobytes()
     value_only, none = energy.scene_energy(template, verts, slab_field, w, seg)
     assert none is None and value_only.to_dict() == report.to_dict()
+
+
+def test_scene_energy_runs_on_the_calling_thread(template, slab_field, monkeypatch):
+    verts = _sinking_vertices(template, n=2 * body.FRAME_BLOCK + 6)
+    seg = segment_from_centroids(*sole_centroids(template, verts))
+    pools = count_pools(monkeypatch)
+    report, _ = energy.scene_energy(template, verts, slab_field, EnergyWeights(), seg,
+                                    want_grad=True)
+    assert report.cont > 0.0 and pools == []
+
+
+def test_contact_pulls_the_soles_alone(template, slab_field):
+    """A body lying on its back has its buttocks and hands within the
+    Geman-McClure scale of the slab, yet only the sole vertices take a contact
+    gradient."""
+    lying = body.BodyParams(t=np.array([0.0, 0.0, 0.14]), r=np.array([1.0, 0, 0, 0, 0, 1]),
+                            beta=np.zeros(10), p=np.zeros(32), h=np.zeros(24)).flat()
+    frames = np.tile(lying, (3, 1))
+    frames[:, 0] += [0.0, 0.01, 0.02]
+    verts = body.forward_batch(template, frames).vertices
+    rest = template.rest_vertices
+    hand_joints = [body.JOINT_NAMES.index(j) for j in ("l_wrist", "r_wrist", "l_hand", "r_hand")]
+    hands = np.isin(template.skin_weights.argmax(axis=1), hand_joints)
+    buttocks = (rest[:, 1] < -0.08) & (rest[:, 2] < 0.05) & (rest[:, 2] > -0.1)
+    assert hands.any() and buttocks.any()
+    assert verts[:, hands, 2].max() < CONTACT_SIGMA and verts[:, buttocks, 2].max() < 0.05
+
+    report, g = energy.scene_energy(template, verts, slab_field,
+                                    EnergyWeights(foot=0.0, col=0.0, cont=1.0, smooth=0.0),
+                                    FootSegmentation([]), want_grad=True)
+    soles = np.zeros(template.num_vertices, dtype=bool)
+    soles[template.sole_vertex_ids("left")] = soles[template.sole_vertex_ids("right")] = True
+    assert report.cont > 0.0
+    assert not g[:, ~soles].any()
+    assert np.abs(g[:, soles]).sum(axis=-1).all()
 
 
 def test_pinned_index_at_fresh_targets_is_the_real_index(template, slab_field):
@@ -358,7 +392,7 @@ def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatc
     T, V = verts.shape[:2]
     sampled, queried = [], []
     sample = energy.sample_sdf_batch
-    nearest = VertexIndex._nearest
+    nearest = VertexIndex.nearest
 
     def counting_sample(grid, points, want_grad=True):
         sampled.append(len(points))
@@ -369,7 +403,7 @@ def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatc
         return nearest(self, query)
 
     monkeypatch.setattr(energy, "sample_sdf_batch", counting_sample)
-    monkeypatch.setattr(VertexIndex, "_nearest", counting_nearest)
+    monkeypatch.setattr(VertexIndex, "nearest", counting_nearest)
     ids = template.contact_vertex_ids()
     _col_term(verts, slab_field.grid, True, np.zeros(verts.shape))
     _cont_term(verts, ids, slab_field.index, _contact_query(verts, ids, slab_field.index),

@@ -177,7 +177,8 @@ def test_benchmark_traced_callables_run_only_on_the_calling_thread(random_models
     with tracer.op(0):   # 46 frames: two body-kernel blocks
         plan_long_term(cvae, route, pose, template, goals(4), small_field, k=15,
                        schedule=RefinementSchedule.two_stage(iters=2))
-    assert {"refine.energy_and_gradients", "energy.terms", "nn.lstm.forward"} <= set(ran_on)
+    assert {"refine.energy_and_gradients", "energy.terms", "scene.nearest",
+            "nn.lstm.forward"} <= set(ran_on)
     assert {name: threads for name, threads in ran_on.items()
             if threads != {threading.get_ident()}} == {}
     assert tracing.span_problems(tracer.spans) == []
@@ -207,7 +208,7 @@ def test_benchmark_traced_callables_run_only_on_the_calling_thread_in_training(s
         train_pose_net(pose, route, clips, clouds, epochs=1, batch_size=len(clips))
     assert {"cvae.forward_backward", "cvae.body_energies", "nn.linear.backward",
             "nn.pointnet.backward", "nn.lstm.backward", "nn.adam.step",
-            "motion_nets.backward_batch"} <= set(ran_on)
+            "motion_nets.backward_batch", "scene.nearest"} <= set(ran_on)
     assert {name: threads for name, threads in ran_on.items()
             if threads != {threading.get_ident()}} == {}
     assert tracing.span_problems(tracer.spans) == []

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from scenemotion import body, energy
+from scenemotion import body
 from scenemotion.energy import EnergyReport, EnergyWeights, segment_stable_foot, total_energy
 from scenemotion.errors import InvalidRotationError
 from scenemotion.refine import (RefinementSchedule, RefineStage, energy_and_gradients,
@@ -155,12 +155,17 @@ def test_refine_opens_one_worker_and_leaves_no_thread_when_it_aborts(template, s
     assert result.diagnostic.endswith("at iteration 1") and len(pools) == 2
     assert threading.active_count() == threads
 
-    # and an error raised on the worker, which refine does not catch
-    def failing(*args):
-        raise RuntimeError("query failed")
+    # and an error raised on the worker, in a body-kernel block, which refine
+    # does not catch
+    caller = threading.get_ident()
 
-    monkeypatch.setattr(energy, "_contact_query", failing)
-    with pytest.raises(RuntimeError, match="query failed"):
+    def blend(tpl, affine, real=body._blend):
+        if threading.get_ident() != caller:
+            raise RuntimeError("skinning failed on the worker")
+        return real(tpl, affine)
+
+    monkeypatch.setattr(body, "_blend", blend)
+    with pytest.raises(RuntimeError, match="on the worker"):
         refine(template, seq, slab_field, sched)
     assert threading.active_count() == threads
 
