@@ -7,10 +7,10 @@ imported it first.
 
 - BLAS threads: ``THREAD_VARS`` default to "1". The BiLSTM runs its two
   directions on two threads, the body kernel gives a second thread every
-  other frame block, and training gives it weight-gradient GEMMs and half
-  of each Adam update (``_worker``); a multi-threaded BLAS under them
-  competes for the same cores. A value the user set wins; none has an effect once numpy has
-  loaded its BLAS.
+  other frame block, and the RouteNet/PoseNet head's backward gives it one
+  weight-gradient GEMM (``_worker``); a multi-threaded BLAS under them
+  competes for the same cores. A value the user set wins; none has an
+  effect once numpy has loaded its BLAS.
 - Freed memory: on glibc, large blocks are taken from the heap, not from
   ``mmap``, and the heap is not trimmed, so the arrays a training or
   refinement step frees are reused by the next step instead of being

@@ -169,18 +169,17 @@ def fit_latent(model, cond, target_ph, steps=500, seed=0):
     z = Param("fit.z", 0.1 * rng.standard_normal(LATENT_DIM))
     adam = AdamState([z])
     target = np.asarray(target_ph, dtype=np.float64).reshape(1, PH_DIM)
-    with worker():  # one worker thread for every backward pass
-        for _ in range(steps):
-            ph, cache = model.decode(z.value, cond)
-            resid = ph - target
-            loss = np.abs(resid).sum()
-            if not np.isfinite(loss):
-                raise NumericError("latent fit diverged to a non-finite loss")
-            model.zero_grad()
-            z.zero_grad()
-            g_z, _ = model.decode_backward(cache, np.sign(resid))
-            z.grad += g_z[0]
-            adam.step(FIT_LR)
+    for _ in range(steps):
+        ph, cache = model.decode(z.value, cond)
+        resid = ph - target
+        loss = np.abs(resid).sum()
+        if not np.isfinite(loss):
+            raise NumericError("latent fit diverged to a non-finite loss")
+        model.zero_grad()
+        z.zero_grad()
+        g_z, _ = model.decode_backward(cache, np.sign(resid))
+        z.grad += g_z[0]
+        adam.step(FIT_LR)
     return z.value.copy()
 
 
@@ -217,7 +216,7 @@ class CVAETrainer:
         """One Adam update on a batch of flat 75-float body records."""
         x = np.asarray(batch_vecs, dtype=np.float64).reshape(-1, BODY_VEC_DIM)
         eps = self.rng.standard_normal((len(x), LATENT_DIM))
-        with worker():  # one worker thread for the pass and the update
+        with worker():  # one worker thread for the pass's body-kernel fan-outs
             stats = self.forward_backward(x, scene_ids, eps)
             self.adam.step(lr)
         self.step_count += 1

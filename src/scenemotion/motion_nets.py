@@ -19,7 +19,7 @@ from ._worker import both, worker
 from .body import BETA, POSE, R, ROUTE, T
 from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
-from .nn.layers import Linear, add_product, leaky_relu, leaky_relu_backward
+from .nn.layers import Linear, leaky_relu, leaky_relu_backward
 from .nn.lstm import BiLSTM
 from .nn.params import Module
 from .nn.pointnet import FEATURE_DIM, PointEncoder
@@ -34,6 +34,11 @@ LAMBDA_P = 1.0
 LAMBDA_H = 0.1
 
 
+def add_product(acc, a, b):
+    """``acc += a @ b``: a weight-gradient GEMM, in a form the worker can run."""
+    acc += a @ b
+
+
 class _SeqHead(Module):
     """Two FC layers applied per step on [lstm feature, scene feature].
 
@@ -42,7 +47,7 @@ class _SeqHead(Module):
     keeps its (fc_width, lstm_dim + scene_dim) shape.
 
     The backward computes fc1's step-column weight gradient on the worker
-    thread (``scenemotion._worker``), as ``Linear.backward`` does for fc2.
+    thread (``scenemotion._worker``) while the calling thread does the rest.
     The forward's step product stays one GEMM: a BLAS may compute a block of
     its rows with another kernel than the whole (OpenBLAS takes gemv for one
     row and its small-matrix kernel for a short block), so row halves would

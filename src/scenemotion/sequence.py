@@ -68,6 +68,7 @@ class MotionSequence:
 
 def save_sequence(dirpath, seq):
     """Write ``seq`` as one ``sequence`` container, ``SEQUENCE_FILE``, in ``dirpath``."""
+    seq = seq.copy()  # checks fields assigned after construction, before any write
     os.makedirs(dirpath, exist_ok=True)
     artefact.save(os.path.join(dirpath, SEQUENCE_FILE), {"frames": seq.frames},
                   {"kind": "sequence", "fps": seq.fps,

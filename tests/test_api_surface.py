@@ -115,6 +115,26 @@ def test_the_contact_query_has_one_path():
     assert not {"both", "partial", "worker"} & set(vars(energy))
 
 
+def test_only_the_measured_sites_import_the_worker():
+    """Each module that fans out has a measured gain in README's two-thread
+    section; a new fan-out brings its measurement and a row there."""
+    def imports_worker(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "_worker" for n in names):
+                return True
+        return False
+
+    importers = sorted(path[:-3].replace(os.sep, ".") for path, tree in src_trees()
+                       if imports_worker(tree))
+    assert importers == ["body", "cvae", "motion_nets", "nn.lstm", "refine"]
+
+
 def parameters(fn):
     return list(inspect.signature(fn).parameters)
 

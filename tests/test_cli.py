@@ -248,11 +248,22 @@ def test_sequence_round_trip(tmp_path):
 
 @pytest.mark.parametrize("boundaries", [[0, 6], [-1, 5]])
 def test_sequence_rejects_out_of_range_boundaries(tmp_path, boundaries):
-    seq = standing_sequence(6)
-    seq.chunk_boundaries = boundaries
-    save_sequence(tmp_path / "seq", seq)
+    # written past save_sequence, which refuses them
+    os.makedirs(tmp_path / "seq")
+    artefact.save(tmp_path / "seq" / SEQUENCE_FILE, {"frames": standing_sequence(6).frames},
+                  {"kind": "sequence", "fps": 30, "chunk_boundaries": boundaries})
     with pytest.raises(ValueError, match="chunk boundaries"):
         load_sequence(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("boundaries", [[0, 1.5], [0, 7]], ids=["fraction", "past the end"])
+def test_save_sequence_checks_boundaries_assigned_later_and_writes_nothing(tmp_path,
+                                                                          boundaries):
+    seq = standing_sequence(3)
+    seq.chunk_boundaries = boundaries
+    with pytest.raises(ValueError, match="chunk boundaries"):
+        save_sequence(tmp_path / "seq", seq)
+    assert not (tmp_path / "seq").exists()
 
 
 @pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0), "1"], ids=repr)

@@ -7,7 +7,7 @@ from scenemotion import body
 from scenemotion.cvae import (CVAETrainer, GoalCVAE, fit_latent, kl_grads, kl_loss)
 from scenemotion.field import SceneField
 from gradcheck import check_param_grads_directional
-from helpers import rest_params
+from helpers import count_pools, rest_params
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import PointCloud, VertexIndex
 from scenemotion.sdf import SdfGrid
@@ -309,6 +309,14 @@ def test_fit_latent_reconstructs_decodable_target():
     z_fit = fit_latent(model, cond, target[0], steps=400, seed=0)
     fitted, _ = model.decode(z_fit, cond)
     assert np.abs(fitted - target).sum() < 0.5 * np.abs(target).sum()
+
+
+def test_fit_latent_opens_no_pool(monkeypatch):
+    model = tiny_model(seed=11)
+    cond = np.random.default_rng(12).standard_normal(16)
+    pools = count_pools(monkeypatch)
+    fit_latent(model, cond, model.decode(np.ones(32), cond)[0][0], steps=3)
+    assert pools == []
 
 
 def test_encode_decode_round_trip_beats_noise_floor(template):

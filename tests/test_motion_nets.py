@@ -15,7 +15,6 @@ from scenemotion.motion_nets import (PoseNet, RouteNet, _SeqHead, pose_loss, pos
                                      route_loss, route_loss_grad, synthesize_clip,
                                      train_pose_net, train_route_net)
 from scenemotion.nn.adam import AdamState
-from scenemotion.nn import layers
 from scenemotion.nn.layers import leaky_relu, leaky_relu_backward
 from gradcheck import check_param_grads_directional
 from helpers import count_pools, rest_params, shares_beta
@@ -208,8 +207,8 @@ def test_seqnet_matches_concatenated_head_oracle(make):
 
 
 def test_seq_head_has_the_bytes_of_the_serial_expressions(monkeypatch):
-    """The head's backward hands fc1's and fc2's step weight gradients to the
-    worker; its outputs and gradients keep the bytes of the serial head. (At
+    """The head's backward hands fc1's step weight gradient, and only it, to
+    the worker; its outputs and gradients keep the bytes of the serial head. (At
     14 rows of width 128 OpenBLAS computes a 7-row half of fc1's product with
     another kernel than the whole, so row halves would not keep them.)"""
     rng = np.random.default_rng(19)
@@ -239,11 +238,10 @@ def test_seq_head_has_the_bytes_of_the_serial_expressions(monkeypatch):
 
     ran_on = []
 
-    def recording(acc, a, b, real=layers.add_product):
-        ran_on.append(threading.get_ident())
+    def recording(acc, a, b, real=motion_nets.add_product):
+        ran_on.append((threading.get_ident(), acc.shape))
         real(acc, a, b)
 
-    monkeypatch.setattr(layers, "add_product", recording)
     monkeypatch.setattr(motion_nets, "add_product", recording)
     out, cache = head.forward(y, feats)
     g_y, g_feats = head.backward(cache, gy)
@@ -251,7 +249,8 @@ def test_seq_head_has_the_bytes_of_the_serial_expressions(monkeypatch):
     assert out.tobytes() == want_out.tobytes()
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
-    assert len(ran_on) == 2 and threading.get_ident() not in ran_on
+    assert len(ran_on) == 1 and ran_on[0][0] != threading.get_ident()
+    assert ran_on[0][1] == (F, L)  # fc1's step columns
 
 
 def _random_clips(rng, n, k, scenes):

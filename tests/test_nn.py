@@ -1,4 +1,3 @@
-import copy
 import gc
 import struct
 import threading
@@ -15,8 +14,7 @@ from scenemotion.nn import (AdamState, BiLSTM, Linear, MLP, Param, PointEncoder,
                             ResidualBlock, leaky_relu, leaky_relu_backward)
 from gradcheck import check_param_grads, check_param_grads_directional
 from helpers import count_pools
-from scenemotion.nn import adam, layers
-from scenemotion.nn.adam import BETA1, BETA2, EPS
+from scenemotion.nn.adam import BETA1, BETA2, EPS, minibatch_epochs
 from scenemotion.nn.layers import LEAKY_SLOPE
 from scenemotion.nn.lstm import LSTMCell
 
@@ -34,9 +32,7 @@ def test_linear_identity_and_bias():
     assert np.array_equal(y, np.tile([1.0, 2.0, 3.0], (2, 1)))
 
 
-def test_linear_backward_has_the_bytes_of_the_serial_expressions(monkeypatch):
-    """The weight-gradient GEMM runs on the worker while the calling thread
-    computes the input cotangent."""
+def test_linear_backward_has_the_bytes_of_the_serial_expressions():
     rng = np.random.default_rng(24)
     lin = Linear(12, 7, rng)
     x, gy = rng.standard_normal((5, 4, 12)), rng.standard_normal((5, 4, 7))
@@ -46,18 +42,10 @@ def test_linear_backward_has_the_bytes_of_the_serial_expressions(monkeypatch):
     want_W += gy.reshape(-1, 7).T @ x.reshape(-1, 12)
     want_b += gy.reshape(-1, 7).sum(axis=0)
     want_gx = gy @ lin.W.value
-    ran_on = []
-
-    def recording(acc, a, b, real=layers.add_product):
-        ran_on.append(threading.get_ident())
-        real(acc, a, b)
-
-    monkeypatch.setattr(layers, "add_product", recording)
     gx = lin.backward(lin.forward(x)[1], gy)
     assert gx.tobytes() == want_gx.tobytes()
     assert lin.W.grad.tobytes() == want_W.tobytes()
     assert lin.b.grad.tobytes() == want_b.tobytes()
-    assert len(ran_on) == 1 and ran_on[0] != threading.get_ident()
 
 
 def test_linear_shape_mismatch():
@@ -479,47 +467,43 @@ def test_adam_step_is_bit_identical_to_the_textbook_update():
             assert state.v[i].tobytes() == v[i].tobytes(), (t, p.name)
 
 
-def test_adam_updates_two_balanced_groups_with_the_bytes_of_one_thread(monkeypatch):
-    rng = np.random.default_rng(6)
-    params = _mixed_params(rng) + [Param("big", rng.standard_normal((9, 4)))]
-    twin = copy.deepcopy(params)
-    state, in_turn = AdamState(params), AdamState(twin)
-    sizes = [p.value.size for p in params]
-    groups = [group for group, _ in state._groups]
-    loads = [sum(sizes[i] for i in group) for group in groups]
-    assert sorted(groups[0] + groups[1]) == list(range(len(params)))
-    assert abs(loads[0] - loads[1]) <= max(sizes)
-    ran_on = []
-
-    def recording(entries, *args, real=adam._update):
-        ran_on.append(threading.get_ident())
-        real(entries, *args)
-
-    monkeypatch.setattr(adam, "_update", recording)
-    caller = threading.get_ident()
-    for _ in range(3):
-        for p, q in zip(params, twin):
-            p.grad[...] = q.grad[...] = rng.standard_normal(p.grad.shape)
-        state.step(3e-3)
-        assert len(ran_on) == 2 and caller in ran_on and len(set(ran_on)) == 2
-        ran_on.clear()
-        with monkeypatch.context() as m:
-            m.setattr(adam, "both", lambda *updates: [update() for update in updates])
-            in_turn.step(3e-3)
-        ran_on.clear()
-    for i, (p, q) in enumerate(zip(params, twin)):
-        assert p.value.tobytes() == q.value.tobytes(), p.name
-        assert state.m[i].tobytes() == in_turn.m[i].tobytes(), p.name
-        assert state.v[i].tobytes() == in_turn.v[i].tobytes(), p.name
-
-
 def test_adam_with_one_parameter_starts_no_thread(monkeypatch):
+    """A step runs on the calling thread, with one parameter or many."""
     pools = count_pools(monkeypatch)
-    p = Param("x", np.ones(4))
-    state = AdamState([p])
-    p.grad[...] = 1.0
-    state.step(0.1)
-    assert pools == [] and state.t == 1
+    rng = np.random.default_rng(6)
+    threads = threading.active_count()
+    for params in ([Param("x", np.ones(4))],
+                   _mixed_params(rng) + [Param("big", rng.standard_normal((9, 4)))]):
+        state = AdamState(params)
+        for p in params:
+            p.grad[...] = 1.0
+        state.step(0.1)
+        assert pools == [] and state.t == 1 and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1.0], ids=repr)
+def test_adam_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    rng = np.random.default_rng(8)
+    params = _mixed_params(rng)
+    state = AdamState(params)
+    for p in params:
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    before = [p.value.copy() for p in params]
+    with pytest.raises(ValueError, match=f"learning rate .*got {lr}"):
+        state.step(lr)
+    assert state.t == 0
+    for p, value, m, v in zip(params, before, state.m, state.v):
+        assert p.value.tobytes() == value.tobytes()
+        assert not m.any() and not v.any()
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_minibatch_epochs_rejects_a_batch_size_below_one(batch_size):
+    steps = []
+    with pytest.raises(ValueError, match=f"batch_size .*got {batch_size}"):
+        minibatch_epochs(4, 1, batch_size, np.random.default_rng(0),
+                         lambda epoch, idx: steps.append(idx) or 0.0, None, "t")
+    assert steps == []
 
 
 def test_adam_checks_every_gradient_before_any_parameter_moves():
