@@ -15,15 +15,14 @@ package runs on the calling thread. Each piece does the same arithmetic on
 either thread, so every result is bit-identical to running the pieces in
 turn.
 
-``with worker():`` opens one worker for the block unless one is open already;
-every ``both`` call inside, on the same thread, hands its work to that one.
-Refinement opens one per call, and each training call (``train_route_net``,
-``train_pose_net``, ``CVAETrainer``'s ``train_step`` and ``run_epochs``) one
-per call, so their many fan-outs share one thread; a call outside any block,
-such as the posing of an energy report, opens its own. ``cvae.fit_latent``
-opens none: its decoder passes do not fan out. No thread is started at
-import or outlives its block. Work runs in a copy of the caller's context,
-so the caller's ``np.errstate`` holds on the worker too.
+The process holds one worker. The first ``both`` call starts it and every
+later call, from any module, hands its work to that one; it lives until the
+process ends. A ``both`` made on the worker itself runs its two pieces in
+turn, since the worker cannot wait on itself. A forked child drops the
+parent's worker, whose thread the fork did not copy, and the child's first
+``both`` starts its own. No thread is started at import. Work runs in a copy
+of the caller's context, so the caller's ``np.errstate`` holds on the worker
+too.
 
 The worker runs plain closures and numpy calls only, never a function the
 benchmark's tracer (``perfbench/tracing.py``) wraps, in inference as in
@@ -32,42 +31,42 @@ training: the tracer keeps one span stack per process.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
-_open = contextvars.ContextVar("scenemotion_worker", default=None)
+_lock = threading.Lock()
+_pool = None
+_thread = None  # the worker's thread, once it has started
 
 
-@contextlib.contextmanager
-def worker():
-    """The worker open on this thread, or a new one for the ``with`` block."""
-    pool = _open.get()
-    if pool is not None:
-        yield pool
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        token = _open.set(pool)
-        try:
-            yield pool
-        finally:
-            _open.reset(token)
+def _started():
+    global _thread
+    _thread = threading.current_thread()
 
 
-def _on_worker(fn):
-    # no worker is open on the worker itself, so work there that fans out
-    # again opens its own instead of waiting on its own thread
-    _open.set(None)
-    return fn()
+def _forked():
+    global _lock, _pool, _thread
+    _lock, _pool, _thread = threading.Lock(), None, None
+
+
+os.register_at_fork(after_in_child=_forked)
 
 
 def both(mine, theirs):
     """``(mine(), theirs())``, with ``theirs`` on the worker meanwhile; an
     exception ``theirs`` raises reaches the caller, ahead of one ``mine`` raised."""
-    with worker() as pool:
-        pending = pool.submit(contextvars.copy_context().run, _on_worker, theirs)
-        try:
-            out = mine()
-        finally:
-            other = pending.result()
+    global _pool
+    if threading.current_thread() is _thread:
+        finish = theirs  # on the worker: in turn
+    else:
+        with _lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(max_workers=1, initializer=_started)
+            finish = _pool.submit(contextvars.copy_context().run, theirs).result
+    try:
+        out = mine()
+    finally:
+        other = finish()
     return out, other

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import body
-from ._worker import worker
 from .energy import EnergyWeights, FootSegmentation, scene_energy
 from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
@@ -216,9 +215,8 @@ class CVAETrainer:
         """One Adam update on a batch of flat 75-float body records."""
         x = np.asarray(batch_vecs, dtype=np.float64).reshape(-1, BODY_VEC_DIM)
         eps = self.rng.standard_normal((len(x), LATENT_DIM))
-        with worker():  # one worker thread for the pass's body-kernel fan-outs
-            stats = self.forward_backward(x, scene_ids, eps)
-            self.adam.step(lr)
+        stats = self.forward_backward(x, scene_ids, eps)
+        self.adam.step(lr)
         self.step_count += 1
         return stats
 
@@ -275,9 +273,8 @@ class CVAETrainer:
             return self.train_step(vecs[idx], [scene_ids[i] for i in idx], lr=lr)["total"]
 
         seed = self.rng.integers(2**31)
-        with worker():  # one worker thread for every step
-            return minibatch_epochs(len(vecs), epochs, batch_size, np.random.default_rng(seed),
-                                    step, log, "cvae")
+        return minibatch_epochs(len(vecs), epochs, batch_size, np.random.default_rng(seed),
+                                step, log, "cvae")
 
     def _body_energies(self, frames, scene_ids):
         """Batch-mean collision and contact of decoded bodies (n, 75), plus the

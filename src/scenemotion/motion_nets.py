@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import body
-from ._worker import both, worker
+from ._worker import both
 from .body import BETA, POSE, R, ROUTE, T
 from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
@@ -245,9 +245,8 @@ def _train_seq_net(model, clips, clouds, inputs, cols, loss, loss_grad, epochs, 
         adam.step(lr)
         return value
 
-    with worker():  # one worker thread for every fan-out of the epochs
-        return minibatch_epochs(len(clips), epochs, batch_size, np.random.default_rng(seed),
-                                step, log, tag)
+    return minibatch_epochs(len(clips), epochs, batch_size, np.random.default_rng(seed),
+                            step, log, tag)
 
 
 def train_route_net(model, clips, clouds, epochs=20, batch_size=32, lr=1e-3, seed=0,
@@ -278,10 +277,9 @@ def train_pose_net(model, route_model, clips, clouds, epochs=20, batch_size=16, 
         starts, ends, k = _endpoints(frames)
         return model.step_inputs(starts, ends, np.stack([routes[i] for i in idx]), k)
 
-    with worker():  # the frozen routes and the epochs share one worker thread
-        routes = _frozen_routes(route_model, clips, clouds, batch_size)
-        return _train_seq_net(model, clips, clouds, inputs, POSE, pose_loss, pose_loss_grad,
-                              epochs, batch_size, lr, seed, log, "pose")
+    routes = _frozen_routes(route_model, clips, clouds, batch_size)
+    return _train_seq_net(model, clips, clouds, inputs, POSE, pose_loss, pose_loss_grad,
+                          epochs, batch_size, lr, seed, log, "pose")
 
 
 def synthesize_clip(route_model, pose_model, bodies, cloud_points, k):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import body
-from ._worker import worker
 from .config import _coerce
 from .energy import (EnergyReport, EnergyWeights, FootSegmentation, e_foot, scene_energy,
                      segment_stable_foot)
@@ -186,54 +185,53 @@ def refine(template, seq, scene_field, schedule):
         rec, stage, segmentation = unclosed
         record(rec, ev.closing(template, stage.weights, segmentation))
 
-    with worker():  # one worker thread for every evaluation below
-        for stage_idx, stage in enumerate(schedule.stages):
-            rec = {"stage": stage_idx, "weights": list(stage.weights.as_tuple()),
-                   "lr": stage.lr, "totals": [], "terms": []}
-            history.append(rec)
-            segmentation = None  # the first evaluation's, frozen for the stage
-            for it in range(stage.iters):
-                try:
-                    ev = energy_and_gradients(template, vars_to_frames(x.value, betas),
-                                              scene_field, stage.weights, segmentation)
-                except _EVAL_ERRORS as e:
-                    diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
-                    x.value[...] = last_finite
-                    break
-                if it == 0:
-                    if unclosed is not None:  # the frames the stage before ended on
-                        close(ev)
-                    if stage_idx == 0:
-                        first = ev.report.terms()
-                    segmentation = ev.segmentation
-                if not np.isfinite(ev.report.total):
-                    diagnostic = f"stage {stage_idx}: non-finite energy at iteration {it}"
-                    x.value[...] = last_finite
-                    break
-                last_finite = x.value.copy()
-                record(rec, ev.report)
-                x.zero_grad()
-                x.grad += ev.grad
-                x.grad[seq.chunk_boundaries, body.ROUTE] = 0.0  # t and r of the goal frames
-                try:
-                    adam.step(stage.lr)
-                except NumericError as e:
-                    diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
-                    break
-            else:
-                unclosed = (rec, stage, segmentation)
-            if diagnostic is not None:
-                break
-        else:  # one value-only evaluation of the frames the last step reached
+    for stage_idx, stage in enumerate(schedule.stages):
+        rec = {"stage": stage_idx, "weights": list(stage.weights.as_tuple()),
+               "lr": stage.lr, "totals": [], "terms": []}
+        history.append(rec)
+        segmentation = None  # the first evaluation's, frozen for the stage
+        for it in range(stage.iters):
             try:
-                vertices = body.forward_batch(template, vars_to_frames(x.value, betas)).vertices
-                ev = _score(template, vertices, scene_field, stage.weights, None)
+                ev = energy_and_gradients(template, vars_to_frames(x.value, betas),
+                                          scene_field, stage.weights, segmentation)
             except _EVAL_ERRORS as e:
-                diagnostic = f"stage {stage_idx}: {e} at iteration {stage.iters}"
+                diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
                 x.value[...] = last_finite
-            else:
-                close(ev)
-                final = ev.report.terms()
+                break
+            if it == 0:
+                if unclosed is not None:  # the frames the stage before ended on
+                    close(ev)
+                if stage_idx == 0:
+                    first = ev.report.terms()
+                segmentation = ev.segmentation
+            if not np.isfinite(ev.report.total):
+                diagnostic = f"stage {stage_idx}: non-finite energy at iteration {it}"
+                x.value[...] = last_finite
+                break
+            last_finite = x.value.copy()
+            record(rec, ev.report)
+            x.zero_grad()
+            x.grad += ev.grad
+            x.grad[seq.chunk_boundaries, body.ROUTE] = 0.0  # t and r of the goal frames
+            try:
+                adam.step(stage.lr)
+            except NumericError as e:
+                diagnostic = f"stage {stage_idx}: {e} at iteration {it}"
+                break
+        else:
+            unclosed = (rec, stage, segmentation)
+        if diagnostic is not None:
+            break
+    else:  # one value-only evaluation of the frames the last step reached
+        try:
+            vertices = body.forward_batch(template, vars_to_frames(x.value, betas)).vertices
+            ev = _score(template, vertices, scene_field, stage.weights, None)
+        except _EVAL_ERRORS as e:
+            diagnostic = f"stage {stage_idx}: {e} at iteration {stage.iters}"
+            x.value[...] = last_finite
+        else:
+            close(ev)
+            final = ev.report.terms()
 
     refined = MotionSequence(frames=vars_to_frames(x.value, betas), fps=seq.fps,
                              chunk_boundaries=list(seq.chunk_boundaries))

@@ -72,8 +72,10 @@ class SdfGrid:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 3 or min(self.values.shape) < 2:
             raise ValueError(f"grid needs >= 2 nodes per axis, got {self.values.shape}")
-        if self.cell <= 0.0:
-            raise ValueError(f"cell size must be positive, got {self.cell}")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
+        if not (np.isfinite(self.cell) and self.cell > 0.0):
+            raise ValueError(f"cell size must be finite and positive, got {self.cell}")
         bad = self.values.size - np.count_nonzero(np.isfinite(self.values))
         if bad:
             raise ValueError(f"{bad} of {self.values.size} grid node values are not finite")
@@ -132,8 +134,10 @@ class SdfGrid:
 
 def build_sdf(mesh, cell=DEFAULT_CELL, padding=DEFAULT_PADDING, node_budget=DEFAULT_NODE_BUDGET):
     """Sample the signed distance of ``mesh`` on a padded uniform grid."""
-    if cell <= 0.0:
-        raise ValueError(f"cell size must be positive, got {cell}")
+    if not (np.isfinite(cell) and cell > 0.0):
+        raise ValueError(f"cell size must be finite and positive, got {cell}")
+    if not (np.isfinite(padding) and padding >= 0.0):
+        raise ValueError(f"padding must be finite and >= 0, got {padding}")
     lo, hi = mesh.bounds()
     origin = lo - padding
     dims = np.maximum(np.ceil((hi + padding - origin) / cell).astype(int) + 1, 2)

@@ -28,6 +28,8 @@ class MotionSequence:
                 or not math.isfinite(fps) or fps <= 0):
             raise ValueError(f"fps must be a finite positive number, got {fps!r}")
         self.frames = np.asarray(self.frames, dtype=np.float64).reshape(-1, body.PARAM_DIM)
+        if not len(self.frames):
+            raise ValueError("sequence has no frames")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("sequence contains non-finite parameters")
         if not all(isinstance(b, numbers.Integral) and not isinstance(b, bool)

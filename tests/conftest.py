@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from scenemotion import body
+from scenemotion import _worker, body
 from scenemotion.cvae import CVAETrainer, GoalCVAE
 from scenemotion.datagen import (build_dataset, dataset_bodies, dataset_clouds,
                                  dataset_scene_fields, load_dataset)
@@ -25,11 +25,13 @@ THREAD_JOIN_S = 2.0
 
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
-    """Errors at teardown when a test leaves a thread it started alive: the
-    BiLSTM's worker and every other thread a test starts must end with it."""
+    """Errors at teardown when a test leaves a thread it started alive. The
+    package's one worker (``scenemotion._worker``) lives for the process and
+    is exempt; every other thread a test starts must end with it."""
     before = set(threading.enumerate())
     yield
-    started = [t for t in threading.enumerate() if t not in before]
+    started = [t for t in threading.enumerate()
+               if t not in before and t is not _worker._thread]
     for t in started:
         t.join(THREAD_JOIN_S / len(started))
     alive = [t.name for t in started if t.is_alive()]

@@ -216,16 +216,27 @@ def thread_recording_tracer():
     return tracing, ThreadRecorder(), ran_on
 
 
-def count_pools(monkeypatch):
-    """Every thread pool ``scenemotion._worker`` opens from now on, in order."""
-    pools = []
+def worker_handoffs(monkeypatch):
+    """The thread that each piece of work handed to the package worker
+    (``scenemotion._worker``) from now on ran on, in hand-off order.
 
-    def counting(*args, real=_worker.ThreadPoolExecutor, **kwargs):
-        pools.append(real(*args, **kwargs))
-        return pools[-1]
+    Starts the worker first if the process has none yet, so from this call on
+    the worker is the one ``_worker._thread``; creating a second pool raises."""
+    _worker.both(int, int)
+    ran_on = []
 
-    monkeypatch.setattr(_worker, "ThreadPoolExecutor", counting)
-    return pools
+    def submit(fn, *args, real=_worker._pool.submit):
+        def recorded(*inner):
+            ran_on.append(threading.get_ident())
+            return fn(*inner)
+        return real(recorded, *args)
+
+    def second_pool(*args, **kwargs):
+        raise AssertionError("a second worker pool")
+
+    monkeypatch.setattr(_worker._pool, "submit", submit)
+    monkeypatch.setattr(_worker, "ThreadPoolExecutor", second_pool)
+    return ran_on
 
 
 def identity_script():

@@ -132,7 +132,9 @@ def test_only_the_measured_sites_import_the_worker():
 
     importers = sorted(path[:-3].replace(os.sep, ".") for path, tree in src_trees()
                        if imports_worker(tree))
-    assert importers == ["body", "cvae", "motion_nets", "nn.lstm", "refine"]
+    assert importers == ["body", "motion_nets", "nn.lstm"]
+    # the process owns one worker; no caller opens or scopes one
+    assert not hasattr(importlib.import_module("scenemotion._worker"), "worker")
 
 
 def parameters(fn):

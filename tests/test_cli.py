@@ -881,6 +881,23 @@ def test_sequence_fps_must_be_a_finite_positive_number(tmp_path, capsys, fps):
     assert err.startswith(f"error: {path}: fps must be")
 
 
+@pytest.mark.parametrize("command", ["export-mesh", "evaluate"])
+def test_a_sequence_with_no_frames_is_user_error(tmp_path, capsys, command):
+    with pytest.raises(ValueError, match="^sequence has no frames$"):
+        MotionSequence(frames=np.zeros((0, 75)))
+    seq = tmp_path / "seq"
+    save_sequence(seq, standing_sequence(3))
+    path = seq / SEQUENCE_FILE
+    arrays, meta = artefact.load(path, "sequence")
+    artefact.save(path, {"frames": arrays["frames"][:0]}, meta)
+    with pytest.raises(ArtefactError, match="sequence has no frames"):
+        load_sequence(seq)
+    argv = {"export-mesh": ["export-mesh", "--seq", str(seq), "--out", str(tmp_path / "m")],
+            "evaluate": ["evaluate", "--pred", str(seq), "--gt", str(seq)]}[command]
+    err = _assert_user_error(argv, capsys)
+    assert err.startswith(f"error: {path}: sequence has no frames")
+
+
 def test_non_utf8_obj_scene_is_user_error(tmp_path, capsys):
     save_sequence(tmp_path / "seq", standing_sequence(4))
     scene = tmp_path / "scene.obj"

@@ -7,7 +7,7 @@ from scenemotion import body
 from scenemotion.cvae import (CVAETrainer, GoalCVAE, fit_latent, kl_grads, kl_loss)
 from scenemotion.field import SceneField
 from gradcheck import check_param_grads_directional
-from helpers import count_pools, rest_params
+from helpers import rest_params, worker_handoffs
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import PointCloud, VertexIndex
 from scenemotion.sdf import SdfGrid
@@ -314,9 +314,9 @@ def test_fit_latent_reconstructs_decodable_target():
 def test_fit_latent_opens_no_pool(monkeypatch):
     model = tiny_model(seed=11)
     cond = np.random.default_rng(12).standard_normal(16)
-    pools = count_pools(monkeypatch)
+    handoffs = worker_handoffs(monkeypatch)
     fit_latent(model, cond, model.decode(np.ones(32), cond)[0][0], steps=3)
-    assert pools == []
+    assert handoffs == []
 
 
 def test_encode_decode_round_trip_beats_noise_floor(template):

@@ -12,7 +12,7 @@ from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, Foot
 from scenemotion.sdf import SdfGrid, sample_sdf_batch
 from scenemotion.scene import VertexIndex
 from scenemotion.sequence import MotionSequence
-from helpers import PinnedIndex, count_pools, foot_labels, pinned_field, sdf_at
+from helpers import PinnedIndex, foot_labels, pinned_field, sdf_at, worker_handoffs
 
 
 def standing_frames(template, positions, pelvis_z=0.93):
@@ -335,10 +335,10 @@ def test_scene_energy_is_its_terms_added_in_order(template, slab_field):
 def test_scene_energy_runs_on_the_calling_thread(template, slab_field, monkeypatch):
     verts = _sinking_vertices(template, n=2 * body.FRAME_BLOCK + 6)
     seg = segment_from_centroids(*sole_centroids(template, verts))
-    pools = count_pools(monkeypatch)
+    handoffs = worker_handoffs(monkeypatch)
     report, _ = energy.scene_energy(template, verts, slab_field, EnergyWeights(), seg,
                                     want_grad=True)
-    assert report.cont > 0.0 and pools == []
+    assert report.cont > 0.0 and handoffs == []
 
 
 def test_contact_pulls_the_soles_alone(template, slab_field):

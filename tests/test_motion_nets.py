@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenemotion import body, motion_nets
+from scenemotion import _worker, body, motion_nets
 from scenemotion.cvae import CVAETrainer
 from scenemotion.errors import InvalidRotationError
 from scenemotion.field import SceneField
@@ -17,7 +17,7 @@ from scenemotion.motion_nets import (PoseNet, RouteNet, _SeqHead, pose_loss, pos
 from scenemotion.nn.adam import AdamState
 from scenemotion.nn.layers import leaky_relu, leaky_relu_backward
 from gradcheck import check_param_grads_directional
-from helpers import count_pools, rest_params, shares_beta
+from helpers import rest_params, shares_beta, worker_handoffs
 from scenemotion.rotation import heading_to_rot6d
 from scenemotion.scene import PointCloud, VertexIndex
 from test_cvae import far_slab_grid, tiny_model
@@ -338,12 +338,14 @@ def test_trainers_log_each_epoch_and_reject_an_empty_set(template, tag):
 
 
 @pytest.mark.parametrize("tag", ["cvae", "route", "pose"])
-def test_a_training_call_opens_one_worker_and_leaves_no_thread(template, tag, monkeypatch):
+def test_a_training_call_fans_out_to_the_process_worker_only(template, tag, monkeypatch):
+    """The BiLSTM passes of RouteNet and PoseNet training run on the process's
+    one worker and start no thread; the CVAE's two-body batches do not fan out."""
     items, train = _trainer(tag, template)
-    pools = count_pools(monkeypatch)
+    handoffs = worker_handoffs(monkeypatch)
     threads = threading.active_count()
     train(items, None)
-    assert len(pools) == 1
+    assert set(handoffs) == (set() if tag == "cvae" else {_worker._thread.ident})
     assert threading.active_count() == threads
 
 

@@ -13,7 +13,7 @@ from scenemotion.errors import ArtefactError, NumericError, SceneMotionError, St
 from scenemotion.nn import (AdamState, BiLSTM, Linear, MLP, Param, PointEncoder,
                             ResidualBlock, leaky_relu, leaky_relu_backward)
 from gradcheck import check_param_grads, check_param_grads_directional
-from helpers import count_pools
+from helpers import worker_handoffs
 from scenemotion.nn.adam import BETA1, BETA2, EPS, minibatch_epochs
 from scenemotion.nn.layers import LEAKY_SLOPE
 from scenemotion.nn.lstm import LSTMCell
@@ -469,7 +469,7 @@ def test_adam_step_is_bit_identical_to_the_textbook_update():
 
 def test_adam_with_one_parameter_starts_no_thread(monkeypatch):
     """A step runs on the calling thread, with one parameter or many."""
-    pools = count_pools(monkeypatch)
+    handoffs = worker_handoffs(monkeypatch)
     rng = np.random.default_rng(6)
     threads = threading.active_count()
     for params in ([Param("x", np.ones(4))],
@@ -478,7 +478,7 @@ def test_adam_with_one_parameter_starts_no_thread(monkeypatch):
         for p in params:
             p.grad[...] = 1.0
         state.step(0.1)
-        assert pools == [] and state.t == 1 and threading.active_count() == threads
+        assert handoffs == [] and state.t == 1 and threading.active_count() == threads
 
 
 @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1.0], ids=repr)

@@ -4,14 +4,14 @@ import threading
 import numpy as np
 import pytest
 
-from scenemotion import body
+from scenemotion import _worker, body
 from scenemotion.energy import EnergyReport, EnergyWeights, segment_stable_foot, total_energy
 from scenemotion.errors import InvalidRotationError
 from scenemotion.refine import (RefinementSchedule, RefineStage, energy_and_gradients,
                                 frames_to_vars, refine, vars_to_frames)
 from scenemotion.sequence import MotionSequence
-from helpers import (contact_correspondences, count_pools, energy_value,
-                     frozen_energy_and_gradients, record_posings)
+from helpers import (contact_correspondences, energy_value, frozen_energy_and_gradients,
+                     record_posings, worker_handoffs)
 
 
 def walking_frames(rng, n=4, z=0.93):
@@ -140,25 +140,25 @@ def test_nonfinite_energy_aborts_with_diagnostic(template, slab_field):
     assert np.all(np.isfinite(result.sequence.frames))
 
 
-def test_refine_opens_one_worker_and_leaves_no_thread_when_it_aborts(template, slab_field,
-                                                                     monkeypatch):
-    pools = count_pools(monkeypatch)
-    threads = threading.active_count()
+def test_refine_fans_out_to_the_process_worker_and_its_errors_reach_the_caller(
+        template, slab_field, monkeypatch):
+    handoffs = worker_handoffs(monkeypatch)
+    caller, threads = threading.get_ident(), threading.active_count()
     seq = MotionSequence(frames=walking_frames(np.random.default_rng(9),
                                                n=2 * body.FRAME_BLOCK + 6))
     result = refine(template, seq, slab_field, RefinementSchedule.two_stage(iters=2))
-    assert result.diagnostic is None and len(pools) == 1
-    assert threading.active_count() == threads
+    assert result.diagnostic is None and handoffs
+    assert set(handoffs) == {_worker._thread.ident} != {caller}
     # an abort in the middle of a stage
+    ran = len(handoffs)
     sched = RefinementSchedule([RefineStage(EnergyWeights(0, 1.0, 1.0, 0), iters=50, lr=1e200)])
     result = refine(template, seq, slab_field, sched)
-    assert result.diagnostic.endswith("at iteration 1") and len(pools) == 2
+    assert result.diagnostic.endswith("at iteration 1") and len(handoffs) > ran
+    assert set(handoffs) == {_worker._thread.ident}
     assert threading.active_count() == threads
 
     # and an error raised on the worker, in a body-kernel block, which refine
     # does not catch
-    caller = threading.get_ident()
-
     def blend(tpl, affine, real=body._blend):
         if threading.get_ident() != caller:
             raise RuntimeError("skinning failed on the worker")

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from scenemotion import sdf
+from scenemotion import artefact, sdf
 from scenemotion.datagen import box_mesh_arrays, dataset_scene_fields, gen_scene, random_scene_spec
 from scenemotion.errors import ArtefactError, NumericError, ResourceLimitError, SceneMotionError
 from scenemotion.scene import make_mesh
@@ -478,6 +478,43 @@ def test_lipschitz_validation():
 def test_node_budget_enforced():
     with pytest.raises(ResourceLimitError):
         build_sdf(unit_cube(), cell=0.001, padding=1.0, node_budget=1000)
+
+
+@pytest.mark.parametrize("cell, padding, message", [
+    (np.nan, 0.5, "cell size must be finite and positive, got nan"),
+    (0.0, 0.5, "cell size must be finite and positive, got 0.0"),
+    (-0.25, 0.5, "cell size must be finite and positive, got -0.25"),
+    (0.25, np.inf, "padding must be finite and >= 0, got inf"),
+    (0.25, -0.5, "padding must be finite and >= 0, got -0.5"),
+], ids=["nan-cell", "zero-cell", "negative-cell", "inf-padding", "negative-padding"])
+def test_build_rejects_a_bad_cell_or_padding_before_any_work(cell, padding, message,
+                                                             monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the build started")
+
+    monkeypatch.setattr(sdf, "unsigned_distance", no_work)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_sdf(unit_cube(), cell=cell, padding=padding)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("origin", [np.nan, 0.0, 0.0], "grid origin must be finite"),
+    ("cell", np.nan, "cell size must be finite and positive"),
+], ids=["origin", "cell"])
+def test_a_cache_with_a_non_finite_header_is_a_typed_error(tmp_path, key, value, message):
+    grid = build_sdf(unit_cube(), cell=0.25, padding=0.5)
+    with pytest.raises(ValueError, match=message):
+        SdfGrid(**{"origin": grid.origin, "cell": grid.cell, "values": grid.values, key: value})
+    path = tmp_path / "scene_000.sdf"
+    save_sdf(path, grid, unit_cube(), 0.5)
+    arrays, meta = artefact.load(path, "sdf")
+    artefact.save(path, arrays, {**meta, key: value})
+    with pytest.raises(ArtefactError, match=message) as err:
+        load_sdf(path)
+    assert str(err.value).startswith(f"{path}: not an SDF grid: ")
+    with pytest.raises(ArtefactError, match=message):
+        dataset_scene_fields(_cube_dataset(unit_cube()), cloud_points=16, cell=0.25,
+                             padding=0.5, sdf_dir=str(tmp_path))
 
 
 def test_cache_round_trip(tmp_path):
