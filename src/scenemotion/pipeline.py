@@ -41,11 +41,14 @@ class GoalSpec:
     seeds: list = field(default_factory=list)  # per-goal latent seeds
 
     def __post_init__(self):
-        self.translations = np.asarray(self.translations, dtype=np.float64).reshape(-1, 3)
-        self.rotations = np.asarray(self.rotations, dtype=np.float64).reshape(-1, 6)
-        self.beta = np.asarray(self.beta, dtype=np.float64).reshape(body.SHAPE_DIM)
-        if len(self.translations) != len(self.rotations):
-            raise ValueError("translations and rotations must pair up")
+        for name, width in (("translations", 3), ("rotations", 6), ("beta", None)):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            want = (body.SHAPE_DIM,) if not width else np.shape(self.translations)[:1] + (width,)
+            if a.shape != want:
+                raise ValueError(f"goal {name}: shape {a.shape}, expected {want}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"goal {name} must be finite")
+            setattr(self, name, a)
         if len(self.translations) < 2:
             raise ValueError("need at least two goals (start and end)")
         if not self.seeds:

@@ -38,7 +38,8 @@ The build is exact, node for node, and avoids most node-triangle pairs:
 
 Both passes hold at most ``_CHUNK_NODES`` node coordinates at a time. A
 grid holds finite values only, and sampling takes finite points only: either
-breach raises.
+breach raises. :func:`sample_penetration` interpolates only the points in a
+cell with a negative corner node; its docstring says why that is exact.
 """
 
 from __future__ import annotations
@@ -102,25 +103,6 @@ class SdfGrid:
         ys = self.origin[1] + np.arange(ny) * self.cell
         zs = self.origin[2] + np.arange(nz) * self.cell
         return xs, ys, zs
-
-    def may_be_negative(self, points):
-        """Mask over ``points`` (N, 3): False where :func:`sample_sdf_batch`
-        certainly reads >= 0 there. A non-finite point raises
-        :class:`NumericError`, as it does in the sampler.
-
-        A point whose floored cell coordinates stay below ``dims - 1`` on
-        every axis is in the sampler's cell with fractions in [0, 1), so its
-        value is a combination with non-negative weights of that cell's
-        corners, plus a non-negative distance to the grid box; without a
-        negative corner it cannot be negative. Points whose clamped
-        coordinates reach a far face (where the sampler's fraction can round
-        past 1) read the always-set last layer.
-        """
-        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        _, local = _cell_coords(self, points)
-        i = _floor_cells(local, np.array(self.dims) - 1)
-        _, ny, nz = self.dims
-        return self.negative_cells.ravel().take((i[:, 0] * ny + i[:, 1]) * nz + i[:, 2])
 
     def check_lipschitz(self):
         """Adjacent-node jumps must respect the distance-field bound."""
@@ -332,10 +314,12 @@ def _projected_inside(qu, qw, a2, b2, c2):
 # -- sampling ------------------------------------------------------------------
 
 def _cell_coords(grid, points):
-    """Points (N, 3) clamped to the grid box, and their coordinates in cells
-    from the origin, ``(q - origin) / cell``. Each axis runs as one column
-    against scalar bounds, which numpy loops over far faster than a
-    broadcast (3,) bound. A non-finite point has no cell: NumericError."""
+    """Points as float rows (N, 3), those clamped to the grid box, and their
+    coordinates in cells from the origin, ``(q - origin) / cell``. Each axis
+    runs as one column against scalar bounds, which numpy loops over far
+    faster than a broadcast (3,) bound. A non-finite point has no cell:
+    NumericError."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     finite = np.isfinite(points)
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -347,7 +331,7 @@ def _cell_coords(grid, points):
         np.clip(points[:, a], lo[a], hi[a], out=q[:, a])
         np.subtract(q[:, a], lo[a], out=local[:, a])
     local /= grid.cell
-    return q, local
+    return points, q, local
 
 
 def _floor_cells(local, top):
@@ -365,8 +349,34 @@ def sample_sdf_batch(grid, points, want_grad=True):
     pointing away from the box. With ``want_grad`` False the gradient is not
     computed and comes back as None; the values are the same. A non-finite
     point raises :class:`NumericError` naming its row."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    q, local = _cell_coords(grid, points)
+    return _trilinear(grid, *_cell_coords(grid, points), want_grad)
+
+
+def sample_penetration(grid, points, want_grad):
+    """The ascending rows of ``points`` (N, 3) where :func:`sample_sdf_batch`
+    reads < 0, with its values and gradients there (None without
+    ``want_grad``), bit for bit. A non-finite point raises
+    :class:`NumericError` naming its row.
+
+    Only points in a cell flagged in ``grid.negative_cells`` are
+    interpolated. Below ``dims - 1`` on every axis, a point's floored cell is
+    the sampler's, with fractions in [0, 1): its value weights that cell's
+    corners non-negatively and adds a non-negative distance to the grid box,
+    so with no negative corner it is not negative. A point clamped onto a far
+    face, where the fraction can round past 1, reads the always-set last layer.
+    """
+    points, q, local = _cell_coords(grid, points)
+    i = _floor_cells(local, np.array(grid.dims) - 1)
+    _, ny, nz = grid.dims
+    rows = np.flatnonzero(grid.negative_cells.ravel().take((i[:, 0] * ny + i[:, 1]) * nz + i[:, 2]))
+    values, grads = _trilinear(grid, *(a.take(rows, axis=0) for a in (points, q, local)), want_grad)
+    hit = values < 0.0
+    return rows[hit], values[hit], grads[hit] if want_grad else None
+
+
+def _trilinear(grid, points, q, local, want_grad):
+    """:func:`sample_sdf_batch` at ``points`` clamped to ``q``, in cells ``local``.
+    A negative value and its gradient depend on their row alone."""
     delta = points - q
     outside_dist = np.linalg.norm(delta, axis=1)
 

@@ -27,7 +27,9 @@ class MotionSequence:
         if (isinstance(fps, bool) or not isinstance(fps, numbers.Real)
                 or not math.isfinite(fps) or fps <= 0):
             raise ValueError(f"fps must be a finite positive number, got {fps!r}")
-        self.frames = np.asarray(self.frames, dtype=np.float64).reshape(-1, body.PARAM_DIM)
+        self.frames = np.asarray(self.frames, dtype=np.float64)
+        if self.frames.ndim != 2 or self.frames.shape[1] != body.PARAM_DIM:
+            raise ValueError(f"frames are {self.frames.shape}, expected (T, {body.PARAM_DIM})")
         if not len(self.frames):
             raise ValueError("sequence has no frames")
         if not np.all(np.isfinite(self.frames)):
@@ -79,14 +81,11 @@ def save_sequence(dirpath, seq):
 
 def load_sequence(dirpath):
     """The sequence saved in ``dirpath``; a missing or malformed container, or
-    frames that are not (T, 75), raise ArtefactError."""
+    one that is not a valid sequence, raises ArtefactError."""
     path = os.path.join(dirpath, SEQUENCE_FILE)
     arrays, meta = artefact.load(path, "sequence")
     try:
-        frames = arrays["frames"]
-        if frames.ndim != 2 or frames.shape[1] != body.PARAM_DIM:
-            raise ValueError(f"frames are {frames.shape}, expected (T, {body.PARAM_DIM})")
-        return MotionSequence(frames=frames, fps=meta["fps"],
+        return MotionSequence(frames=arrays["frames"], fps=meta["fps"],
                               chunk_boundaries=list(meta["chunk_boundaries"]))
     except KeyError as e:
         raise ArtefactError(f"{path}: sequence lacks {e}") from None

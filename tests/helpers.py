@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 
-from scenemotion import _worker, body, rotation
+from scenemotion import _worker, body, rotation, sdf
 from scenemotion.datagen import leg_length
 from scenemotion.energy import scene_energy
 from scenemotion.rotation import heading_to_rot6d
@@ -32,6 +32,19 @@ def sdf_at(grid, point):
     """Trilinear SDF value (float) and gradient (3,) at one point."""
     vals, grads = sample_sdf_batch(grid, np.reshape(point, (1, 3)))
     return float(vals[0]), grads[0]
+
+
+def interpolated_rows(monkeypatch):
+    """The number of points each trilinear interpolation inside ``sdf`` reads
+    from now on, one entry per call, in call order."""
+    counts = []
+
+    def counting(grid, points, *rest, original=sdf._trilinear):
+        counts.append(len(points))
+        return original(grid, points, *rest)
+
+    monkeypatch.setattr(sdf, "_trilinear", counting)
+    return counts
 
 
 def record_posings(monkeypatch, fail_at=None, error=None):

@@ -106,13 +106,28 @@ def test_refinement_has_no_test_only_hooks():
 
 
 def test_the_contact_query_has_one_path():
-    """``VertexIndex`` has one query method, and the energy terms run in turn
-    on the calling thread: ``energy`` hands nothing to the worker."""
+    """``VertexIndex`` has one query method, the contact term calls it itself,
+    and the energy terms run in turn on the calling thread: ``energy`` hands
+    nothing to the worker."""
     scene = importlib.import_module("scenemotion.scene")
     energy = importlib.import_module("scenemotion.energy")
     assert not hasattr(scene.VertexIndex, "_nearest")
     assert [m for m in vars(scene.VertexIndex) if "nearest" in m] == ["nearest"]
+    assert not hasattr(energy, "_contact_query")
+    assert parameters(energy._cont_term) == [
+        "vertices", "contact_ids", "index", "want_grad", "g_vertices", "scale"]
     assert not {"both", "partial", "worker"} & set(vars(energy))
+
+
+def test_the_collision_cull_lives_in_the_sdf_module():
+    """``sdf.sample_penetration`` culls on the grid's cell flags; no other
+    module reads them, and the grid has no cull of its own."""
+    sdf = importlib.import_module("scenemotion.sdf")
+    assert not hasattr(sdf.SdfGrid, "may_be_negative")
+    readers = sorted({path for path, tree in src_trees() for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "negative_cells"
+                      and isinstance(node.ctx, ast.Load)})
+    assert readers == ["sdf.py"]
 
 
 def test_only_the_measured_sites_import_the_worker():

@@ -493,6 +493,20 @@ def test_bad_goal_spec_is_user_error(tmp_path, capsys, monkeypatch, command, spe
     assert built == []
 
 
+@pytest.mark.parametrize("command", ["synthesize", "baseline-interp"])
+def test_a_non_finite_goal_fails_before_any_weights_or_scene(tmp_path, capsys, command):
+    goals = tmp_path / "goals.json"
+    goals.write_text('{"goals": [{"t": [NaN, 0, 0.93], "r": [1, 0, 0, 0, 1, 0]},'
+                     ' {"t": [1, 0, 0.93], "r": [1, 0, 0, 0, 1, 0]}]}')
+    missing = tmp_path / "missing"
+    argv = [command, "--scene", str(missing / "scene.obj"), "--goals", str(goals),
+            "--cvae", str(missing / "a.cvae"), "--out", str(tmp_path / "out")]
+    if command == "synthesize":
+        argv += ["--route", str(missing / "a.route"), "--pose", str(missing / "a.pose")]
+    err = _assert_user_error(argv, capsys)
+    assert err.startswith(f"error: {goals}: goal translations must be finite")
+
+
 @pytest.mark.parametrize("pair, message", [
     ("cvae_batch=0", "'cvae_batch' must be >= 1"), ("route_epochs=-3", "'route_epochs' must be >= 1"),
     ("k=0", "'k' must be >= 2"), ("k=1", "'k' must be >= 2"),
@@ -879,6 +893,13 @@ def test_sequence_fps_must_be_a_finite_positive_number(tmp_path, capsys, fps):
     err = _assert_user_error(["export-mesh", "--seq", str(seq), "--out", str(tmp_path / "m")],
                              capsys)
     assert err.startswith(f"error: {path}: fps must be")
+
+
+@pytest.mark.parametrize("shape", [(2, 150), (75,), (3, 5, 15)], ids=str)
+def test_a_sequence_takes_frames_shaped_t_by_75_only(shape):
+    # each of these holds a whole number of 75-float records, yet is no (T, 75) array
+    with pytest.raises(ValueError, match=re.escape(f"frames are {shape}, expected (T, 75)")):
+        MotionSequence(frames=np.zeros(shape))
 
 
 @pytest.mark.parametrize("command", ["export-mesh", "evaluate"])

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from scenemotion import body, energy
 from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, FootSegment,
-                                FootSegmentation, _col_term, _contact_query, _cont_term,
+                                FootSegmentation, _col_term, _cont_term,
                                 _foot_term, _smooth_term, e_col, e_cont, e_smooth, geman_mcclure,
                                 segment_from_centroids, segment_stable_foot, sole_centroids,
                                 total_energy)
 from scenemotion.sdf import SdfGrid, sample_sdf_batch
 from scenemotion.scene import VertexIndex
 from scenemotion.sequence import MotionSequence
-from helpers import PinnedIndex, foot_labels, pinned_field, sdf_at, worker_handoffs
+from helpers import (PinnedIndex, foot_labels, interpolated_rows, pinned_field, sdf_at,
+                     worker_handoffs)
 
 
 def standing_frames(template, positions, pelvis_z=0.93):
@@ -293,16 +294,15 @@ def test_cont_term_equals_its_one_frame_evaluations(template, slab_field, frozen
     if frozen:  # targets of other vertices, so they differ from fresh queries
         corr = np.stack([index.nearest(v[ids] + 0.05)[0] for v in verts])
 
-    def query(v, frames):
-        return _contact_query(v, ids, PinnedIndex(index.points, corr[frames]) if frozen
-                              else index)
+    def targets(frames):
+        return PinnedIndex(index.points, corr[frames]) if frozen else index
 
     def frame(v, g, i):
-        return _cont_term(v, ids, index, query(v, slice(i, i + 1)), True, g, scale=1.3)
+        return _cont_term(v, ids, targets(slice(i, i + 1)), True, g, scale=1.3)
 
     want, g_want = _one_frame_at_a_time(frame, verts)
     g = np.zeros(verts.shape)
-    got = _cont_term(verts, ids, index, query(verts, slice(None)), True, g, scale=1.3)
+    got = _cont_term(verts, ids, targets(slice(None)), True, g, scale=1.3)
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert np.array_equal(g, g_want)
@@ -322,8 +322,7 @@ def test_scene_energy_is_its_terms_added_in_order(template, slab_field):
     g_want = np.zeros(verts.shape)
     terms = [_foot_term(template, verts, seg, True, g_want, scale=w.foot),
              _col_term(verts, slab_field.grid, True, g_want, scale=w.col),
-             _cont_term(verts, ids, slab_field.index,
-                        _contact_query(verts, ids, slab_field.index), True, g_want, scale=w.cont),
+             _cont_term(verts, ids, slab_field.index, True, g_want, scale=w.cont),
              _smooth_term(verts, True, g_want, scale=w.smooth)]
     assert min(terms) > 0.0
     assert [report.foot, report.col, report.cont, report.smooth] == terms
@@ -374,7 +373,7 @@ def test_pinned_index_at_fresh_targets_is_the_real_index(template, slab_field):
     assert -(-len(verts) // body.FRAME_BLOCK) == 3
     seg = segment_from_centroids(*sole_centroids(template, verts))
     w = EnergyWeights(foot=0.7, col=1.1, cont=1.3, smooth=0.25)
-    fresh = _contact_query(verts, template.contact_vertex_ids(), slab_field.index)[0]
+    fresh = slab_field.index.nearest(verts[:, template.contact_vertex_ids()].reshape(-1, 3))[0]
     want, g_want = energy.scene_energy(template, verts, slab_field, w, seg, want_grad=True)
     got, g = energy.scene_energy(template, verts, pinned_field(slab_field, fresh), w, seg,
                                  want_grad=True)
@@ -390,24 +389,18 @@ def test_pinned_index_at_fresh_targets_is_the_real_index(template, slab_field):
 def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatch):
     verts = _sinking_vertices(template)
     T, V = verts.shape[:2]
-    sampled, queried = [], []
-    sample = energy.sample_sdf_batch
+    queried = []
     nearest = VertexIndex.nearest
-
-    def counting_sample(grid, points, want_grad=True):
-        sampled.append(len(points))
-        return sample(grid, points, want_grad)
 
     def counting_nearest(self, query):
         queried.append(len(query))
         return nearest(self, query)
 
-    monkeypatch.setattr(energy, "sample_sdf_batch", counting_sample)
+    sampled = interpolated_rows(monkeypatch)
     monkeypatch.setattr(VertexIndex, "nearest", counting_nearest)
     ids = template.contact_vertex_ids()
     _col_term(verts, slab_field.grid, True, np.zeros(verts.shape))
-    _cont_term(verts, ids, slab_field.index, _contact_query(verts, ids, slab_field.index),
-               True, np.zeros(verts.shape))
+    _cont_term(verts, ids, slab_field.index, True, np.zeros(verts.shape))
     assert len(sampled) == -(-T // body.FRAME_BLOCK) == 3
     assert sum(sampled) == _candidate_count(slab_field.grid, verts.reshape(-1, 3))
     assert 0 < sum(sampled) < T * V
@@ -518,13 +511,7 @@ def test_culled_col_term_on_an_all_positive_grid_is_zero(monkeypatch):
     verts = rng.uniform(-0.5, 1.7, size=(40, 9, 3))
     g0 = rng.standard_normal(verts.shape)
     g = g0.copy()
-    sampled = []
-
-    def counting_sample(grid, points, want_grad=True):
-        sampled.append(len(points))
-        return sample_sdf_batch(grid, points, want_grad)
-
-    monkeypatch.setattr(energy, "sample_sdf_batch", counting_sample)
+    sampled = interpolated_rows(monkeypatch)
     assert _col_term(verts, grid, True, g, scale=0.7) == 0.0
     assert np.array_equal(g, g0)
     # only points on or past a far face are sampled

@@ -56,6 +56,28 @@ def test_goal_spec_validation():
                  rotations=np.stack([IDENTITY_R, np.zeros(6), IDENTITY_R]), beta=np.zeros(10))
 
 
+_TWO_GOALS = {"translations": np.array([[0.0, 0, 0.93], [1, 0, 0.93]]),
+              "rotations": np.tile(IDENTITY_R, (2, 1)), "beta": np.zeros(10)}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("translations", np.array([[np.nan, 0, 0.93], [1, 0, 0.93]]),
+     "goal translations must be finite"),
+    ("rotations", np.stack([IDENTITY_R, [1, 0, 0, 0, np.inf, 0]]), "goal rotations must be finite"),
+    ("beta", np.r_[np.inf, np.zeros(9)], "goal beta must be finite"),
+    ("translations", np.zeros((3, 2)), r"goal translations: shape \(3, 2\), expected \(3, 3\)"),
+    ("translations", np.zeros(6), r"goal translations: shape \(6,\), expected \(6, 3\)"),
+    ("rotations", np.zeros((2, 3, 2)), r"goal rotations: shape \(2, 3, 2\), expected \(2, 6\)"),
+    ("rotations", np.tile(IDENTITY_R, (3, 1)),
+     r"goal rotations: shape \(3, 6\), expected \(2, 6\)"),
+    ("beta", np.zeros((2, 5)), r"goal beta: shape \(2, 5\), expected \(10,\)"),
+], ids=["nan-t", "inf-r", "inf-beta", "t-3x2", "t-flat", "r-2x3x2", "r-unpaired", "beta-2x5"])
+def test_goal_spec_rejects_non_finite_and_misshapen_goals(field, value, message):
+    GoalSpec(**_TWO_GOALS)
+    with pytest.raises(ValueError, match=message):
+        GoalSpec(**{**_TWO_GOALS, field: value})
+
+
 @pytest.mark.parametrize("G,k", [(2, 15), (3, 15), (5, 15), (2, 61), (3, 61)])
 def test_frame_count_law(random_models, small_field, template, G, k):
     cvae, route, pose = random_models

@@ -8,8 +8,9 @@ from scenemotion.datagen import box_mesh_arrays, dataset_scene_fields, gen_scene
 from scenemotion.errors import ArtefactError, NumericError, ResourceLimitError, SceneMotionError
 from scenemotion.scene import make_mesh
 from scenemotion.sdf import (BRICK, SdfGrid, _point_triangle_dist2, _projected_inside, build_sdf,
-                             load_sdf, sample_sdf_batch, save_sdf, unsigned_distance)
-from helpers import sdf_at
+                             load_sdf, sample_penetration, sample_sdf_batch, save_sdf,
+                             unsigned_distance)
+from helpers import interpolated_rows, sdf_at
 
 
 def unit_cube():
@@ -610,7 +611,7 @@ def test_value_only_sampling_reads_the_same_values():
     inside = rng.uniform(-0.4, 0.4, size=(50, 3))
     past = grid.upper + rng.uniform(0.0, 2.0, size=(50, 3)) * rng.choice([0.0, 1.0], size=(50, 3))
     pts = np.vstack([inside, past, grid.origin - 1.0, rng.uniform(-1.5, 2.5, size=(50, 3))])
-    assert grid.may_be_negative(inside).all() and sample_sdf_batch(grid, inside)[0].max() < 0.0
+    assert sample_sdf_batch(grid, inside)[0].max() < 0.0
     vals, grads = sample_sdf_batch(grid, pts)
     only, none = sample_sdf_batch(grid, pts, want_grad=False)
     assert none is None and grads.shape == (len(pts), 3)
@@ -624,7 +625,8 @@ def test_non_finite_sample_point_is_a_numeric_error(bad):
     pts[2, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for read in (lambda q: sample_sdf_batch(grid, q), grid.may_be_negative):
+        for read in (lambda q: sample_sdf_batch(grid, q),
+                     lambda q: sample_penetration(grid, q, want_grad=True)):
             with pytest.raises(NumericError, match="sample point 2 is not finite"):
                 read(pts)
 
@@ -702,7 +704,26 @@ def _far_face_rounding_grid():
     return grid
 
 
-def test_may_be_negative_is_false_only_where_the_sample_is_not_negative():
+def _assert_penetration_is_the_negative_samples(grid, pts):
+    """``sample_penetration`` returns exactly the rows that ``sample_sdf_batch``
+    reads < 0, with its values and gradients there, bit for bit; returns
+    those rows and the number of points interpolated per call."""
+    vals, grads = sample_sdf_batch(grid, pts)
+    want = np.flatnonzero(vals < 0.0)
+    read = []
+    for want_grad in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            counts = interpolated_rows(mp)
+            rows, got, g = sample_penetration(grid, pts, want_grad)
+        read += counts
+        assert np.array_equal(rows, want)
+        assert got.tobytes() == vals[want].tobytes()
+        assert g is None if not want_grad else g.tobytes() == grads[want].tobytes()
+    assert read[0] == read[1]
+    return want, read
+
+
+def test_penetration_sampler_reads_exactly_the_negative_samples():
     rng = np.random.default_rng(13)
     values = rng.uniform(0.0, 2.0, size=(6, 5, 7))
     values[rng.random(values.shape) < 0.05] *= -1.0
@@ -712,16 +733,16 @@ def test_may_be_negative_is_false_only_where_the_sample_is_not_negative():
     nodes = np.stack(np.meshgrid(*grid.node_positions(), indexing="ij"), axis=-1).reshape(-1, 3)
     pts = np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, size=(5000, 3)), nodes,
                           nodes + 0.5 * grid.cell, np.array([lo, hi])])
-    mask = grid.may_be_negative(pts)
-    vals, _ = sample_sdf_batch(grid, pts)
-    assert not np.any(vals[~mask] < 0.0)
-    assert mask.any() and not mask.all()
-    assert np.all(mask[vals < 0.0])
+    rows, read = _assert_penetration_is_the_negative_samples(grid, pts)
+    # one interpolation per call, of a culled set that keeps every negative sample
+    assert len(read) == 2 and 0 < len(rows) <= read[0] < len(pts)
 
     edge = _far_face_rounding_grid()
     on_face = np.array([[edge.upper[0], -1.15, -1.05]])
-    val, _ = sample_sdf_batch(edge, on_face)
-    assert val[0] < 0.0
-    assert edge.may_be_negative(on_face)[0]
-    assert not edge.may_be_negative(on_face - [edge.cell / 2, 0.0, 0.0])[0]
+    assert sample_sdf_batch(edge, on_face)[0][0] < 0.0
+    rows, read = _assert_penetration_is_the_negative_samples(edge, on_face)
+    assert rows.tolist() == [0] and read == [1, 1]
+    rows, read = _assert_penetration_is_the_negative_samples(
+        edge, on_face - [edge.cell / 2, 0.0, 0.0])
+    assert rows.tolist() == [] and read == [0, 0]
     assert not edge.negative_cells[:-1, :-1, :-1].any()
