@@ -328,11 +328,13 @@ def cmd_synthesize(args, cfg, log):
         log(f"warning: {diag}")
     result = plan_long_term(cvae_model, route_model, pose_model, _template(cfg), spec,
                             field, k=cfg.k, schedule=schedule)
+    if result.diagnostic:
+        log(f"warning: {result.diagnostic}")
     save_sequence(args.out, replace(result.sequence, fps=cfg.fps))
     payload = {"outputs": [args.out], "frames": len(result.sequence),
                "pre_energy": result.pre_report.to_dict(),
                "post_energy": result.post_report.to_dict() if result.post_report else None,
-               "energy_history": result.energy_history}
+               "energy_history": result.energy_history, "diagnostic": result.diagnostic}
     _write_log(args.out, "synthesize", cfg, payload)
     log(f"sequence of {len(result.sequence)} frames -> {args.out}")
 

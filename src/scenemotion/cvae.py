@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import body
-from .energy import EnergyWeights, FootSegmentation, scene_energy
+from .energy import EnergyWeights, scene_energy
 from .errors import NumericError
 from .nn.adam import AdamState, minibatch_epochs
 from .nn.layers import Linear, ResidualBlock, leaky_relu, leaky_relu_backward
@@ -40,7 +40,7 @@ def kl_grads(mu, log_var):
 
 
 class GoalCVAE(Module):
-    def __init__(self, rng, hidden=512, cond_dim=256, point_hidden=(64, 128)):
+    def __init__(self, rng, hidden, cond_dim, point_hidden):
         self.hidden = hidden
         self.cond_dim = cond_dim
         self.point_enc = PointEncoder(rng, hidden=point_hidden, name="cvae.point")
@@ -290,8 +290,7 @@ class CVAETrainer:
         for sid in dict.fromkeys(scene_ids):
             rows = np.array([i for i, s in enumerate(scene_ids) if s == sid])
             report, g[rows] = scene_energy(self.template, mesh.vertices[rows],
-                                           self.scene_fields[sid], weights,
-                                           FootSegmentation([]), want_grad=True)
+                                           self.scene_fields[sid], weights, [], want_grad=True)
             col += report.col
             cont += report.cont
         return col / n, cont / n, body.pullback_batch(cache, g)[:, body.VAR_POSE]

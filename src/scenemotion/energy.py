@@ -39,11 +39,6 @@ class FootSegment:
     mean: np.ndarray | None  # mean stable-sole centroid, None for no-stance
 
 
-@dataclass
-class FootSegmentation:
-    segments: list
-
-
 def sole_centroids(template, vertices):
     """Per-frame (left, right) sole-centroid tracks of posed vertices (T, V, 3), each (T, 3)."""
     left = vertices[:, template.sole_vertex_ids("left")].mean(axis=1)
@@ -52,8 +47,8 @@ def sole_centroids(template, vertices):
 
 
 def segment_stable_foot(template, vertices):
-    """Split the timeline of posed vertices (T, V, 3) into stable-foot
-    segments by the nearer-foot rule.
+    """Split the timeline of posed vertices (T, V, 3) into a list of
+    stable-foot ``FootSegment`` by the nearer-foot rule.
 
     Per frame pair the foot whose sole centroid moved less is stable; frames
     where both soles move more than ``STANCE_MOVE_THRESHOLD`` have no stance.
@@ -105,21 +100,20 @@ def segment_from_centroids(left, right):
             mean = track[start:end].mean(axis=0)
         segments.append(FootSegment(start=start, end=end, side=label, mean=mean))
         start = end
-    return FootSegmentation(segments=segments)
+    return segments
 
 
 # -- energy terms --------------------------------------------------------------
 #
 # Each _*_term takes posed vertices (T, V, 3) and returns the term's value;
-# with want_grad it adds scale * dTerm/dvertices into g_vertices in place.
-# Gradients treat the nearest-point contact targets and segment means as
-# constants, matching one optimizer inner step. The e_* functions are the
-# value-only forms.
+# given a g_vertices buffer it also adds scale * dTerm/dvertices into it in
+# place. Gradients treat the nearest-point contact targets and segment means
+# as constants, matching one optimizer inner step.
 
-def _foot_term(template, vertices, segmentation, want_grad, g_vertices=None, scale=1.0):
+def _foot_term(template, vertices, segmentation, g_vertices=None, scale=1.0):
     """All frames of a segment at once; they touch only its sole vertices."""
     per_frame = []
-    for seg in segmentation.segments:
+    for seg in segmentation:
         if seg.side == "none":
             continue
         ids = template.sole_vertex_ids(seg.side)
@@ -127,7 +121,7 @@ def _foot_term(template, vertices, segmentation, want_grad, g_vertices=None, sca
         diff = vertices[frames, ids].mean(axis=1) - seg.mean
         n = _row_norms(diff)
         per_frame.append(n)
-        if want_grad:
+        if g_vertices is not None:
             pos = n > 0.0
             step = scale * diff / (np.where(pos, n, 1.0) * len(ids))[:, None]
             step[~pos] = 0.0
@@ -137,43 +131,37 @@ def _foot_term(template, vertices, segmentation, want_grad, g_vertices=None, sca
 
 def e_foot(template, vertices, segmentation):
     """Summed distance of each stance frame's sole centroid from its segment's mean."""
-    return _foot_term(template, vertices, segmentation, want_grad=False)
+    # A call, not an alias, so that the tracer's wrapper of _foot_term
+    # (perfbench/tracing.py) also sees refinement's closing foot terms.
+    return _foot_term(template, vertices, segmentation)
 
 
-def e_col(vertices, grid):
-    """Mean |negative SDF| per frame, summed over frames; vertices (T, V, 3)."""
-    return _col_term(vertices, grid, want_grad=False)
-
-
-def _col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
-    """Per block of ``body.FRAME_BLOCK`` frames, one ``sdf.sample_penetration``
-    call gives the vertices that read < 0; the others add no value or gradient."""
+def _col_term(vertices, grid, g_vertices=None, scale=1.0):
+    """Mean |negative SDF| per frame, summed over frames; vertices (T, V, 3). Per
+    block of ``body.FRAME_BLOCK`` frames, one ``sdf.sample_penetration`` call
+    gives the vertices that read < 0; the others add no value or gradient."""
     T, V = vertices.shape[:2]
     per_frame = np.empty(T)
     for lo in range(0, T, body.FRAME_BLOCK):
         block = vertices[lo:lo + body.FRAME_BLOCK]
-        rows, vals, grads = sample_penetration(grid, block.reshape(-1, 3), want_grad)
+        rows, vals, grads = sample_penetration(grid, block.reshape(-1, 3), g_vertices is not None)
         depth = np.zeros(len(block) * V)
         depth[rows] = vals
-        if want_grad and len(rows):
+        if g_vertices is not None and len(rows):
             frame, vertex = np.divmod(rows, V)
             g_vertices[lo + frame, vertex] += scale * (-grads) / V
         per_frame[lo:lo + len(block)] = -depth.reshape(len(block), V).sum(axis=1) / V
     return _frame_order_sum(per_frame)
 
 
-def e_cont(vertices, contact_ids, index):
-    """Sum of robustified nearest-scene distances of the contact vertices."""
-    return _cont_term(vertices, contact_ids, index, want_grad=False)
-
-
-def _cont_term(vertices, contact_ids, index, want_grad, g_vertices=None, scale=1.0):
-    """One exact ``index.nearest`` query over every frame's contact vertices
-    gives each its target: its nearest cloud point's index and distance."""
+def _cont_term(vertices, contact_ids, index, g_vertices=None, scale=1.0):
+    """Sum of robustified nearest-scene distances of the contact vertices. One
+    exact ``index.nearest`` query over every frame's contact vertices gives
+    each its target: its nearest cloud point's index and distance."""
     cv = vertices[:, contact_ids]
     nn_idx, d = (a.reshape(cv.shape[:2]) for a in index.nearest(cv.reshape(-1, 3)))
     total = _frame_order_sum(geman_mcclure(d).sum(axis=1))
-    if want_grad:
+    if g_vertices is not None:
         pos = d > 0.0
         if pos.any():
             frame, col = np.nonzero(pos)
@@ -181,6 +169,11 @@ def _cont_term(vertices, contact_ids, index, want_grad, g_vertices=None, scale=1
             g_vertices[frame, contact_ids[col]] += (
                 scale * pull[:, None] * (cv[pos] - index.points[nn_idx[pos]]))
     return total
+
+
+# Value-only callers give no buffer; the names stay for them and the tracer.
+e_col = _col_term
+e_cont = _cont_term
 
 
 def _frame_order_sum(per_frame):
@@ -199,19 +192,20 @@ def e_smooth(vertices):
     """Sum over consecutive frames of the Frobenius norm of the vertex delta."""
     if len(vertices) < 2:
         raise ValueError("need at least 2 frames for the smoothness term")
-    return _smooth_term(vertices, want_grad=False)
+    return _smooth_term(vertices)
 
 
-def _smooth_term(vertices, want_grad, g_vertices=None, scale=1.0):
+def _smooth_term(vertices, g_vertices=None, scale=1.0):
     """Frame pairs are taken per block of ``body.FRAME_BLOCK``; frame i's
-    gradient row takes -G[i-1] before +G[i], as a loop over pairs adds them."""
+    gradient row takes -G[i-1] before +G[i], as a loop over pairs adds them.
+    One frame has no pairs and scores 0."""
     T = len(vertices)
     per_pair = np.empty(max(T - 1, 0))
     for lo in range(0, T - 1, body.FRAME_BLOCK):
         hi = min(lo + body.FRAME_BLOCK, T - 1)
         diff = vertices[lo:hi] - vertices[lo + 1:hi + 1]
         n = per_pair[lo:hi] = _row_norms(diff)
-        if want_grad:
+        if g_vertices is not None:
             pos = n > 0.0
             diff *= scale
             diff /= np.where(pos, n, 1.0)[:, None, None]
@@ -263,28 +257,25 @@ class EnergyReport:
 def scene_energy(template, vertices, scene_field, weights, segmentation, want_grad=False):
     """Weighted four-term energy of posed vertices (T, V, 3).
 
-    Returns the EnergyReport and, with ``want_grad``, dTotal/dvertices
-    (T, V, 3), else None; a zero-weight term adds no gradient. The terms run
-    in turn on the calling thread and add their gradients in the order foot,
-    col, cont, smooth.
+    ``segmentation`` is a list of ``FootSegment``. Returns the EnergyReport
+    and, with ``want_grad``, dTotal/dvertices (T, V, 3), else None; a
+    zero-weight term is given no gradient buffer. The terms run in turn on the
+    calling thread and add their gradients in the order foot, col, cont, smooth.
     """
     g = np.zeros(vertices.shape) if want_grad else None
-    foot = _foot_term(template, vertices, segmentation, want_grad and weights.foot != 0.0, g,
-                      scale=weights.foot)
-    col = _col_term(vertices, scene_field.grid, want_grad and weights.col != 0.0, g,
-                    scale=weights.col)
-    cont = _cont_term(vertices, template.contact_vertex_ids(), scene_field.index,
-                      want_grad and weights.cont != 0.0, g, scale=weights.cont)
-    smooth = _smooth_term(vertices, want_grad and weights.smooth != 0.0, g,
-                          scale=weights.smooth)
+    g_foot, g_col, g_cont, g_smooth = (g if w != 0.0 else None for w in weights.as_tuple())
+    foot = _foot_term(template, vertices, segmentation, g_foot, scale=weights.foot)
+    col = _col_term(vertices, scene_field.grid, g_col, scale=weights.col)
+    cont = _cont_term(vertices, template.contact_vertex_ids(), scene_field.index, g_cont,
+                      scale=weights.cont)
+    smooth = _smooth_term(vertices, g_smooth, scale=weights.smooth)
     return EnergyReport(foot=foot, col=col, cont=cont, smooth=smooth, weights=weights), g
 
 
-def total_energy(template, frames, scene_field, weights, segmentation=None):
-    """Evaluate all four terms of flat records ``frames`` (T, 75); the
-    segmentation is recomputed unless supplied."""
+def total_energy(template, frames, scene_field, weights):
+    """Evaluate all four terms of flat records ``frames`` (T, 75) under their
+    own foot segmentation."""
     vertices = body.forward_batch(template, frames).vertices
-    if segmentation is None:
-        segmentation = segment_stable_foot(template, vertices)
-    report, _ = scene_energy(template, vertices, scene_field, weights, segmentation)
+    report, _ = scene_energy(template, vertices, scene_field, weights,
+                             segment_stable_foot(template, vertices))
     return report

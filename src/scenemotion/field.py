@@ -16,8 +16,7 @@ class SceneField:
     index: scene_mod.VertexIndex
 
     @staticmethod
-    def build(mesh, cloud_points=2048, cloud_seed=0, cell=sdf_mod.DEFAULT_CELL,
-              padding=sdf_mod.DEFAULT_PADDING, grid=None,
+    def build(mesh, cloud_points, cloud_seed, cell, padding=sdf_mod.DEFAULT_PADDING, grid=None,
               node_budget=sdf_mod.DEFAULT_NODE_BUDGET):
         cloud = scene_mod.sample_point_cloud(mesh, cloud_points, seed=cloud_seed)
         if grid is None:

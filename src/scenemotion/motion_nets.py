@@ -95,7 +95,7 @@ class _SeqNet(Module):
     step_dim = None
     out_dim = None
 
-    def __init__(self, rng, hidden=256, fc_width=512, point_hidden=(64, 128), name="seqnet"):
+    def __init__(self, rng, hidden, fc_width, point_hidden, name="seqnet"):
         self.hidden = hidden
         self.fc_width = fc_width
         self.point_enc = PointEncoder(rng, hidden=point_hidden, name=f"{name}.point")
@@ -132,7 +132,7 @@ class RouteNet(_SeqNet):
     step_dim = ROUTE_DIM + 1
     out_dim = ROUTE_DIM
 
-    def __init__(self, rng, hidden=256, fc_width=512, point_hidden=(64, 128)):
+    def __init__(self, rng, hidden, fc_width, point_hidden):
         super().__init__(rng, hidden, fc_width, point_hidden, name="route")
 
     @staticmethod
@@ -155,7 +155,7 @@ class PoseNet(_SeqNet):
     step_dim = POSE_PAIR_DIM + ROUTE_DIM + 1
     out_dim = POSE_PAIR_DIM
 
-    def __init__(self, rng, hidden=256, fc_width=512, point_hidden=(64, 128)):
+    def __init__(self, rng, hidden, fc_width, point_hidden):
         super().__init__(rng, hidden, fc_width, point_hidden, name="pose")
 
     @staticmethod

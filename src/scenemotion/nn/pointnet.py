@@ -15,7 +15,7 @@ FEATURE_DIM = 256
 
 
 class PointEncoder(Module):
-    def __init__(self, rng, hidden=(64, 128), name="pointenc"):
+    def __init__(self, rng, hidden, name="pointenc"):
         self.point_hidden = tuple(hidden)
         dims = (3,) + tuple(hidden) + (FEATURE_DIM,)
         self.mlp = MLP(dims, rng, name=f"{name}.mlp")

@@ -27,9 +27,12 @@ class PipelineStageError(SceneMotionError):
 
 @contextmanager
 def _stage(name):
+    """Wrap what bad inputs raise in stage ``name`` (InvalidRotationError, BodyParams'
+    ValueError, NumericError, FloatingPointError) in a PipelineStageError; a
+    program fault propagates as it is."""
     try:
         yield
-    except Exception as e:
+    except (SceneMotionError, ValueError, ArithmeticError) as e:
         raise PipelineStageError(f"stage {name!r}: {e}") from e
 
 
@@ -96,6 +99,7 @@ class PlanResult:
     energy_history: list
     pre_report: object
     post_report: object = None
+    diagnostic: str | None = None         # why refinement stopped early, as RefineResult's
 
 
 def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_field,
@@ -134,7 +138,8 @@ def plan_long_term(cvae_model, route_model, pose_model, template, spec, scene_fi
     return PlanResult(sequence=result.sequence, pre_refine=pre, goal_bodies=bodies,
                       energy_history=result.history,
                       pre_report=report(result.first_terms, pre.frames),
-                      post_report=report(result.final_terms, result.sequence.frames))
+                      post_report=report(result.final_terms, result.sequence.frames),
+                      diagnostic=result.diagnostic)
 
 
 def cvae_interpolation_baseline(cvae_model, start, end, scene_feat, steps,

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import body
 from .config import _coerce
-from .energy import (EnergyReport, EnergyWeights, FootSegmentation, e_foot, scene_energy,
-                     segment_stable_foot)
+from .energy import EnergyReport, EnergyWeights, e_foot, scene_energy, segment_stable_foot
 # The benchmark's tracer (perfbench/tracing.py) looks the contact term up
 # under this name.
 from .energy import _cont_term as _contact_value_grad  # noqa: F401
@@ -124,7 +123,7 @@ class Evaluation:
     report: EnergyReport              # under ``segmentation``
     grad: np.ndarray | None           # dTotal/d(t,r,p,h) per frame; None when value-only
     vertices: np.ndarray              # posed (T, V, 3)
-    segmentation: FootSegmentation
+    segmentation: list                # of energy.FootSegment
 
     def closing(self, template, weights, segmentation):
         """The report of these frames under an earlier stage's ``weights`` and

@@ -52,7 +52,6 @@ import numpy as np
 from . import artefact
 from .errors import ArtefactError, NumericError, ResourceLimitError
 
-DEFAULT_CELL = 0.05      # m
 DEFAULT_PADDING = 0.5    # m
 DEFAULT_NODE_BUDGET = 64_000_000
 BRICK = 4                # nodes per brick edge in the distance pass
@@ -114,7 +113,7 @@ class SdfGrid:
         return True
 
 
-def build_sdf(mesh, cell=DEFAULT_CELL, padding=DEFAULT_PADDING, node_budget=DEFAULT_NODE_BUDGET):
+def build_sdf(mesh, cell, padding=DEFAULT_PADDING, node_budget=DEFAULT_NODE_BUDGET):
     """Sample the signed distance of ``mesh`` on a padded uniform grid."""
     if not (np.isfinite(cell) and cell > 0.0):
         raise ValueError(f"cell size must be finite and positive, got {cell}")

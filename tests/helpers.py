@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 
-from scenemotion import _worker, body, rotation, sdf
+from scenemotion import _worker, body, refine, rotation, sdf
 from scenemotion.datagen import leg_length
 from scenemotion.energy import scene_energy
 from scenemotion.rotation import heading_to_rot6d
@@ -63,10 +63,24 @@ def record_posings(monkeypatch, fail_at=None, error=None):
     return posed
 
 
+def fail_evaluation(monkeypatch, at, error):
+    """Refinement's evaluation number ``at`` (from 0) raises ``error`` instead;
+    the others run as usual."""
+    calls = []
+
+    def failing(*args, original=refine.energy_and_gradients):
+        calls.append(1)
+        if len(calls) - 1 == at:
+            raise error
+        return original(*args)
+
+    monkeypatch.setattr(refine, "energy_and_gradients", failing)
+
+
 def foot_labels(segmentation, T):
-    """Per-frame side ("left" | "right" | "none") of a FootSegmentation."""
+    """Per-frame side ("left" | "right" | "none") of a list of FootSegment."""
     out = np.empty(T, dtype=object)
-    for seg in segmentation.segments:
+    for seg in segmentation:
         out[seg.start:seg.end] = seg.side
     return out
 

@@ -115,7 +115,7 @@ def test_the_contact_query_has_one_path():
     assert [m for m in vars(scene.VertexIndex) if "nearest" in m] == ["nearest"]
     assert not hasattr(energy, "_contact_query")
     assert parameters(energy._cont_term) == [
-        "vertices", "contact_ids", "index", "want_grad", "g_vertices", "scale"]
+        "vertices", "contact_ids", "index", "g_vertices", "scale"]
     assert not {"both", "partial", "worker"} & set(vars(energy))
 
 
@@ -205,6 +205,44 @@ def test_only_the_energy_module_reads_the_energy_terms():
     found = [r for path, tree in src_trees() if path != "energy.py"
              for r in term_reads(path, tree)]
     assert found == [], f"energy terms read outside scenemotion.energy: {found}"
+
+
+def test_each_energy_term_has_one_gradient_switch():
+    """A term adds its gradient exactly when it is given a buffer: no term
+    takes a ``want_grad`` flag, the value-only names are the terms themselves,
+    and a segmentation is a plain list of ``FootSegment``."""
+    energy = importlib.import_module("scenemotion.energy")
+    for name in sorted(_TERMS):
+        assert "want_grad" not in parameters(getattr(energy, name)), name
+        assert parameters(getattr(energy, name))[-2:] == ["g_vertices", "scale"], name
+    assert not hasattr(energy, "FootSegmentation")
+    assert energy.e_col is energy._col_term
+    assert energy.e_cont is energy._cont_term
+    assert parameters(energy.total_energy) == ["template", "frames", "scene_field", "weights"]
+
+
+def test_sizes_and_cells_come_from_the_caller():
+    """Library calls take their network widths, SDF cell and point-cloud size
+    from the caller (``RunConfig`` in the CLI), not from a library default."""
+    sdf = importlib.import_module("scenemotion.sdf")
+    field = importlib.import_module("scenemotion.field")
+    cvae = importlib.import_module("scenemotion.cvae")
+    motion_nets = importlib.import_module("scenemotion.motion_nets")
+    pointnet = importlib.import_module("scenemotion.nn.pointnet")
+    required = {
+        field.SceneField.build: ["cloud_points", "cloud_seed", "cell"],
+        sdf.build_sdf: ["cell"],
+        cvae.GoalCVAE: ["hidden", "cond_dim", "point_hidden"],
+        motion_nets._SeqNet: ["hidden", "fc_width", "point_hidden"],
+        motion_nets.RouteNet: ["hidden", "fc_width", "point_hidden"],
+        motion_nets.PoseNet: ["hidden", "fc_width", "point_hidden"],
+        pointnet.PointEncoder: ["hidden"],
+    }
+    for fn, names in required.items():
+        params = inspect.signature(fn).parameters
+        defaulted = [n for n in names if params[n].default is not inspect.Parameter.empty]
+        assert defaulted == [], f"{fn.__qualname__} defaults {defaulted}"
+    assert not hasattr(sdf, "DEFAULT_CELL")
 
 
 def raw_array_io(tree):

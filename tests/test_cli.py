@@ -371,14 +371,17 @@ def test_baseline_interp_builds_neither_an_sdf_nor_an_index(tmp_path, monkeypatc
     assert len(load_sequence(tmp_path / "base").frames) == 3
 
 
+# the command lines of the two commands that refine, over ``valid_inputs``
+_REFINING = {"synthesize": "synthesize --scene {scene} --goals {goals} --cvae {cvae} "
+                           "--route {route} --pose {pose}",
+             "refine": "refine --seq {seq} --scene {scene}"}
+
+
 @pytest.mark.parametrize("command", ["synthesize", "refine"])
 def test_run_log_records_the_terms_of_every_total(valid_inputs, tmp_path, command):
     from scenemotion.energy import EnergyReport, EnergyWeights
-    line = {"synthesize": "synthesize --scene {scene} --goals {goals} --cvae {cvae} "
-                          "--route {route} --pose {pose}",
-            "refine": "refine --seq {seq} --scene {scene}"}[command]
     out = tmp_path / "out"
-    argv = [tok.format(**valid_inputs) for tok in line.split()]
+    argv = [tok.format(**valid_inputs) for tok in _REFINING[command].split()]
     assert main(argv + ["--out", str(out), "--set", "k=15", "--set", "sdf_cell=0.3",
                         "--set", "cloud_points=64", "--set", "refine_iters=2"]) == 0
     history = json.loads((out / "run_log.json").read_text())["energy_history"]
@@ -387,6 +390,38 @@ def test_run_log_records_the_terms_of_every_total(valid_inputs, tmp_path, comman
         weights = EnergyWeights(*stage["weights"])
         for total, terms in zip(stage["totals"], stage["terms"]):
             assert EnergyReport(*terms, weights=weights).total == total
+
+
+@pytest.mark.parametrize("command", ["synthesize", "refine"])
+def test_run_log_records_a_refinement_abort(valid_inputs, tmp_path, capsys, monkeypatch,
+                                            command):
+    from scenemotion.errors import NumericError
+    from helpers import fail_evaluation
+    out = tmp_path / "out"
+    argv = [tok.format(**valid_inputs) for tok in _REFINING[command].split()]
+    fail_evaluation(monkeypatch, at=2, error=NumericError("injected"))
+    assert main(argv + ["--out", str(out), "--set", "k=15", "--set", "sdf_cell=0.3",
+                        "--set", "cloud_points=64", "--set", "refine_iters=3"]) == 0
+    diagnostic = "stage 0: injected at iteration 2"
+    assert f"warning: {diagnostic}\n" in capsys.readouterr().out
+    run_log = json.loads((out / "run_log.json").read_text())
+    assert run_log["diagnostic"] == diagnostic
+    assert [len(stage["totals"]) for stage in run_log["energy_history"]] == [2]
+
+
+def test_a_program_fault_in_synthesis_is_internal_error(valid_inputs, tmp_path, capsys,
+                                                       monkeypatch):
+    from scenemotion import pipeline
+
+    def broken(*args):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(pipeline, "synthesize_clip", broken)
+    argv = [tok.format(**valid_inputs) for tok in _REFINING["synthesize"].split()]
+    assert main(argv + ["--out", str(tmp_path / "out"), "--set", "k=15",
+                        "--set", "sdf_cell=0.3", "--set", "cloud_points=64"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.rstrip().endswith("TypeError: a bug")
 
 
 def test_train_cvae_on_truncated_sdf_cache_is_user_error(tmp_path, capsys):

@@ -240,7 +240,7 @@ def test_empty_batch_rejected(template):
 def test_body_energies_are_the_batch_mean_of_refinement_terms(template, slab_field):
     # two scenes, bodies sunk into the slab or the box, both scene terms on
     from scenemotion.datagen import box_mesh_arrays
-    from scenemotion.energy import EnergyWeights, FootSegmentation, scene_energy
+    from scenemotion.energy import EnergyWeights, scene_energy
     from scenemotion.scene import make_mesh
     box = SceneField.build(make_mesh(*box_mesh_arrays([0.3, 0.0, 0.6], [0.8, 0.8, 0.6])),
                            cloud_points=256, cloud_seed=2, cell=0.1, padding=0.4)
@@ -261,8 +261,8 @@ def test_body_energies_are_the_batch_mean_of_refinement_terms(template, slab_fie
     g_vertices = np.zeros(mesh.vertices.shape)
     reports = []
     for i, sid in enumerate(scene_ids):
-        report, g = scene_energy(template, mesh.vertices[i:i + 1], fields[sid], weights,
-                                 FootSegmentation(segments=[]), want_grad=True)
+        report, g = scene_energy(template, mesh.vertices[i:i + 1], fields[sid], weights, [],
+                                 want_grad=True)
         reports.append(report)
         g_vertices[i] = g[0] / n
     want_col = np.mean([r.col for r in reports])

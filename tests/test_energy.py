@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from scenemotion import body, energy
 from scenemotion.energy import (CONTACT_SIGMA, EnergyReport, EnergyWeights, FootSegment,
-                                FootSegmentation, _col_term, _cont_term,
-                                _foot_term, _smooth_term, e_col, e_cont, e_smooth, geman_mcclure,
-                                segment_from_centroids, segment_stable_foot, sole_centroids,
-                                total_energy)
+                                _col_term, _cont_term, _foot_term, _smooth_term, e_col, e_cont,
+                                e_smooth, geman_mcclure, segment_from_centroids,
+                                segment_stable_foot, sole_centroids, total_energy)
 from scenemotion.sdf import SdfGrid, sample_sdf_batch
 from scenemotion.scene import VertexIndex
 from scenemotion.sequence import MotionSequence
@@ -51,9 +50,9 @@ def test_static_left_moving_right_single_segment():
     left = np.tile([0.1, 0.0, 0.0], (T, 1))
     right = np.cumsum(np.tile([0.05, 0.0, 0.0], (T, 1)), axis=0)
     seg = segment_from_centroids(left, right)
-    assert len(seg.segments) == 1
-    assert seg.segments[0].side == "left"
-    np.testing.assert_allclose(seg.segments[0].mean, [0.1, 0.0, 0.0])
+    assert len(seg) == 1
+    assert seg[0].side == "left"
+    np.testing.assert_allclose(seg[0].mean, [0.1, 0.0, 0.0])
 
 
 def test_alternating_gait_two_segments():
@@ -64,7 +63,7 @@ def test_alternating_gait_two_segments():
     right[:10, 0] = np.cumsum(np.full(10, 0.05))
     right[10:, 0] = right[9, 0]
     seg = segment_from_centroids(left, right)
-    sides = [s.side for s in seg.segments]
+    sides = [s.side for s in seg]
     assert sides == ["left", "right"]
 
 
@@ -73,9 +72,9 @@ def test_segments_partition_timeline():
     left = rng.standard_normal((40, 3)) * 0.05
     right = rng.standard_normal((40, 3)) * 0.05
     seg = segment_from_centroids(left, right)
-    assert seg.segments[0].start == 0
-    assert seg.segments[-1].end == 40
-    for a, b in zip(seg.segments, seg.segments[1:]):
+    assert seg[0].start == 0
+    assert seg[-1].end == 40
+    for a, b in zip(seg, seg[1:]):
         assert a.end == b.start
         assert a.side != b.side  # alternating or separated by no-stance
 
@@ -87,7 +86,7 @@ def test_short_runs_absorbed_by_hysteresis():
     # inject a 1-frame flip by moving left hugely at frame 10
     left[10] = [5.0, 0, 0]
     seg = segment_from_centroids(left, right)
-    assert all(s.end - s.start >= 3 or s is seg.segments[-1] for s in seg.segments)
+    assert all(s.end - s.start >= 3 or s is seg[-1] for s in seg)
 
 
 # per-pair sole speeds (m/frame) on both sides of STANCE_MOVE_THRESHOLD, ties included
@@ -100,7 +99,7 @@ def test_segments_tile_alternate_and_are_long(steps):
     left, right = (np.zeros((len(steps) + 1, 3)) for _ in range(2))
     left[1:, 0] = np.cumsum([dl for dl, _ in steps])
     right[1:, 1] = np.cumsum([dr for _, dr in steps])
-    segments = segment_from_centroids(left, right).segments
+    segments = segment_from_centroids(left, right)
     assert segments[0].start == 0 and segments[-1].end == len(left)
     for a, b in zip(segments, segments[1:]):
         assert a.end == b.start
@@ -133,7 +132,7 @@ def test_e_foot_pivoting_foot_is_zero(template):
     frames = standing_frames(template, [(0.0, 0.0)] * 5)
     verts = body.forward_batch(template, frames).vertices
     seg = segment_stable_foot(template, verts)
-    assert _foot_term(template, verts, seg, want_grad=False) == 0.0
+    assert _foot_term(template, verts, seg) == 0.0
 
 
 def test_e_foot_two_frame_hand_case():
@@ -143,10 +142,10 @@ def test_e_foot_two_frame_hand_case():
         def sole_vertex_ids(self, side):
             return np.array([0])
 
-    seg = FootSegmentation(segments=[FootSegment(0, 2, "left", np.array([0.05, 0.0, 0.0]))])
+    seg = [FootSegment(0, 2, "left", np.array([0.05, 0.0, 0.0]))]
     verts = np.zeros((2, 1, 3))
     verts[1, 0, 0] = 0.1
-    total = _foot_term(_T(), verts, seg, want_grad=False)
+    total = _foot_term(_T(), verts, seg)
     assert total == pytest.approx(0.1, abs=1e-9)
 
 
@@ -277,9 +276,9 @@ def test_col_term_equals_its_one_frame_evaluations(template, slab_field):
     verts = _sinking_vertices(template)
     grid = slab_field.grid
     want, g_want = _one_frame_at_a_time(
-        lambda v, g, i: _col_term(v, grid, True, g, scale=0.7), verts)
+        lambda v, g, i: _col_term(v, grid, g, scale=0.7), verts)
     g = np.zeros(verts.shape)
-    got = _col_term(verts, grid, True, g, scale=0.7)
+    got = _col_term(verts, grid, g, scale=0.7)
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert e_col(verts, grid) == got
@@ -298,11 +297,11 @@ def test_cont_term_equals_its_one_frame_evaluations(template, slab_field, frozen
         return PinnedIndex(index.points, corr[frames]) if frozen else index
 
     def frame(v, g, i):
-        return _cont_term(v, ids, targets(slice(i, i + 1)), True, g, scale=1.3)
+        return _cont_term(v, ids, targets(slice(i, i + 1)), g, scale=1.3)
 
     want, g_want = _one_frame_at_a_time(frame, verts)
     g = np.zeros(verts.shape)
-    got = _cont_term(verts, ids, targets(slice(None)), True, g, scale=1.3)
+    got = _cont_term(verts, ids, targets(slice(None)), g, scale=1.3)
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert np.array_equal(g, g_want)
@@ -314,16 +313,16 @@ def test_scene_energy_is_its_terms_added_in_order(template, slab_field):
     """The bytes match the four terms called in turn."""
     verts = _sinking_vertices(template, n=2 * body.FRAME_BLOCK + 6)
     left, _ = sole_centroids(template, verts)
-    seg = FootSegmentation([FootSegment(0, 30, "left", left[:30].mean(axis=0)),
-                            FootSegment(30, len(verts), "right", left[30:].mean(axis=0))])
+    seg = [FootSegment(0, 30, "left", left[:30].mean(axis=0)),
+           FootSegment(30, len(verts), "right", left[30:].mean(axis=0))]
     w = EnergyWeights(foot=0.7, col=1.1, cont=1.3, smooth=0.25)
     report, g = energy.scene_energy(template, verts, slab_field, w, seg, want_grad=True)
     ids = template.contact_vertex_ids()
     g_want = np.zeros(verts.shape)
-    terms = [_foot_term(template, verts, seg, True, g_want, scale=w.foot),
-             _col_term(verts, slab_field.grid, True, g_want, scale=w.col),
-             _cont_term(verts, ids, slab_field.index, True, g_want, scale=w.cont),
-             _smooth_term(verts, True, g_want, scale=w.smooth)]
+    terms = [_foot_term(template, verts, seg, g_want, scale=w.foot),
+             _col_term(verts, slab_field.grid, g_want, scale=w.col),
+             _cont_term(verts, ids, slab_field.index, g_want, scale=w.cont),
+             _smooth_term(verts, g_want, scale=w.smooth)]
     assert min(terms) > 0.0
     assert [report.foot, report.col, report.cont, report.smooth] == terms
     assert g.tobytes() == g_want.tobytes()
@@ -358,7 +357,7 @@ def test_contact_pulls_the_soles_alone(template, slab_field):
 
     report, g = energy.scene_energy(template, verts, slab_field,
                                     EnergyWeights(foot=0.0, col=0.0, cont=1.0, smooth=0.0),
-                                    FootSegmentation([]), want_grad=True)
+                                    [], want_grad=True)
     soles = np.zeros(template.num_vertices, dtype=bool)
     soles[template.sole_vertex_ids("left")] = soles[template.sole_vertex_ids("right")] = True
     assert report.cont > 0.0
@@ -399,8 +398,8 @@ def test_scene_terms_query_once_per_frame_block(template, slab_field, monkeypatc
     sampled = interpolated_rows(monkeypatch)
     monkeypatch.setattr(VertexIndex, "nearest", counting_nearest)
     ids = template.contact_vertex_ids()
-    _col_term(verts, slab_field.grid, True, np.zeros(verts.shape))
-    _cont_term(verts, ids, slab_field.index, True, np.zeros(verts.shape))
+    _col_term(verts, slab_field.grid, np.zeros(verts.shape))
+    _cont_term(verts, ids, slab_field.index, np.zeros(verts.shape))
     assert len(sampled) == -(-T // body.FRAME_BLOCK) == 3
     assert sum(sampled) == _candidate_count(slab_field.grid, verts.reshape(-1, 3))
     assert 0 < sum(sampled) < T * V
@@ -421,7 +420,7 @@ def _candidate_count(grid, points):
     return int(((corners < 0.0).any(axis=0) | (raw >= dims - 1).any(axis=1)).sum())
 
 
-def _unculled_col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
+def _unculled_col_term(vertices, grid, g_vertices=None, scale=1.0):
     """The collision term sampling every vertex, as before the cell cull."""
     T, V = vertices.shape[:2]
     per_frame = np.empty(T)
@@ -431,7 +430,7 @@ def _unculled_col_term(vertices, grid, want_grad, g_vertices=None, scale=1.0):
         neg = vals < 0.0
         per_frame[lo:lo + len(block)] = (
             -np.where(neg, vals, 0.0).reshape(len(block), V).sum(axis=1) / V)
-        if want_grad and neg.any():
+        if g_vertices is not None and neg.any():
             g_vertices[lo:lo + len(block)][neg.reshape(len(block), V)] += (
                 scale * (-grads[neg]) / V)
     return float(np.cumsum(np.concatenate([[0.0], per_frame]))[-1])
@@ -441,11 +440,11 @@ def _assert_col_term_matches_unculled(vertices, grid, scale=0.7):
     rng = np.random.default_rng(14)
     g0 = rng.standard_normal(vertices.shape)
     g_want, g_got = g0.copy(), g0.copy()
-    want = _unculled_col_term(vertices, grid, True, g_want, scale)
-    got = _col_term(vertices, grid, True, g_got, scale)
+    want = _unculled_col_term(vertices, grid, g_want, scale)
+    got = _col_term(vertices, grid, g_got, scale)
     assert got == want
     assert np.array_equal(g_got, g_want)
-    assert e_col(vertices, grid) == _unculled_col_term(vertices, grid, False)
+    assert e_col(vertices, grid) == _unculled_col_term(vertices, grid)
     return got, g_got - g0
 
 
@@ -512,31 +511,31 @@ def test_culled_col_term_on_an_all_positive_grid_is_zero(monkeypatch):
     g0 = rng.standard_normal(verts.shape)
     g = g0.copy()
     sampled = interpolated_rows(monkeypatch)
-    assert _col_term(verts, grid, True, g, scale=0.7) == 0.0
+    assert _col_term(verts, grid, g, scale=0.7) == 0.0
     assert np.array_equal(g, g0)
     # only points on or past a far face are sampled
     assert sum(sampled) == _candidate_count(grid, verts.reshape(-1, 3)) > 0
-    assert _unculled_col_term(verts, grid, False) == 0.0
+    assert _unculled_col_term(verts, grid) == 0.0
 
 
-def _looped_smooth_term(vertices, want_grad, g_vertices=None, scale=1.0):
+def _looped_smooth_term(vertices, g_vertices=None, scale=1.0):
     """The smoothness term as a loop over frame pairs."""
     total = 0.0
     for i in range(len(vertices) - 1):
         diff = vertices[i] - vertices[i + 1]
         n = np.linalg.norm(diff)
         total += n
-        if want_grad and n > 0.0:
+        if g_vertices is not None and n > 0.0:
             g = scale * diff / n
             g_vertices[i] += g
             g_vertices[i + 1] -= g
     return total
 
 
-def _looped_foot_term(template, vertices, segmentation, want_grad, g_vertices=None, scale=1.0):
+def _looped_foot_term(template, vertices, segmentation, g_vertices=None, scale=1.0):
     """The foot term as a loop over the frames of each segment."""
     total = 0.0
-    for seg in segmentation.segments:
+    for seg in segmentation:
         if seg.side == "none":
             continue
         ids = template.sole_vertex_ids(seg.side)
@@ -544,7 +543,7 @@ def _looped_foot_term(template, vertices, segmentation, want_grad, g_vertices=No
             diff = vertices[i][ids].mean(axis=0) - seg.mean
             n = np.linalg.norm(diff)
             total += n
-            if want_grad and n > 0.0:
+            if g_vertices is not None and n > 0.0:
                 g_vertices[i][ids] += scale * diff / (n * len(ids))
     return total
 
@@ -555,11 +554,11 @@ def _assert_matches_loop(term, oracle, vertices):
     rng = np.random.default_rng(18)
     g0 = rng.standard_normal(vertices.shape)
     g_want, g_got = g0.copy(), g0.copy()
-    want = oracle(vertices, True, g_want, 0.7)
-    got = term(vertices, True, g_got, 0.7)
+    want = oracle(vertices, g_want, 0.7)
+    got = term(vertices, g_got, 0.7)
     assert got == want
     assert np.array_equal(g_got, g_want)
-    assert term(vertices, False) == got
+    assert term(vertices) == got
     return got
 
 
@@ -567,7 +566,7 @@ def test_block_smooth_term_matches_loop_over_frame_pairs(template):
     verts = _sinking_vertices(template)
     verts[5] = verts[4]                                     # a still pair adds nothing
     assert _assert_matches_loop(_smooth_term, _looped_smooth_term, verts) > 0.0
-    assert _smooth_term(verts[:1], False) == 0.0
+    assert _smooth_term(verts[:1]) == 0.0
 
 
 def test_vectorized_foot_term_matches_loop_over_frames(template, monkeypatch):
@@ -576,19 +575,16 @@ def test_vectorized_foot_term_matches_loop_over_frames(template, monkeypatch):
     # the shuffle moves both soles faster than the fixed 0.02 m/frame threshold
     monkeypatch.setattr(energy, "STANCE_MOVE_THRESHOLD", 0.1)
     segmentation = segment_from_centroids(*sole_centroids(template, verts))
-    assert {seg.side for seg in segmentation.segments} >= {"left", "right"}
+    assert {seg.side for seg in segmentation} >= {"left", "right"}
     left = sole_centroids(template, verts)[0]
-    hand = FootSegmentation(segments=[                      # a zero-distance frame, a
-        FootSegment(0, 3, "left", left[1]),                 # no-stance run and a segment
-        FootSegment(3, 9, "none", None),                    # running past the last frame
-        FootSegment(9, T + 4, "right", np.array([0.1, -0.2, 0.05]))])
+    # a zero-distance frame, a no-stance run and a segment running past the last frame
+    hand = [FootSegment(0, 3, "left", left[1]),
+            FootSegment(3, 9, "none", None),
+            FootSegment(9, T + 4, "right", np.array([0.1, -0.2, 0.05]))]
     for seg in (segmentation, hand):
         total = _assert_matches_loop(
-            lambda v, want_grad, g=None, scale=1.0: _foot_term(template, v, seg, want_grad,
-                                                               g, scale),
-            lambda v, want_grad, g=None, scale=1.0: _looped_foot_term(template, v, seg,
-                                                                      want_grad, g, scale),
+            lambda v, g=None, scale=1.0: _foot_term(template, v, seg, g, scale),
+            lambda v, g=None, scale=1.0: _looped_foot_term(template, v, seg, g, scale),
             verts)
         assert total > 0.0
-    empty = FootSegmentation(segments=[FootSegment(0, T, "none", None)])
-    assert _foot_term(template, verts, empty, False) == 0.0
+    assert _foot_term(template, verts, [FootSegment(0, T, "none", None)]) == 0.0

@@ -8,7 +8,7 @@ from scenemotion import RunConfig, body
 from scenemotion.cvae import CVAETrainer, GoalCVAE
 from scenemotion.datagen import gen_scene, SyntheticSceneSpec
 from scenemotion.energy import total_energy
-from scenemotion.errors import ArtefactError, InvalidRotationError
+from scenemotion.errors import ArtefactError, InvalidRotationError, NumericError
 from scenemotion.field import SceneField
 from scenemotion.motion_nets import PoseNet, RouteNet, train_pose_net, train_route_net
 from scenemotion.persist import load_model, save_model
@@ -16,7 +16,8 @@ from scenemotion.pipeline import (GoalSpec, cvae_interpolation_baseline, plan_lo
                                   validate_spec)
 from scenemotion.refine import RefinementSchedule
 from scenemotion.rotation import heading_to_rot6d
-from helpers import record_posings, rest_params, shares_beta, thread_recording_tracer
+from helpers import (fail_evaluation, record_posings, rest_params, shares_beta,
+                     thread_recording_tracer)
 
 IDENTITY_R = np.array([1.0, 0, 0, 0, 1, 0])
 
@@ -160,6 +161,21 @@ def test_stage_failures_carry_stage_tag(random_models, small_field, template):
         plan_long_term(cvae, route, pose, template, spec, small_field, k=15, schedule=None)
 
 
+def test_a_program_fault_in_a_stage_propagates_unwrapped(random_models, small_field, template,
+                                                         monkeypatch):
+    """Only what bad inputs raise is tagged with its stage as a user error; a
+    TypeError is a fault of the program and reaches the caller as it is."""
+    from scenemotion import pipeline
+
+    def broken(*args):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(pipeline, "synthesize_clip", broken)
+    cvae, route, pose = random_models
+    with pytest.raises(TypeError, match="^a bug$"):
+        plan_long_term(cvae, route, pose, template, goals(2), small_field, k=15, schedule=None)
+
+
 def test_degenerate_goal_rotation_names_its_row(random_models, small_field, template):
     from scenemotion.pipeline import PipelineStageError
     cvae, route, pose = random_models
@@ -273,6 +289,22 @@ def test_plan_reports_fall_back_when_refinement_aborts(random_models, small_fiel
     for report, frames in ((result.pre_report, result.pre_refine.frames),
                            (result.post_report, result.sequence.frames)):
         assert report.to_dict() == total_energy(template, frames, small_field, weights).to_dict()
+
+
+def test_plan_carries_the_refinement_abort(random_models, small_field, template, monkeypatch):
+    """A refinement that aborts hands its diagnostic to the plan; one that runs
+    to its end, or no refinement at all, leaves it None."""
+    cvae, route, pose = random_models
+    schedule = RefinementSchedule.two_stage(iters=3)
+    for kept in (None, schedule):
+        result = plan_long_term(cvae, route, pose, template, goals(3), small_field, k=15,
+                                schedule=kept)
+        assert result.diagnostic is None
+    fail_evaluation(monkeypatch, at=2, error=NumericError("injected"))
+    result = plan_long_term(cvae, route, pose, template, goals(3), small_field, k=15,
+                            schedule=schedule)
+    assert result.diagnostic == "stage 0: injected at iteration 2"
+    assert [len(rec["totals"]) for rec in result.energy_history] == [2]
 
 
 def test_validate_spec_diagnostics(small_field):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from scenemotion import _worker, body
-from scenemotion.energy import EnergyReport, EnergyWeights, segment_stable_foot, total_energy
+from scenemotion.energy import (EnergyReport, EnergyWeights, scene_energy, segment_stable_foot,
+                                total_energy)
 from scenemotion.errors import InvalidRotationError
 from scenemotion.refine import (RefinementSchedule, RefineStage, energy_and_gradients,
                                 frames_to_vars, refine, vars_to_frames)
@@ -270,7 +271,7 @@ def test_each_closing_total_is_the_stage_end_energy(template, slab_field):
     for s, stage in enumerate(STAGES):
         end = refine(template, seq, slab_field, RefinementSchedule(STAGES[:s + 1])).sequence.frames
         seg = segment_stable_foot(template, posed(template, start))
-        closing = total_energy(template, end, slab_field, stage.weights, seg)
+        closing, _ = scene_energy(template, posed(template, end), slab_field, stage.weights, seg)
         assert full.history[s]["totals"][-1] == closing.total
         assert full.history[s]["terms"][-1] == closing.terms()
         start = end
